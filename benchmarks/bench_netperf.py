@@ -1,8 +1,8 @@
-"""Network data-plane throughput: raw sockets vs threaded vs async runtime.
+"""Network data-plane throughput: raw sockets vs the async runtime.
 
 Unlike the other benchmarks this one runs on the *wall clock* — it measures
-the real I/O planes (UDP loopback sockets, syscalls, threads, event loop),
-so virtual time cannot stand in. Three measurements:
+the real I/O plane (UDP loopback sockets, syscalls, event loop), so virtual
+time cannot stand in. Three measurements:
 
 - **raw ceiling** — two plain UDP sockets blasting timestamped 64-byte
   datagrams through loopback with no middleware at all. This is what the
@@ -14,26 +14,22 @@ so virtual time cannot stand in. Three measurements:
 - **reliable events** — the same fanout with the acked event primitive.
 
 Both middleware workloads are driven closed-loop (bounded undelivered
-backlog) so each plane runs at its *sustainable* rate — open-loop
+backlog) so the plane runs at its *sustainable* rate — open-loop
 overload just measures queue depth: best-effort latency tails explode and
 the reliable plane degrades into retransmission pathology.
 
-Each middleware workload runs on both wall-clock runtimes:
-
-- ``threaded`` at its default data-plane configuration — one datagram per
-  frame, one blocking ``sendto`` per destination, one ``recvfrom`` wakeup
-  plus one cross-thread reactor post per delivery. This is the plane the
-  async runtime replaces.
-- ``async`` with the batched plane it was designed around — datagram
-  batching plus coalesced ACKs, scatter/gather ``sendmsg`` on the egress
-  side and burst ``recvmsg_into`` draining on ingress, everything on one
-  event-loop serialization domain with zero cross-thread posts.
+Each middleware workload runs on :class:`AsyncRuntime` with the batched
+plane it was designed around — datagram batching plus coalesced ACKs,
+scatter/gather ``sendmsg`` on the egress side and burst ``recvmsg_into``
+draining on ingress, everything on one event-loop serialization domain
+with zero cross-thread posts.
 
 Events/sec counts *deliveries* (samples × subscribers reached); latency is
 publisher ``perf_counter`` at publish to subscriber callback. Medians over
 ``--reps`` runs land in ``BENCH_netperf.json``. ``--smoke`` runs a small
-configuration on both runtimes and asserts async ≥ threaded (the CI gate);
-the full run is where the 3x claims are checked.
+configuration and asserts every offered message was delivered on both
+workloads (the CI gate; the PR-to-PR performance gate is
+``BENCHMARK.json``'s suite under ``benchmarks/suite/``).
 """
 
 import argparse
@@ -48,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from exphelpers import print_table, write_bench_json
 
-from repro import AsyncRuntime, ThreadedRuntime
+from repro import AsyncRuntime
 from repro.encoding.types import FLOAT64
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -64,18 +60,15 @@ RELIABLE_MAX_LAG = 1_200
 RAW_DATAGRAMS = 50_000
 SETTLE_SECONDS = 0.2
 
-#: Both planes run the schema-compiled codec (byte-identical wire format,
-#: property-tested against the interpreter) so the comparison isolates the
-#: I/O plane rather than codec interpretation overhead.
-#: The async plane's feature set — what the tentpole was built to enable.
+#: The async plane's feature set: the schema-compiled codec (byte-identical
+#: wire format, property-tested against the interpreter), batching and
+#: coalesced ACKs.
 ASYNC_PLANE = dict(
     codec="compiled",
     batching_enabled=True,
     ack_coalesce_delay=0.002,
     ack_coalesce_max_pending=64,
 )
-#: The classic plane: data-plane defaults (no batching, per-frame acks).
-THREADED_PLANE: dict = {"codec": "compiled"}
 
 FAST = dict(
     announce_interval=0.2,
@@ -142,24 +135,24 @@ def raw_ceiling(n=RAW_DATAGRAMS):
 # -- middleware workloads ------------------------------------------------------
 
 
-def _fanout_runtime(runtime_cls, plane):
+def _fanout_runtime():
     """A started 1-publisher / SUBSCRIBERS-subscriber runtime."""
-    runtime = runtime_cls()
+    runtime = AsyncRuntime()
     pub = ProbeService("pub")
-    runtime.add_container("pub", **FAST, **plane).install_service(pub)
+    runtime.add_container("pub", **FAST, **ASYNC_PLANE).install_service(pub)
     received = [[] for _ in range(SUBSCRIBERS)]
     probes = []
     for i in range(SUBSCRIBERS):
         probe = ProbeService(f"probe{i}")
-        runtime.add_container(f"sub{i}", **FAST, **plane).install_service(probe)
+        runtime.add_container(f"sub{i}", **FAST, **ASYNC_PLANE).install_service(probe)
         probes.append(probe)
     runtime.start()
     return runtime, pub, probes, received
 
 
-def telemetry_fanout(runtime_cls, plane, samples=FANOUT_SAMPLES, burst=FANOUT_BURST):
+def telemetry_fanout(samples=FANOUT_SAMPLES, burst=FANOUT_BURST):
     """Closed-loop best-effort variable fanout; returns delivered rate + tails."""
-    runtime, pub, probes, received = _fanout_runtime(runtime_cls, plane)
+    runtime, pub, probes, received = _fanout_runtime()
     try:
         runtime.on_reactor(
             lambda: setattr(pub, "handle", pub.ctx.provide_variable("net.var", FLOAT64))
@@ -185,7 +178,7 @@ def telemetry_fanout(runtime_cls, plane, samples=FANOUT_SAMPLES, burst=FANOUT_BU
         sent = 0
         expected = 0  # deliveries still credited as in flight
         while sent < samples:
-            # Pace on the undelivered backlog so each plane runs at its
+            # Pace on the undelivered backlog so the plane runs at its
             # sustainable rate. Best-effort samples may legitimately drop,
             # so a stalled backlog is written off instead of deadlocking.
             if not runtime.run_until(
@@ -218,11 +211,9 @@ def telemetry_fanout(runtime_cls, plane, samples=FANOUT_SAMPLES, burst=FANOUT_BU
         runtime.stop()
 
 
-def reliable_events(
-    runtime_cls, plane, events=RELIABLE_EVENTS, burst=RELIABLE_BURST
-):
+def reliable_events(events=RELIABLE_EVENTS, burst=RELIABLE_BURST):
     """Closed-loop acked event fanout; returns delivered rate + tails."""
-    runtime, pub, probes, received = _fanout_runtime(runtime_cls, plane)
+    runtime, pub, probes, received = _fanout_runtime()
     try:
         runtime.on_reactor(
             lambda: setattr(pub, "handle", pub.ctx.provide_event("net.evt", FLOAT64))
@@ -271,10 +262,7 @@ def reliable_events(
 
 # -- orchestration -------------------------------------------------------------
 
-RUNTIMES = {
-    "threaded": (ThreadedRuntime, THREADED_PLANE),
-    "async": (AsyncRuntime, ASYNC_PLANE),
-}
+WORKLOADS = ("telemetry_fanout", "reliable_events")
 
 
 def _median(values):
@@ -288,45 +276,27 @@ def _median_by_rate(runs):
 def run_suite(reps, samples, events, raw_n):
     """Medians over ``reps`` repetitions.
 
-    Each rep measures the ceiling and all four workload×runtime cells
-    back-to-back, and the comparative ratios (async/threaded, async/ceiling)
-    are computed *within* a rep before taking the median: shared-host noise
-    is strongly time-correlated, so paired measurements give a far more
-    stable ratio than dividing two independently-taken medians.
+    Each rep measures the ceiling and both workloads back-to-back, and the
+    fanout's fraction of the ceiling is computed *within* a rep before
+    taking the median: shared-host noise is strongly time-correlated, so
+    paired measurements give a far more stable ratio than dividing two
+    independently-taken medians.
     """
-    workloads = (
-        ("telemetry_fanout", telemetry_fanout, samples),
-        ("reliable_events", reliable_events, events),
-    )
-    rep_data = []
-    for _ in range(reps):
-        rep = {"raw_ceiling": raw_ceiling(raw_n)}
-        for workload, fn, size in workloads:
-            rep[workload] = {
-                name: fn(cls, plane, size) for name, (cls, plane) in RUNTIMES.items()
-            }
-        rep_data.append(rep)
-
-    results = {"raw_ceiling": _median_by_rate([r["raw_ceiling"] for r in rep_data])}
-    for workload, _, _ in workloads:
-        results[workload] = {
-            name: _median_by_rate([r[workload][name] for r in rep_data])
-            for name in RUNTIMES
+    rep_data = [
+        {
+            "raw_ceiling": raw_ceiling(raw_n),
+            "telemetry_fanout": telemetry_fanout(samples),
+            "reliable_events": reliable_events(events),
         }
-        results[workload]["async_vs_threaded"] = round(
-            _median(
-                [
-                    r[workload]["async"]["events_per_sec"]
-                    / r[workload]["threaded"]["events_per_sec"]
-                    for r in rep_data
-                ]
-            ),
-            2,
-        )
+        for _ in range(reps)
+    ]
+    results = {"raw_ceiling": _median_by_rate([r["raw_ceiling"] for r in rep_data])}
+    for workload in WORKLOADS:
+        results[workload] = {"async": _median_by_rate([r[workload] for r in rep_data])}
     results["telemetry_fanout"]["ceiling_fraction"] = round(
         _median(
             [
-                r["telemetry_fanout"]["async"]["events_per_sec"]
+                r["telemetry_fanout"]["events_per_sec"]
                 / r["raw_ceiling"]["events_per_sec"]
                 for r in rep_data
             ]
@@ -341,7 +311,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small run asserting async >= threaded; writes no JSON",
+        help="small run asserting delivered == offered; writes no JSON",
     )
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--no-json", action="store_true")
@@ -354,44 +324,26 @@ def main(argv=None):
 
     results = run_suite(reps, samples, events, raw_n)
 
-    rows = [
-        [
-            "raw ceiling",
-            results["raw_ceiling"]["events_per_sec"],
-            results["raw_ceiling"]["p50_ms"],
-            results["raw_ceiling"]["p99_ms"],
-            "-",
-        ]
-    ]
-    for workload in ("telemetry_fanout", "reliable_events"):
-        for name in RUNTIMES:
-            r = results[workload][name]
-            rows.append(
-                [
-                    f"{workload}/{name}",
-                    r["events_per_sec"],
-                    r["p50_ms"],
-                    r["p99_ms"],
-                    f'{results[workload]["async_vs_threaded"]}x'
-                    if name == "async"
-                    else "-",
-                ]
-            )
+    ceiling = results["raw_ceiling"]
+    rows = [["raw ceiling", ceiling["events_per_sec"], ceiling["p50_ms"], ceiling["p99_ms"]]]
+    for workload in WORKLOADS:
+        r = results[workload]["async"]
+        rows.append([f"{workload}/async", r["events_per_sec"], r["p50_ms"], r["p99_ms"]])
     print_table(
         "netperf: events/sec and latency tails",
-        ["configuration", "events/sec", "p50 ms", "p99 ms", "async/threaded"],
+        ["configuration", "events/sec", "p50 ms", "p99 ms"],
         rows,
     )
+    fraction = results["telemetry_fanout"]["ceiling_fraction"]
+    print(f"\ntelemetry_fanout ceiling_fraction (same run): {fraction}")
 
     if args.smoke:
-        for workload in ("telemetry_fanout", "reliable_events"):
-            threaded_rate = results[workload]["threaded"]["events_per_sec"]
-            async_rate = results[workload]["async"]["events_per_sec"]
-            assert async_rate >= threaded_rate, (
-                f"{workload}: async plane ({async_rate}/s) slower than the "
-                f"threaded plane it replaces ({threaded_rate}/s)"
+        for workload in WORKLOADS:
+            r = results[workload]["async"]
+            assert r["delivered"] == r["offered"], (
+                f"{workload}: delivered {r['delivered']} of {r['offered']} offered"
             )
-        print("\nsmoke OK: async >= threaded on both workloads")
+        print("smoke OK: delivered == offered on both workloads")
         return results
 
     if not args.no_json:

@@ -1,17 +1,18 @@
 #!/usr/bin/env python
-"""The threaded runtime: same services, real UDP sockets, wall-clock time.
+"""The wall-clock runtime: same services, real UDP sockets, machine time.
 
 Everything in the other examples runs on the deterministic simulator; this
 one swaps the PEPt Transport plug-in for loopback UDP sockets and the
-virtual clock for real threads — the configuration the paper's C# prototype
-actually ran in. Runs for ~4 wall seconds.
+virtual clock for an asyncio event loop on the machine clock — the
+configuration the paper's C# prototype actually ran in, minus the embedded
+boards. Runs for ~4 wall seconds.
 
 Run:  python examples/realtime_udp.py
 """
 
 import time
 
-from repro import ThreadedRuntime
+from repro import AsyncRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
 from repro.services import GpsService, GroundStationService
 
@@ -24,7 +25,7 @@ FAST_DISCOVERY = dict(
 
 
 def main():
-    runtime = ThreadedRuntime()
+    runtime = AsyncRuntime()
     plan = survey_plan(GeoPoint(41.275, 1.985), rows=1, photos_per_row=0)
 
     fcs = runtime.add_container("fcs", **FAST_DISCOVERY)

@@ -24,7 +24,7 @@ Quickstart::
 """
 
 from repro.container import ContainerConfig, RestartPolicy, ServiceContainer
-from repro.runtime import AsyncRuntime, SimRuntime, ThreadedRuntime
+from repro.runtime import AsyncRuntime, SimRuntime
 from repro.services import Service, ServiceContext
 from repro.util.errors import (
     ConfigurationError,
@@ -42,7 +42,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SimRuntime",
-    "ThreadedRuntime",
     "AsyncRuntime",
     "ServiceContainer",
     "ContainerConfig",

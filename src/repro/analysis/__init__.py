@@ -8,7 +8,7 @@ registry stays sound (REP003), and dispatch-path code never blocks
 
 The runtime half (:mod:`repro.analysis.sanitizers`) catches what static
 analysis cannot: payload aliasing leaks across the local fast path and
-lock-order inversions in the threaded runtime.
+lock-order inversions in the wall-clock runtime.
 """
 
 from repro.analysis.engine import Analyzer, run_analysis

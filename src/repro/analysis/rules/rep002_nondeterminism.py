@@ -14,11 +14,10 @@ rendered, so the fix site and the contract violation are both visible.
 Waived sites (justified ``# repro: allow[REP002]``) are not taint
 sources.
 
-The wall-clock runtime layer (reactor, threaded runtime, thread-pool
-scheduler, UDP transport) legitimately reads the machine clock; those
-modules carry file-scope ``# repro: allow-file[REP002]`` waivers with
-justifications rather than being silently exempted — the audit trail
-stays in the report.
+The wall-clock runtime layer (``runtime/async_runtime.py``) legitimately
+reads the machine clock; it carries a file-scope
+``# repro: allow-file[REP002]`` waiver with a justification rather than
+being silently exempted — the audit trail stays in the report.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """REP004 — no blocking calls on the event-dispatch path, now transitive.
 
-Reactor and handler callbacks share one serialization thread (the sim
-kernel, the threaded reactor); a single blocking call — ``time.sleep``,
+Timer and handler callbacks share one serialization thread (the sim
+kernel, the ``AsyncRuntime`` event loop); a single blocking call — ``time.sleep``,
 synchronous file I/O via builtin ``open``, a lock acquired without a
 timeout, or a blocking socket send — stalls every container on that
 runtime and, in flight terms, freezes the avionics bus. Handler code must
@@ -23,7 +23,7 @@ Two passes:
 Scope: every sim-path module (same surface as REP002). The wall-clock
 harness modules waive the rule per line with justified
 ``# repro: allow[REP004]`` comments where blocking is the point
-(e.g. ``ThreadedRuntime.run_for``).
+(e.g. ``AsyncRuntime.run_for``).
 """
 
 from __future__ import annotations

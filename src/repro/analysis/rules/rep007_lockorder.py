@@ -196,8 +196,11 @@ class _ModuleLocks:
                 continue
             local_locks: Dict[str, Optional[str]] = {}
             local_stored: Dict[str, str] = {}  # local name -> lock identity
-            for stmt in ast.walk(method):
-                if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
+            assigns = [n for n in ast.walk(method) if isinstance(n, ast.Assign)]
+            # ast.walk is breadth-first; a rewrap nested under ``if`` must
+            # still be seen before the later ``self._lock = lock``.
+            for stmt in sorted(assigns, key=lambda n: n.lineno):
+                if len(stmt.targets) != 1:
                     continue
                 target = stmt.targets[0]
                 value = stmt.value

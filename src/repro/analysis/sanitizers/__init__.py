@@ -4,7 +4,7 @@
   after publication leaking across the container's local fast path
   (which bypasses serialization and therefore copy-on-send).
 - :mod:`repro.analysis.sanitizers.lockorder` — records the lock
-  acquisition graph of the threaded runtime and reports order inversions
+  acquisition graph of the wall-clock runtime and reports order inversions
   (eraser-style lockset analysis) before they become rare deadlocks.
 
 Both are off by default and byte/behavior-identical when disabled.

@@ -1,4 +1,4 @@
-"""Lock-order recorder for the threaded runtime.
+"""Lock-order recorder for the wall-clock runtime.
 
 Eraser-style lockset discipline: every ``TrackedLock`` acquisition while
 other tracked locks are held adds edges to a global acquisition graph
@@ -7,8 +7,9 @@ two threads that interleave unluckily will deadlock — reported the moment
 the second ordering is observed, long before the deadlock ever fires in
 the field.
 
-Enable it by wrapping the runtime's locks (``ThreadedRuntime(
-lock_sanitizer=True)`` wires the reactor and schedulers automatically)::
+Enable it by wrapping the runtime's locks (``AsyncRuntime(
+lock_sanitizer=True)`` wires the ``UdpNetwork`` registry lock
+automatically)::
 
     recorder = LockOrderRecorder()
     lock = recorder.wrap(threading.Lock(), "egress.queue")

@@ -18,7 +18,7 @@ seed only *recorded* failure; the supervisor closes the loop:
 
 The supervisor is deliberately sans-io: it only talks to the container's
 timer source and clock, so it behaves identically under the simulated and
-threaded runtimes.
+wall-clock runtimes.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
 """Runtimes: bind the sans-io middleware to an execution environment.
 
 - :class:`SimRuntime` — deterministic virtual time over the simulated
-  network (the default for tests and benchmarks);
-- :class:`ThreadedRuntime` — wall-clock threads over real UDP loopback
-  sockets (demonstrates the same code on a real transport);
+  network (the reference; the default for tests and benchmarks);
 - :class:`AsyncRuntime` — wall-clock asyncio loop over batch-I/O UDP
-  sockets (the high-throughput data plane; same serialization-domain
-  contract as the threaded runtime).
+  loopback sockets (the same code on a real transport; the loop thread
+  is the serialization domain).
 """
 
 from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.simruntime import SimRuntime
-from repro.runtime.threaded import ThreadedRuntime
 
-__all__ = ["SimRuntime", "ThreadedRuntime", "AsyncRuntime"]
+__all__ = ["SimRuntime", "AsyncRuntime"]

@@ -1,14 +1,14 @@
-"""The event-loop wall-clock runtime: one asyncio loop, batch-I/O sockets.
+"""The wall-clock runtime: one asyncio loop, batch-I/O sockets.
 
-Same containers, primitives and services as :class:`ThreadedRuntime`, same
-API surface (``add_container`` / ``start`` / ``run_for`` / ``run_until`` /
-``on_reactor`` / ``stop``), different data plane: instead of one blocking
-recv thread per container posting one reactor closure per datagram, every
-socket is non-blocking on a single asyncio event loop and ingress arrives
-in bursts — one loop callback per socket drain, zero cross-thread posts
-(see :mod:`repro.transport.udp_async`). The loop thread *is* the
-serialization domain; both wall-clock runtimes honor the same contract
-(only one thread ever touches container state).
+Same containers, primitives and services as :class:`SimRuntime`, driven by
+the machine clock over real UDP loopback sockets (``add_container`` /
+``start`` / ``run_for`` / ``run_until`` / ``on_reactor`` / ``stop``).
+Every socket is non-blocking on a single asyncio event loop and ingress
+arrives in bursts — one loop callback per socket drain, zero cross-thread
+posts (see :mod:`repro.transport.udp_async`). The loop thread *is* the
+serialization domain: the only thread that ever touches container state,
+the same discipline as the single-threaded simulation kernel on a
+different clock.
 
 If `uvloop <https://github.com/MagicStack/uvloop>`_ is importable the loop
 is built from it (epoll in C instead of Python selectors); otherwise the
@@ -19,8 +19,7 @@ the runtime.
 from __future__ import annotations
 
 # repro: allow-file[REP002] -- the async harness runs on the machine clock
-# by design (same contract as runtime/threaded.py); determinism guarantees
-# apply to the sim runtime only.
+# by design; determinism guarantees apply to the sim runtime only.
 import asyncio
 import concurrent.futures
 import threading
@@ -34,8 +33,10 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import FlightRecorder
 from repro.transport.frame_transport import FrameTransport
 from repro.transport.udp import UdpNetwork
-from repro.transport.udp_async import RECV_BURST, AsyncUdpTransport
-from repro.util.errors import ConfigurationError
+from repro.transport.udp_async import AsyncUdpTransport
+from repro.util.errors import ConfigurationError, MiddlewareError
+
+_STOPPED = "runtime stopped: its event loop is closed"
 
 
 def _new_event_loop(use_uvloop: Optional[bool]):
@@ -72,10 +73,10 @@ class _CrossThreadTimer:
 
 class LoopDomain:
     """The event-loop serialization domain, speaking the same protocol as
-    :class:`~repro.runtime.reactor.Reactor`: ``now()`` (Clock),
-    ``schedule(delay, fn) -> cancellable`` (timer service), ``post`` and
-    ``call_blocking`` (thread bridges). Containers cannot tell the two
-    apart — that is the point."""
+    :class:`repro.sim.Simulator`: ``now()`` (Clock) and
+    ``schedule(delay, fn) -> cancellable`` (timer service), so containers
+    cannot tell the two apart — plus ``post`` and ``call_blocking``, the
+    bridges for application threads into the domain."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
@@ -89,7 +90,8 @@ class LoopDomain:
 
     # -- timer service -----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]):
-        """Run ``fn`` on the loop thread after ``delay`` seconds."""
+        """Run ``fn`` on the loop thread after ``delay`` seconds. Once the
+        runtime is stopped the returned handle is already cancelled."""
         delay = max(0.0, delay)
         if threading.get_ident() == self._loop_thread_ident:
             return self._loop.call_later(delay, fn)
@@ -99,17 +101,20 @@ class LoopDomain:
             if not handle.cancelled:
                 handle.inner = self._loop.call_later(delay, fn)
 
-        self._loop.call_soon_threadsafe(arm)
+        if not self._submit(arm):
+            handle.cancelled = True
         return handle
 
     def post(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on the loop thread as soon as possible."""
-        self._loop.call_soon_threadsafe(fn)
+        """Run ``fn`` on the loop thread as soon as possible; dropped once
+        the runtime is stopped."""
+        self._submit(fn)
 
     def call_blocking(self, fn: Callable[[], object], timeout: float = 5.0):
         """Run ``fn`` inside the serialization domain and wait for its
-        result; raises whatever ``fn`` raised. Called *on* the loop thread
-        it degenerates to a direct call (blocking there would deadlock)."""
+        result; raises whatever ``fn`` raised, or :class:`MiddlewareError`
+        at once if the runtime is stopped. Called *on* the loop thread it
+        degenerates to a direct call (blocking there would deadlock)."""
         if threading.get_ident() == self._loop_thread_ident:
             return fn()
         future: concurrent.futures.Future = concurrent.futures.Future()
@@ -120,7 +125,8 @@ class LoopDomain:
             except Exception as exc:  # noqa: BLE001 — re-raised in the caller
                 future.set_exception(exc)
 
-        self._loop.call_soon_threadsafe(run)
+        if not self._submit(run):
+            raise MiddlewareError(_STOPPED)
         try:
             return future.result(timeout)
         except concurrent.futures.TimeoutError:
@@ -132,6 +138,15 @@ class LoopDomain:
         return list(self._errors)
 
     # -- internals ---------------------------------------------------------
+    def _submit(self, fn: Callable[[], None]) -> bool:
+        """Queue ``fn`` on the loop from any thread; False once the loop
+        is closed (asyncio's only RuntimeError here)."""
+        try:
+            self._loop.call_soon_threadsafe(fn)
+        except RuntimeError:
+            return False
+        return True
+
     def _note_thread(self) -> None:
         self._loop_thread_ident = threading.get_ident()
 
@@ -145,11 +160,10 @@ class LoopDomain:
 class AsyncRuntime:
     """Wall-clock harness: asyncio loop + batch-I/O UDP + containers.
 
-    Drop-in alternative to :class:`ThreadedRuntime` — same methods, same
-    wire format, same shared-``UdpNetwork`` registry (the two runtimes can
-    even interoperate on one network object). Prefer it for throughput:
-    ingress is drained in bursts and egress leaves through scatter/gather
-    ``sendmsg`` without datagram joins (see docs/performance.md §6).
+    The one real-socket runtime: same methods and wire format as
+    :class:`SimRuntime`. Ingress is drained in bursts and egress leaves
+    through scatter/gather ``sendmsg`` without datagram joins (see
+    docs/performance.md §6).
     """
 
     def __init__(
@@ -158,7 +172,6 @@ class AsyncRuntime:
         base_port: int = 0,
         lock_sanitizer: bool = False,
         use_uvloop: Optional[bool] = None,
-        recv_burst: int = RECV_BURST,
     ):
         self.lock_recorder: Optional[LockOrderRecorder] = (
             LockOrderRecorder() if lock_sanitizer else None
@@ -171,7 +184,6 @@ class AsyncRuntime:
             host=host, base_port=base_port, lock_recorder=self.lock_recorder
         )
         self.containers: Dict[str, ServiceContainer] = {}
-        self._recv_burst = recv_burst
         self._started = False
         self._stopped = False
         self._thread = threading.Thread(
@@ -186,6 +198,9 @@ class AsyncRuntime:
             self._loop.run_forever()
         finally:
             self._loop.close()
+            # The OS may hand this ident to a later thread, which must
+            # take the cross-thread (stopped) paths, not the on-loop ones.
+            self.reactor._loop_thread_ident = None
 
     # -- topology ----------------------------------------------------------
     def add_container(
@@ -202,9 +217,7 @@ class AsyncRuntime:
             config = ContainerConfig(
                 container_id=container_id, node=node, **config_overrides
             )
-        raw = AsyncUdpTransport(
-            self.network, node, self._loop, recv_burst=self._recv_burst
-        )
+        raw = AsyncUdpTransport(self.network, node, self._loop)
         transport = FrameTransport(raw, clock=self.reactor, source=container_id)
         container = ServiceContainer(
             config=config, clock=self.reactor, timers=self.reactor,
@@ -256,7 +269,8 @@ class AsyncRuntime:
 
         The wait lives entirely on the loop: one coroutine re-checks the
         predicate every ``poll`` seconds of loop time — no cross-thread
-        call round-trips while waiting.
+        call round-trips while waiting. Raises :class:`MiddlewareError`
+        at once if the runtime is stopped.
         """
 
         async def waiter() -> bool:
@@ -269,7 +283,12 @@ class AsyncRuntime:
                     return bool(predicate())
                 await asyncio.sleep(min(poll, remaining))
 
-        future = asyncio.run_coroutine_threadsafe(waiter(), self._loop)
+        coro = waiter()
+        try:
+            future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        except RuntimeError:  # loop closed: nothing will ever await coro
+            coro.close()
+            raise MiddlewareError(_STOPPED) from None
         try:
             return bool(future.result(timeout + 5.0))
         except concurrent.futures.TimeoutError:  # pragma: no cover — loop wedged
@@ -280,7 +299,7 @@ class AsyncRuntime:
         """Run ``fn`` inside the serialization domain and return its result.
 
         All interaction with containers/services from application threads
-        must go through here — same contract as :class:`ThreadedRuntime`.
+        must go through here.
         """
         return self.reactor.call_blocking(fn, timeout=timeout)
 

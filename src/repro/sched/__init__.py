@@ -11,8 +11,8 @@ This package provides:
   anticipating the paper's planned real-time support);
 - :class:`CpuModel`, charging modelled execution time per primitive so the
   deterministic runtime exhibits queueing;
-- :class:`SimScheduler` — a single-CPU scheduler for the simulation
-  runtime — and :class:`ThreadPoolScheduler` for the threaded runtime.
+- :class:`SimScheduler` — the single-CPU scheduler every container builds
+  (on both runtimes: tasks run inside the runtime's serialization domain).
 """
 
 from repro.sched.model import CpuModel, SimScheduler, Task
@@ -24,13 +24,11 @@ from repro.sched.policies import (
     SchedulingPolicy,
     make_policy,
 )
-from repro.sched.threadpool import ThreadPoolScheduler
 
 __all__ = [
     "Task",
     "CpuModel",
     "SimScheduler",
-    "ThreadPoolScheduler",
     "SchedulingPolicy",
     "FixedPriorityPolicy",
     "FifoPolicy",

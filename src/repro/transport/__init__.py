@@ -4,10 +4,10 @@
 another" (§6). Pluggable implementations:
 
 - :class:`SimTransport` — binds a :class:`repro.simnet.SimNic` (default);
-- :class:`InProcTransport` — an in-process hub for the threaded runtime;
-- :class:`UdpTransport` — real UDP sockets on loopback (threaded runtime);
 - :class:`AsyncUdpTransport` — batch-I/O non-blocking UDP sockets on an
-  asyncio event loop (async runtime; see :mod:`repro.transport.udp_async`).
+  asyncio event loop (async runtime; see :mod:`repro.transport.udp_async`),
+  resolving peers through the :class:`~repro.transport.udp.UdpNetwork`
+  registry.
 
 :class:`FrameTransport` adapts any raw byte transport to the Protocol
 layer's :class:`~repro.protocol.Frame` objects, fragmenting oversized frames
@@ -16,13 +16,10 @@ transparently.
 
 from repro.transport.base import RawTransport
 from repro.transport.frame_transport import FrameTransport
-from repro.transport.inproc import InProcHub, InProcTransport
 from repro.transport.sim import SimTransport
 
 __all__ = [
     "RawTransport",
     "FrameTransport",
     "SimTransport",
-    "InProcHub",
-    "InProcTransport",
 ]

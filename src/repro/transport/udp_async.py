@@ -1,15 +1,12 @@
 """Batch-I/O UDP transport for the asyncio runtime.
 
-The threaded transport (:mod:`repro.transport.udp`) spends one blocking
-``recvfrom`` thread per container and posts one reactor closure per
-datagram; every send is one ``sendto`` after a registry lock round-trip.
-This module rebuilds the same :class:`~repro.transport.base.RawTransport`
-contract for throughput on an asyncio event loop:
+The :class:`~repro.transport.base.RawTransport` contract over one real
+UDP socket per node, built for throughput on an asyncio event loop:
 
 - **Burst ingress.** The socket is non-blocking and registered with the
   loop's selector. One readable callback drains the socket in a tight
   ``recvmsg_into`` loop over a preallocated buffer ring — up to
-  ``recv_burst`` datagrams per wakeup — and delivers the whole burst to
+  :data:`RECV_BURST` datagrams per wakeup — and delivers the whole burst to
   the receiver inline. There is no cross-thread post at all: the loop
   thread *is* the serialization domain.
 - **Scatter/gather egress.** :meth:`send_buffers` accepts the unjoined
@@ -25,9 +22,7 @@ contract for throughput on an asyncio event loop:
 
 Where ``recvmsg_into``/``sendmsg`` are missing (non-POSIX stacks), the
 transport degrades to ``recvfrom``/``sendto`` loops with identical
-semantics. The registry (and therefore interop) is shared with the
-threaded transport: both runtimes speak the same wire over the same
-:class:`UdpNetwork`.
+semantics.
 """
 
 from __future__ import annotations
@@ -45,8 +40,8 @@ from repro.util.errors import TransportError
 _HAS_RECVMSG_INTO = hasattr(socket.socket, "recvmsg_into")
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
-#: Default cap on datagrams drained per readable wakeup — bounds how long
-#: one burst can monopolize the loop before timers get a turn.
+#: Cap on datagrams drained per readable wakeup — bounds how long one
+#: burst can monopolize the loop before timers get a turn.
 RECV_BURST = 64
 
 
@@ -58,25 +53,18 @@ class AsyncUdpTransport:
     serialization domain) — which is where container code runs anyway.
     """
 
-    def __init__(
-        self,
-        network: UdpNetwork,
-        node: str,
-        loop,
-        recv_burst: int = RECV_BURST,
-    ):
+    def __init__(self, network: UdpNetwork, node: str, loop):
         self._network = network
         self._node = node
         self._loop = loop
         self._port: Optional[int] = None
         self._socket: Optional[socket.socket] = None
         self._receiver: Optional[RawReceiver] = None
-        self._recv_burst = recv_burst
         # Preallocated ingress ring: recvmsg_into fills these in place, so
         # steady-state receive allocates only the right-sized copy-out, not
         # a fresh MTU-sized buffer per datagram. Slots are reused round-
         # robin within a burst; payloads are copied out before reuse.
-        self._ring = [bytearray(UDP_MTU + 1) for _ in range(min(recv_burst, 16))]
+        self._ring = [bytearray(UDP_MTU + 1) for _ in range(min(RECV_BURST, 16))]
         self._ring_views = [memoryview(buf) for buf in self._ring]
         # Egress queue of (sockaddr, buffer-list) pairs; armed at most one
         # drain callback at a time.
@@ -230,7 +218,7 @@ class AsyncUdpTransport:
         ring = self._ring_views
         slots = len(ring)
         self.recv_wakeups += 1
-        for i in range(self._recv_burst):
+        for i in range(RECV_BURST):
             try:
                 if _HAS_RECVMSG_INTO:
                     slot = ring[i % slots]

@@ -2,7 +2,7 @@
 
 All middleware components read time through a :class:`Clock` so the same
 protocol code runs under the deterministic simulation runtime (virtual time)
-and the threaded runtime (wall-clock time). Times are ``float`` seconds.
+and the asyncio runtime (wall-clock time). Times are ``float`` seconds.
 """
 
 from __future__ import annotations

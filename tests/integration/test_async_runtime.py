@@ -1,11 +1,12 @@
 """The middleware over the asyncio batch-I/O data plane.
 
 Two things are proven here: (1) the same primitives work unchanged over
-:class:`AsyncRuntime` — the PEPt transport swap holds for the third
-substrate; (2) the async and threaded wall-clock runtimes are
-*equivalent*: the same mission delivers byte-identical application frame
-sequences on both (modulo timing artifacts like retransmissions), with no
-lock-order inversions under the sanitizer.
+:class:`AsyncRuntime` — the PEPt transport swap holds on real sockets and
+the machine clock; (2) the wall-clock runtime is *equivalent* to the
+deterministic reference: the same mission delivers byte-identical
+application frame sequences under :class:`SimRuntime` and
+:class:`AsyncRuntime` (modulo timing artifacts like retransmissions), with
+no lock-order inversions under the sanitizer.
 """
 
 import sys
@@ -17,10 +18,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from helpers import ProbeService
 
-from repro import AsyncRuntime, ThreadedRuntime
+from repro import AsyncRuntime, SimRuntime
 from repro.encoding.types import INT32, STRING, StructType
 from repro.primitives import wire
 from repro.protocol.frames import FrameFlags, MessageKind
+from repro.simnet.models import LinkModel
 
 
 @pytest.fixture
@@ -162,10 +164,11 @@ _TAP_SCHEMAS = {
 
 
 def _tap_frames(container, log):
-    """Record every application frame a container's dispatch sees, first
-    delivery only. The two timing artifacts the wire legitimately carries —
-    retransmission flags and the publisher's wall-clock timestamp — are
-    normalized out; every other bit must match across runtimes."""
+    """Record every application frame a container's dispatch sees —
+    reliable frames on first delivery only. The two timing artifacts the
+    wire legitimately carries — retransmission flags and the publisher's
+    clock timestamp — are normalized out; every other bit must match
+    across runtimes."""
     seen = set()
     orig = container._on_frame
 
@@ -173,7 +176,9 @@ def _tap_frames(container, log):
         schema = _TAP_SCHEMAS.get(frame.kind)
         if schema is not None:
             key = (frame.source, frame.channel, frame.seq, frame.kind)
-            if key not in seen:
+            # Only reliable frames are ever retransmitted; best-effort
+            # samples carry no sequence number and are all recorded.
+            if not frame.flags & FrameFlags.RELIABLE or key not in seen:
                 seen.add(key)
                 doc = wire.decode(schema, bytes(frame.payload))
                 doc["timestamp"] = 0.0  # publisher wall clock = timing
@@ -190,10 +195,11 @@ def _tap_frames(container, log):
     container._on_frame = wrapped
 
 
-def _run_mission(runtime_cls, **extra_config):
+def _run_mission(runtime, **extra_config):
     """One fixed mission: 30 reliable events + 10 variable samples from
     'a' to 'b'; returns the exact application frames 'b' dispatched."""
-    runtime = runtime_cls(lock_sanitizer=True)
+    # SimRuntime runs in the caller's thread: the caller is the domain.
+    in_domain = getattr(runtime, "on_reactor", lambda fn: fn())
     frames = []
     try:
         schema = StructType("S", [("n", INT32)])
@@ -211,7 +217,9 @@ def _run_mission(runtime_cls, **extra_config):
         b.install_service(sub)
         runtime.start()
         assert runtime.run_until(
-            lambda: "b" in pub.evt.subscribers
+            # SimRuntime.start() only schedules the container starts.
+            lambda: hasattr(pub, "evt")
+            and "b" in pub.evt.subscribers
             and bool(b.directory.providers_of_variable("m.var")),
             timeout=5.0,
         )
@@ -222,30 +230,44 @@ def _run_mission(runtime_cls, **extra_config):
             for i in range(10):
                 pub.var.publish({"n": i})
 
-        runtime.on_reactor(emit)
+        in_domain(emit)
         assert runtime.run_until(
             lambda: len(sub.events) >= 30 and len(sub.samples) >= 10, timeout=10.0
         )
         assert [v for _, v, _ in sub.events] == list(range(30))
-        inversions = runtime.lock_inversions()
-        assert inversions == [], f"lock-order inversions: {inversions}"
         return list(frames)
     finally:
         runtime.stop()
 
 
-class TestThreadedAsyncEquivalence:
+def _run_async_mission(**extra_config):
+    runtime = AsyncRuntime(lock_sanitizer=True)
+    frames = _run_mission(runtime, **extra_config)
+    assert runtime.lock_recorder.acquisitions > 0
+    inversions = runtime.lock_inversions()
+    assert inversions == [], f"lock-order inversions: {inversions}"
+    return frames
+
+
+def _run_sim_mission():
+    # A jitter-free link delivers in send order, as loopback UDP does.
+    return _run_mission(SimRuntime(seed=7, default_link=LinkModel(jitter=0.0)))
+
+
+class TestSimAsyncEquivalence:
+    """The deterministic runtime is the oracle for the wall-clock one."""
+
     def test_differential_frame_delivery(self):
         """The same mission must deliver byte-identical application frame
-        sequences on both wall-clock runtimes — the serialization-domain
-        contract makes the substrates indistinguishable above Transport."""
-        threaded = _run_mission(ThreadedRuntime)
-        async_ = _run_mission(AsyncRuntime)
-        assert threaded == async_
+        sequences in simulation and over real sockets — the
+        serialization-domain contract makes the substrates
+        indistinguishable above Transport."""
+        reference = _run_sim_mission()
+        assert len(reference) == 40
+        assert _run_async_mission() == reference
 
     def test_differential_with_batching(self):
         """Batching + the zero-copy scatter path on the async side must
         not change a single delivered byte."""
-        plain = _run_mission(ThreadedRuntime)
-        batched = _run_mission(AsyncRuntime, batching_enabled=True)
-        assert plain == batched
+        reference = _run_sim_mission()
+        assert _run_async_mission(batching_enabled=True) == reference

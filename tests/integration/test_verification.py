@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from helpers import ProbeService
 
-from repro import SimRuntime, ThreadedRuntime
+from repro import AsyncRuntime, SimRuntime
 from repro.container.fleet import FleetConfig
 from repro.encoding.types import FLOAT64, STRING, StructType
 from repro.faults import (
@@ -324,8 +324,8 @@ class TestInvariantOracleAgreement:
         assert any("spec invocation-termination" in v for v in merged)
 
 
-class TestThreadedRuntimeSmoke:
-    """The monitors are runtime-agnostic: same taps over real UDP threads."""
+class TestAsyncRuntimeSmoke:
+    """The monitors are runtime-agnostic: same taps over real UDP sockets."""
 
     def test_specs_armed_over_udp(self):
         fast = dict(
@@ -334,7 +334,7 @@ class TestThreadedRuntimeSmoke:
             liveness_timeout=0.5,
             housekeeping_interval=0.1,
         )
-        runtime = ThreadedRuntime()
+        runtime = AsyncRuntime()
         try:
             a = runtime.add_container("a", **fast)
             b = runtime.add_container("b", **fast)

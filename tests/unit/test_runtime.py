@@ -1,14 +1,15 @@
-"""Unit tests for the runtimes and the reactor."""
+"""Unit tests for the runtimes and the event-loop serialization domain."""
 
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro import SimRuntime
-from repro.runtime.reactor import Reactor
+from repro import AsyncRuntime, SimRuntime
 from repro.simnet.models import LinkModel
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, MiddlewareError
 
 
 class TestSimRuntime:
@@ -63,147 +64,157 @@ class TestSimRuntime:
         assert not a.running and not b.running
 
 
-class TestReactor:
-    def test_post_and_call_blocking(self):
-        reactor = Reactor()
-        try:
-            assert reactor.call_blocking(lambda: 21 * 2) == 42
-        finally:
-            reactor.stop()
+@pytest.fixture
+def runtime():
+    rt = AsyncRuntime()
+    yield rt
+    rt.stop()
 
-    def test_call_blocking_propagates_exceptions(self):
-        reactor = Reactor()
-        try:
-            with pytest.raises(ZeroDivisionError):
-                reactor.call_blocking(lambda: 1 / 0)
-        finally:
-            reactor.stop()
 
-    def test_timers_fire_in_order(self):
-        reactor = Reactor()
-        try:
-            order = []
-            reactor.schedule(0.05, lambda: order.append("late"))
-            reactor.schedule(0.01, lambda: order.append("early"))
-            deadline = time.monotonic() + 2.0
-            while len(order) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert order == ["early", "late"]
-        finally:
-            reactor.stop()
+class TestLoopDomain:
+    """``AsyncRuntime.reactor``: the Clock + timer-service + thread-bridge
+    protocol containers are built against, on a live event loop."""
 
-    def test_cancelled_timer_does_not_fire(self):
-        reactor = Reactor()
-        try:
-            hits = []
-            handle = reactor.schedule(0.05, lambda: hits.append(1))
-            handle.cancel()
-            time.sleep(0.15)
-            assert hits == []
-        finally:
-            reactor.stop()
+    def test_post_and_call_blocking(self, runtime):
+        domain = runtime.reactor
+        seen = []
+        domain.post(lambda: seen.append(threading.current_thread().name))
+        assert domain.call_blocking(lambda: 21 * 2) == 42  # also a fence
+        assert seen == ["async-runtime"]
 
-    def test_schedule_after_stop_is_cancelled(self):
-        reactor = Reactor()
-        reactor.stop()
-        handle = reactor.schedule(0.0, lambda: None)
+    def test_call_blocking_propagates_exceptions(self, runtime):
+        with pytest.raises(ZeroDivisionError):
+            runtime.reactor.call_blocking(lambda: 1 / 0)
+
+    def test_call_blocking_on_loop_thread_is_direct(self, runtime):
+        domain = runtime.reactor
+        assert domain.call_blocking(lambda: domain.call_blocking(lambda: 7)) == 7
+
+    def test_timers_fire_in_order(self, runtime):
+        order = []
+        runtime.reactor.schedule(0.05, lambda: order.append("late"))
+        runtime.reactor.schedule(0.01, lambda: order.append("early"))
+        assert runtime.run_until(lambda: len(order) == 2, timeout=2.0)
+        assert order == ["early", "late"]
+
+    def test_cancelled_timer_does_not_fire(self, runtime):
+        domain = runtime.reactor
+        hits = []
+        handle = domain.schedule(0.05, lambda: hits.append(1))
+        domain.call_blocking(lambda: None)  # fence: the call_later is armed
+        assert handle.inner is not None
+        handle.cancel()
+        time.sleep(0.15)
+        assert hits == []
+
+    def test_cancelled_timer_armed_on_the_loop_does_not_fire(self, runtime):
+        domain = runtime.reactor
+        hits = []
+        handle = domain.call_blocking(
+            lambda: domain.schedule(0.05, lambda: hits.append(1))
+        )
+        handle.cancel()
+        time.sleep(0.15)
+        assert hits == []
+
+    def test_cross_thread_cancel_before_the_arm_lands(self, runtime):
+        domain = runtime.reactor
+        hits = []
+        gate = threading.Event()
+        domain.post(lambda: gate.wait(2.0))  # hold the loop: arm stays queued
+        handle = domain.schedule(0.0, lambda: hits.append(1))
+        handle.cancel()
+        gate.set()
+        domain.call_blocking(lambda: None)  # fence: arm ran and saw the cancel
+        time.sleep(0.05)
+        assert hits == []
+        assert handle.inner is None  # no call_later was ever armed
+
+    def test_schedule_after_stop_is_cancelled(self, runtime):
+        runtime.stop()
+        hits = []
+        handle = runtime.reactor.schedule(0.0, lambda: hits.append(1))
         assert handle.cancelled
+        handle.cancel()  # still a valid handle
+        assert hits == []
 
-    def test_errors_collected(self):
-        reactor = Reactor()
-        try:
-            reactor.post(lambda: 1 / 0)
-            reactor.call_blocking(lambda: None)  # fence
-            assert any(isinstance(e, ZeroDivisionError) for e in reactor.errors)
-        finally:
-            reactor.stop()
+    def test_post_after_stop_is_dropped(self, runtime):
+        runtime.stop()
+        hits = []
+        runtime.reactor.post(lambda: hits.append(1))
+        time.sleep(0.05)
+        assert hits == []
 
-    def test_now_is_monotonic(self):
-        reactor = Reactor()
-        try:
-            a = reactor.now()
-            b = reactor.now()
-            assert b >= a
-        finally:
-            reactor.stop()
+    def test_call_blocking_after_stop_fails_immediately(self, runtime):
+        runtime.stop()
+        start = time.monotonic()
+        with pytest.raises(MiddlewareError, match="runtime stopped"):
+            runtime.reactor.call_blocking(lambda: None, timeout=5.0)
+        assert time.monotonic() - start < 1.0
+
+    def test_errors_collected(self, runtime):
+        domain = runtime.reactor
+        domain.post(lambda: 1 / 0)
+        domain.call_blocking(lambda: None)  # fence
+        assert any(isinstance(e, ZeroDivisionError) for e in domain.errors)
+
+    def test_now_is_monotonic(self, runtime):
+        a = runtime.reactor.now()
+        b = runtime.reactor.now()
+        assert b >= a
 
 
-class TestReactorWaitUntil:
-    def test_already_true_returns_immediately(self):
-        reactor = Reactor()
-        try:
-            start = time.monotonic()
-            assert reactor.wait_until(lambda: True, timeout=5.0) is True
-            assert time.monotonic() - start < 1.0
-        finally:
-            reactor.stop()
+class TestAsyncRunUntil:
+    def test_already_true_returns_immediately(self, runtime):
+        start = time.monotonic()
+        assert runtime.run_until(lambda: True, timeout=5.0) is True
+        assert time.monotonic() - start < 1.0
 
-    def test_wakes_on_state_flip_without_polling(self):
-        reactor = Reactor()
-        try:
-            box = {"ready": False}
+    def test_timeout_returns_final_predicate_value(self, runtime):
+        assert runtime.run_until(lambda: False, timeout=0.1) is False
 
-            def flip():
-                box["ready"] = True
+    def test_predicate_exception_propagates(self, runtime):
+        with pytest.raises(ZeroDivisionError):
+            runtime.run_until(lambda: 1 / 0, timeout=1.0)
 
-            # Flip the state via a timer well before the timeout: the
-            # watcher must wake the waiter right after the callback runs,
-            # not at some poll granularity and not at the deadline.
-            reactor.schedule(0.05, flip)
-            start = time.monotonic()
-            assert reactor.wait_until(lambda: box["ready"], timeout=10.0)
-            assert time.monotonic() - start < 5.0
-        finally:
-            reactor.stop()
+    def test_predicate_runs_on_loop_thread(self, runtime):
+        seen = []
 
-    def test_timeout_returns_final_predicate_value(self):
-        reactor = Reactor()
-        try:
-            assert reactor.wait_until(lambda: False, timeout=0.1) is False
-        finally:
-            reactor.stop()
+        def predicate():
+            seen.append(threading.current_thread().name)
+            return len(seen) >= 3
 
-    def test_predicate_exception_propagates(self):
-        reactor = Reactor()
-        try:
-            with pytest.raises(ZeroDivisionError):
-                reactor.wait_until(lambda: 1 / 0, timeout=1.0)
-        finally:
-            reactor.stop()
+        assert runtime.run_until(predicate, timeout=2.0, poll=0.01)
+        assert set(seen) == {"async-runtime"}
 
-    def test_predicate_runs_on_reactor_thread(self):
-        reactor = Reactor()
-        try:
-            seen = []
+    def test_many_waiters_all_wake(self, runtime):
+        box = {"n": 0}
+        results = []
 
-            def predicate():
-                seen.append(threading.current_thread().name)
-                return True
+        def wait(threshold):
+            results.append(runtime.run_until(lambda: box["n"] >= threshold, 5.0))
 
-            assert reactor.wait_until(predicate, timeout=2.0)
-            assert set(seen) == {"reactor"}
-        finally:
-            reactor.stop()
+        waiters = [threading.Thread(target=wait, args=(t,)) for t in (1, 2, 3)]
+        for w in waiters:
+            w.start()
+        time.sleep(0.05)
+        for _ in range(3):
+            runtime.reactor.post(lambda: box.__setitem__("n", box["n"] + 1))
+        for w in waiters:
+            w.join(timeout=5.0)
+        assert not any(w.is_alive() for w in waiters)
+        assert results == [True, True, True]
 
-    def test_many_waiters_all_wake(self):
-        reactor = Reactor()
-        try:
-            box = {"n": 0}
-            results = []
+    def test_on_reactor_after_stop_fails_immediately(self, runtime):
+        runtime.stop()
+        with pytest.raises(MiddlewareError, match="runtime stopped"):
+            runtime.on_reactor(lambda: None)
 
-            def wait(threshold):
-                results.append(reactor.wait_until(lambda: box["n"] >= threshold, 5.0))
-
-            waiters = [
-                threading.Thread(target=wait, args=(t,)) for t in (1, 2, 3)
-            ]
-            for w in waiters:
-                w.start()
-            time.sleep(0.05)
-            for _ in range(3):
-                reactor.post(lambda: box.__setitem__("n", box["n"] + 1))
-            for w in waiters:
-                w.join(timeout=5.0)
-            assert results == [True, True, True]
-        finally:
-            reactor.stop()
+    def test_run_until_after_stop_fails_without_unawaited_coroutine(self, runtime):
+        runtime.stop()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MiddlewareError, match="runtime stopped"):
+                runtime.run_until(lambda: True, timeout=5.0)
+            gc.collect()
+        assert [w for w in caught if "never awaited" in str(w.message)] == []

@@ -1,7 +1,5 @@
 """Scheduler tests: policies, CPU model queueing, error isolation."""
 
-import time
-
 import pytest
 
 from repro.sched import (
@@ -10,7 +8,6 @@ from repro.sched import (
     FifoPolicy,
     FixedPriorityPolicy,
     SimScheduler,
-    ThreadPoolScheduler,
     make_policy,
 )
 from repro.sim import Simulator
@@ -140,35 +137,3 @@ class TestErrorIsolation:
         sched.submit("event", lambda: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             sim.run()
-
-
-class TestThreadPoolScheduler:
-    def test_executes_tasks(self):
-        sched = ThreadPoolScheduler(policy=FixedPriorityPolicy(), workers=2)
-        done = []
-        for i in range(20):
-            sched.submit("event", lambda i=i: done.append(i))
-        assert sched.drain(timeout=5.0)
-        sched.shutdown()
-        time.sleep(0.05)
-        assert sorted(done) == list(range(20))
-
-    def test_error_isolation(self):
-        errors = []
-        sched = ThreadPoolScheduler(
-            policy=FifoPolicy(), workers=1, on_error=lambda l, e: errors.append(l)
-        )
-        sched.submit("event", lambda: 1 / 0)
-        assert sched.drain(timeout=5.0)
-        sched.shutdown()
-        assert errors == ["event"]
-
-    def test_submit_after_shutdown_rejected(self):
-        sched = ThreadPoolScheduler(policy=FifoPolicy(), workers=1)
-        sched.shutdown()
-        with pytest.raises(RuntimeError):
-            sched.submit("event", lambda: None)
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            ThreadPoolScheduler(policy=FifoPolicy(), workers=0)

@@ -1,11 +1,11 @@
-"""Tests for the Transport subsystem: sim binding, in-proc hub, frame adapter."""
+"""Tests for the Transport subsystem: sim binding, frame adapter."""
 
 import pytest
 
 from repro.protocol.frames import Frame, MessageKind
 from repro.sim import Simulator
 from repro.simnet import Address, GroupName, LinkModel, SimNetwork
-from repro.transport import FrameTransport, InProcHub, SimTransport
+from repro.transport import FrameTransport, SimTransport
 from repro.util import SeededRng
 from repro.util.errors import TransportError
 
@@ -75,54 +75,6 @@ class TestSimTransport:
         ta.send_bytes(Address("b", 5000), b"x")
         sim.run()
         assert got == []
-
-
-class TestInProcTransport:
-    def test_unicast(self):
-        hub = InProcHub()
-        ta, tb = hub.create_transport("a"), hub.create_transport("b")
-        got = []
-        ta.open(1, lambda d, s: None)
-        tb.open(1, lambda d, s: got.append((d, s)))
-        ta.send_bytes(Address("b", 1), b"hello")
-        assert got == [(b"hello", Address("a", 1))]
-
-    def test_multicast_excludes_sender(self):
-        hub = InProcHub()
-        ta, tb = hub.create_transport("a"), hub.create_transport("b")
-        got = []
-        ta.open(1, lambda d, s: got.append(("a", d)))
-        tb.open(1, lambda d, s: got.append(("b", d)))
-        group = GroupName("mcast.x")
-        ta.join(group)
-        tb.join(group)
-        ta.send_bytes(group, b"m")
-        assert got == [("b", b"m")]
-
-    def test_duplicate_bind_rejected(self):
-        hub = InProcHub()
-        hub.create_transport("a").open(1, lambda d, s: None)
-        with pytest.raises(TransportError):
-            hub.create_transport("a").open(1, lambda d, s: None)
-
-    def test_unknown_destination_dropped(self):
-        hub = InProcHub()
-        ta = hub.create_transport("a")
-        ta.open(1, lambda d, s: None)
-        ta.send_bytes(Address("ghost", 1), b"x")  # must not raise
-
-    def test_deferred_dispatcher(self):
-        pending = []
-        hub = InProcHub(dispatcher=pending.append)
-        ta, tb = hub.create_transport("a"), hub.create_transport("b")
-        got = []
-        ta.open(1, lambda d, s: None)
-        tb.open(1, lambda d, s: got.append(d))
-        ta.send_bytes(Address("b", 1), b"x")
-        assert got == []
-        for thunk in pending:
-            thunk()
-        assert got == [b"x"]
 
 
 class TestFrameTransport:

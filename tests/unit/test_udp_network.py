@@ -1,12 +1,16 @@
-"""Unit suite for the copy-on-write UDP registry.
+"""Unit suite for the copy-on-write UDP registry and the socket transport
+that resolves through it.
 
 The registry is the shared state of one wall-clock 'LAN': node → sockaddr
 mapping plus multicast membership, published as immutable snapshots that
 send paths read without locks. These tests pin down the snapshot
-semantics, the deterministic base-port allocator, the unknown-sender path,
-and that concurrent mutation/resolution never tears a view.
+semantics and that concurrent mutation/resolution never tears a view;
+then, with :class:`AsyncUdpTransport` on a real event loop, the
+deterministic base-port allocator, the unknown-sender path, multicast
+fan-out and the MTU bound.
 """
 
+import asyncio
 import socket
 import threading
 import time
@@ -14,7 +18,8 @@ import time
 import pytest
 
 from repro.simnet.addressing import Address, GroupName
-from repro.transport.udp import UdpNetwork, UdpTransport
+from repro.transport.udp import UDP_MTU, UdpNetwork
+from repro.transport.udp_async import AsyncUdpTransport
 from repro.util.errors import TransportError
 
 
@@ -22,21 +27,33 @@ def addr(node, port=1):
     return Address(node, port)
 
 
+def resolve(net, node, port=1):
+    return net.view.node_to_sockaddr.get((node, port))
+
+
+def source_of(net, sockaddr):
+    return net.view.sockaddr_to_node.get(sockaddr)
+
+
+def members(net, group):
+    return {(node, port) for node, port, _ in net.view.groups.get(group, ())}
+
+
 class TestRegistry:
     def test_register_resolve_unregister(self):
         net = UdpNetwork()
-        assert net._resolve(addr("a")) is None
+        assert resolve(net, "a") is None
         net._register("a", 1, ("127.0.0.1", 40001))
-        assert net._resolve(addr("a")) == ("127.0.0.1", 40001)
-        assert net._source_of(("127.0.0.1", 40001)) == addr("a")
+        assert resolve(net, "a") == ("127.0.0.1", 40001)
+        assert source_of(net, ("127.0.0.1", 40001)) == ("a", 1)
         net._unregister("a", 1)
-        assert net._resolve(addr("a")) is None
-        assert net._source_of(("127.0.0.1", 40001)) is None
+        assert resolve(net, "a") is None
+        assert source_of(net, ("127.0.0.1", 40001)) is None
 
     def test_unknown_sender_resolves_to_none(self):
         net = UdpNetwork()
         net._register("a", 1, ("127.0.0.1", 40001))
-        assert net._source_of(("127.0.0.1", 49999)) is None
+        assert source_of(net, ("127.0.0.1", 49999)) is None
 
     def test_snapshot_is_immutable_and_republished(self):
         net = UdpNetwork()
@@ -54,8 +71,8 @@ class TestRegistry:
         # Hold the mutation lock: resolution must still answer (it reads
         # the published snapshot, never the locked mutable state).
         with net._lock:
-            assert net._resolve(addr("a")) == ("127.0.0.1", 40001)
-            assert net._source_of(("127.0.0.1", 40001)) == addr("a")
+            assert resolve(net, "a") == ("127.0.0.1", 40001)
+            assert source_of(net, ("127.0.0.1", 40001)) == ("a", 1)
 
     def test_group_membership_sorted_and_resolved(self):
         net = UdpNetwork()
@@ -79,7 +96,7 @@ class TestRegistry:
         # 'b' closes without leaving: fan-out must skip it.
         net._unregister("b", 1)
         assert [m[0] for m in net.view.groups[group]] == ["a"]
-        assert net._members(group) == {("a", 1)}
+        assert members(net, group) == {("a", 1)}
 
     def test_concurrent_mutation_and_resolution(self):
         """Register/unregister storms while readers resolve: no exception,
@@ -110,8 +127,8 @@ class TestRegistry:
                     # every resolved group member is in the node map.
                     for _, _, sockaddr in view.groups.get(group, ()):
                         assert sockaddr in view.sockaddr_to_node
-                    net._resolve(addr("w0"))
-                    net._members(group)
+                    resolve(net, "w0")
+                    members(net, group)
             except Exception as exc:  # pragma: no cover — the assertion
                 errors.append(exc)
 
@@ -128,9 +145,9 @@ class TestRegistry:
         for t in readers:
             t.join()
         assert errors == []
-        assert net._members(group) == {(f"w{i}", 1) for i in range(4)}
+        assert members(net, group) == {(f"w{i}", 1) for i in range(4)}
         for i in range(4):
-            assert net._resolve(addr(f"w{i}")) == ("127.0.0.1", 42000 + 10 * i)
+            assert resolve(net, f"w{i}") == ("127.0.0.1", 42000 + 10 * i)
 
 
 def _free_port_block(span: int) -> int:
@@ -142,65 +159,94 @@ def _free_port_block(span: int) -> int:
     return base
 
 
-class TestDeterministicPorts:
-    def test_ephemeral_by_default(self):
-        net = UdpNetwork()
-        t = net.create_transport("n1")
-        t.open(1, lambda payload, source: None)
-        try:
-            sockaddr = net._resolve(addr("n1"))
-            assert sockaddr is not None and sockaddr[1] != 0
-        finally:
-            t.close()
+def _ignore(payload, source):
+    pass
 
-    def test_base_port_binds_deterministic_sequence(self):
+
+class _Lan:
+    """A bare asyncio loop on its own thread plus the transports opened on
+    it. ``AsyncUdpTransport`` must only be touched on its loop's thread, so
+    every transport call in the tests below goes through :meth:`call`."""
+
+    def __init__(self):
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
+        self._thread.start()
+        self._opened = []
+
+    def call(self, fn, *args):
+        async def run():
+            return fn(*args)
+
+        return asyncio.run_coroutine_threadsafe(run(), self._loop).result(5.0)
+
+    def open(self, net, node, receiver=_ignore):
+        transport = AsyncUdpTransport(net, node, self._loop)
+        self._opened.append(transport)  # close() is a no-op if open() raises
+        self.call(transport.open, 1, receiver)
+        return transport
+
+    def close(self):
+        for transport in self._opened:
+            self.call(transport.close)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(5.0)
+        self._loop.close()
+
+
+@pytest.fixture
+def lan():
+    lan = _Lan()
+    yield lan
+    lan.close()
+
+
+class TestDeterministicPorts:
+    def test_ephemeral_by_default(self, lan):
+        net = UdpNetwork()
+        lan.open(net, "n1")
+        sockaddr = resolve(net, "n1")
+        assert sockaddr is not None and sockaddr[1] != 0
+
+    def test_base_port_binds_deterministic_sequence(self, lan):
         base = _free_port_block(3)
         net = UdpNetwork(base_port=base)
-        transports = [net.create_transport(f"n{i}") for i in range(3)]
-        try:
-            for t in transports:
-                t.open(1, lambda payload, source: None)
-            got = [net._resolve(addr(f"n{i}", 1))[1] for i in range(3)]
-            assert got == [base, base + 1, base + 2]
-        finally:
-            for t in transports:
-                t.close()
+        for i in range(3):
+            lan.open(net, f"n{i}")
+        got = [resolve(net, f"n{i}")[1] for i in range(3)]
+        assert got == [base, base + 1, base + 2]
 
-    def test_base_port_collision_raises(self):
+    def test_base_port_collision_raises(self, lan):
         base = _free_port_block(2)
         clash = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         clash.bind(("127.0.0.1", base))  # squat the base port
         net = UdpNetwork(base_port=base)
-        t = net.create_transport("n1")
         try:
             with pytest.raises(TransportError):
-                t.open(1, lambda payload, source: None)
+                lan.open(net, "n1")
             # The node never entered the registry.
-            assert net._resolve(addr("n1")) is None
+            assert resolve(net, "n1") is None
         finally:
             clash.close()
 
-    def test_collision_consumes_offset(self):
+    def test_collision_consumes_offset(self, lan):
         """After a failed bind the allocator moves on: the next transport
         gets the next port, so one squatted port cannot wedge the LAN."""
         base = _free_port_block(3)
         clash = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         clash.bind(("127.0.0.1", base))
         net = UdpNetwork(base_port=base)
-        bad = net.create_transport("bad")
-        good = net.create_transport("good")
         try:
             with pytest.raises(TransportError):
-                bad.open(1, lambda payload, source: None)
-            good.open(1, lambda payload, source: None)
-            assert net._resolve(addr("good"))[1] == base + 1
+                lan.open(net, "bad")
+            lan.open(net, "good")
+            assert resolve(net, "good")[1] == base + 1
         finally:
             clash.close()
-            good.close()
 
 
 class TestTransportDelivery:
-    def test_unicast_and_unknown_sender(self):
+    def test_unicast_and_unknown_sender(self, lan):
         net = UdpNetwork()
         received = []
         done = threading.Event()
@@ -209,30 +255,24 @@ class TestTransportDelivery:
             received.append((bytes(payload), source))
             done.set()
 
-        rx = net.create_transport("rx")
-        tx = net.create_transport("tx")
-        rx.open(1, on_rx)
-        tx.open(1, lambda payload, source: None)
-        try:
-            tx.send_bytes(addr("rx"), b"hello")
-            assert done.wait(2.0)
-            assert received == [(b"hello", addr("tx"))]
+        lan.open(net, "rx", on_rx)
+        tx = lan.open(net, "tx")
+        lan.call(tx.send_bytes, addr("rx"), b"hello")
+        assert done.wait(2.0)
+        assert received == [(b"hello", addr("tx"))]
 
-            # A datagram from a socket outside the registry arrives with
-            # the sentinel unknown source, not an exception.
-            done.clear()
-            received.clear()
-            rogue = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            rogue.bind(("127.0.0.1", 0))
-            rogue.sendto(b"mystery", net._resolve(addr("rx")))
-            assert done.wait(2.0)
-            rogue.close()
-            assert received == [(b"mystery", Address("unknown", 0))]
-        finally:
-            tx.close()
-            rx.close()
+        # A datagram from a socket outside the registry arrives with
+        # the sentinel unknown source, not an exception.
+        done.clear()
+        received.clear()
+        rogue = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        rogue.bind(("127.0.0.1", 0))
+        rogue.sendto(b"mystery", resolve(net, "rx"))
+        assert done.wait(2.0)
+        rogue.close()
+        assert received == [(b"mystery", Address("unknown", 0))]
 
-    def test_multicast_skips_self_and_unknown_destination_drops(self):
+    def test_multicast_skips_self_and_unknown_destination_drops(self, lan):
         net = UdpNetwork()
         group = GroupName("mcast.room")
         hits = {"a": [], "b": []}
@@ -244,30 +284,37 @@ class TestTransportDelivery:
                 events[name].set()
             return on_rx
 
-        ta = net.create_transport("a")
-        tb = net.create_transport("b")
-        ta.open(1, make_rx("a"))
-        tb.open(1, make_rx("b"))
-        try:
-            ta.join(group)
-            tb.join(group)
-            ta.send_bytes(group, b"fanout")
-            assert events["b"].wait(2.0)
-            time.sleep(0.05)
-            assert hits["b"] == [b"fanout"]
-            assert hits["a"] == []  # sender excluded from its own fan-out
-            # Unknown unicast destination: silently dropped, like a LAN.
-            ta.send_bytes(addr("ghost"), b"lost")
-        finally:
-            ta.close()
-            tb.close()
+        ta = lan.open(net, "a", make_rx("a"))
+        tb = lan.open(net, "b", make_rx("b"))
+        lan.call(ta.join, group)
+        lan.call(tb.join, group)
+        lan.call(ta.send_bytes, group, b"fanout")
+        assert events["b"].wait(2.0)
+        time.sleep(0.05)
+        assert hits["b"] == [b"fanout"]
+        assert hits["a"] == []  # sender excluded from its own fan-out
+        # Unknown unicast destination: silently dropped, like a LAN.
+        lan.call(ta.send_bytes, addr("ghost"), b"lost")
+        lan.call(lambda: None)  # fence: any queued datagram has drained
+        assert ta.sent_datagrams == 1
 
-    def test_oversized_payload_rejected(self):
+    def test_open_twice_and_use_before_open_rejected(self, lan):
         net = UdpNetwork()
-        t = net.create_transport("n")
-        t.open(1, lambda payload, source: None)
-        try:
-            with pytest.raises(TransportError):
-                t.send_bytes(addr("n"), b"x" * (UdpTransport(net, "m").mtu + 1))
-        finally:
-            t.close()
+        unopened = AsyncUdpTransport(net, "late", None)
+        with pytest.raises(TransportError):
+            unopened.send_bytes(addr("n"), b"x")
+        with pytest.raises(TransportError):
+            unopened.join(GroupName("mcast.room"))
+        t = lan.open(net, "n")
+        with pytest.raises(TransportError):
+            lan.call(t.open, 2, _ignore)
+
+    def test_oversized_payload_rejected(self, lan):
+        net = UdpNetwork()
+        t = lan.open(net, "n")
+        assert t.mtu == UDP_MTU
+        with pytest.raises(TransportError):
+            lan.call(t.send_bytes, addr("n"), b"x" * (UDP_MTU + 1))
+        # The bound is on the whole datagram, however it is split up.
+        with pytest.raises(TransportError):
+            lan.call(t.send_buffers, addr("n"), (b"x" * UDP_MTU, b"y"))
