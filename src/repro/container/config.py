@@ -92,7 +92,11 @@ class ContainerConfig:
     #: baseline experiment E4 compares multicast against.
     file_multicast: bool = True
     file_chunk_size: int = 1024
-    #: Gap between successive chunk multicasts (paces the bulk stream).
+    #: Pacing of the bulk stream: chunk k of a round is due k intervals
+    #: after the round started, and a late timer sends every chunk that has
+    #: fallen due (bounded catch-up), so this is the delivered rate and not
+    #: a floor under the timer's resolution. 0 is unpaced: one chunk per
+    #: turn of the loop.
     file_chunk_interval: float = 0.0002
     #: How long the publisher waits for completion ACK/NACKs per round.
     file_status_timeout: float = 0.05
@@ -115,11 +119,15 @@ class ContainerConfig:
 
     # Datagram batching (off by default: the wire stays byte-for-byte the
     # seed format). When on, small frames to the same destination share one
-    # BATCH datagram up to ``batch_mtu_bytes``, held at most
-    # ``batch_flush_interval`` seconds.
+    # BATCH datagram up to ``batch_mtu_bytes``.
     batching_enabled: bool = False
     batch_mtu_bytes: int = 1200
-    batch_flush_interval: float = 0.002
+    #: The longest a frame may be held for companions. 0 holds nothing:
+    #: whatever one loop turn (one virtual instant) produced leaves at the
+    #: end of it, so datagrams fill under load and an idle link adds no
+    #: latency. Set it > 0 only where bytes on the wire are the bottleneck
+    #: and batching *across* time pays for the delay.
+    batch_flush_interval: float = 0.0
     #: Delay-and-merge window for ACKs on the reliable channel; 0 keeps the
     #: seed's one-ACK-per-frame behavior.
     ack_coalesce_delay: float = 0.0
@@ -175,6 +183,8 @@ class ContainerConfig:
             )
         if self.file_chunk_size <= 0:
             raise ConfigurationError("file_chunk_size must be positive")
+        if self.file_chunk_interval < 0:
+            raise ConfigurationError("file_chunk_interval must be >= 0")
         if self.flight_recorder_capacity < 1:
             raise ConfigurationError("flight_recorder_capacity must be >= 1")
         policies = [self.egress_overflow_policy]
@@ -186,8 +196,8 @@ class ContainerConfig:
             raise ConfigurationError("egress_queue_limit must be >= 1")
         if self.batch_mtu_bytes < 64:
             raise ConfigurationError("batch_mtu_bytes must be >= 64")
-        if self.batch_flush_interval <= 0:
-            raise ConfigurationError("batch_flush_interval must be positive")
+        if self.batch_flush_interval < 0:
+            raise ConfigurationError("batch_flush_interval must be >= 0")
         if self.ack_coalesce_delay < 0:
             raise ConfigurationError("ack_coalesce_delay must be >= 0")
         if self.ack_coalesce_max_pending < 1:

@@ -8,8 +8,9 @@ pipeline:
 
 1. **Batching** (optional): small frames to the same destination are packed
    into one ``BATCH`` datagram per priority band, amortizing the fixed
-   per-packet wire overhead (see :mod:`repro.protocol.batching`). A short
-   flush deadline bounds the added latency; a batch never spans bands.
+   per-packet wire overhead (see :mod:`repro.protocol.batching`). Frames
+   leave at the end of the turn that produced them unless a hold is
+   configured; a batch never spans bands.
 2. **Bounded queues** (optional): when shaping backs traffic up, each
    (destination, band) queue is capped at ``queue_limit`` frames with an
    explicit per-band overflow policy — ``block`` (refuse admission and
@@ -107,7 +108,8 @@ class EgressShaper:
         Bucket depth; one MTU by default so a single frame never stalls.
     batching / batch_mtu / batch_flush_interval / source / piggyback:
         Datagram batching stage (see :class:`FrameBatcher`). ``source`` is
-        the container id stamped on assembled BATCH frames; required when
+        the container id stamped on assembled BATCH frames; it and the
+        hold (``ContainerConfig`` owns the default) are required when
         batching is on.
     zero_copy:
         Assemble multi-frame batches as scatter/gather
@@ -138,7 +140,7 @@ class EgressShaper:
         bands: Optional[Dict[MessageKind, int]] = None,
         batching: bool = False,
         batch_mtu: int = 1200,
-        batch_flush_interval: float = 0.002,
+        batch_flush_interval: Optional[float] = None,
         source: str = "",
         piggyback: Optional[PiggybackFn] = None,
         queue_limit: Optional[int] = None,
@@ -169,6 +171,8 @@ class EgressShaper:
         # Batching stage.
         self._batcher: Optional[FrameBatcher] = None
         if batching:
+            if batch_flush_interval is None:
+                raise ConfigurationError("batching needs a batch_flush_interval")
             self._batcher = FrameBatcher(
                 clock=clock,
                 timers=timers,

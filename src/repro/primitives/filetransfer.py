@@ -6,8 +6,9 @@
    chunk_size, total_chunks)`` on the control group; interested services
    subscribe with a reliable unicast message;
 2. **transfer** — the publisher multicasts numbered chunks to the file's
-   group, paced by ``file_chunk_interval`` (or unicasts them per subscriber
-   when ``multicast=False``, the baseline of experiment E4);
+   group, each due one ``file_chunk_interval`` after the one before (or
+   unicasts them per subscriber when ``multicast=False``, the baseline of
+   experiment E4);
 3. **completion** — the publisher polls subscribers; complete ones ACK and
    are removed, incomplete ones NACK with a *compressed* (run-length)
    missing-chunk list; the next round retransmits only the union of missing
@@ -34,6 +35,12 @@ from repro.util.errors import ConfigurationError
 OnComplete = Callable[[bytes, int], None]  # (data, revision)
 OnProgress = Callable[[int, int], None]  # (chunks received, total)
 OnRevision = Callable[[int], str]  # new revision -> "restart" | "ignore"
+
+#: Most chunks one pacing-timer firing sends. A timer that fires late (a
+#: wall-clock loop ticks in milliseconds, chunks are due every 0.2 ms)
+#: sends what has fallen due, but a long stall is not repaid in full: a
+#: 50 ms hiccup must not dump 250 KiB into a socket buffer.
+_MAX_CATCHUP_CHUNKS = 16
 
 
 @dataclass
@@ -81,7 +88,10 @@ class _Session:
     in_transfer: bool = False
     awaiting_status: bool = False
     silent_polls: int = 0
+    #: The armed timer only: a fired handle keeps its callback, which
+    #: closes over the session, and would pin the file bytes in a cycle.
     timer: object = None
+    due: float = 0.0  # when the next chunk of this round may leave
     chunks_sent: int = 0
 
 
@@ -367,17 +377,40 @@ class FileTransferManager:
         )
 
     def _continue_transfer(self, session: _Session) -> None:
+        """Start (or restart) a round: its first chunk is due now."""
         session.in_transfer = True
         session.awaiting_status = False
         if session.timer is not None and hasattr(session.timer, "cancel"):
             session.timer.cancel()
+        session.due = self._host.clock.now()
+        self._send_due_chunks(session)
+
+    def _send_due_chunks(self, session: _Session) -> None:
+        """Pacing-timer body: send every chunk that has fallen due, re-arm
+        for the next due instant. On a clock that stands still inside a
+        callback (the simulator) exactly one chunk is ever due."""
+        session.timer = None
         if not session.pending:
             session.in_transfer = False
             return
         if not session.queue:
             self._start_completion_poll(session)
             return
-        index = session.queue.pop(0)
+        interval = self._host.config.file_chunk_interval
+        now = self._host.clock.now()
+        # Unpaced (0) still yields to the loop between chunks.
+        for _ in range(_MAX_CATCHUP_CHUNKS if interval > 0 else 1):
+            self._send_chunk(session, session.queue.pop(0))
+            session.due += interval
+            if not session.queue or session.due > now:
+                break
+        if session.due < now:
+            session.due = now  # the rest of the stall is forgiven
+        session.timer = self._host.timers.schedule(
+            session.due - now, lambda: self._send_due_chunks(session)
+        )
+
+    def _send_chunk(self, session: _Session, index: int) -> None:
         resource = session.resource
         payload = wire.encode(
             wire.FILE_CHUNK_SCHEMA,
@@ -399,9 +432,6 @@ class FileTransferManager:
             for peer in sorted(session.pending):
                 self._host.send_unicast(peer, frame)
                 session.chunks_sent += 1
-        session.timer = self._host.timers.schedule(
-            self._host.config.file_chunk_interval, lambda: self._continue_transfer(session)
-        )
 
     def _start_completion_poll(self, session: _Session) -> None:
         session.in_transfer = False
@@ -426,6 +456,7 @@ class FileTransferManager:
         )
 
     def _finish_poll(self, session: _Session) -> None:
+        session.timer = None
         session.awaiting_status = False
         if not session.pending:
             session.silent_polls = 0

@@ -5,8 +5,10 @@ fixed per-datagram header cost (:data:`~repro.simnet.packet.WIRE_OVERHEAD_BYTES`
 so fan-out workloads that emit many small frames pay that cost linearly.
 This module packs multiple small frames destined for the *same*
 :class:`~repro.simnet.packet.Destination` into one ``BATCH`` datagram, up
-to a configurable MTU budget, holding frames for at most a small flush
-deadline so latency-critical traffic is never held hostage.
+to a configurable MTU budget. By default nothing waits for companions: what
+one turn of the serialization domain produced leaves at the end of that
+turn, so batching emerges under load and an idle link adds no delay. A
+bandwidth-bound link can trade latency for fuller datagrams with a hold.
 
 Wire format of a ``BATCH`` payload::
 
@@ -225,7 +227,7 @@ class _PendingBatch:
 
 
 class FrameBatcher:
-    """Per-(destination, band) frame accumulator with a flush deadline.
+    """Per-(destination, band) frame accumulator flushed once per turn.
 
     Sans-io: frames come in through :meth:`add`, batches (or raw single
     frames) leave through the ``emit`` callback. Frames are encoded at add
@@ -240,9 +242,14 @@ class FrameBatcher:
         batching entirely — it is emitted raw (and fragments downstream
         as before).
     flush_interval:
-        Upper bound on how long a frame may sit waiting for companions.
-        One timer serves all pending batches: it arms on the first add and
-        flushes everything when it fires.
+        The longest a frame may be held for companions
+        (``ContainerConfig.batch_flush_interval`` owns the default). One
+        timer serves all pending batches: it arms on the first add and
+        flushes everything when it fires. At 0 that is the end of the
+        current turn — the same virtual instant on the simulator, after
+        the next iteration's I/O handlers on an event loop — so frames
+        produced together (the responses to one received datagram, the
+        sends an ACK releases) still share datagrams.
     piggyback:
         Optional hook returning pending coalesced-ACK frames for a
         destination; whatever fits the remaining budget joins the batch,
@@ -261,8 +268,8 @@ class FrameBatcher:
         timers,
         source: str,
         emit: EmitFn,
+        flush_interval: float,
         mtu: int = 1200,
-        flush_interval: float = 0.002,
         piggyback: Optional[PiggybackFn] = None,
         zero_copy: bool = False,
     ):

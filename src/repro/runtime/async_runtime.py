@@ -233,10 +233,21 @@ class AsyncRuntime:
 
     # -- execution ---------------------------------------------------------
     def start(self) -> None:
+        """Start every container in one loop turn, then have each announce.
+
+        A container announces as it starts, but only those already open
+        hear it; the announce sent once every socket is open is the one
+        the whole domain hears, so nobody waits for a periodic one."""
         self._started = True
-        for container in self.containers.values():
-            if not container.running:
-                self.reactor.call_blocking(container.start)
+
+        def start_all() -> None:
+            fresh = [c for c in self.containers.values() if not c.running]
+            for container in fresh:
+                container.start()
+            for container in fresh:
+                container.announce_soon()
+
+        self.reactor.call_blocking(start_all)
 
     def stop(self) -> None:
         if self._stopped:

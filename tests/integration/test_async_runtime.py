@@ -10,6 +10,7 @@ no lock-order inversions under the sanitizer.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,87 @@ class TestAsyncRuntime:
             assert sent < count * 3  # batching coalesced the fan-out
         finally:
             runtime.stop()
+
+    def test_default_containers_call_each_other_right_after_start(self, runtime):
+        """Every container is open before any ANNOUNCE that matters leaves:
+        with the default (1 s announce) timing a function is resolvable and
+        answers at once, not after the next periodic announce."""
+        a = runtime.add_container("a")
+        b = runtime.add_container("b")
+        a.install_service(ProbeService("server", lambda s: s.ctx.provide_function(
+            "math.add", lambda x, y: x + y, params=[INT32, INT32], result=INT32
+        )))
+        client = ProbeService("client")
+        b.install_service(client)
+        started = time.monotonic()
+        runtime.start()
+        assert runtime.run_until(
+            lambda: bool(b.directory.providers_of_function("math.add")),
+            timeout=5.0, poll=0.002,
+        )
+        runtime.on_reactor(lambda: client.call_recorded("math.add", (20, 22)))
+        assert runtime.run_until(lambda: bool(client.results), timeout=5.0, poll=0.002)
+        assert time.monotonic() - started < 0.25
+        assert client.results == [42]
+
+    def test_fast_plane_calls_do_not_wait_for_a_flush_timer(self, runtime):
+        """Batching on: a closed loop of 16 calls pays no hold (two 2 ms
+        holds per call used to make it >= 64 ms; it takes about 6 ms), and
+        the k responses to a datagram of k requests still leave as one."""
+        from repro.protocol.batching import decode_batch_payload
+
+        plane = dict(batching_enabled=True, ack_coalesce_delay=0.002,
+                     heartbeat_interval=0.5, liveness_timeout=5.0)
+        a = runtime.add_container("a", **plane)
+        b = runtime.add_container("b", **plane)
+        a.install_service(ProbeService("server", lambda s: s.ctx.provide_function(
+            "math.inc", lambda x: x + 1, params=[INT32], result=INT32
+        )))
+        client = ProbeService("client")
+        b.install_service(client)
+        runtime.start()
+        assert runtime.run_until(
+            lambda: bool(b.directory.providers_of_function("math.inc")), timeout=5.0
+        )
+        # Warm the path (stream set-up, codec caches), then time 16 in series.
+        runtime.on_reactor(lambda: client.call_recorded("math.inc", (0,)))
+        assert runtime.run_until(lambda: len(client.results) == 1, timeout=5.0)
+
+        def next_call(result=None):
+            if result is not None:
+                client.results.append(result)
+            if len(client.results) < 17:
+                client.ctx.call("math.inc", (len(client.results),),
+                                on_result=next_call, on_error=client.errors.append)
+
+        started = time.monotonic()
+        runtime.on_reactor(next_call)
+        assert runtime.run_until(lambda: len(client.results) == 17, timeout=5.0, poll=0.001)
+        assert time.monotonic() - started < 16 * 0.003
+        assert client.results[1:] == list(range(2, 18))
+
+        # Count-based: 16 requests issued in one turn share a datagram, and
+        # so do their 16 responses.
+        responses = []  # RPC_RESPONSE frames per datagram the server emits
+        send = a.egress._send
+
+        def tap(destination, frame):
+            inner = (decode_batch_payload(frame.payload)
+                     if frame.kind == MessageKind.BATCH else [frame])
+            count = sum(1 for f in inner if f.kind == MessageKind.RPC_RESPONSE)
+            if count:
+                responses.append(count)
+            send(destination, frame)
+
+        def burst():
+            a.egress._send = tap
+            for i in range(16):
+                client.call_recorded("math.inc", (100 + i,))
+
+        runtime.on_reactor(burst)
+        assert runtime.run_until(lambda: len(client.results) == 33, timeout=5.0)
+        assert responses == [16]
+        assert client.errors == []
 
     def test_loop_isolates_errors(self, runtime):
         runtime.reactor.post(lambda: 1 / 0)

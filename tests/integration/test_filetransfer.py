@@ -262,3 +262,59 @@ class TestNackCompression:
         assert ranges_from_indices([]) == []
         assert indices_from_ranges([]) == []
         assert ranges_from_indices([5]) == [{"start": 5, "end": 5}]
+
+
+class TestPacingTrace:
+    """Deadline pacing is invisible in simulation: the clock stands still
+    inside a callback, so one chunk leaves per interval, at the bit-exact
+    virtual instants the timer-per-chunk implementation produced (recorded
+    from it: a lossy link, two receivers, three rounds)."""
+
+    RECORDED = [
+        ("0x1.802471d79858fp+1", 0), ("0x1.802aff9053200p+1", 1),
+        ("0x1.80318d490de71p+1", 2), ("0x1.80381b01c8ae2p+1", 3),
+        ("0x1.803ea8ba83753p+1", 4), ("0x1.804536733e3c4p+1", 5),
+        ("0x1.804bc42bf9035p+1", 6), ("0x1.805251e4b3ca6p+1", 7),
+        ("0x1.8058df9d6e917p+1", 8), ("0x1.805f6d5629588p+1", 9),
+        ("0x1.8065fb0ee41f9p+1", 10), ("0x1.806c88c79ee6ap+1", 11),
+        ("0x1.8073168059adbp+1", "poll"),
+        ("0x1.86d97ce6c0141p+1", 5), ("0x1.86e00a9f7adb2p+1", 6),
+        ("0x1.86e6985835a23p+1", 7), ("0x1.86ed2610f0694p+1", 8),
+        ("0x1.86f3b3c9ab305p+1", 9), ("0x1.86fa418265f76p+1", 10),
+        ("0x1.8700cf3b20be7p+1", "poll"),
+        ("0x1.8d6735a18724dp+1", 5), ("0x1.8d6dc35a41ebep+1", 8),
+        ("0x1.8d745112fcb2fp+1", 10),
+        ("0x1.8d7adecbb77a0p+1", "poll"),
+    ]
+
+    def test_sim_chunk_trace_is_unchanged(self):
+        from repro.primitives import wire
+        from repro.protocol.frames import MessageKind
+
+        runtime = SimRuntime(seed=5, default_link=LinkModel(loss=0.2))
+        a = runtime.add_container("a")
+        receivers = []
+        for name in ("b", "c"):
+            probe = ProbeService("sub", lambda s: s.watch_file("res.t"))
+            runtime.add_container(name).install_service(probe)
+            receivers.append(probe)
+        pub = ProbeService("pub")
+        a.install_service(pub)
+        trace = []
+        send_group = a.send_group
+
+        def tap(group, frame):
+            if frame.kind == MessageKind.FILE_CHUNK:
+                index = wire.decode(wire.FILE_CHUNK_SCHEMA, frame.payload)["index"]
+                trace.append((runtime.sim.now().hex(), index))
+            elif frame.kind == MessageKind.FILE_STATUS_REQUEST:
+                trace.append((runtime.sim.now().hex(), "poll"))
+            send_group(group, frame)
+
+        a.send_group = tap
+        settle(runtime)
+        data = payload(12_000, seed=3)
+        pub.ctx.publish_file("res.t", data)
+        runtime.run_for(3.0)
+        assert all(probe.files == [("res.t", data, 1)] for probe in receivers)
+        assert trace == self.RECORDED

@@ -115,7 +115,10 @@ class TestPayloadSanitizerEndToEnd:
         with pytest.raises(PayloadMutationError):
             received["n"] = 8
 
-    def test_sanitizer_off_by_default(self):
+    def test_sanitizer_off_by_default(self, monkeypatch):
+        # CI's coverage job arms the sanitizer fleet-wide through this
+        # variable; the default under test is the one without it.
+        monkeypatch.delenv("REPRO_PAYLOAD_SANITIZER", raising=False)
         runtime, a, _ = two_containers()
         assert not a.payload_sanitizer.enabled
 

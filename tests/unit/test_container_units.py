@@ -157,3 +157,14 @@ class TestConfig:
     def test_chunk_size_positive(self):
         with pytest.raises(ConfigurationError):
             self.base(file_chunk_size=0)
+
+    def test_batch_hold_may_be_zero_but_not_negative(self):
+        assert self.base().batch_flush_interval == 0.0
+        assert self.base(batch_flush_interval=0.01).batch_flush_interval == 0.01
+        with pytest.raises(ConfigurationError):
+            self.base(batch_flush_interval=-0.001)
+
+    def test_chunk_interval_may_be_zero_but_not_negative(self):
+        assert self.base(file_chunk_interval=0.0).file_chunk_interval == 0.0
+        with pytest.raises(ConfigurationError):
+            self.base(file_chunk_interval=-0.0002)

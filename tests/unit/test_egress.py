@@ -3,6 +3,7 @@
 import pytest
 
 from repro.container.egress import DEFAULT_BANDS, EgressShaper
+from repro.protocol.batching import FrameBatcher, decode_batch_payload
 from repro.protocol.frames import Frame, MessageKind
 from repro.sim import Simulator
 
@@ -229,6 +230,7 @@ class TestBatchingStage:
     def make_batching_shaper(self, **kwargs):
         sim = Simulator()
         sent = []
+        kwargs.setdefault("batch_flush_interval", 0.002)
         shaper = EgressShaper(
             clock=sim,
             timers=sim,
@@ -291,3 +293,69 @@ class TestBatchingStage:
         sim.run(until=1.0)
         assert len(sent) == 1
         assert sent[0][1].kind == MessageKind.BATCH
+
+    def test_batching_without_a_hold_is_a_configuration_error(self):
+        from repro.util.errors import ConfigurationError
+
+        sim = Simulator()
+        with pytest.raises(ConfigurationError):
+            EgressShaper(
+                clock=sim, timers=sim, send=lambda d, f: None,
+                batching=True, source="c",
+            )
+
+
+class TestBatchHold:
+    """``flush_interval`` is the longest a frame waits for companions; at 0
+    what one virtual instant produced leaves at the end of that instant."""
+
+    def make_batcher(self, hold, mtu=1200):
+        sim = Simulator()
+        out = []  # (virtual time, emitted frame)
+        batcher = FrameBatcher(
+            clock=sim, timers=sim, source="c",
+            emit=lambda dest, f, band: out.append((sim.now(), f)),
+            flush_interval=hold, mtu=mtu,
+        )
+        return sim, batcher, out
+
+    def test_hold_zero_flushes_within_the_instant(self):
+        sim, batcher, out = self.make_batcher(hold=0.0)
+
+        def burst():
+            for _ in range(5):
+                batcher.add("dest", frame(MessageKind.VAR_SAMPLE, 20))
+
+        sim.schedule(1.0, burst)
+        sim.schedule(1.0, burst)  # a second callback of the same instant
+        sim.run()
+        assert [t for t, _ in out] == [1.0]  # no virtual time was added
+        assert out[0][1].kind == MessageKind.BATCH
+        assert len(decode_batch_payload(out[0][1].payload)) == 10
+
+    def test_hold_zero_respects_the_mtu(self):
+        sim, batcher, out = self.make_batcher(hold=0.0, mtu=256)
+        for _ in range(12):
+            batcher.add("dest", frame(MessageKind.VAR_SAMPLE, 40))
+        sim.run()
+        assert len(out) > 1
+        assert all(len(f.encode()) <= 256 for _, f in out)
+        assert sum(len(decode_batch_payload(f.payload)) for _, f in out) == 12
+
+    def test_hold_zero_next_instant_leaves_on_its_own(self):
+        sim, batcher, out = self.make_batcher(hold=0.0)
+        first = frame(MessageKind.EVENT, 10)
+        second = frame(MessageKind.EVENT, 10)
+        sim.schedule(1.0, lambda: batcher.add("dest", first))
+        sim.schedule(1.0 + 1e-6, lambda: batcher.add("dest", second))
+        sim.run()
+        # Two raw frames (single-frame parity), each at its own instant.
+        assert [(t, f) for t, f in out] == [(1.0, first), (1.0 + 1e-6, second)]
+
+    def test_positive_hold_gathers_across_time(self):
+        sim, batcher, out = self.make_batcher(hold=0.002)
+        sim.schedule(1.0, lambda: batcher.add("dest", frame(MessageKind.EVENT, 10)))
+        sim.schedule(1.001, lambda: batcher.add("dest", frame(MessageKind.EVENT, 10)))
+        sim.run()
+        assert [t for t, _ in out] == [1.002]  # armed by the first add
+        assert len(decode_batch_payload(out[0][1].payload)) == 2

@@ -367,6 +367,16 @@ class TestInvocationManagerUnits:
             mgr.provide("f", lambda: None)
 
 
+def _subscribe(mgr, name, subscriber, revision=1):
+    payload = wire.encode(
+        wire.FILE_SUBSCRIBE_SCHEMA,
+        {"name": name, "subscriber": subscriber, "revision": revision},
+    )
+    mgr.on_subscribe_frame(
+        Frame(kind=MessageKind.FILE_SUBSCRIBE, source=subscriber, payload=payload)
+    )
+
+
 class TestFileManagerUnits:
     def test_straggler_dropped_after_max_rounds(self):
         host = FakeHost()
@@ -376,13 +386,7 @@ class TestFileManagerUnits:
         )
         mgr = FileTransferManager(host)
         mgr.publish("res", b"x" * 100)
-        subscribe = wire.encode(
-            wire.FILE_SUBSCRIBE_SCHEMA,
-            {"name": "res", "subscriber": "silent", "revision": 1},
-        )
-        mgr.on_subscribe_frame(
-            Frame(kind=MessageKind.FILE_SUBSCRIBE, source="silent", payload=subscribe)
-        )
+        _subscribe(mgr, "res", "silent")
         host.sim.run_for(5.0)  # chunk sends + repeated silent polls
         assert mgr.dropped_stragglers == 1
         assert host.emergencies
@@ -420,13 +424,7 @@ class TestFileManagerUnits:
         )
         mgr = FileTransferManager(host)
         mgr.publish("res", b"0123456789" * 5)  # 5 chunks
-        subscribe = wire.encode(
-            wire.FILE_SUBSCRIBE_SCHEMA,
-            {"name": "res", "subscriber": "rx", "revision": 1},
-        )
-        mgr.on_subscribe_frame(
-            Frame(kind=MessageKind.FILE_SUBSCRIBE, source="rx", payload=subscribe)
-        )
+        _subscribe(mgr, "res", "rx")
         host.sim.run_for(0.005)  # transfer phase done (interval 0)
         chunk_count_initial = sum(
             1 for g, f in host.groups_sent if f.kind == MessageKind.FILE_CHUNK
@@ -454,3 +452,135 @@ class TestFileManagerUnits:
         resource = FileResource(name="r", data=b"", revision=1, chunk_size=100)
         assert resource.total_chunks == 1
         assert resource.chunk(0) == b""
+
+
+class _TickLoop:
+    """Clock + timer service that, like a selector event loop, only looks
+    at its timers once per ``tick``: a timer runs at the first tick at or
+    after its deadline, and one armed during a tick waits for the next.
+    Handles keep their callback after firing, as asyncio's do."""
+
+    class Handle:
+        def __init__(self, when, fn):
+            self.when, self.fn, self.cancelled = when, fn, False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self, tick=0.001):
+        self.tick = tick
+        self._now = 0.0
+        self._armed = []
+
+    def now(self):
+        return self._now
+
+    def schedule(self, delay, fn):
+        handle = self.Handle(self._now + delay, fn)
+        self._armed.append(handle)
+        return handle
+
+    def stall(self, duration):
+        """Time passes and the loop runs nothing."""
+        self._now += duration
+
+    def run_ticks(self, count):
+        for _ in range(count):
+            self._now += self.tick
+            due = [h for h in self._armed if h.when <= self._now]
+            self._armed = [h for h in self._armed if h.when > self._now]
+            for handle in sorted(due, key=lambda h: h.when):
+                if not handle.cancelled:
+                    handle.fn()
+
+
+class _TickHost(FakeHost):
+    def __init__(self, **config):
+        super().__init__()
+        self.loop = _TickLoop()
+        self.config = ContainerConfig(container_id="local", node="n", **config)
+
+    clock = timers = property(lambda self: self.loop)
+
+    def chunks_sent(self):
+        return sum(1 for _, f in self.groups_sent if f.kind == MessageKind.FILE_CHUNK)
+
+
+class TestFilePacing:
+    """Chunks are paced by deadline: a timer service coarser than
+    ``file_chunk_interval`` still delivers the configured rate."""
+
+    INTERVAL = 0.0002
+
+    def make(self, chunks=400, interval=INTERVAL):
+        host = _TickHost(file_chunk_size=10, file_chunk_interval=interval)
+        mgr = FileTransferManager(host)
+        mgr.publish("res", b"x" * (10 * chunks))
+        _subscribe(mgr, "res", "rx")
+        assert host.chunks_sent() == 1  # the round's first chunk is due at once
+        return host, mgr
+
+    def test_coarse_timer_still_delivers_the_configured_rate(self):
+        host, _ = self.make()
+        host.loop.run_ticks(10)  # 10 ms of 1 ms ticks = 50 chunk intervals
+        assert 50 <= host.chunks_sent() <= 52
+        host.loop.run_ticks(20)
+        assert 150 <= host.chunks_sent() <= 152
+
+    def test_catch_up_after_a_stall_is_clamped(self):
+        from repro.primitives.filetransfer import _MAX_CATCHUP_CHUNKS
+
+        host, _ = self.make()
+        host.loop.run_ticks(2)
+        before = host.chunks_sent()
+        host.loop.stall(0.050)  # 250 chunk intervals pass unserved
+        host.loop.run_ticks(1)
+        assert host.chunks_sent() - before == _MAX_CATCHUP_CHUNKS
+        # The rest of the debt is forgiven, not spread over later ticks.
+        before = host.chunks_sent()
+        host.loop.run_ticks(4)
+        assert host.chunks_sent() - before <= 4 * 5 + 1
+
+    def test_round_ends_with_the_completion_poll(self):
+        host, _ = self.make(chunks=7)
+        host.loop.run_ticks(3)
+        kinds = [f.kind for _, f in host.groups_sent if f.kind != MessageKind.FILE_ANNOUNCE]
+        assert kinds == [MessageKind.FILE_CHUNK] * 7 + [MessageKind.FILE_STATUS_REQUEST]
+
+    def test_interval_zero_is_one_chunk_per_turn(self):
+        host, _ = self.make(chunks=20, interval=0.0)
+        for turn in range(1, 6):
+            host.loop.run_ticks(1)
+            assert host.chunks_sent() == 1 + turn  # never the round in one callback
+
+    def test_finished_revisions_are_freed_without_the_cycle_collector(self):
+        """A fired timer handle keeps its callback, which closes over the
+        session: held in ``session.timer`` it pinned every finished
+        revision's bytes until a full collection."""
+        import gc
+        import weakref
+
+        host, mgr = self.make(chunks=5)
+        gc.collect()
+        gc.disable()
+        try:
+            finished = []
+            for revision in (1, 2, 3):
+                session = mgr._sessions["res"]
+                finished.append((weakref.ref(session), weakref.ref(session.resource)))
+                host.loop.run_ticks(3)  # chunks, then the status request
+                ack = wire.encode(
+                    wire.FILE_ACK_SCHEMA,
+                    {"name": "res", "subscriber": "rx", "revision": revision},
+                )
+                mgr.on_completion_ack_frame(
+                    Frame(kind=MessageKind.FILE_COMPLETION_ACK, source="rx", payload=ack)
+                )
+                host.loop.run_ticks(60)  # the poll finds nobody pending
+                assert session.timer is None
+                del session
+                mgr.publish("res", b"y" * 50)
+                _subscribe(mgr, "res", "rx", revision + 1)
+            assert [(s(), r()) for s, r in finished] == [(None, None)] * 3
+        finally:
+            gc.enable()
