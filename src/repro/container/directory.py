@@ -19,8 +19,10 @@ Fleet-scale additions (each inert unless used):
 - A **reverse address index** for :meth:`container_at` (the ACK-piggyback
   path calls it per datagram).
 - **Zone summaries**: compact digests of other federation zones, applied by
-  the fleet coordinator; :meth:`address_of` falls back to summary addresses
-  for containers outside the local zone.
+  the fleet coordinator and held in wire form — ``(origin, version, member
+  bytes)`` per zone; :meth:`address_of` falls back to summary addresses for
+  containers outside the local zone, decoding the held members into an
+  address index on the first such lookup.
 - ``strict_liveness_reads``: when set, reads never return a record whose
   heartbeat is older than the liveness timeout, even if the housekeeping
   sweep has not run yet. Off by default — the seed trusts the sweep.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.container.gossip import decode_summary_members
 from repro.container.records import ContainerRecord
 from repro.simnet.addressing import Address
 from repro.util.clock import Clock
@@ -59,10 +62,14 @@ class Directory:
         self._live_cache: Optional[List[ContainerRecord]] = None
         #: L1 cache: ("variables"|"events"|..., name) -> candidate records.
         self._providers_cache: Dict[Tuple[str, str], List[ContainerRecord]] = {}
-        #: Federation: zone -> latest applied ZONE_SUMMARY document.
-        self._zone_summaries: Dict[str, dict] = {}
-        #: Addresses learned from summaries (containers without full records).
-        self._summary_addresses: Dict[str, Address] = {}
+        #: Federation: zone -> (origin, version, member section) of the latest
+        #: applied ZONE_SUMMARY. The members stay encoded; the coordinator
+        #: only hands over sections that passed the full decode.
+        self._zone_summaries: Dict[str, Tuple[str, int, bytes]] = {}
+        #: Container -> address over the live members of every held summary
+        #: (containers without full records). None until a cross-zone lookup
+        #: asks for it, and again after any zone's membership changes.
+        self._summary_index: Optional[Dict[str, Address]] = None
         self._on_up: List[ContainerCallback] = []
         self._on_down: List[ContainerCallback] = []
         self._on_change: List[ContainerCallback] = []
@@ -187,51 +194,65 @@ class Directory:
         return newly_dead
 
     # -- zone summaries (federation) -------------------------------------------
-    def apply_zone_summary(self, doc: dict) -> bool:
-        """Apply a ZONE_SUMMARY digest of a foreign zone. Returns True when
-        it superseded the current view of that zone.
+    def apply_zone_summary(
+        self, zone: str, origin: str, version: int, members: bytes
+    ) -> bool:
+        """Apply a ZONE_SUMMARY digest of a foreign zone, given as its peeked
+        header fields and its encoded member section (which the caller has
+        validated). Returns True when it superseded the current view of that
+        zone.
 
         Versions are monotonic per publisher; between publishers of the same
         zone the (version, origin) pair orders deterministically.
         """
-        zone = doc["zone"]
-        current = self._zone_summaries.get(zone)
-        if current is not None and (doc["version"], doc["origin"]) <= (
-            current["version"],
-            current["origin"],
-        ):
-            return False
-        if (
-            current is not None
-            and current["origin"] == doc["origin"]
-            and current["members"] == doc["members"]
-        ):
-            # Same publisher, same membership: a periodic refresh. Keep the
-            # newer version visible but skip the address-table rebuild.
-            self._zone_summaries[zone] = doc
-            return True
-        if current is not None:
-            for member in current["members"]:
-                self._summary_addresses.pop(member["container"], None)
-        self._zone_summaries[zone] = doc
-        for member in doc["members"]:
-            if member["alive"] and member["container"] != self._local:
-                self._summary_addresses[member["container"]] = Address(
-                    member["node"], member["port"]
-                )
+        held = self._zone_summaries.get(zone)
+        if held is not None:
+            held_origin, held_version, held_members = held
+            if (version, origin) <= (held_version, held_origin):
+                return False
+        if held is None or held_members != members:
+            self._summary_index = None
+        else:
+            # Canonical encoding: equal bytes are equal membership, so this is
+            # a periodic refresh. The newer version becomes visible; the
+            # address index and the one copy of the bytes stay.
+            members = held_members
+        self._zone_summaries[zone] = (origin, version, members)
         return True
+
+    def summary_members(self, zone: str) -> Optional[bytes]:
+        """The encoded member section held for ``zone``, if any."""
+        held = self._zone_summaries.get(zone)
+        return None if held is None else held[2]
 
     @property
     def zone_summaries(self) -> Dict[str, dict]:
-        """Latest applied summary per foreign zone (read-only by convention)."""
-        return self._zone_summaries
+        """Latest applied summary per foreign zone, decoded on demand into
+        fresh documents (an inspection read, not a hot path)."""
+        return {
+            zone: {
+                "zone": zone,
+                "origin": origin,
+                "version": version,
+                "members": decode_summary_members(members),
+            }
+            for zone, (origin, version, members) in self._zone_summaries.items()
+        }
 
     def known_zones(self) -> List[str]:
         return sorted(self._zone_summaries)
 
     def summary_address_of(self, container: str) -> Optional[Address]:
         """Address learned from a zone summary (no full record held)."""
-        return self._summary_addresses.get(container)
+        index = self._summary_index
+        if index is None:
+            index = self._summary_index = {
+                member["container"]: Address(member["node"], member["port"])
+                for _origin, _version, members in self._zone_summaries.values()
+                for member in decode_summary_members(members)
+                if member["alive"] and member["container"] != self._local
+            }
+        return index.get(container)
 
     # -- queries -------------------------------------------------------------
     def record(self, container: str) -> Optional[ContainerRecord]:
@@ -246,7 +267,7 @@ class Directory:
         if record is None:
             # Outside our zone? Summaries still give us a route (UAV → relay
             # → ground addressing without full records).
-            return self._summary_addresses.get(container)
+            return self.summary_address_of(container)
         if not record.alive:
             return None
         if self._strict_reads and self._is_stale(record):

@@ -16,7 +16,11 @@ O(fanout) frames per round regardless of fleet size.
 ZONE_SUMMARY digest of their zone's directory on the backbone group and
 forward foreign summaries down into their own zone, giving every container
 a compact map of the whole fleet without holding per-container records for
-other zones.
+other zones. Receivers keep a summary in wire form: the three leading
+fields are peeked to drop own-zone and already-applied versions, and the
+member section is decoded in full only when its bytes differ from the copy
+already held (first sight, changed membership) — publishers encode members
+canonically, so equal bytes mean equal membership.
 
 Rumor payloads reuse the exact ANNOUNCE/HEARTBEAT/BYE encodings from
 :mod:`repro.container.records`, so the directory merge logic is unchanged —
@@ -90,6 +94,14 @@ ZONE_SUMMARY_SCHEMA = StructType(
 )
 
 
+#: Decode-side views of ZONE_SUMMARY_SCHEMA, cut from it so they cannot drift
+#: (not wire schemas of their own): the three leading fields, which receivers
+#: peek before deciding whether any member needs decoding, and the member
+#: vector that fills the rest of the payload.
+_SUMMARY_HEADER = StructType("ZoneSummaryHeader", ZONE_SUMMARY_SCHEMA.fields[:3])
+_SUMMARY_MEMBERS = ZONE_SUMMARY_SCHEMA.fields[3][1]
+
+
 def encode_gossip(doc: dict) -> bytes:
     return _CODEC.encode(GOSSIP_SCHEMA, doc)
 
@@ -104,6 +116,19 @@ def encode_zone_summary(doc: dict) -> bytes:
 
 def decode_zone_summary(payload: bytes) -> dict:
     return _CODEC.decode(ZONE_SUMMARY_SCHEMA, payload)
+
+
+def peek_zone_summary(payload: bytes) -> Tuple[str, str, int, int]:
+    """``(zone, origin, version, offset)`` off the front of a ZONE_SUMMARY
+    payload, no member decoded; ``payload[offset:]`` is the member section."""
+    header, offset = _CODEC.decode_prefix(_SUMMARY_HEADER, payload)
+    return header["zone"], header["origin"], header["version"], offset
+
+
+def decode_summary_members(members: bytes) -> List[dict]:
+    """Decode a member section cut from a payload that passed
+    :func:`decode_zone_summary`."""
+    return _CODEC.decode(_SUMMARY_MEMBERS, members)
 
 
 #: Control kinds a rumor may wrap; anything else is a protocol violation.
@@ -139,11 +164,11 @@ class FleetCoordinator:
         self._summary_version = 0
         #: Newest summary version applied per (zone, origin).
         self._applied_summaries: Dict[Tuple[str, str], int] = {}
-        #: Membership last relayed into our zone per (zone, origin). Forwards
-        #: are delta-suppressed: a refresh with unchanged membership stays on
-        #: the backbone, so steady-state zone traffic is independent of the
-        #: number of zones.
-        self._forwarded_members: Dict[Tuple[str, str], List[dict]] = {}
+        #: Member section last relayed into our zone per (zone, origin), in
+        #: wire form. Forwards are delta-suppressed: a refresh with unchanged
+        #: membership stays on the backbone, so steady-state zone traffic is
+        #: independent of the number of zones.
+        self._forwarded_members: Dict[Tuple[str, str], bytes] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> List[object]:
@@ -294,29 +319,38 @@ class FleetCoordinator:
         )
 
     def on_zone_summary(self, frame: Frame) -> None:
-        doc = decode_zone_summary(frame.payload)
-        zone, origin = doc["zone"], doc["origin"]
+        payload = frame.payload
+        zone, origin, version, offset = peek_zone_summary(payload)
         if zone == self._fleet.zone:
             return  # our own zone — we hold the full records already
         key = (zone, origin)
-        if doc["version"] <= self._applied_summaries.get(key, 0):
+        if version <= self._applied_summaries.get(key, 0):
             return
-        self._applied_summaries[key] = doc["version"]
-        self._container.directory.apply_zone_summary(doc)
+        members = payload[offset:]
+        directory = self._container.directory
+        if members != directory.summary_members(zone):
+            # First sight or changed membership: the full decode is the
+            # malformed-input check (it raises into _handle_control, which
+            # scores the sender) and must pass before anything is recorded,
+            # held or forwarded. A byte-equal member section is a periodic
+            # refresh and inherits the validation of the copy already held.
+            decode_zone_summary(payload)
+        self._applied_summaries[key] = version
+        directory.apply_zone_summary(zone, origin, version, members)
         if (
             self._fleet.backbone_member
-            and doc["members"] != self._forwarded_members.get(key)
+            and members != self._forwarded_members.get(key)
         ):
             # Relay the foreign summary down into our zone — but only when
             # its membership actually changed (first sight, a join/leave, an
             # incarnation bump). Periodic same-content refreshes die here.
-            self._forwarded_members[key] = doc["members"]
+            self._forwarded_members[key] = members
             self._container.send_group(
                 zone_control_group(self._fleet.zone),
                 Frame(
                     kind=MessageKind.ZONE_SUMMARY,
                     source=self._container.id,
-                    payload=frame.payload,
+                    payload=payload,
                 ),
             )
 
@@ -331,4 +365,6 @@ __all__ = [
     "decode_gossip",
     "encode_zone_summary",
     "decode_zone_summary",
+    "peek_zone_summary",
+    "decode_summary_members",
 ]

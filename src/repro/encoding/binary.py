@@ -156,7 +156,11 @@ class BinaryCodec:
         if name == "bool":
             return self._take(stream, 1) != b"\x00"
         if name == "string":
-            return self._take(stream, self._read_length(stream)).decode("utf-8")
+            raw = self._take(stream, self._read_length(stream))
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EncodingError(f"string is not UTF-8: {exc}") from exc
         if name == "bytes":
             return self._take(stream, self._read_length(stream))
         prim = _PRIM_STRUCTS[name]

@@ -996,6 +996,8 @@ class CompiledCodec:
             raise
         except (struct.error, IndexError) as exc:
             raise EncodingError(f"truncated payload: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"string is not UTF-8: {exc}") from exc
         return value, consumed, len(data)
 
 

@@ -330,8 +330,9 @@ class InvariantChecker:
         for a_id, a in reachable.items():
             if not a.config.fleet.backbone_member:
                 continue
+            known = a.directory.known_zones()
             for zone in sorted(relayed_zones - {a.config.fleet.zone}):
-                if zone not in a.directory.zone_summaries:
+                if zone not in known:
                     self._violate(
                         f"backbone member {a_id} holds no summary of zone "
                         f"{zone!r} after heal",

@@ -44,6 +44,14 @@ _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 #: burst can monopolize the loop before timers get a turn.
 RECV_BURST = 64
 
+#: Receive buffer requested for every socket. All containers of a runtime
+#: share one loop thread, so whatever a publisher sends in one turn must fit
+#: its subscribers' socket buffers whole; the kernel default (~208 KiB) holds
+#: about a hundred MTU-sized batches (1,100 telemetry samples) and silently
+#: drops the rest of a catch-up burst. The kernel clamps the request to
+#: ``rmem_max`` without error.
+RECV_BUFFER_BYTES = 4 * 1024 * 1024
+
 
 class AsyncUdpTransport:
     """A :class:`RawTransport` over one non-blocking UDP socket on an
@@ -101,6 +109,7 @@ class AsyncUdpTransport:
                 f"cannot bind UDP port {bind_port} for node {self._node!r}: {exc}"
             ) from exc
         sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECV_BUFFER_BYTES)
         self._socket = sock
         self._port = port
         self._receiver = receiver

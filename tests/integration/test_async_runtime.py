@@ -9,6 +9,7 @@ application frame sequences under :class:`SimRuntime` and
 no lock-order inversions under the sanitizer.
 """
 
+import socket
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import ProbeService
 
 from repro import AsyncRuntime, SimRuntime
-from repro.encoding.types import INT32, STRING, StructType
+from repro.encoding.types import FLOAT64, INT32, INT64, STRING, StructType
 from repro.primitives import wire
 from repro.protocol.frames import FrameFlags, MessageKind
 from repro.simnet.models import LinkModel
@@ -225,6 +226,55 @@ class TestAsyncRuntime:
         assert runtime.run_until(lambda: len(client.results) == 33, timeout=5.0)
         assert responses == [16]
         assert client.errors == []
+
+    def test_one_turn_burst_fits_the_subscriber_socket_buffer(self, runtime):
+        """Every container shares the loop thread, so a burst published in
+        one turn (a generator catching up after a stall) sits whole in the
+        subscriber's socket before it reads any of it: the kernel's default
+        receive buffer dropped all but about 1,100 of these 2,500 samples."""
+        # Can this host grant more than the default at all (rmem_max)?
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            default = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+            if probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) <= default:
+                pytest.skip(f"host grants no more than the default {default} B")
+        sample = StructType(
+            "Telemetry",
+            [("seq", INT64), ("due", FLOAT64), ("lat", FLOAT64),
+             ("lon", FLOAT64), ("alt", FLOAT64), ("mode", INT64)],
+        )
+        plane = dict(codec="compiled", batching_enabled=True, ack_coalesce_delay=0.002,
+                     heartbeat_interval=0.5, liveness_timeout=5.0)
+        a = runtime.add_container("a", **plane)
+        b = runtime.add_container("b", **plane)
+        pub = ProbeService("pub", lambda s: setattr(
+            s, "handle", s.ctx.provide_variable("burst.var", sample)
+        ))
+        seen = []
+        sub = ProbeService("sub", lambda s: s.ctx.subscribe_variable(
+            "burst.var", on_sample=lambda value, _t: seen.append(value["seq"])
+        ))
+        a.install_service(pub)
+        b.install_service(sub)
+        runtime.start()
+
+        def publish(seq):
+            pub.handle.publish(
+                {"seq": seq, "due": 0.0, "lat": 41.3, "lon": 2.1, "alt": 120.0, "mode": 3}
+            )
+
+        # Subscribers decode only once discovery told them the type.
+        def until_first():
+            if not seen:
+                publish(-1)
+                runtime.reactor.schedule(0.01, until_first)
+
+        runtime.on_reactor(until_first)
+        assert runtime.run_until(lambda: bool(seen), timeout=5.0)
+        count = 2500
+        runtime.on_reactor(lambda: [publish(i) for i in range(count)])
+        runtime.run_until(lambda: seen[-1] == count - 1, timeout=5.0)
+        assert [seq for seq in seen if seq >= 0] == list(range(count))
 
     def test_loop_isolates_errors(self, runtime):
         runtime.reactor.post(lambda: 1 / 0)

@@ -9,6 +9,7 @@ contract must hold and the directories must reconverge within a bounded
 window. A second test replays the same fleet twice and demands bit-identical
 outcomes (the determinism contract at scale)."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro import SimRuntime
 from repro.container.fleet import FleetConfig
 from repro.encoding.types import FLOAT64, StructType
 from repro.faults import ChaosCampaign, ChaosProfile, InvariantChecker
+from repro.simnet.addressing import Address
 from repro.util.ids import reset_uid_counter
 
 SCHEMA = StructType("Telemetry", [("x", FLOAT64)])
@@ -182,3 +184,54 @@ def test_fleet_replay_is_bit_identical_at_scale():
     assert first[2] == second[2]
     assert first[0] == second[0]
     assert first[1] == second[1]
+
+
+#: SHA-256 over every delivered packet (endpoints, both instants as hex
+#: floats, payload bytes) of the run below, recorded at the commit before
+#: zone summaries were kept in wire form: how a receiver holds a summary
+#: must not move one byte or one instant on the wire.
+FEDERATED_TRACE = (
+    21472,
+    22950,
+    "6766faf04863c047177a5d20b6cad5903eb6666ab3a1c88b7bea61c2658f5c65",
+)
+
+
+def test_federated_packet_trace_matches_the_recorded_digest():
+    reset_uid_counter()
+    runtime = SimRuntime(seed=9, zone_isolation=True)
+    trace = runtime.network.enable_trace()
+    for z in range(6):
+        zone = zone_name(z)
+        runtime.add_container(
+            f"relay-{zone}", fleet=FleetConfig(zone=zone, role="relay"), **FLEET_TIMING
+        )
+        for i in range(UAVS_PER_ZONE):
+            runtime.add_container(
+                f"uav-{zone}-{i:02d}", fleet=FleetConfig(zone=zone), **FLEET_TIMING
+            )
+    runtime.start()
+    runtime.run_for(3.5)
+    # Two membership changes after the first-sight spread: a member leaves
+    # (its zone's summary changes, every relay forwards it once more) and
+    # comes back with a new incarnation.
+    runtime.container("uav-z2-05").stop()
+    runtime.run_for(2.0)
+    runtime.container("uav-z2-05").start()
+    runtime.run_for(2.0)
+    digest = hashlib.sha256()
+    for p in trace:
+        digest.update(
+            f"{p.source}>{p.destination}@{p.sent_at.hex()}/{p.delivered_at.hex()}:".encode()
+        )
+        digest.update(p.payload)
+    assert (len(trace), runtime.sim.events_executed, digest.hexdigest()) == FEDERATED_TRACE
+    # And the summaries still route across zones, restarted member included.
+    directory = runtime.container("uav-z0-00").directory
+    assert directory.record("uav-z3-05") is None
+    assert directory.address_of("uav-z3-05") == Address("uav-z3-05", 47000)
+    assert directory.address_of("uav-z2-05") == Address("uav-z2-05", 47000)
+    members = directory.zone_summaries["z2"]["members"]
+    assert {"uav-z2-05": 2} == {
+        m["container"]: m["incarnation"] for m in members if m["container"] == "uav-z2-05"
+    }

@@ -6,17 +6,25 @@ Tier-1 proves the fleet mechanisms correct; this tier pins their *shape*:
   fleet (doubling the fleet must not super-linearly inflate the event
   count);
 - per-container control traffic is bounded by zone size and gossip fanout,
-  not fleet size — the O(N²) flat control plane must not creep back in.
+  not fleet size — the O(N²) flat control plane must not creep back in;
+- what a container holds and decodes per *foreign zone* stays small: a few
+  KB of heap (summaries are kept in wire form), one full summary decode on
+  first sight and none for the periodic refreshes. Host time is not
+  asserted — CI hosts are too noisy — so the cost curve is pinned as heap
+  bytes and decode counts, both deterministic.
 
 Deselected by default (pyproject addopts ``-m "not scale"``); the CI
 ``scale-smoke`` job runs it with ``REPRO_SCALE_ZONES`` reduced.
 """
 
+import gc
 import os
+import tracemalloc
 
 import pytest
 
 from repro import SimRuntime
+from repro.container import gossip
 from repro.container.fleet import FleetConfig
 
 pytestmark = pytest.mark.scale
@@ -145,3 +153,53 @@ class TestBoundedControlTraffic:
             f"per-container gossip egress grew with fleet size: "
             f"{avg_small:.1f} -> {avg_large:.1f}"
         )
+
+
+class TestForeignZoneCostIsFlat:
+    def test_per_container_heap_grows_by_a_few_kb_per_foreign_zone(self):
+        def heap_per_container(zones):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                runtime, _ = run_mission(build_federated(zones))
+                gc.collect()
+                traced, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return traced / len(runtime.containers)
+
+        small_zones = max(2, ZONES // 2)
+        small = heap_per_container(small_zones)
+        large = heap_per_container(ZONES)
+        per_zone = (large - small) / (ZONES - small_zones)
+        # Decoded member dicts plus an eager address table cost 10.3 KB per
+        # foreign zone; the encoded member section and its bookkeeping 1.6.
+        assert per_zone <= 3 * 1024, (
+            f"per-container heap {small / 1024:.0f} -> {large / 1024:.0f} KB from "
+            f"{small_zones} to {ZONES} zones: {per_zone / 1024:.1f} KB per foreign zone"
+        )
+
+    def test_summaries_are_decoded_once_per_foreign_zone_and_refreshes_never(
+        self, monkeypatch
+    ):
+        decodes = []
+        decode = gossip.decode_zone_summary
+        monkeypatch.setattr(
+            gossip,
+            "decode_zone_summary",
+            lambda payload: decodes.append(None) or decode(payload),
+        )
+        runtime = build_federated(ZONES)
+        runtime.start()
+        runtime.run_for(SETTLE)
+        # One first sight per (container, foreign zone) — relays off the
+        # backbone, everyone else off their relay's one forward.
+        assert len(decodes) == len(runtime.containers) * (ZONES - 1)
+        del decodes[:]
+        runtime.run_for(MISSION)
+        # No membership changes after the settle: every backbone refresh is
+        # byte-equal to the copy held and is dropped or version-bumped
+        # without decoding a member.
+        assert len(decodes) == 0
+        for container in runtime.containers.values():
+            assert len(container.directory.known_zones()) == ZONES - 1

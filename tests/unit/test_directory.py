@@ -3,6 +3,7 @@
 import pytest
 
 from repro.container.directory import Directory
+from repro.container.gossip import encode_zone_summary, peek_zone_summary
 from repro.container.records import (
     decode_announce,
     decode_bye,
@@ -326,12 +327,16 @@ class TestZoneSummaries:
             "alive": alive,
         }
 
+    def apply(self, directory, **summary):
+        """Hand the directory a summary the way the coordinator does: the
+        peeked header fields plus the member section still in wire form."""
+        payload = encode_zone_summary(self.summary(**summary))
+        zone, origin, version, offset = peek_zone_summary(payload)
+        return directory.apply_zone_summary(zone, origin, version, payload[offset:])
+
     def test_apply_and_address_fallback(self, setup):
         clock, directory = setup
-        applied = directory.apply_zone_summary(
-            self.summary(members=[self.member("uav-b1")])
-        )
-        assert applied
+        assert self.apply(directory, members=[self.member("uav-b1")])
         assert directory.known_zones() == ["zb"]
         # No full record, but the summary still routes.
         assert directory.record("uav-b1") is None
@@ -339,36 +344,58 @@ class TestZoneSummaries:
 
     def test_stale_versions_rejected(self, setup):
         clock, directory = setup
-        assert directory.apply_zone_summary(
-            self.summary(version=3, members=[self.member("uav-b1")])
-        )
-        assert not directory.apply_zone_summary(
-            self.summary(version=2, members=[self.member("uav-b2")])
-        )
+        assert self.apply(directory, version=3, members=[self.member("uav-b1")])
+        assert not self.apply(directory, version=2, members=[self.member("uav-b2")])
         assert directory.address_of("uav-b2") is None
 
     def test_newer_summary_replaces_membership(self, setup):
         clock, directory = setup
-        directory.apply_zone_summary(
-            self.summary(version=1, members=[self.member("uav-b1")])
-        )
-        directory.apply_zone_summary(
-            self.summary(version=2, members=[self.member("uav-b2")])
-        )
+        self.apply(directory, version=1, members=[self.member("uav-b1")])
+        self.apply(directory, version=2, members=[self.member("uav-b2")])
         assert directory.address_of("uav-b1") is None
         assert directory.address_of("uav-b2") is not None
 
     def test_dead_members_do_not_route(self, setup):
         clock, directory = setup
-        directory.apply_zone_summary(
-            self.summary(members=[self.member("uav-b1", alive=0)])
-        )
+        self.apply(directory, members=[self.member("uav-b1", alive=0)])
         assert directory.address_of("uav-b1") is None
 
     def test_full_record_wins_over_summary(self, setup):
         clock, directory = setup
-        directory.apply_zone_summary(
-            self.summary(members=[self.member("remote", node="wrong")])
-        )
+        self.apply(directory, members=[self.member("remote", node="wrong")])
         directory.handle_announce(announce_doc())
         assert directory.address_of("remote") == Address("n1", 47000)
+
+    def test_same_membership_refresh_keeps_the_built_index(self, setup):
+        clock, directory = setup
+        self.apply(directory, version=1, members=[self.member("uav-b1")])
+        assert directory._summary_index is None  # nobody has asked yet
+        assert directory.summary_address_of("uav-b1") == Address("uav-b1", 47000)
+        index = directory._summary_index
+        assert self.apply(directory, version=2, members=[self.member("uav-b1")])
+        assert directory._summary_index is index
+        assert directory.zone_summaries["zb"]["version"] == 2
+
+    def test_membership_change_drops_the_index(self, setup):
+        clock, directory = setup
+        self.apply(directory, version=1, members=[self.member("uav-b1")])
+        self.apply(directory, zone="zc", origin="relay-c", members=[self.member("uav-c1")])
+        assert directory.address_of("uav-c1") is not None
+        self.apply(
+            directory, version=2, members=[self.member("uav-b1"), self.member("uav-b2")]
+        )
+        assert directory._summary_index is None
+        # Rebuilt on the next cross-zone lookup, over every held zone.
+        assert directory.address_of("uav-b2") == Address("uav-b2", 47000)
+        assert directory.address_of("uav-c1") == Address("uav-c1", 47000)
+
+    def test_zone_summaries_read_decodes_on_demand_into_fresh_documents(self, setup):
+        clock, directory = setup
+        doc = self.summary(members=[self.member("uav-b1")])
+        self.apply(directory, members=doc["members"])
+        first = directory.zone_summaries
+        assert first == {"zb": doc}
+        first["zb"]["members"].clear()
+        del first["zb"]
+        assert directory.zone_summaries == {"zb": doc}
+        assert directory.address_of("uav-b1") == Address("uav-b1", 47000)

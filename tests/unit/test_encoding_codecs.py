@@ -118,6 +118,12 @@ class TestBinarySpecifics:
         with pytest.raises(EncodingError):
             BINARY.decode(STRING, b"\xff\xff\xff\xff")
 
+    def test_invalid_utf8_string_rejected(self):
+        # A decode error the ingress paths catch, not a UnicodeDecodeError
+        # that escapes them.
+        with pytest.raises(EncodingError, match="UTF-8"):
+            BINARY.decode(STRING, b"\x02\x00\x00\x00\xf2e")
+
     def test_union_bad_tag_index_rejected(self):
         u = UnionType("R", [("a", INT32)])
         with pytest.raises(EncodingError, match="out of range"):
@@ -154,6 +160,15 @@ class TestCompiledSpecifics:
     def test_insane_length_prefix_rejected(self):
         with pytest.raises(EncodingError):
             COMPILED.decode(STRING, b"\xff\xff\xff\xff")
+
+    def test_invalid_utf8_string_rejected(self):
+        with pytest.raises(EncodingError, match="UTF-8"):
+            COMPILED.decode(STRING, b"\x02\x00\x00\x00\xf2e")
+        with pytest.raises(EncodingError, match="UTF-8"):
+            COMPILED.decode_prefix(
+                NESTED,
+                COMPILED.encode(NESTED, NESTED_VALUE).replace(b"sensor", b"sens\xffr"),
+            )
 
     def test_union_bad_tag_index_rejected(self):
         u = UnionType("R", [("a", INT32)])
