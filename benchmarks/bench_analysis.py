@@ -1,7 +1,7 @@
 """Static-analysis cost — local-only pass vs the interprocedural engine.
 
-The interprocedural layer (call graph + fixpoint dataflow + static
-lock-order + schema lockfile) runs on every CI push, so its cost is a tax
+The interprocedural layer (call graph + fixpoint dataflow + schema
+lockfile) runs on every CI push, so its cost is a tax
 on every change. This benchmark measures that tax directly: the full rule
 set over ``src/repro`` with the interprocedural pass disabled (per-file
 AST walks only) and enabled, wall-clock min-of-reps.

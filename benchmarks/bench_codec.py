@@ -25,6 +25,7 @@ from exphelpers import print_table, run_benchmark, write_bench_json
 from repro.container import records
 from repro.encoding.binary import BinaryCodec
 from repro.encoding.compiled import CompiledCodec
+from repro.encoding.schema import ALARM_SCHEMA
 from repro.encoding.types import (
     FLOAT32,
     FLOAT64,
@@ -160,6 +161,23 @@ CASES = [
 ]
 
 
+def _nested_vector(depth, leaf):
+    schema, doc = UINT8, leaf
+    for _ in range(depth):
+        schema = VectorType(schema)
+    for _ in range(depth - 1):
+        doc = [doc, []]
+    return schema, doc
+
+
+#: Checked, not timed: the two shapes no wire schema has — a union, and
+#: nesting past the 20 blocks CPython allows in one generated function.
+CHECKED_ONLY = [
+    ("Alarm", ALARM_SCHEMA, ("error", "engine temperature")),
+    ("Nested24", *_nested_vector(24, [1, 2, 255])),
+]
+
+
 def _best_of(fn, n, repeats=5):
     """Min-of-repeats wall time for n calls — minima are stable against
     scheduler noise where means are not."""
@@ -174,7 +192,7 @@ def _best_of(fn, n, repeats=5):
 
 def check_equivalence():
     """Compiled must be byte-identical and value-identical on every case."""
-    for label, schema, doc in CASES:
+    for label, schema, doc in CASES + CHECKED_ONLY:
         reference = INTERPRETED.encode(schema, doc)
         compiled = COMPILED.encode(schema, doc)
         if compiled != reference:

@@ -7,8 +7,7 @@ registry stays sound (REP003), and dispatch-path code never blocks
 (REP004) — with justified inline suppressions and a JSON report for CI.
 
 The runtime half (:mod:`repro.analysis.sanitizers`) catches what static
-analysis cannot: payload aliasing leaks across the local fast path and
-lock-order inversions in the wall-clock runtime.
+analysis cannot: payload aliasing leaks across the local fast path.
 """
 
 from repro.analysis.engine import Analyzer, run_analysis

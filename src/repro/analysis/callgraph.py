@@ -4,7 +4,7 @@ The PR 5 rules see one file at a time, so a handler that calls a helper
 which calls ``time.sleep`` slips through. This module turns the
 :class:`~repro.analysis.context.Project` file set into a best-effort call
 graph over *project-local* calls, which the transitive rules (REP002,
-REP004, REP007) walk.
+REP004) walk.
 
 Resolution is deliberately conservative — a call that cannot be pinned to
 a project function adds **no** edge (under-approximation). The resolved
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.context import Project, SourceFile
 
@@ -473,16 +473,6 @@ def _resolve_calls(graph: CallGraph, file: SourceFile, scope: _ModuleScope) -> N
         resolver = _FunctionResolver(graph, scope, info, class_qual)
         for stmt in info.node.body:  # type: ignore[attr-defined]
             resolver.visit(stmt)
-
-
-def iter_calls_under(
-    info: FunctionInfo, node: ast.AST
-) -> Iterable[ast.Call]:
-    """Every Call node inside ``node`` (helper for rules that need
-    positional context, e.g. REP007's with-block scoping)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub
 
 
 __all__ = [

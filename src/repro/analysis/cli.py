@@ -96,7 +96,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-interprocedural",
         action="store_true",
-        help="skip the call-graph passes (transitive REP002/REP004, REP007)",
+        help="skip the call-graph passes (transitive REP002/REP004)",
     )
     parser.add_argument(
         "--baseline",

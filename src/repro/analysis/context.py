@@ -67,7 +67,7 @@ class Project:
     #: codec-parity coverage. ``None`` disables those checks.
     tests_dir: Optional[Path] = None
     #: When False, rules skip their call-graph passes (transitive REP002/
-    #: REP004, REP007) — the PR 5 local-only behavior, kept selectable for
+    #: REP004) — the PR 5 local-only behavior, kept selectable for
     #: the checker-cost benchmark and narrow scans.
     interprocedural: bool = True
 

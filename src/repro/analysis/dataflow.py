@@ -2,10 +2,10 @@
 
 The transitive rules all reduce to the same shape: each function has a set
 of locally-established *facts* (an ambient ``time.time`` read, a blocking
-``time.sleep``, a lock acquisition), and a function inherits every fact of
-every callee. :func:`propagate` computes the transitive closure with a
-worklist (facts only grow, the lattice is finite, so the fixpoint is
-reached in O(edges × facts)).
+``time.sleep``), and a function inherits every fact of every callee.
+:func:`propagate` computes the transitive closure with a worklist (facts
+only grow, the lattice is finite, so the fixpoint is reached in
+O(edges × facts)).
 
 For reporting, :func:`shortest_path` reconstructs the *shortest* call
 chain from a root to a function that establishes a fact locally — that
@@ -22,8 +22,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    FrozenSet,
-    Generic,
     Hashable,
     Iterator,
     List,
@@ -114,63 +112,6 @@ def shortest_path(
     return None
 
 
-def render_path(graph: CallGraph, root: str, path: List[CallSite]) -> str:
-    """``A -> B -> C`` using display-short names, with the hop sites."""
-    root_info = graph.functions.get(root)
-    parts = [root_info.short if root_info else root.rsplit(".", 1)[-1]]
-    for site in path:
-        info = graph.functions.get(site.callee)
-        label = info.short if info else site.callee.rsplit(".", 1)[-1]
-        parts.append(f"{label} [{site.rel}:{site.lineno}]")
-    return " -> ".join(parts)
-
-
-class HeldSetAnalysis(Generic[Fact]):
-    """Context-augmented propagation for REP007: which locks may a call
-    *acquire* while a given set is held.
-
-    Unlike :func:`propagate` (one summary per function), lock-order edges
-    depend on the held set at the call site, but only through its union —
-    so one pass computes ``may_acquire`` per function and the rule crosses
-    it with the held set at each call site.
-    """
-
-    def __init__(self, graph: CallGraph, local_acquires: Dict[str, Set[Fact]]) -> None:
-        self.graph = graph
-        self.local = local_acquires
-        self.summaries = propagate(graph, local_acquires)
-
-    def may_acquire(self, qual: str) -> FrozenSet[Fact]:
-        return frozenset(self.summaries.get(qual, ()))
-
-    def witness(self, qual: str, fact: Fact) -> Optional[Tuple[str, List[CallSite]]]:
-        """A concrete chain showing ``qual`` acquiring ``fact``: the path
-        plus the function that acquires it locally."""
-        path = shortest_path(self.graph, qual, fact, self.local, self.summaries)
-        if path is None:
-            return None
-        end = path[-1].callee if path else qual
-        return end, path
-
-
-def reachable_from(
-    graph: CallGraph, roots: List[str]
-) -> Dict[str, int]:
-    """Qualname → hop distance for everything reachable from ``roots``."""
-    dist: Dict[str, int] = {root: 0 for root in roots}
-    queue = deque(roots)
-    while queue:
-        qual = queue.popleft()
-        for site in graph.callees(qual):
-            if site.callee not in dist:
-                dist[site.callee] = dist[qual] + 1
-                queue.append(site.callee)
-    return dist
-
-
-MakeKey = Callable[[Fact], Hashable]
-
-
 def entrypoint_reach_findings(
     project: "Project",
     rule_code: str,
@@ -241,9 +182,6 @@ def entrypoint_reach_findings(
 __all__ = [
     "propagate",
     "shortest_path",
-    "render_path",
-    "reachable_from",
-    "HeldSetAnalysis",
     "entrypoint_reach_findings",
 ]
 

@@ -59,7 +59,6 @@ def _load_builtin_rules() -> None:
         rep004_blocking,
         rep005_decode_paths,
         rep006_spec_hygiene,
-        rep007_lockorder,
         rep008_schema_lock,
     )
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.container.fleet import FleetConfig
 from repro.container.resources import ResourceLimits
@@ -76,16 +76,10 @@ class ContainerConfig:
         default_factory=lambda: RestartPolicy(mode="never")
     )
 
-    # Variables (§4.1).
-    #: Subscriber warns after this many nominal periods without a sample.
-    variable_timeout_periods: float = 3.0
-
     # Remote invocation (§4.3).
     call_timeout: float = 1.0
     #: "static" | "round_robin" | "least_loaded"
     call_binding: str = "round_robin"
-    #: Automatic re-routes of a failed call before giving up.
-    call_max_redirects: int = 2
 
     # File transmission (§4.4).
     #: False switches the transfer phase to per-subscriber unicast — the
@@ -114,14 +108,11 @@ class ContainerConfig:
     #: Overflow policy when a bounded egress queue is full:
     #: "block" | "drop-oldest" | "drop-newest".
     egress_overflow_policy: str = "drop-oldest"
-    #: Per-band overrides of the overflow policy, band index → policy.
-    egress_overflow_policies: Optional[Dict[int, str]] = None
 
     # Datagram batching (off by default: the wire stays byte-for-byte the
     # seed format). When on, small frames to the same destination share one
-    # BATCH datagram up to ``batch_mtu_bytes``.
+    # BATCH datagram up to ``protocol.batching.BATCH_MTU_BYTES``.
     batching_enabled: bool = False
-    batch_mtu_bytes: int = 1200
     #: The longest a frame may be held for companions. 0 holds nothing:
     #: whatever one loop turn (one virtual instant) produced leaves at the
     #: end of it, so datagrams fill under load and an idle link adds no
@@ -138,7 +129,6 @@ class ContainerConfig:
     # byte-identical to the pre-tracing wire format and the hot path pays
     # nothing. The flight recorder always runs (bounded memory).
     tracing_enabled: bool = False
-    flight_recorder_capacity: int = 256
 
     # Debug sanitizers (repro.analysis.sanitizers). "off" keeps the data
     # path byte/behavior-identical; "checksum" detects post-publish payload
@@ -149,8 +139,6 @@ class ContainerConfig:
     payload_sanitizer: str = field(
         default_factory=lambda: os.environ.get("REPRO_PAYLOAD_SANITIZER", "off")
     )
-    #: Strict mode raises PayloadMutationError instead of only recording.
-    payload_sanitizer_strict: bool = False
 
     # Runtime verification (repro.verify). "off" keeps the probe stream
     # dormant (one bool read per emit site); "standard" arms the shipped
@@ -164,7 +152,6 @@ class ContainerConfig:
 
     # Scheduling.
     cpu_model: CpuModel = field(default_factory=CpuModel)
-    scheduler_record: bool = False
 
     # Resources.
     resource_limits: ResourceLimits = field(default_factory=ResourceLimits)
@@ -185,17 +172,12 @@ class ContainerConfig:
             raise ConfigurationError("file_chunk_size must be positive")
         if self.file_chunk_interval < 0:
             raise ConfigurationError("file_chunk_interval must be >= 0")
-        if self.flight_recorder_capacity < 1:
-            raise ConfigurationError("flight_recorder_capacity must be >= 1")
-        policies = [self.egress_overflow_policy]
-        policies.extend((self.egress_overflow_policies or {}).values())
-        for policy in policies:
-            if policy not in ("block", "drop-oldest", "drop-newest"):
-                raise ConfigurationError(f"unknown egress overflow policy {policy!r}")
+        if self.egress_overflow_policy not in ("block", "drop-oldest", "drop-newest"):
+            raise ConfigurationError(
+                f"unknown egress overflow policy {self.egress_overflow_policy!r}"
+            )
         if self.egress_queue_limit is not None and self.egress_queue_limit < 1:
             raise ConfigurationError("egress_queue_limit must be >= 1")
-        if self.batch_mtu_bytes < 64:
-            raise ConfigurationError("batch_mtu_bytes must be >= 64")
         if self.batch_flush_interval < 0:
             raise ConfigurationError("batch_flush_interval must be >= 0")
         if self.ack_coalesce_delay < 0:

@@ -113,9 +113,7 @@ class ServiceContainer:
             config.container_id, clock, enabled=config.tracing_enabled
         )
         self.metrics = MetricsRegistry()
-        self.recorder = FlightRecorder(
-            clock, capacity=config.flight_recorder_capacity
-        )
+        self.recorder = FlightRecorder(clock)
         # Monitor-probe stream: dormant (one bool read per emit site) until a
         # runtime-verification monitor subscribes. Wire-inert either way.
         self.probes = ProbeBus(config.container_id, clock)
@@ -123,7 +121,6 @@ class ServiceContainer:
             mode=config.payload_sanitizer,
             recorder=self.recorder,
             metrics=self.metrics,
-            strict=config.payload_sanitizer_strict,
         )
         self._tx_counters: Dict[MessageKind, object] = {}
         self._rx_counters: Dict[MessageKind, object] = {}
@@ -154,7 +151,6 @@ class ServiceContainer:
             policy=make_policy(config.scheduler_policy),
             cpu=config.cpu_model,
             on_error=self._on_task_error,
-            record=config.scheduler_record,
         )
         self.resources = ResourceManager(config.resource_limits)
         self.egress = EgressShaper(
@@ -163,13 +159,11 @@ class ServiceContainer:
             send=self._transport.send,
             rate_bps=config.egress_rate_bps,
             batching=config.batching_enabled,
-            batch_mtu=config.batch_mtu_bytes,
             batch_flush_interval=config.batch_flush_interval,
             source=config.container_id,
             piggyback=self._piggyback_acks,
             queue_limit=config.egress_queue_limit,
             overflow_policy=config.egress_overflow_policy,
-            overflow_policies=config.egress_overflow_policies,
             on_overflow=self._on_egress_overflow,
             metrics=self.metrics,
             # Scatter-capable transports (the async UDP data plane) take

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.protocol.batching import FrameBatcher, PiggybackFn
+from repro.protocol.batching import BATCH_MTU_BYTES, FrameBatcher, PiggybackFn
 from repro.protocol.frames import Frame, MessageKind
 from repro.simnet.packet import WIRE_OVERHEAD_BYTES, Destination
 from repro.util.clock import Clock
@@ -139,7 +139,7 @@ class EgressShaper:
         burst_bytes: int = 1600,
         bands: Optional[Dict[MessageKind, int]] = None,
         batching: bool = False,
-        batch_mtu: int = 1200,
+        batch_mtu: int = BATCH_MTU_BYTES,
         batch_flush_interval: Optional[float] = None,
         source: str = "",
         piggyback: Optional[PiggybackFn] = None,

@@ -2,9 +2,12 @@
 
 :class:`~repro.encoding.binary.BinaryCodec` walks the schema tree with
 ``isinstance`` dispatch for every value it marshals. This module compiles a
-:class:`DataType` **once** into a pair of closures — an encoder appending
-byte chunks and a decoder tracking an offset into a ``memoryview`` — and
-caches the plan per schema. Three flattening rules make the plans fast:
+:class:`DataType` **once**: one source generator emits straight-line Python
+per schema — an encoder appending byte chunks to one list, a decoder
+tracking an offset into the buffer — ``exec``s it, and caches the plan per
+schema. There is no second compiler behind it; ``BinaryCodec`` is the
+reference the generated plans are tested against. Three flattening rules
+make the plans fast:
 
 1. **Run coalescing** — adjacent fixed-width struct fields (including
    nested all-fixed structs and fixed-length vectors of fixed-width
@@ -15,6 +18,13 @@ caches the plan per schema. Three flattening rules make the plans fast:
 3. **Zero-copy decode** — decoding slices a ``memoryview`` with explicit
    offset tracking; strings decode straight out of the buffer and nothing
    is funneled through ``BytesIO``.
+
+Unions are inlined as an ``if``/``elif`` chain on the tag byte (decode) or
+tag name (encode). Nesting is inlined too, up to :data:`_MAX_INLINE_DEPTH`
+levels of emitted indentation; a vector, struct or union met deeper than
+that is generated as its own function and called, which keeps any schema
+inside CPython's limits of 20 statically nested blocks and 100 indentation
+levels.
 
 The wire format is byte-for-byte identical to ``BinaryCodec`` — the
 differential property suites machine-check this on generated schemas. The
@@ -61,466 +71,39 @@ _FIXED_CODES = {
 
 _LEN = struct.Struct("<I")
 
-#: Encoders receive ``(value, append)`` and push byte chunks; decoders
-#: receive ``(buf, offset)`` and return ``(value, new_offset)``.
-_Encoder = Callable[[Any, Callable[[bytes], None]], None]
-_Decoder = Callable[[memoryview, int], Tuple[Any, int]]
+#: Decoders receive ``(buf, offset)`` and return ``(value, new_offset)``.
+_Decoder = Callable[[Any, int], Tuple[Any, int]]
+
+#: Deepest indentation at which a variable-size composite is still emitted
+#: inline; below CPython's 20-block and 100-indent limits with room for the
+#: lines a leaf adds under it.
+_MAX_INLINE_DEPTH = 16
 
 
-class _Flat:
-    """Flat layout of a fully fixed-width type: its struct format codes plus
-    closures to splice values into / rebuild values from a scalar run."""
-
-    __slots__ = ("codes", "scalar", "flatten", "build")
-
-    def __init__(self, codes: str, scalar: bool, flatten, build):
-        self.codes = codes
-        self.scalar = scalar  # a single primitive (one unpacked slot)
-        self.flatten = flatten  # (value, append_scalar) -> None
-        self.build = build  # (values, i) -> (value, i)
-
-
-def _flat_layout(datatype: DataType) -> Optional[_Flat]:
-    """The flat layout of ``datatype``, or None if it is variable-size."""
+def _flat_codes(datatype: DataType) -> Optional[str]:
+    """The struct format codes of a fully fixed-width ``datatype`` (empty for
+    a zero-length vector), or None if it is variable-size."""
     if isinstance(datatype, PrimitiveType):
-        code = _FIXED_CODES.get(datatype.name)
-        if code is None:
-            return None
-
-        def flatten(value, append):
-            append(value)
-
-        def build(values, i):
-            return values[i], i + 1
-
-        return _Flat(code, True, flatten, build)
-
+        return _FIXED_CODES.get(datatype.name)
     if isinstance(datatype, VectorType) and datatype.length is not None:
-        inner = _flat_layout(datatype.element)
-        if inner is None:
-            return None
-        n = datatype.length
-        desc = datatype.describe()
-        if inner.scalar:
-
-            def flatten(value, append, _n=n, _desc=desc):
-                if len(value) != _n:
-                    raise EncodingError(
-                        f"expected vector of length {_n} for {_desc}, got {len(value)}"
-                    )
-                for item in value:
-                    append(item)
-
-            def build(values, i, _n=n):
-                return list(values[i : i + _n]), i + _n
-
-        else:
-
-            def flatten(value, append, _n=n, _f=inner.flatten, _desc=desc):
-                if len(value) != _n:
-                    raise EncodingError(
-                        f"expected vector of length {_n} for {_desc}, got {len(value)}"
-                    )
-                for item in value:
-                    _f(item, append)
-
-            def build(values, i, _n=n, _b=inner.build):
-                out = []
-                for _ in range(_n):
-                    item, i = _b(values, i)
-                    out.append(item)
-                return out, i
-
-        return _Flat(inner.codes * n, False, flatten, build)
-
+        inner = _flat_codes(datatype.element)
+        return None if inner is None else inner * datatype.length
     if isinstance(datatype, StructType):
-        parts: List[Tuple[str, _Flat]] = []
-        for fname, ftype in datatype.fields:
-            inner = _flat_layout(ftype)
+        codes = ""
+        for _, ftype in datatype.fields:
+            inner = _flat_codes(ftype)
             if inner is None:
                 return None
-            parts.append((fname, inner))
-        entries = tuple(parts)
-
-        def flatten(value, append, _entries=entries):
-            for fname, flat in _entries:
-                flat.flatten(value[fname], append)
-
-        def build(values, i, _entries=entries):
-            out = {}
-            for fname, flat in _entries:
-                out[fname], i = flat.build(values, i)
-            return out, i
-
-        return _Flat("".join(f.codes for _, f in parts), False, flatten, build)
-
+            codes += inner
+        return codes
     return None
 
 
-# -- encoder compilation ---------------------------------------------------------
+def _is_bool(datatype: DataType) -> bool:
+    return isinstance(datatype, PrimitiveType) and datatype.name == "bool"
 
 
-def _run_encoder(run: List[Tuple[str, _Flat]]):
-    """One encode step for a coalesced run of fixed-width struct fields."""
-    pack = struct.Struct("<" + "".join(f.codes for _, f in run)).pack
-    if all(f.scalar for _, f in run):
-        names = tuple(name for name, _ in run)
-
-        def step(value, append, _pack=pack, _names=names):
-            append(_pack(*[value[n] for n in _names]))
-
-        return step
-
-    entries = tuple(run)
-
-    def step(value, append, _pack=pack, _entries=entries):
-        args: List[Any] = []
-        push = args.append
-        for name, flat in _entries:
-            flat.flatten(value[name], push)
-        append(_pack(*args))
-
-    return step
-
-
-def _compile_encoder(datatype: DataType) -> _Encoder:
-    flat = _flat_layout(datatype)
-    if flat is not None:
-        pack = struct.Struct("<" + flat.codes).pack
-        if flat.scalar:
-
-            def enc(value, append, _pack=pack):
-                append(_pack(value))
-
-            return enc
-        if isinstance(datatype, StructType) and all(
-            isinstance(ftype, PrimitiveType) for _, ftype in datatype.fields
-        ):
-            names = tuple(name for name, _ in datatype.fields)
-
-            def enc(value, append, _pack=pack, _names=names):
-                append(_pack(*[value[n] for n in _names]))
-
-            return enc
-        flatten = flat.flatten
-
-        def enc(value, append, _pack=pack, _flatten=flatten):
-            args: List[Any] = []
-            _flatten(value, args.append)
-            append(_pack(*args))
-
-        return enc
-
-    if isinstance(datatype, PrimitiveType):
-        if datatype.name == "string":
-
-            def enc(value, append, _lpack=_LEN.pack):
-                raw = value.encode("utf-8")
-                append(_lpack(len(raw)))
-                append(raw)
-
-            return enc
-        if datatype.name == "bytes":
-
-            def enc(value, append, _lpack=_LEN.pack):
-                append(_lpack(len(value)))
-                append(bytes(value))
-
-            return enc
-        raise EncodingError(f"cannot encode type {datatype!r}")
-
-    if isinstance(datatype, VectorType):
-        element = datatype.element
-        code = (
-            _FIXED_CODES.get(element.name)
-            if isinstance(element, PrimitiveType)
-            else None
-        )
-        if datatype.length is None:
-            if code is not None:
-                # Batch: one struct.pack for the whole element run.
-                def enc(value, append, _lpack=_LEN.pack, _code=code):
-                    n = len(value)
-                    append(_lpack(n))
-                    if n:
-                        append(struct.pack("<%d%s" % (n, _code), *value))
-
-                return enc
-            elem_enc = _compile_encoder(element)
-
-            def enc(value, append, _lpack=_LEN.pack, _e=elem_enc):
-                append(_lpack(len(value)))
-                for item in value:
-                    _e(item, append)
-
-            return enc
-        # Fixed length with variable-size elements (fixed-width elements were
-        # handled by the flat fast path above).
-        elem_enc = _compile_encoder(element)
-        length = datatype.length
-        desc = datatype.describe()
-
-        def enc(value, append, _n=length, _e=elem_enc, _desc=desc):
-            if len(value) != _n:
-                raise EncodingError(
-                    f"expected vector of length {_n} for {_desc}, got {len(value)}"
-                )
-            for item in value:
-                _e(item, append)
-
-        return enc
-
-    if isinstance(datatype, StructType):
-        steps = []
-        run: List[Tuple[str, _Flat]] = []
-        for fname, ftype in datatype.fields:
-            flat_field = _flat_layout(ftype)
-            if flat_field is not None:
-                run.append((fname, flat_field))
-                continue
-            if run:
-                steps.append(_run_encoder(run))
-                run = []
-            field_enc = _compile_encoder(ftype)
-
-            def step(value, append, _name=fname, _e=field_enc):
-                _e(value[_name], append)
-
-            steps.append(step)
-        if run:
-            steps.append(_run_encoder(run))
-        if len(steps) == 1:
-            return steps[0]
-        step_tuple = tuple(steps)
-
-        def enc(value, append, _steps=step_tuple):
-            for step in _steps:
-                step(value, append)
-
-        return enc
-
-    if isinstance(datatype, UnionType):
-        if len(datatype.alternatives) > 256:
-            raise EncodingError(
-                f"union {datatype.name}: {len(datatype.alternatives)} alternatives "
-                f"exceed the uint8 tag space"
-            )
-        table = {
-            tag: (bytes((index,)), _compile_encoder(alt))
-            for index, (tag, alt) in enumerate(datatype.alternatives)
-        }
-        uname = datatype.name
-
-        def enc(value, append, _table=table, _uname=uname):
-            tag, inner = value
-            try:
-                prefix, inner_enc = _table[tag]
-            except (KeyError, TypeError):
-                raise EncodingError(f"union {_uname}: unknown tag {tag!r}") from None
-            append(prefix)
-            inner_enc(inner, append)
-
-        return enc
-
-    raise EncodingError(f"cannot encode type {datatype!r}")
-
-
-# -- decoder compilation ---------------------------------------------------------
-
-
-def _read_length(buf: memoryview, offset: int) -> Tuple[int, int]:
-    (length,) = _LEN.unpack_from(buf, offset)
-    if length > MAX_SEQUENCE_LENGTH:
-        raise EncodingError(f"sequence length {length} exceeds sanity limit")
-    return length, offset + 4
-
-
-def _run_decoder(run: List[Tuple[str, _Flat]]):
-    """One decode step for a coalesced run of fixed-width struct fields."""
-    unpacker = struct.Struct("<" + "".join(f.codes for _, f in run))
-    if all(f.scalar for _, f in run):
-        names = tuple(name for name, _ in run)
-
-        def step(buf, offset, out, _unpack=unpacker.unpack_from, _size=unpacker.size, _names=names):
-            out.update(zip(_names, _unpack(buf, offset)))
-            return offset + _size
-
-        return step
-
-    entries = tuple(run)
-
-    def step(buf, offset, out, _unpack=unpacker.unpack_from, _size=unpacker.size, _entries=entries):
-        values = _unpack(buf, offset)
-        i = 0
-        for name, flat in _entries:
-            out[name], i = flat.build(values, i)
-        return offset + _size
-
-    return step
-
-
-def _compile_decoder(datatype: DataType) -> _Decoder:
-    flat = _flat_layout(datatype)
-    if flat is not None:
-        unpacker = struct.Struct("<" + flat.codes)
-        if flat.scalar:
-
-            def dec(buf, offset, _unpack=unpacker.unpack_from, _size=unpacker.size):
-                return _unpack(buf, offset)[0], offset + _size
-
-            return dec
-        if isinstance(datatype, StructType) and all(
-            isinstance(ftype, PrimitiveType) for _, ftype in datatype.fields
-        ):
-            names = tuple(name for name, _ in datatype.fields)
-
-            def dec(buf, offset, _unpack=unpacker.unpack_from, _size=unpacker.size, _names=names):
-                return dict(zip(_names, _unpack(buf, offset))), offset + _size
-
-            return dec
-        build = flat.build
-
-        def dec(buf, offset, _unpack=unpacker.unpack_from, _size=unpacker.size, _build=build):
-            value, _ = _build(_unpack(buf, offset), 0)
-            return value, offset + _size
-
-        return dec
-
-    if isinstance(datatype, PrimitiveType):
-        if datatype.name == "string":
-
-            def dec(buf, offset):
-                length, offset = _read_length(buf, offset)
-                end = offset + length
-                if end > len(buf):
-                    raise EncodingError(
-                        f"truncated payload: wanted {length} bytes, "
-                        f"got {len(buf) - offset}"
-                    )
-                return str(buf[offset:end], "utf-8"), end
-
-            return dec
-        if datatype.name == "bytes":
-
-            def dec(buf, offset):
-                length, offset = _read_length(buf, offset)
-                end = offset + length
-                if end > len(buf):
-                    raise EncodingError(
-                        f"truncated payload: wanted {length} bytes, "
-                        f"got {len(buf) - offset}"
-                    )
-                return bytes(buf[offset:end]), end
-
-            return dec
-        raise EncodingError(f"cannot decode type {datatype!r}")
-
-    if isinstance(datatype, VectorType):
-        element = datatype.element
-        code = (
-            _FIXED_CODES.get(element.name)
-            if isinstance(element, PrimitiveType)
-            else None
-        )
-        if datatype.length is None:
-            if code is not None:
-                itemsize = struct.calcsize("<" + code)
-
-                def dec(buf, offset, _code=code, _itemsize=itemsize):
-                    count, offset = _read_length(buf, offset)
-                    if not count:
-                        return [], offset
-                    values = struct.unpack_from("<%d%s" % (count, _code), buf, offset)
-                    return list(values), offset + count * _itemsize
-
-                return dec
-            elem_dec = _compile_decoder(element)
-
-            def dec(buf, offset, _e=elem_dec):
-                count, offset = _read_length(buf, offset)
-                out = []
-                push = out.append
-                for _ in range(count):
-                    item, offset = _e(buf, offset)
-                    push(item)
-                return out, offset
-
-            return dec
-        elem_dec = _compile_decoder(element)
-        length = datatype.length
-
-        def dec(buf, offset, _n=length, _e=elem_dec):
-            out = []
-            push = out.append
-            for _ in range(_n):
-                item, offset = _e(buf, offset)
-                push(item)
-            return out, offset
-
-        return dec
-
-    if isinstance(datatype, StructType):
-        steps = []
-        run: List[Tuple[str, _Flat]] = []
-        for fname, ftype in datatype.fields:
-            flat_field = _flat_layout(ftype)
-            if flat_field is not None:
-                run.append((fname, flat_field))
-                continue
-            if run:
-                steps.append(_run_decoder(run))
-                run = []
-            field_dec = _compile_decoder(ftype)
-
-            def step(buf, offset, out, _name=fname, _d=field_dec):
-                out[_name], offset = _d(buf, offset)
-                return offset
-
-            steps.append(step)
-        if run:
-            steps.append(_run_decoder(run))
-        step_tuple = tuple(steps)
-
-        def dec(buf, offset, _steps=step_tuple):
-            out: Dict[str, Any] = {}
-            for step in _steps:
-                offset = step(buf, offset, out)
-            return out, offset
-
-        return dec
-
-    if isinstance(datatype, UnionType):
-        alternatives = tuple(
-            (tag, _compile_decoder(alt)) for tag, alt in datatype.alternatives
-        )
-        uname = datatype.name
-
-        def dec(buf, offset, _alts=alternatives, _count=len(alternatives), _uname=uname):
-            try:
-                index = buf[offset]
-            except IndexError:
-                raise EncodingError(
-                    "truncated payload: wanted 1 byte for union tag, got 0"
-                ) from None
-            if index >= _count:
-                raise EncodingError(f"union {_uname}: tag index {index} out of range")
-            tag, alt_dec = _alts[index]
-            value, offset = alt_dec(buf, offset + 1)
-            return (tag, value), offset
-
-        return dec
-
-    raise EncodingError(f"cannot decode type {datatype!r}")
-
-
-# -- generated-source plans ------------------------------------------------------
-#
-# The closure plans above are the general implementation (and the fallback);
-# for the hot path the compiler goes one step further and emits straight-line
-# Python source per schema — no per-field closure calls, no step loops — then
-# ``exec``s it once. Unions and any construct the generator does not inline
-# are delegated to the closure plans bound into the generated function's
-# globals, so the two layers always agree.
+# -- source generation -----------------------------------------------------------
 
 
 def _seq_err(length):
@@ -529,6 +112,10 @@ def _seq_err(length):
 
 def _trunc_err(wanted, got):
     return EncodingError(f"truncated payload: wanted {wanted} bytes, got {got}")
+
+
+def _union_err(name, problem):
+    return EncodingError(f"union {name}: {problem}")
 
 
 def _flat_value_expr(datatype: DataType, vals: str, index: int) -> Tuple[str, int]:
@@ -545,7 +132,7 @@ def _flat_value_expr(datatype: DataType, vals: str, index: int) -> Tuple[str, in
             expr, index = _flat_value_expr(datatype.element, vals, index)
             items.append(expr)
         return "[" + ", ".join(items) + "]", index
-    # StructType — _flat_layout guarantees nothing else reaches here.
+    # StructType — _flat_codes guarantees nothing else reaches here.
     fields = []
     for fname, ftype in datatype.fields:
         expr, index = _flat_value_expr(ftype, vals, index)
@@ -584,6 +171,7 @@ class _SourceGen:
             "_MAX": MAX_SEQUENCE_LENGTH,
             "_seq_err": _seq_err,
             "_trunc_err": _trunc_err,
+            "_union_err": _union_err,
             "_unpack_from": struct.unpack_from,
             "_pack": struct.pack,
             "_join": b"".join,
@@ -620,24 +208,26 @@ class _DecoderGen(_SourceGen):
         self.w("buflen = len(buf)")
 
     def emit(self, datatype: DataType) -> str:
-        flat = _flat_layout(datatype)
-        if flat is not None:
-            return self._emit_flat(datatype, flat)
+        codes = _flat_codes(datatype)
+        if codes is not None:
+            return self._emit_flat(datatype, codes)
         if isinstance(datatype, PrimitiveType):
             if datatype.name == "string":
                 return self._emit_sized('str(buf[off:{end}], "utf-8")')
             if datatype.name == "bytes":
                 return self._emit_sized("bytes(buf[off:{end}])")
             raise EncodingError(f"cannot decode type {datatype!r}")
+        if self.indent > _MAX_INLINE_DEPTH:
+            dec = self.bind("d", _generate_decoder(datatype))
+            value = self.fresh()
+            self.w(f"{value}, off = {dec}(buf, off)")
+            return value
         if isinstance(datatype, VectorType):
             return self._emit_vector(datatype)
         if isinstance(datatype, StructType):
             return self._emit_struct(datatype)
         if isinstance(datatype, UnionType):
-            dec = self.bind("ud", _compile_decoder(datatype))
-            value = self.fresh()
-            self.w(f"{value}, off = {dec}(buf, off)")
-            return value
+            return self._emit_union(datatype)
         raise EncodingError(f"cannot decode type {datatype!r}")
 
     def _emit_length(self) -> str:
@@ -657,21 +247,27 @@ class _DecoderGen(_SourceGen):
         self.w(f"off = {end}")
         return value
 
-    def _emit_flat(self, datatype: DataType, flat: _Flat) -> str:
-        if flat.codes == "?" and flat.scalar:
-            # A lone bool: index + compare beats a one-byte Struct.unpack
-            # (IndexError on a truncated buffer is mapped to EncodingError
-            # by the codec's top-level decode).
-            value = self.fresh()
-            self.w(f"{value} = buf[off] != 0")
-            self.w("off += 1")
-            return value
-        unpacker = struct.Struct("<" + flat.codes)
+    def _emit_bool(self) -> str:
+        # A lone bool: index + compare beats a one-byte Struct.unpack
+        # (IndexError on a truncated buffer is mapped to EncodingError by
+        # the codec's top-level decode).
+        value = self.fresh()
+        self.w(f"{value} = buf[off] != 0")
+        self.w("off += 1")
+        return value
+
+    def _emit_unpack(self, codes: str) -> str:
+        unpacker = struct.Struct("<" + codes)
         unpack = self.bind("u", unpacker.unpack_from)
         vals = self.fresh("vals")
         self.w(f"{vals} = {unpack}(buf, off)")
         self.w(f"off += {unpacker.size}")
-        expr, _ = _flat_value_expr(datatype, vals, 0)
+        return vals
+
+    def _emit_flat(self, datatype: DataType, codes: str) -> str:
+        if _is_bool(datatype):
+            return self._emit_bool()
+        expr, _ = _flat_value_expr(datatype, self._emit_unpack(codes), 0)
         value = self.fresh()
         self.w(f"{value} = {expr}")
         return value
@@ -713,23 +309,17 @@ class _DecoderGen(_SourceGen):
         def flush_run():
             if not run:
                 return
-            codes = "".join(_flat_layout(ftype).codes for _, ftype in run)
             # The lone-bool fast path must be exactly one field: zero-length
             # fixed vectors contribute no codes, so a run like
             # (bool, bool[0]) also has codes "?" but still needs every
             # field materialized.
-            if len(run) == 1 and codes == "?" and _flat_layout(run[0][1]).scalar:
-                value = self.fresh()
-                self.w(f"{value} = buf[off] != 0")
-                self.w("off += 1")
-                field_exprs.append((run[0][0], value))
+            if len(run) == 1 and _is_bool(run[0][1]):
+                field_exprs.append((run[0][0], self._emit_bool()))
                 run.clear()
                 return
-            unpacker = struct.Struct("<" + codes)
-            unpack = self.bind("u", unpacker.unpack_from)
-            vals = self.fresh("vals")
-            self.w(f"{vals} = {unpack}(buf, off)")
-            self.w(f"off += {unpacker.size}")
+            vals = self._emit_unpack(
+                "".join(_flat_codes(ftype) for _, ftype in run)
+            )
             index = 0
             for fname, ftype in run:
                 expr, index = _flat_value_expr(ftype, vals, index)
@@ -737,7 +327,7 @@ class _DecoderGen(_SourceGen):
             run.clear()
 
         for fname, ftype in datatype.fields:
-            if _flat_layout(ftype) is not None:
+            if _flat_codes(ftype) is not None:
                 run.append((fname, ftype))
                 continue
             flush_run()
@@ -746,6 +336,25 @@ class _DecoderGen(_SourceGen):
         value = self.fresh()
         body = ", ".join(f"{n!r}: {e}" for n, e in field_exprs)
         self.w(f"{value} = {{{body}}}")
+        return value
+
+    def _emit_union(self, datatype: UnionType) -> str:
+        # A truncated tag byte raises IndexError, mapped like the lone bool's.
+        index = self.fresh("t")
+        value = self.fresh()
+        self.w(f"{index} = buf[off]")
+        self.w("off += 1")
+        for i, (tag, alt) in enumerate(datatype.alternatives):
+            self.w(f"{'elif' if i else 'if'} {index} == {i}:")
+            self.indent += 1
+            inner = self.emit(alt)
+            self.w(f"{value} = ({tag!r}, {inner})")
+            self.indent -= 1
+        self.w("else:")
+        self.w(
+            f"    raise _union_err({datatype.name!r}, "
+            f"f'tag index {{{index}}} out of range')"
+        )
         return value
 
 
@@ -759,9 +368,9 @@ class _EncoderGen(_SourceGen):
         self.w("ap = parts.append")
 
     def emit(self, datatype: DataType, src: str) -> None:
-        flat = _flat_layout(datatype)
-        if flat is not None:
-            if flat.codes == "?" and flat.scalar:
+        codes = _flat_codes(datatype)
+        if codes is not None:
+            if _is_bool(datatype):
                 # A lone bool between variable fields: branch beats a
                 # one-byte Struct.pack call.
                 self.w(f'ap(b"\\x01" if {src} else b"\\x00")')
@@ -773,7 +382,7 @@ class _EncoderGen(_SourceGen):
                 err = self.bind("verr", _fixed_length_error(vec_type))
                 self.w(f"if len({vec_src}) != {vec_type.length}:")
                 self.w(f"    raise {err}(len({vec_src}))")
-            pack = self.bind("p", struct.Struct("<" + flat.codes).pack)
+            pack = self.bind("p", struct.Struct("<" + codes).pack)
             args = ", ".join(_flat_arg_exprs(datatype, src))
             self.w(f"ap({pack}({args}))")
             return
@@ -791,6 +400,10 @@ class _EncoderGen(_SourceGen):
                 self.w(f"ap(bytes({raw}))")
                 return
             raise EncodingError(f"cannot encode type {datatype!r}")
+        if self.indent > _MAX_INLINE_DEPTH:
+            enc = self.bind("e", _generate_encoder(datatype))
+            self.w(f"ap({enc}({src}))")
+            return
         if isinstance(datatype, VectorType):
             self._emit_vector(datatype, src)
             return
@@ -799,8 +412,7 @@ class _EncoderGen(_SourceGen):
                 self.emit(ftype, f"{src}[{fname!r}]")
             return
         if isinstance(datatype, UnionType):
-            enc = self.bind("ue", _compile_encoder(datatype))
-            self.w(f"{enc}({src}, ap)")
+            self._emit_union(datatype, src)
             return
         raise EncodingError(f"cannot encode type {datatype!r}")
 
@@ -840,6 +452,23 @@ class _EncoderGen(_SourceGen):
         self.indent += 1
         self.emit(element, item)
         self.indent -= 1
+
+    def _emit_union(self, datatype: UnionType, src: str) -> None:
+        # A value that is not a pair fails the unpacking and reaches the
+        # codec's lazy-validation fallback.
+        tag = self.fresh("tag")
+        inner = self.fresh("inner")
+        self.w(f"{tag}, {inner} = {src}")
+        for i, (name, alt) in enumerate(datatype.alternatives):
+            self.w(f"{'elif' if i else 'if'} {tag} == {name!r}:")
+            self.indent += 1
+            self.w(f"ap({bytes((i,))!r})")
+            self.emit(alt, inner)
+            self.indent -= 1
+        self.w("else:")
+        self.w(
+            f"    raise _union_err({datatype.name!r}, f'unknown tag {{{tag}!r}}')"
+        )
 
 
 def _flat_vector_guards(
@@ -888,29 +517,6 @@ def _generate_encoder(datatype: DataType) -> Callable[[Any], bytes]:
 
 # -- plan cache ------------------------------------------------------------------
 
-def _wrap_closure_encoder(encoder: _Encoder) -> Callable[[Any], bytes]:
-    def encode_value(value, _enc=encoder, _join=b"".join):
-        parts: List[bytes] = []
-        _enc(value, parts.append)
-        return _join(parts)
-
-    return encode_value
-
-
-def _build_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
-    """(value → bytes encoder, (buf, offset) → (value, offset) decoder),
-    preferring generated source and falling back to the closure plans."""
-    try:
-        encoder = _generate_encoder(datatype)
-    except SyntaxError:  # pragma: no cover — codegen bug safety net
-        encoder = _wrap_closure_encoder(_compile_encoder(datatype))
-    try:
-        decoder = _generate_decoder(datatype)
-    except SyntaxError:  # pragma: no cover — codegen bug safety net
-        decoder = _compile_decoder(datatype)
-    return encoder, decoder
-
-
 #: Hashing a DataType re-renders describe() recursively, so the hot lookup is
 #: keyed by object identity; a second describe()-keyed level shares compiled
 #: plans between equal-but-distinct schema instances. Both caches keep a
@@ -929,8 +535,7 @@ def _plan(datatype: DataType) -> _PlanEntry:
     key = datatype.describe()
     shared = _BY_KEY.get(key)
     if shared is None:
-        encoder, decoder = _build_plan(datatype)
-        shared = (datatype, encoder, decoder)
+        shared = (datatype, _generate_encoder(datatype), _generate_decoder(datatype))
         if len(_BY_KEY) >= _CACHE_LIMIT:
             _BY_KEY.clear()
         _BY_KEY[key] = shared

@@ -217,6 +217,10 @@ class UnionType(DataType):
         tags = [a[0] for a in alternatives]
         if len(set(tags)) != len(tags):
             raise ValueError(f"union {name!r} has duplicate tags")
+        if len(tags) > 256:
+            raise ValueError(
+                f"union {name!r}: {len(tags)} alternatives exceed the uint8 tag space"
+            )
         self.name = name
         self.alternatives: List[Tuple[str, DataType]] = list(alternatives)
         self._by_tag = dict(self.alternatives)
@@ -230,7 +234,7 @@ class UnionType(DataType):
     def alternative(self, tag: str) -> DataType:
         try:
             return self._by_tag[tag]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable tag
             raise EncodingError(f"union {self.name}: unknown tag {tag!r}") from None
 
     def validate(self, value: Any) -> None:

@@ -16,10 +16,14 @@ from typing import Deque, Dict, List
 from repro.util.clock import Clock
 
 
+#: Entries every container's ring retains.
+FLIGHT_RECORDER_CAPACITY = 256
+
+
 class FlightRecorder:
     """Fixed-capacity ring buffer of timestamped entries."""
 
-    def __init__(self, clock: Clock, capacity: int = 256):
+    def __init__(self, clock: Clock, capacity: int = FLIGHT_RECORDER_CAPACITY):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity

@@ -11,7 +11,7 @@ fully abstracted by the middleware:
   redirection;
 - on provider failure "the middleware will detect the situation and redirect
   requests to the redundant service" — pending calls are re-issued to the
-  next provider, up to ``call_max_redirects`` times;
+  next provider, up to ``CALL_MAX_REDIRECTS`` times;
 - "if no service provides the requested function the middleware will warn
   the system to take the programmed emergency procedure" — the container's
   emergency hook fires and the call errors with
@@ -36,6 +36,9 @@ from repro.util.ids import make_uid
 
 OnResult = Callable[[Any], None]
 OnError = Callable[[Exception], None]
+
+#: Automatic re-routes of a failed call before giving up.
+CALL_MAX_REDIRECTS = 2
 
 
 def _args_schema(name: str, params: Sequence[DataType]) -> Optional[StructType]:
@@ -325,7 +328,7 @@ class InvocationManager:
         return providers[counter % len(providers)].container
 
     def _redirect(self, handle: CallHandle, reason: str) -> None:
-        if handle.redirects >= self._host.config.call_max_redirects:
+        if handle.redirects >= CALL_MAX_REDIRECTS:
             self._finish_error(
                 handle,
                 InvocationError(handle.function, f"{reason}; redirect limit reached"),

@@ -10,7 +10,7 @@ reproduced from the paper:
   returns the cached sample until its validity window closes;
 - **timeout warning**: "the service container will warn of this timeout
   circumstance to the affected services" — ``on_timeout`` fires after
-  ``variable_timeout_periods`` nominal periods without a sample;
+  ``VARIABLE_TIMEOUT_PERIODS`` nominal periods without a sample;
 - **guaranteed initial value**: "the middleware has a mechanism that
   guarantees an initial exact value for the services that need it" — a
   unicast request/response retried until the first sample arrives;
@@ -33,6 +33,9 @@ from repro.util.errors import ConfigurationError
 
 OnSample = Callable[[Any, float], None]  # (value, publisher timestamp)
 OnTimeout = Callable[[str], None]  # (variable name)
+
+#: Subscriber warns after this many nominal periods without a sample.
+VARIABLE_TIMEOUT_PERIODS = 3.0
 
 
 def _changed_substantially(old: Any, new: Any, deadband: float) -> bool:
@@ -475,7 +478,7 @@ class VariableManager:
             period = self._period_of(name)
             if period > 0:
                 now = self._host.clock.now()
-                limit = period * self._host.config.variable_timeout_periods
+                limit = period * VARIABLE_TIMEOUT_PERIODS
                 for sub in subs:
                     reference = max(sub.last_arrival, sub.last_warning_at)
                     if sub.last_arrival >= 0 and now - reference > limit:

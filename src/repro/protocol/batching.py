@@ -52,6 +52,10 @@ _LEN = struct.Struct("<I")
 #: Bytes one batch entry adds on top of the inner frame's own encoding.
 ENTRY_OVERHEAD = _LEN.size
 
+#: Byte budget of one batch datagram, outer frame and entry overhead
+#: included (fits a 1500-byte Ethernet frame with IP/UDP headers to spare).
+BATCH_MTU_BYTES = 1200
+
 #: Inner kinds the decoder rejects: batches never nest, and fragmentation
 #: happens below the batching stage.
 _FORBIDDEN_INNER = (MessageKind.BATCH, MessageKind.FRAGMENT)
@@ -269,7 +273,7 @@ class FrameBatcher:
         source: str,
         emit: EmitFn,
         flush_interval: float,
-        mtu: int = 1200,
+        mtu: int = BATCH_MTU_BYTES,
         piggyback: Optional[PiggybackFn] = None,
         zero_copy: bool = False,
     ):
@@ -389,4 +393,5 @@ __all__ = [
     "make_wire_datagram",
     "batch_header_size",
     "ENTRY_OVERHEAD",
+    "BATCH_MTU_BYTES",
 ]

@@ -180,7 +180,10 @@ class Frame:
         offset = _HEADER_SRC.size
         if len(data) < offset + src_len:
             raise ProtocolError("frame truncated inside source id")
-        source = data[offset : offset + src_len].decode("utf-8")
+        try:
+            source = data[offset : offset + src_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolError("source id is not UTF-8") from None
         payload = data[offset + src_len :]
         return cls(
             kind=kind_enum,

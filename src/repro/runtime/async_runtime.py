@@ -26,11 +26,8 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.sanitizers.lockorder import LockOrderRecorder
 from repro.container.config import ContainerConfig
 from repro.container.container import ServiceContainer
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.recorder import FlightRecorder
 from repro.transport.frame_transport import FrameTransport
 from repro.transport.udp import UdpNetwork
 from repro.transport.udp_async import AsyncUdpTransport
@@ -170,19 +167,11 @@ class AsyncRuntime:
         self,
         host: str = "127.0.0.1",
         base_port: int = 0,
-        lock_sanitizer: bool = False,
         use_uvloop: Optional[bool] = None,
     ):
-        self.lock_recorder: Optional[LockOrderRecorder] = (
-            LockOrderRecorder() if lock_sanitizer else None
-        )
         self._loop, self.uses_uvloop = _new_event_loop(use_uvloop)
         self.reactor = LoopDomain(self._loop)
-        self.recorder = FlightRecorder(clock=self.reactor, capacity=256)
-        self.metrics = MetricsRegistry()
-        self.network = UdpNetwork(
-            host=host, base_port=base_port, lock_recorder=self.lock_recorder
-        )
+        self.network = UdpNetwork(host=host, base_port=base_port)
         self.containers: Dict[str, ServiceContainer] = {}
         self._started = False
         self._stopped = False
@@ -258,14 +247,6 @@ class AsyncRuntime:
                 self.reactor.call_blocking(container.stop)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
-        if self.lock_recorder is not None:
-            self.lock_recorder.report_into(self.recorder, self.metrics)
-
-    def lock_inversions(self) -> list:
-        """Lock-order inversions observed so far (empty without sanitizer)."""
-        if self.lock_recorder is None:
-            return []
-        return list(self.lock_recorder.inversions)
 
     def run_for(self, duration: float) -> None:
         """Let the system run for ``duration`` wall seconds."""

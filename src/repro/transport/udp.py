@@ -59,15 +59,10 @@ class UdpNetwork:
     """Shared state of one wall-clock-runtime 'LAN': node → socket address
     mapping plus multicast membership, published as copy-on-write views."""
 
-    def __init__(
-        self, host: str = "127.0.0.1", base_port: int = 0, lock_recorder=None
-    ):
+    def __init__(self, host: str = "127.0.0.1", base_port: int = 0):
         self.host = host
         self.base_port = base_port  # 0 = ephemeral ports chosen by the OS
-        lock = threading.Lock()
-        if lock_recorder is not None:
-            lock = lock_recorder.wrap(lock, "udpnetwork.registry")
-        self._lock = lock
+        self._lock = threading.Lock()
         self._node_to_sockaddr: Dict[Tuple[str, int], Tuple[str, int]] = {}
         self._sockaddr_to_node: Dict[Tuple[str, int], Tuple[str, int]] = {}
         self._group_members: Dict[GroupName, Set[Tuple[str, int]]] = {}

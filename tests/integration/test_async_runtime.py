@@ -5,8 +5,7 @@ Two things are proven here: (1) the same primitives work unchanged over
 the machine clock; (2) the wall-clock runtime is *equivalent* to the
 deterministic reference: the same mission delivers byte-identical
 application frame sequences under :class:`SimRuntime` and
-:class:`AsyncRuntime` (modulo timing artifacts like retransmissions), with
-no lock-order inversions under the sanitizer.
+:class:`AsyncRuntime` (modulo timing artifacts like retransmissions).
 """
 
 import socket
@@ -373,12 +372,7 @@ def _run_mission(runtime, **extra_config):
 
 
 def _run_async_mission(**extra_config):
-    runtime = AsyncRuntime(lock_sanitizer=True)
-    frames = _run_mission(runtime, **extra_config)
-    assert runtime.lock_recorder.acquisitions > 0
-    inversions = runtime.lock_inversions()
-    assert inversions == [], f"lock-order inversions: {inversions}"
-    return frames
+    return _run_mission(AsyncRuntime(), **extra_config)
 
 
 def _run_sim_mission():

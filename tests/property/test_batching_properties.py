@@ -246,9 +246,14 @@ class TestDecoderRejections:
         import struct
 
         garbage = b"\xde\xad\xbe\xef" * 4
-        payload = b"\x01\x00" + struct.pack("<I", len(garbage)) + garbage
-        with pytest.raises(EncodingError):
-            decode_batch_payload(payload)
+        # Valid in every field but the source id, which is not UTF-8.
+        bad_source = (
+            Frame(kind=MessageKind.EVENT, source="zz").encode().replace(b"zz", b"\xff\xfe")
+        )
+        for inner in (garbage, bad_source):
+            payload = b"\x01\x00" + struct.pack("<I", len(inner)) + inner
+            with pytest.raises(EncodingError, match="inner frame 0 malformed"):
+                decode_batch_payload(payload)
 
     def test_nested_batch_rejected(self):
         inner = Frame(kind=MessageKind.EVENT, source="s").encode()

@@ -22,6 +22,17 @@ from hypothesis import strategies as st
 
 from repro.encoding.binary import BinaryCodec
 from repro.encoding.compiled import CompiledCodec, compile_plan
+from repro.encoding.types import (
+    BOOL,
+    FLOAT64,
+    INT32,
+    STRING,
+    UINT8,
+    UINT16,
+    StructType,
+    UnionType,
+    VectorType,
+)
 from repro.primitives import wire
 from repro.util.errors import EncodingError
 
@@ -139,3 +150,114 @@ def test_wire_schemas_traced_frames_differential(schema, data):
     decoded, context = wire.decode_traced(schema, payload)
     assert decoded == doc
     assert context == trace
+
+
+# -- inputs the source generator owns since the closure compiler was deleted ----
+#
+# Every case below also passes at the parent commit, where a second
+# (closure) compiler served unions and caught the SyntaxError that CPython
+# raises for generated source nested past 20 blocks / 100 indentation levels.
+# They fail only if that fallback goes without the generator learning inline
+# unions and the per-function depth split — which is what they pin.
+
+
+def _nested_vector(depth):
+    """``int32[]…[]`` ``depth`` deep and a value for it; the empty sibling at
+    every level exercises the zero-count path too."""
+    datatype, value = INT32, [1, -2, 3]
+    for _ in range(depth):
+        datatype = VectorType(datatype)
+    for _ in range(depth - 1):
+        value = [value, []]
+    return datatype, value
+
+
+def _mixed_chain(levels):
+    """union -> struct -> vector -> union -> … ``levels`` deep around an int32."""
+    datatype, value = INT32, 7
+    for level in range(levels):
+        if level % 3 == 0:
+            datatype, value = VectorType(datatype), [value]
+        elif level % 3 == 1:
+            datatype = StructType(
+                f"S{level}", [("id", UINT16), ("next", datatype), ("label", STRING)]
+            )
+            value = {"id": level, "next": value, "label": f"L{level}"}
+        else:
+            datatype = UnionType(f"U{level}", [("none", BOOL), ("some", datatype)])
+            value = ("some", value)
+    return datatype, value
+
+
+_INNER = UnionType(
+    "Inner",
+    [
+        ("num", INT32),
+        ("text", STRING),
+        ("rec", StructType("Rec", [("x", FLOAT64), ("tags", VectorType(STRING))])),
+    ],
+)
+_UNION_IN_VECTOR_IN_UNION_IN_STRUCT = StructType(
+    "Envelope",
+    [
+        ("id", UINT16),
+        ("body", UnionType("Outer", [("none", BOOL), ("many", VectorType(_INNER))])),
+        ("crc", UINT16),
+    ],
+)
+_WIDE_UNION = UnionType(
+    "Wide", [(f"t{i}", UINT8 if i % 2 else STRING) for i in range(256)]
+)
+
+GENERATOR_OWNED = {
+    "vector-21-deep": _nested_vector(21),
+    "vector-25-deep": _nested_vector(25),
+    "vector-120-deep": _nested_vector(120),
+    "mixed-chain-40-deep": _mixed_chain(40),
+    "union-in-vector-in-union-in-struct": (
+        _UNION_IN_VECTOR_IN_UNION_IN_STRUCT,
+        {
+            "id": 9,
+            "body": (
+                "many",
+                [("num", -5), ("text", "héllo"), ("rec", {"x": 0.5, "tags": ["a", ""]})],
+            ),
+            "crc": 65535,
+        },
+    ),
+    "union-256-first-tag": (_WIDE_UNION, ("t0", "first")),
+    "union-256-last-tag": (_WIDE_UNION, ("t255", 255)),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_OWNED)
+@settings(max_examples=25, deadline=None)
+@given(suffix=st.binary(max_size=8), data=st.data())
+def test_generator_owned_schemas_differential(name, suffix, data):
+    """Deep nesting and unions through the public codec: same bytes, same
+    values, same ``decode_prefix`` consumption, ``memoryview`` input, and the
+    same accept/reject decision when cut anywhere or followed by garbage."""
+    datatype, value = GENERATOR_OWNED[name]
+    encoded = INTERPRETED.encode(datatype, value)
+    assert COMPILED.encode(datatype, value) == encoded
+    assert COMPILED.decode(datatype, encoded) == value
+    assert COMPILED.decode(datatype, memoryview(encoded)) == value
+    assert (
+        COMPILED.decode_prefix(datatype, memoryview(encoded + suffix))
+        == INTERPRETED.decode_prefix(datatype, encoded + suffix)
+        == (value, len(encoded))
+    )
+    cut = data.draw(st.integers(0, len(encoded) - 1))
+    for payload in (encoded[:cut], encoded + suffix):
+        assert _decode_outcome(COMPILED, datatype, payload) == _decode_outcome(
+            INTERPRETED, datatype, payload
+        )
+
+
+def test_plan_cache_identity_survives_the_depth_split():
+    """A sub-schema that became its own generated function is compiled once
+    with its parent: an equal schema still gets the very same plan."""
+    first = compile_plan(_nested_vector(25)[0])
+    second = compile_plan(_nested_vector(25)[0])
+    assert first[0] is second[0]
+    assert first[1] is second[1]

@@ -1,5 +1,5 @@
-"""Tests for the interprocedural analysis layer: transitive REP002/REP004,
-static lock-order (REP007), and baseline-gated reporting.
+"""Tests for the interprocedural analysis layer: transitive REP002/REP004
+and baseline-gated reporting.
 
 Fixture trees live under ``analysis_fixtures/`` and mirror the real
 ``repro/`` layout so path-scoped defaults (service entry points, sim-path
@@ -19,8 +19,7 @@ from repro.analysis.baseline import (
 from repro.analysis.findings import Finding
 from repro.analysis.rules.rep002_nondeterminism import NondeterminismRule
 from repro.analysis.rules.rep004_blocking import BlockingCallRule
-from repro.analysis.rules.rep007_lockorder import LockOrderRule, static_lock_graph
-from tests.unit.test_callgraph import FIXTURES, load_project
+from tests.unit.test_callgraph import FIXTURES
 
 
 def run_rules(fixture: str, rules, interprocedural: bool = True, baseline=None):
@@ -111,38 +110,6 @@ class TestTransitiveRep002:
             "interproc_taint", [NondeterminismRule()], interprocedural=False
         )
         assert not transitive(report, "REP002")
-
-
-class TestRep007LockOrder:
-    def test_opposite_order_cycle_is_reported(self):
-        report = run_rules("rep007_bad", [LockOrderRule()])
-        findings = [f for f in report.findings if f.rule == "REP007"]
-        assert findings, "a->b vs b->a must produce a cycle finding"
-        message = findings[0].message
-        assert "lock-order inversion" in message
-        assert "Pair._a" in message and "Pair._b" in message
-        # Edge sites ride along for debugging.
-        assert "repro/app/locks.py" in message
-
-    def test_consistent_order_is_clean(self):
-        report = run_rules("rep007_good", [LockOrderRule()])
-        assert not [f for f in report.findings if f.rule == "REP007"]
-
-    def test_condition_aliases_its_lock(self):
-        graph = static_lock_graph(load_project("rep007_good"))
-        # also_forward acquires via the Condition: the edge lands on the
-        # aliased lock identity, not a phantom _ready lock.
-        a = "repro/app/locks.py:Pair._a"
-        b = "repro/app/locks.py:Pair._b"
-        assert b in graph.edges.get(a, set())
-        assert not any("_ready" in lock for lock in graph.locks)
-
-    def test_call_away_acquisition_creates_edge(self):
-        graph = static_lock_graph(load_project("rep007_bad"))
-        a = "repro/app/locks.py:Pair._a"
-        b = "repro/app/locks.py:Pair._b"
-        assert b in graph.edges.get(a, set())  # via forward -> _grab_b
-        assert a in graph.edges.get(b, set())  # via backward, nested
 
 
 class TestBaseline:

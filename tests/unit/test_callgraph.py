@@ -41,7 +41,7 @@ class TestResolution:
         assert callees == {"repro.app.util._retry"}
 
     def test_self_method_call_resolves(self):
-        graph = build_callgraph(load_project("rep007_bad"))
+        graph = build_callgraph(load_project("self_method_calls"))
         callees = {s.callee for s in graph.callees("repro.app.locks.Pair.forward")}
         assert "repro.app.locks.Pair._grab_b" in callees
 

@@ -194,6 +194,33 @@ class TestCompiledSpecifics:
             NESTED, encoded
         )
 
+    # The two union cases below passed at the parent commit through a second
+    # (closure) compiler; they fail only if it is removed without the source
+    # generator learning inline unions — the generator owns these inputs now
+    # (tests/property/test_compiled_codec_properties.py has the deep-nesting,
+    # decode_prefix and memoryview cases).
+
+    def test_union_encode_rejections_match_interpreter(self):
+        u = StructType("S", [("r", UnionType("R", [("a", INT32), ("b", STRING)]))])
+        for codec in (COMPILED, BINARY):
+            with pytest.raises(EncodingError, match="unknown tag 'c'"):
+                codec.encode(u, {"r": ("c", 1)})
+            # Unhashable: leaked TypeError from the oracle at the parent.
+            with pytest.raises(EncodingError, match="unknown tag"):
+                codec.encode(u, {"r": (["a"], 1)})
+            for not_a_pair in (5, ("a",), ("a", 1, 2)):
+                with pytest.raises(EncodingError, match="pair"):
+                    codec.encode(u, {"r": not_a_pair})
+
+    def test_union_decode_rejections_match_interpreter(self):
+        u = VectorType(UnionType("R", [("a", INT32), ("b", STRING)]), 2)
+        encoded = BINARY.encode(u, [("a", 1), ("b", "x")])
+        for codec in (COMPILED, BINARY):
+            with pytest.raises(EncodingError, match="truncated"):
+                codec.decode(u, encoded[:5])  # second element's tag byte cut
+            with pytest.raises(EncodingError, match="tag index 2 out of range"):
+                codec.decode(u, encoded[:5] + b"\x02" + encoded[6:])
+
 
 class TestJsonSpecifics:
     def test_output_is_valid_json(self):

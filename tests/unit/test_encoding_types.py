@@ -15,6 +15,7 @@ from repro.encoding import (
     StructType,
     UnionType,
     VectorType,
+    parse_type,
 )
 from repro.util.errors import EncodingError
 
@@ -147,3 +148,13 @@ class TestUnions:
     def test_duplicate_tags_rejected(self):
         with pytest.raises(ValueError):
             UnionType("R", [("a", INT32), ("a", STRING)])
+
+    def test_tag_space_is_one_byte(self):
+        # The wire tag is a uint8: 256 alternatives fit, 257 do not — checked
+        # here once, for every codec and for the schema parser.
+        UnionType("R", [(f"t{i}", INT32) for i in range(256)])
+        with pytest.raises(ValueError, match="uint8 tag space"):
+            UnionType("R", [(f"t{i}", INT32) for i in range(257)])
+        body = " ".join(f"int32 t{i};" for i in range(257))
+        with pytest.raises(ValueError, match="uint8 tag space"):
+            parse_type(f"union R {{ {body} }}")

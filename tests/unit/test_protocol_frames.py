@@ -72,6 +72,11 @@ class TestErrors:
         with pytest.raises(ProtocolError, match="truncated"):
             Frame.decode(encoded[: frame.header_size - 3])
 
+    def test_source_not_utf8(self):
+        good = Frame(kind=MessageKind.EVENT, source="zz", payload=b"p").encode()
+        with pytest.raises(ProtocolError, match="source id is not UTF-8"):
+            Frame.decode(good.replace(b"zz", b"\xff\xfe"))
+
     def test_source_too_long(self):
         with pytest.raises(ProtocolError, match="too long"):
             Frame(kind=MessageKind.EVENT, source="x" * 300).encode()

@@ -1,10 +1,7 @@
 """Unit tests for the runtime sanitizers (repro.analysis.sanitizers)."""
 
-import threading
-
 import pytest
 
-from repro.analysis.sanitizers.lockorder import LockOrderRecorder
 from repro.analysis.sanitizers.payload import (
     FrozenDict,
     FrozenList,
@@ -128,111 +125,3 @@ class TestPayloadSanitizer:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             PayloadSanitizer(mode="paranoid")
-
-
-class TestLockOrderRecorder:
-    def test_consistent_order_is_clean(self):
-        recorder = LockOrderRecorder()
-        a = recorder.wrap(threading.Lock(), "A")
-        b = recorder.wrap(threading.Lock(), "B")
-        for _ in range(3):
-            with a:
-                with b:
-                    pass
-        assert recorder.inversions == []
-        assert recorder.acquisitions == 6
-
-    def test_inversion_detected_without_deadlock(self):
-        # A->B then B->A from a single thread: a real runtime would only
-        # deadlock under an unlucky interleave, but the graph sees the
-        # cycle immediately.
-        recorder = LockOrderRecorder()
-        a = recorder.wrap(threading.Lock(), "A")
-        b = recorder.wrap(threading.Lock(), "B")
-        with a:
-            with b:
-                pass
-        with b:
-            with a:
-                pass
-        assert len(recorder.inversions) == 1
-        inversion = recorder.inversions[0]
-        assert inversion["held"] == "B"
-        assert inversion["acquiring"] == "A"
-        assert inversion["cycle"][0] == "B"
-        assert inversion["cycle"][-1] == "B" or "A" in inversion["cycle"]
-
-    def test_transitive_cycle_detected(self):
-        recorder = LockOrderRecorder()
-        a = recorder.wrap(threading.Lock(), "A")
-        b = recorder.wrap(threading.Lock(), "B")
-        c = recorder.wrap(threading.Lock(), "C")
-        with a:
-            with b:
-                pass
-        with b:
-            with c:
-                pass
-        with c:
-            with a:
-                pass  # A->B->C->A
-        assert len(recorder.inversions) == 1
-        assert set(recorder.inversions[0]["cycle"]) == {"A", "B", "C"}
-
-    def test_try_acquire_adds_no_ordering(self):
-        recorder = LockOrderRecorder()
-        a = recorder.wrap(threading.Lock(), "A")
-        b = recorder.wrap(threading.Lock(), "B")
-        with a:
-            with b:
-                pass
-        with b:
-            assert a.acquire(blocking=False)
-            a.release()
-        assert recorder.inversions == []
-
-    def test_reentrant_same_lock_is_not_an_ordering(self):
-        recorder = LockOrderRecorder()
-        lock = recorder.wrap(threading.RLock(), "R")
-        with lock:
-            with lock:
-                pass
-        assert recorder.inversions == []
-
-    def test_tracked_lock_backs_condition(self):
-        recorder = LockOrderRecorder()
-        lock = recorder.wrap(threading.Lock(), "C")
-        condition = threading.Condition(lock)
-        fired = []
-
-        def waiter():
-            with condition:
-                condition.wait(timeout=2.0)
-                fired.append(True)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        # Let the waiter take the lock and enter wait().
-        for _ in range(1000):
-            if recorder.acquisitions >= 1:
-                break
-        with condition:
-            condition.notify()
-        thread.join(2.0)
-        assert fired == [True]
-        assert recorder.inversions == []
-
-    def test_report_into_metrics(self):
-        recorder = LockOrderRecorder()
-        a = recorder.wrap(threading.Lock(), "A")
-        b = recorder.wrap(threading.Lock(), "B")
-        with a:
-            with b:
-                pass
-        with b:
-            with a:
-                pass
-        metrics = MetricsRegistry()
-        count = recorder.report_into(metrics=metrics)
-        assert count == 1
-        assert any("lock_order_inversions" in key for key in metrics.snapshot())

@@ -116,10 +116,17 @@ class TestFrameTransport:
         fb._on_protocol_error = lambda exc, src: errors.append(exc)
         fb.open(5000, lambda f, s: None)
         fa._raw.open(5000, lambda d, s: None)
-        fa._raw.send_bytes(Address("b", 5000), b"garbage!")
+        # Valid in every field but the source id, which is not UTF-8.
+        bad_source = (
+            Frame(kind=MessageKind.EVENT, source="zz", payload=b"p")
+            .encode()
+            .replace(b"zz", b"\xff\xfe")
+        )
+        for datagram in (b"garbage!", bad_source):
+            fa._raw.send_bytes(Address("b", 5000), datagram)
         sim.run()
-        assert fb.malformed_datagrams == 1
-        assert len(errors) == 1
+        assert fb.malformed_datagrams == 2
+        assert len(errors) == 2
 
     def test_lost_fragment_never_delivers_then_expires(self):
         sim, fa, fb = self.make_frame_pair(mtu=300)
