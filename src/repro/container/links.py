@@ -5,8 +5,9 @@ invocations, subscriptions and file control all ride it), created lazily in
 each direction. A second, TCP-modelled stream exists purely so experiment E5
 can map events "over TCP" and compare.
 
-Sans-io: the managers emit frames through the container and arm their
-retransmission timers through whatever timer service the runtime provides.
+Sans-io: the managers emit frames through the container and keep one wake-up
+per stream, armed no later than its earliest retransmit deadline
+(:class:`~repro.util.wakeup.Wakeup`), on the runtime's timer service.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.protocol.reliability import (
 )
 from repro.protocol.tcp_like import TcpLikeReceiver, TcpLikeSender
 from repro.util.clock import Clock
+from repro.util.wakeup import Wakeup
 
 #: Channel carrying the main reliable stream between two containers.
 RELIABLE_CHANNEL = 1
@@ -33,6 +35,25 @@ DeliverFrame = Callable[[Frame], None]  # reliable frame ready for dispatch
 PeerFailure = Callable[[str, Frame], None]  # (peer, frame that gave up)
 PeerSlow = Callable[[str, Frame], None]  # (peer, frame shed by bounded backlog)
 PeerAbuse = Callable[[str, str], None]  # (peer, defense that fired)
+
+
+def _stream_wakeup(clock: Clock, timers, sender) -> Wakeup:
+    """The one wake-up of one stream: retransmit what is due, then sleep
+    until the sender's earliest remaining deadline."""
+
+    def due(now: float) -> Optional[float]:
+        sender.poll(now)
+        return sender.next_wakeup()
+
+    return Wakeup(clock, timers, due)
+
+
+def _reread(wakeup: Wakeup, sender) -> None:
+    """Off the hot path (a NACK, the E5 TCP baseline): hold the wake-up to
+    the sender's earliest deadline, wherever the operation moved it."""
+    deadline = sender.next_wakeup()
+    if deadline is not None:
+        wakeup.need(deadline)
 
 
 class ReliableLinks:
@@ -68,7 +89,7 @@ class ReliableLinks:
         self._on_peer_abuse = on_peer_abuse
         self._senders: Dict[str, ReliableSender] = {}
         self._receivers: Dict[str, ReliableReceiver] = {}
-        self._timer_handles: Dict[str, object] = {}
+        self._wakeups: Dict[str, Wakeup] = {}
 
     @property
     def hardening(self) -> Optional[ReliabilityHardening]:
@@ -87,8 +108,10 @@ class ReliableLinks:
     def send(self, peer: str, kind: MessageKind, payload: bytes) -> int:
         """Reliably send ``payload`` to ``peer``; returns the stream seq."""
         sender = self._sender_for(peer)
+        sent, now = sender.sent_frames, self._clock.now()
         seq = sender.send(kind, payload)
-        self._arm_timer(peer, sender)
+        if sender.sent_frames != sent:
+            self._wakeups[peer].need(now + self._policy.initial_rto)
         return seq
 
     def pending_to(self, peer: str) -> int:
@@ -116,16 +139,19 @@ class ReliableLinks:
         if frame.kind == MessageKind.ACK:
             sender = self._senders.get(frame.source)
             if sender is not None:
+                sent, now = sender.sent_frames, self._clock.now()
                 sender.on_ack_frame(frame)
-                self._arm_timer(frame.source, sender)
+                if sender.sent_frames != sent:  # the backlog drained into the window
+                    self._wakeups[frame.source].need(now + self._policy.initial_rto)
             return True
         if frame.kind == MessageKind.NACK:
             # A NACK names *our* stream to the peer: it is an explicit
-            # retransmit request, handled by the send side.
+            # retransmit request, handled by the send side. Rare, and an RTO
+            # capped below the first one moves a deadline earlier: re-read.
             sender = self._senders.get(frame.source)
             if sender is not None:
                 sender.on_nack_frame(frame)
-                self._arm_timer(frame.source, sender)
+                _reread(self._wakeups[frame.source], sender)
             return True
         self._receiver_for(frame.source).on_frame(frame)
         return True
@@ -140,11 +166,11 @@ class ReliableLinks:
         sender = self._senders.pop(peer, None)
         receiver = self._receivers.pop(peer, None)
         if receiver is not None:
-            receiver._cancel_ack_timer()
-        handle = self._timer_handles.pop(peer, None)
-        if handle is not None and hasattr(handle, "cancel"):
-            handle.cancel()
-        if sender is not None and self._on_peer_failure is not None:
+            receiver.close()
+        if sender is None:
+            return
+        self._wakeups.pop(peer).close()
+        if self._on_peer_failure is not None:
             for state in list(sender._in_flight.values()):
                 self._on_peer_failure(peer, state.frame)
             for frame in sender._backlog:
@@ -169,6 +195,7 @@ class ReliableLinks:
                 on_abuse=lambda reason, p=peer: self._peer_abuse(p, reason),
             )
             self._senders[peer] = sender
+            self._wakeups[peer] = _stream_wakeup(self._clock, self._timers, sender)
         return sender
 
     def _receiver_for(self, peer: str) -> ReliableReceiver:
@@ -203,22 +230,6 @@ class ReliableLinks:
         if self._on_peer_slow is not None:
             self._on_peer_slow(peer, frame)
 
-    def _arm_timer(self, peer: str, sender: ReliableSender) -> None:
-        handle = self._timer_handles.get(peer)
-        if handle is not None and hasattr(handle, "cancel"):
-            handle.cancel()
-        wakeup = sender.next_wakeup()
-        if wakeup is None:
-            self._timer_handles.pop(peer, None)
-            return
-        delay = max(0.0, wakeup - self._clock.now())
-
-        def fire():
-            sender.poll()
-            self._arm_timer(peer, sender)
-
-        self._timer_handles[peer] = self._timers.schedule(delay, fire)
-
 
 class TcpLinks:
     """Per-peer TCP-modelled streams (the §4.2 baseline, experiment E5)."""
@@ -240,12 +251,12 @@ class TcpLinks:
         self._rto = rto
         self._senders: Dict[str, TcpLikeSender] = {}
         self._receivers: Dict[str, TcpLikeReceiver] = {}
-        self._timer_handles: Dict[str, object] = {}
+        self._wakeups: Dict[str, Wakeup] = {}
 
     def send(self, peer: str, payload: bytes) -> None:
         sender = self._sender_for(peer)
         sender.send(payload)
-        self._arm_timer(peer, sender)
+        _reread(self._wakeups[peer], sender)
 
     def on_frame(self, frame: Frame) -> bool:
         if frame.channel != TCP_CHANNEL:
@@ -255,7 +266,7 @@ class TcpLinks:
             sender = self._senders.get(peer)
             if sender is not None:
                 sender.on_frame(frame)
-                self._arm_timer(peer, sender)
+                _reread(self._wakeups[peer], sender)
             return True
         if frame.kind in (MessageKind.STREAM_SYN, MessageKind.STREAM_SEGMENT):
             self._receiver_for(peer).on_frame(frame)
@@ -263,11 +274,9 @@ class TcpLinks:
         return False
 
     def reset_peer(self, peer: str) -> None:
-        self._senders.pop(peer, None)
         self._receivers.pop(peer, None)
-        handle = self._timer_handles.pop(peer, None)
-        if handle is not None and hasattr(handle, "cancel"):
-            handle.cancel()
+        if self._senders.pop(peer, None) is not None:
+            self._wakeups.pop(peer).close()
 
     # -- internals -----------------------------------------------------------
     def _sender_for(self, peer: str) -> TcpLikeSender:
@@ -281,6 +290,7 @@ class TcpLinks:
                 rto=self._rto,
             )
             self._senders[peer] = sender
+            self._wakeups[peer] = _stream_wakeup(self._clock, self._timers, sender)
         return sender
 
     def _receiver_for(self, peer: str) -> TcpLikeReceiver:
@@ -294,22 +304,6 @@ class TcpLinks:
             )
             self._receivers[peer] = receiver
         return receiver
-
-    def _arm_timer(self, peer: str, sender: TcpLikeSender) -> None:
-        handle = self._timer_handles.get(peer)
-        if handle is not None and hasattr(handle, "cancel"):
-            handle.cancel()
-        wakeup = sender.next_wakeup()
-        if wakeup is None:
-            self._timer_handles.pop(peer, None)
-            return
-        delay = max(0.0, wakeup - self._clock.now())
-
-        def fire():
-            sender.poll()
-            self._arm_timer(peer, sender)
-
-        self._timer_handles[peer] = self._timers.schedule(delay, fire)
 
 
 __all__ = ["ReliableLinks", "TcpLinks", "RELIABLE_CHANNEL", "TCP_CHANNEL"]

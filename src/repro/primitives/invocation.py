@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType, StructType
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
@@ -33,12 +34,15 @@ from repro.util.errors import (
     NameResolutionError,
 )
 from repro.util.ids import make_uid
+from repro.util.wakeup import Wakeup
 
 OnResult = Callable[[Any], None]
 OnError = Callable[[Exception], None]
 
 #: Automatic re-routes of a failed call before giving up.
 CALL_MAX_REDIRECTS = 2
+#: Caller-side args structs kept per manager; cleared wholesale when full.
+_ARGS_MEMO_MAX = 1024
 
 
 def _args_schema(name: str, params: Sequence[DataType]) -> Optional[StructType]:
@@ -61,10 +65,11 @@ class FunctionProvision:
     fn: Callable[..., Any]
     service: str
     calls_served: int = 0
+    #: Built once: the codec caches compiled schemas by object identity.
+    args_schema: Optional[StructType] = field(init=False, repr=False)
 
-    @property
-    def args_schema(self) -> Optional[StructType]:
-        return _args_schema(self.name, self.params)
+    def __post_init__(self) -> None:
+        self.args_schema = _args_schema(self.name, self.params)
 
 
 @dataclass
@@ -84,7 +89,6 @@ class CallHandle:
     done: bool = False
     result: Any = None
     error: Optional[Exception] = None
-    _timer: object = field(default=None, repr=False)
     _span: object = field(default=None, repr=False)
 
     @property
@@ -101,6 +105,10 @@ class InvocationManager:
         self._calls: Dict[str, CallHandle] = {}
         self._rr_counters: Dict[str, int] = {}
         self._static_bindings: Dict[str, str] = {}  # function -> container
+        self._args_memo: Dict[tuple, StructType] = {}  # (function, offered params)
+        #: One wake-up for every pending call, never later than the earliest
+        #: ``CallHandle.deadline``.
+        self._wakeup = Wakeup(host.clock, host.timers, self._expire_due)
 
     # -- server side ----------------------------------------------------------
     def provide(
@@ -267,7 +275,7 @@ class InvocationManager:
         local = self._provisions.get(handle.function)
         if local is not None:
             handle.provider = self._host.id
-            self._arm_timeout(handle)
+            self._wakeup.need(handle.deadline)
 
             def execute():
                 local.calls_served += 1
@@ -300,7 +308,7 @@ class InvocationManager:
             trace=context,
         )
         self._host.send_reliable(provider, MessageKind.RPC_REQUEST, payload)
-        self._arm_timeout(handle)
+        self._wakeup.need(handle.deadline)
 
     def _select_provider(self, handle: CallHandle) -> Optional[str]:
         if handle.binding == "static":
@@ -335,36 +343,26 @@ class InvocationManager:
             )
             return
         handle.redirects += 1
-        self._cancel_timer(handle)
         self._dispatch(handle)
 
-    def _arm_timeout(self, handle: CallHandle) -> None:
-        self._cancel_timer(handle)
-        delay = max(0.0, handle.deadline - self._host.clock.now())
-
-        def expire():
+    def _expire_due(self, now: float) -> Optional[float]:
+        """The wake-up: time out every call whose deadline has passed and
+        report the earliest deadline still pending."""
+        due = [h for h in self._calls.values() if h.deadline <= now]
+        for handle in sorted(due, key=lambda h: h.deadline):
             if handle.done:
-                return
+                continue
             # A timeout usually means the provider died between heartbeats;
-            # treat it like a failure and try a redundant provider.
+            # treat it like a failure and try a redundant provider — which
+            # gets one more timeout window.
             self._host.metrics.counter("rpc_timeouts").inc()
+            handle.deadline = now + self._host.config.call_timeout
             self._redirect(handle, reason="call timed out")
-            if not handle.done and handle.pending:
-                # Redirected: extend the deadline by one timeout window.
-                handle.deadline = self._host.clock.now() + self._host.config.call_timeout
-                self._arm_timeout(handle)
-
-        handle._timer = self._host.timers.schedule(delay, expire)
-
-    def _cancel_timer(self, handle: CallHandle) -> None:
-        if handle._timer is not None and hasattr(handle._timer, "cancel"):
-            handle._timer.cancel()
-        handle._timer = None
+        return min((h.deadline for h in self._calls.values()), default=None)
 
     def _finish_ok(self, handle: CallHandle, result: Any) -> None:
         handle.done = True
         handle.result = result
-        self._cancel_timer(handle)
         self._calls.pop(handle.call_id, None)
         self._host.metrics.counter("rpc_completed").inc()
         self._host.metrics.histogram("rpc_latency").observe(
@@ -387,7 +385,6 @@ class InvocationManager:
     def _finish_error(self, handle: CallHandle, error: Exception) -> None:
         handle.done = True
         handle.error = error
-        self._cancel_timer(handle)
         self._calls.pop(handle.call_id, None)
         self._host.metrics.counter("rpc_errors").inc()
         probes = self._host.probes
@@ -431,25 +428,28 @@ class InvocationManager:
         return tuple(doc[f"p{i}"] for i in range(len(provision.params)))
 
     def _encode_args(self, function: str, offer: Optional[dict], args: tuple) -> bytes:
-        from repro.encoding.schema import parse_type
-
         if offer is None:
             raise InvocationError(function, "provider offer unknown")
-        params = [parse_type(p) for p in offer["params"]]
+        params = offer["params"]
         if len(params) != len(args):
             raise InvocationError(
                 function, f"expected {len(params)} arguments, got {len(args)}"
             )
-        schema = _args_schema(function, params)
-        if schema is None:
+        if not params:
             return b""
+        key = (function, tuple(params))
+        schema = self._args_memo.get(key)
+        if schema is None:
+            if len(self._args_memo) >= _ARGS_MEMO_MAX:
+                self._args_memo.clear()
+            schema = self._args_memo[key] = _args_schema(
+                function, [parse_type(p) for p in params]
+            )
         return self._host.codec.encode(
             schema, {f"p{i}": a for i, a in enumerate(args)}
         )
 
     def _result_type_of(self, function: str, provider: str) -> Optional[DataType]:
-        from repro.encoding.schema import parse_type
-
         local = self._provisions.get(function)
         if local is not None:
             return local.result

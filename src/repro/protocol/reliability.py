@@ -4,8 +4,8 @@ The paper maps events "over TCP or over UDP using a mechanism to acknowledge
 and resend lost packets", claiming the application-layer mechanism "is more
 efficient for event messages than the generic case provided by the TCP
 stack" (§4.2). This module is that mechanism: per-(source, channel) sequence
-numbers, *selective* acknowledgements, per-frame retransmission timers with
-exponential backoff, and optional ordered delivery.
+numbers, *selective* acknowledgements, per-frame deadlines (one wake-up per
+stream) with exponential backoff, and optional ordered delivery.
 
 Everything here is sans-io: the classes never touch sockets or the
 simulator; they emit frames through a callback and expose ``poll``/
@@ -15,12 +15,14 @@ simulator; they emit frames through a callback and expose ``poll``/
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.util.clock import Clock
 from repro.util.errors import ProtocolError
+from repro.util.wakeup import Wakeup
 
 _ACK_COUNT = struct.Struct("<H")
 _ACK_SEQ = struct.Struct("<I")
@@ -228,7 +230,7 @@ class ReliableSender:
         self._nack_penalty = 0.0
         self._next_seq = 1
         self._in_flight: Dict[int, _InFlight] = {}
-        self._backlog: List[Frame] = []
+        self._backlog: Deque[Frame] = deque()
         # Statistics surfaced by experiment E5.
         self.sent_frames = 0
         self.retransmitted_frames = 0
@@ -401,16 +403,14 @@ class ReliableSender:
 
     # -- internals --------------------------------------------------------------
     def _transmit(self, frame: Frame) -> None:
-        now = self._clock.now()
-        self._in_flight[frame.seq] = _InFlight(
-            frame=frame, deadline=now + self._policy.initial_rto, rto=self._policy.initial_rto
-        )
+        rto = self._policy.initial_rto
+        self._in_flight[frame.seq] = _InFlight(frame, self._clock.now() + rto, rto)
         self.sent_frames += 1
         self._emit(frame)
 
     def _drain_backlog(self) -> None:
         while self._backlog and len(self._in_flight) < self._policy.window:
-            self._transmit(self._backlog.pop(0))
+            self._transmit(self._backlog.popleft())
 
 
 class ReliableReceiver:
@@ -425,7 +425,9 @@ class ReliableReceiver:
     seconds (or until ``max_pending_acks`` are waiting) and go out merged
     into a single selective-ack frame. The egress batcher may also drain
     them early via :meth:`take_pending_acks` to piggyback on an outbound
-    batch already headed to the peer. ``ack_delay == 0`` keeps the exact
+    batch already headed to the peer. A drain only forgets the flush
+    deadline; the one wake-up stays armed, fires early and finds either
+    nothing or a later batch to sleep on. ``ack_delay == 0`` keeps the exact
     seed behavior: one immediate ACK per frame.
     """
 
@@ -457,14 +459,17 @@ class ReliableReceiver:
         self._ordered = ordered
         self._ack_source = ack_source or source
         self._ack_delay = ack_delay
-        self._timers = timers
         self._max_pending_acks = max_pending_acks
         self._clock = clock
         self._hardening = hardening
         self._on_abuse = on_abuse
         self._dup_ack_bucket: Optional[_Bucket] = None
-        self._pending_acks: List[int] = []
-        self._ack_timer = None
+        self._pending_acks: Set[int] = set()  # sorted into the ACK payload
+        #: When the oldest pending seq must be flushed (None: none pending).
+        self._ack_due: Optional[float] = None
+        # Both runtimes' timer service is also their clock.
+        self._ack_clock = clock if clock is not None else timers
+        self._ack_wakeup = Wakeup(self._ack_clock, timers, self._flush_due)
         self._expected = 1  # next seq for in-order delivery
         self._pending: Dict[int, Frame] = {}  # out-of-order buffer
         self._seen: Set[int] = set()
@@ -559,15 +564,13 @@ class ReliableReceiver:
         if self._ack_delay <= 0:
             self._emit_ack(self._make_ack(seqs))
             return
-        for seq in seqs:
-            if seq not in self._pending_acks:
-                self._pending_acks.append(seq)
+        self._pending_acks.update(seqs)
         self.coalesced_acks += len(seqs)
         if len(self._pending_acks) >= self._max_pending_acks:
             self.flush_acks()
-            return
-        if self._ack_timer is None:
-            self._ack_timer = self._timers.schedule(self._ack_delay, self.flush_acks)
+        elif self._ack_due is None:
+            self._ack_due = self._ack_clock.now() + self._ack_delay
+            self._ack_wakeup.need(self._ack_due)
 
     def _make_ack(self, seqs: List[int]) -> Frame:
         self.ack_frames_sent += 1
@@ -578,29 +581,28 @@ class ReliableReceiver:
             channel=self._channel,
         )
 
-    def _cancel_ack_timer(self) -> None:
-        if self._ack_timer is not None:
-            if hasattr(self._ack_timer, "cancel"):
-                self._ack_timer.cancel()
-            self._ack_timer = None
+    def close(self) -> None:
+        """The stream is being discarded: no ACK may leave for it later."""
+        self._ack_wakeup.close()
+
+    def _flush_due(self, now: float) -> Optional[float]:
+        if self._ack_due is not None and self._ack_due <= now:
+            self.flush_acks()
+        return self._ack_due
 
     def flush_acks(self) -> None:
         """Emit one merged ACK frame covering every pending seq."""
-        self._cancel_ack_timer()
-        if not self._pending_acks:
-            return
-        seqs = sorted(self._pending_acks)
-        self._pending_acks.clear()
-        self._emit_ack(self._make_ack(seqs))
+        for ack in self.take_pending_acks():
+            self._emit_ack(ack)
 
     def take_pending_acks(self) -> List[Frame]:
         """Drain pending coalesced ACKs for piggybacking.
 
         Returns zero or one merged ACK frame. The caller takes ownership of
-        getting it to the peer (e.g. inside an outbound batch); the delay
-        timer is cancelled so the seqs are not acked twice.
+        getting it to the peer (e.g. inside an outbound batch); the flush
+        deadline is forgotten so the seqs are not acked twice.
         """
-        self._cancel_ack_timer()
+        self._ack_due = None
         if not self._pending_acks:
             return []
         seqs = sorted(self._pending_acks)

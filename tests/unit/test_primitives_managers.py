@@ -359,6 +359,60 @@ class TestInvocationManagerUnits:
         assert sorted(set(peers)) == ["s1", "s2"]
         assert peers.count("s1") == peers.count("s2") == 2
 
+    def test_each_call_expires_at_its_own_deadline(self):
+        """Deadlines in the opposite order of issue, one wake-up for both. A
+        timed-out call is redirected (to the only provider, again) with
+        exactly one more ``call_timeout`` window, ``CALL_MAX_REDIRECTS``
+        times. The instants pass at the parent; the timer count does not
+        (10: one per call, two more per expiry)."""
+        host = FakeHost()
+        self.make_remote_offer(host)
+        mgr = InvocationManager(host)
+        requests, errors, made = [], [], []
+        host.send_reliable = lambda peer, kind, payload: requests.append(host.sim.now())
+        schedule = host.sim.schedule
+        host.sim.schedule = lambda delay, fn: (made.append(delay), schedule(delay, fn))[1]
+        window = host.config.call_timeout
+        for tag, timeout in (("slow", 0.5), ("fast", 0.1)):
+            mgr.call(
+                "f", (1,), timeout=timeout,
+                on_error=lambda e, tag=tag: errors.append((tag, host.sim.now(), str(e))),
+            )
+        host.sim.run(until=10.0)
+        assert requests == [0.0, 0.0, 0.1, 0.5, 0.1 + window, 0.5 + window]
+        assert [(tag, when) for tag, when, _ in errors] == [
+            ("fast", 0.1 + window + window), ("slow", 0.5 + window + window),
+        ]
+        assert all("redirect limit reached" in message for _, _, message in errors)
+        assert host.metrics.counter("rpc_timeouts").value == 6
+        assert mgr.pending_calls() == [] and host.sim.pending == 0
+        # slow, then fast re-arms earlier; after that one re-arm per wake-up.
+        assert len(made) == 7
+
+    def test_completed_calls_leave_the_wakeup_alone(self):
+        """Fails at the parent: a timer per call, cancelled on completion."""
+        host = FakeHost()
+        self.make_remote_offer(host)
+        mgr = InvocationManager(host)
+        made = []
+        schedule = host.sim.schedule
+        host.sim.schedule = lambda delay, fn: (made.append(delay), schedule(delay, fn))[1]
+        results = []
+        for i in range(50):
+            handle = mgr.call("f", (i,), on_result=results.append)
+            response = wire.encode(
+                wire.RPC_RESPONSE_SCHEMA,
+                {"call_id": handle.call_id, "ok": True, "error": "",
+                 "result": host.codec.encode(INT32, i)},
+            )
+            mgr.on_response_frame(
+                Frame(kind=MessageKind.RPC_RESPONSE, source="srv", payload=response)
+            )
+            host.sim.run_for(0.001)
+        assert results == list(range(50)) and len(made) == 1
+        host.sim.run()  # the one wake-up fires on nothing and goes idle
+        assert len(made) == 1 and host.metrics.counter("rpc_timeouts").value == 0
+
     def test_duplicate_provision_rejected(self):
         host = FakeHost()
         mgr = InvocationManager(host)

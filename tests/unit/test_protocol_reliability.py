@@ -333,6 +333,53 @@ class TestAckCoalescing:
         assert pipe.acks == []
         assert pipe.receiver.take_pending_acks() == []
 
+    def test_seq_pending_after_a_drain_is_flushed_at_its_own_instant(self):
+        """Exact instants. Passes at the parent, whose drain cancelled the
+        timer and whose next pending seq scheduled a new one."""
+        pipe = CoalescedPipe(ack_delay=0.01)
+        flushed = []
+        emit = pipe.receiver._emit_ack
+        pipe.receiver._emit_ack = lambda f: (flushed.append(pipe.sim.now()), emit(f))
+        pipe.sender.send(MessageKind.EVENT, b"a")  # pending at 0: due at 10 ms
+        pipe.sim.run(until=0.004)
+        assert len(pipe.receiver.take_pending_acks()) == 1  # piggybacked at 4 ms
+        pipe.sim.run(until=0.0042)
+        pipe.sender.send(MessageKind.EVENT, b"b")  # pending 0.2 ms after the drain
+        pipe.sim.run(until=0.0141)
+        assert flushed == []  # the drained batch's instant (10 ms) emits nothing
+        pipe.sim.run(until=1.0)
+        assert flushed == [0.0042 + 0.01] and pipe.acks == [[2]]
+        # The cap still flushes at once, and forgets the deadline with it.
+        pipe = CoalescedPipe(ack_delay=0.01, max_pending=2)
+        pipe.sender.send(MessageKind.EVENT, b"a")
+        pipe.sender.send(MessageKind.EVENT, b"b")
+        assert pipe.acks == [[1, 2]]
+        pipe.sim.run(until=0.003)
+        pipe.sender.send(MessageKind.EVENT, b"c")
+        pipe.sim.run(until=0.0129)
+        assert pipe.acks == [[1, 2]]
+        pipe.sim.run(until=0.0131)
+        assert pipe.acks == [[1, 2], [3]]
+
+    def test_piggyback_drains_do_not_touch_the_timer(self):
+        """Fails at the parent: one timer scheduled (and cancelled by the
+        drain) per piggybacked batch, 100 here."""
+        pipe = CoalescedPipe(ack_delay=0.01)
+        made = []
+        schedule = pipe.sim.schedule
+        pipe.sim.schedule = lambda delay, fn: (made.append(delay), schedule(delay, fn))[1]
+
+        def piggyback():
+            for ack in pipe.receiver.take_pending_acks():
+                pipe.sender.on_ack_frame(ack)
+
+        for i in range(100):  # a frame a millisecond, drained half a millisecond later
+            pipe.sim.schedule_at(i * 0.001, lambda: pipe.sender.send(MessageKind.EVENT, b"x"))
+            pipe.sim.schedule_at(i * 0.001 + 0.0005, piggyback)
+        pipe.sim.run(until=0.2)
+        assert pipe.receiver.delivered_frames == 100 and pipe.acks == []
+        assert len(made) <= 0.1 / 0.01 + 1
+
     def test_duplicate_seqs_merge_once(self):
         pipe = CoalescedPipe(ack_delay=0.01)
         frame = Frame(
