@@ -28,10 +28,12 @@ Events/sec counts *deliveries* (samples × subscribers reached); latency is
 publisher ``perf_counter`` at publish to subscriber callback. Medians over
 ``--reps`` runs land in ``BENCH_netperf.json``. ``--smoke`` runs a small
 configuration and asserts every offered message was delivered on both
-workloads, and that the reliable plane asked the loop for at most
-``MAX_SCHEDULE_CALLS_PER_DELIVERY`` timers per delivered event — a count, so
-it holds on a loaded runner (the CI gate; the PR-to-PR performance gate is
-``BENCHMARK.json``'s suite under ``benchmarks/suite/``).
+workloads, that the reliable plane asked the loop for at most
+``MAX_SCHEDULE_CALLS_PER_DELIVERY`` timers per delivered event, and that the
+loop thread made at most ``MAX_LOOP_CALLS_PER_DELIVERY`` Python-level calls
+per delivered telemetry sample — counts, so they hold on a loaded runner
+(the CI gate; the PR-to-PR performance gate is ``BENCHMARK.json``'s suite
+under ``benchmarks/suite/``).
 """
 
 import argparse
@@ -66,6 +68,11 @@ SETTLE_SECONDS = 0.2
 #: One wake-up per stream, per delayed-ACK receiver and per batch flush: the
 #: closed loop measures 0.04-0.1. A timer per frame or per ACK is >= 1.
 MAX_SCHEDULE_CALLS_PER_DELIVERY = 0.25
+#: Python-level calls on the loop thread per delivered telemetry sample,
+#: event loop and subscriber callback included, over one extra burst after
+#: the timed run. 44.3 before the receive path resolved its per-frame work
+#: at bind time, 28.7 after (both repeat exactly); the bound sits midway.
+MAX_LOOP_CALLS_PER_DELIVERY = 36.5
 
 #: The async plane's feature set: the schema-compiled codec (byte-identical
 #: wire format, property-tested against the interpreter), batching and
@@ -208,14 +215,44 @@ def telemetry_fanout(samples=FANOUT_SAMPLES, burst=FANOUT_BURST):
             previous = total
         deliveries = [entry for per_sub in received for entry in per_sub]
         t_end = max(r for r, _ in deliveries)
+        # One more burst, untimed, with every call on the loop thread counted.
+        with count_loop_calls(runtime) as loop_calls:
+            runtime.on_reactor(
+                lambda: [pub.handle.publish(time.perf_counter()) for _ in range(burst)]
+            )
+            runtime.run_until(
+                lambda: sum(len(r) for r in received)
+                >= len(deliveries) + burst * SUBSCRIBERS,
+                timeout=5.0,
+            )
+        counted = sum(len(r) for r in received) - len(deliveries)
         return {
             "offered": samples * SUBSCRIBERS,
             "delivered": len(deliveries),
             "events_per_sec": round(len(deliveries) / (t_end - t0)),
+            "loop_calls_per_delivery": round(loop_calls[0] / max(counted, 1), 1),
             **_stats([r - s for r, s in deliveries]),
         }
     finally:
         runtime.stop()
+
+
+@contextlib.contextmanager
+def count_loop_calls(runtime):
+    """Count Python-level ``call`` events on the loop thread. The profile
+    hook is per thread, so it is installed and removed from inside the
+    reactor."""
+    calls = [0]
+
+    def profile(_frame, event, _arg):
+        if event == "call":
+            calls[0] += 1
+
+    runtime.on_reactor(lambda: sys.setprofile(profile))
+    try:
+        yield calls
+    finally:
+        runtime.on_reactor(lambda: sys.setprofile(None))
 
 
 @contextlib.contextmanager
@@ -365,6 +402,8 @@ def main(argv=None):
     print(f"\ntelemetry_fanout ceiling_fraction (same run): {fraction}")
     timers = results["reliable_events"]["async"]["schedule_calls_per_delivery"]
     print(f"reliable_events LoopDomain.schedule calls per delivered event: {timers}")
+    loop_calls = results["telemetry_fanout"]["async"]["loop_calls_per_delivery"]
+    print(f"telemetry_fanout Python calls on the loop thread per delivered sample: {loop_calls}")
 
     if args.smoke:
         for workload in WORKLOADS:
@@ -376,7 +415,14 @@ def main(argv=None):
             f"reliable_events: {timers} schedule calls per delivered event "
             f"(limit {MAX_SCHEDULE_CALLS_PER_DELIVERY}): a timer per frame or per ACK is back"
         )
-        print("smoke OK: delivered == offered on both workloads, timers per event in bound")
+        assert loop_calls <= MAX_LOOP_CALLS_PER_DELIVERY, (
+            f"telemetry_fanout: {loop_calls} Python calls per delivered sample "
+            f"(limit {MAX_LOOP_CALLS_PER_DELIVERY}): per-frame lookups or wrappers are back"
+        )
+        print(
+            "smoke OK: delivered == offered on both workloads, "
+            "timers per event and calls per sample in bound"
+        )
         return results
 
     if not args.no_json:

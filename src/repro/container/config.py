@@ -126,8 +126,14 @@ class ContainerConfig:
     ack_coalesce_max_pending: int = 64
 
     # Observability. Tracing is off by default: untraced frames stay
-    # byte-identical to the pre-tracing wire format and the hot path pays
-    # nothing. The flight recorder always runs (bounded memory).
+    # byte-identical to the pre-tracing wire format. Off, the data path
+    # reads ``tracer.enabled`` once per publish, delivery and submit, makes
+    # two tracer calls that return at once per publish and none per
+    # delivery; on, it opens a span per publish and per delivery and carries
+    # the context on the wire — measured on ``AsyncRuntime``, 1 -> 4
+    # closed-loop fan-out: 110k deliveries/s off, 58k on
+    # (docs/performance.md §9). The flight recorder always runs (bounded
+    # memory).
     tracing_enabled: bool = False
 
     # Debug sanitizers (repro.analysis.sanitizers). "off" keeps the data

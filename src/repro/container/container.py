@@ -7,7 +7,9 @@ primitive managers; hosts and watches the services installed on this node.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from collections import OrderedDict
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.container.config import ContainerConfig
 from repro.container.directory import Directory
@@ -28,7 +30,7 @@ from repro.container.resources import ResourceManager
 from repro.analysis.sanitizers.payload import PayloadSanitizer
 from repro.container.supervisor import RestartPolicy, ServiceSupervisor
 from repro.encoding.codec import get_codec
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, MetricsRegistry
 from repro.observability.probes import ProbeBus
 from repro.observability.recorder import FlightRecorder
 from repro.observability.trace import Tracer
@@ -51,6 +53,14 @@ from repro.util.errors import (
     ServiceError,
 )
 from repro.util.rng import SeededRng
+
+_RETRANSMIT = int(FrameFlags.RETRANSMIT)
+
+#: The flight recorder takes one reliability-abuse entry per (peer, reason)
+#: per this many seconds; the table remembering when is pruned of entries
+#: older than that whenever it holds more than this many keys.
+_ABUSE_LOG_WINDOW = 1.0
+_ABUSE_LOG_MAX = 1024
 
 #: Frame kinds the container treats as control plane (processed inline,
 #: before the scheduler).
@@ -92,6 +102,7 @@ class ServiceContainer:
         rng: Optional[SeededRng] = None,
     ):
         self._config = config
+        self._id = config.container_id
         self._clock = clock
         self._timers = timers
         self._transport = transport
@@ -122,8 +133,11 @@ class ServiceContainer:
             recorder=self.recorder,
             metrics=self.metrics,
         )
-        self._tx_counters: Dict[MessageKind, object] = {}
-        self._rx_counters: Dict[MessageKind, object] = {}
+        # kind -> (its frames_sent / frames_received counter, kind.name),
+        # filled at first sight of a kind: ``kind.name`` is an enum
+        # descriptor call, read once per kind instead of once per frame.
+        self._tx_counters: Dict[MessageKind, Tuple[Counter, str]] = {}
+        self._rx_counters: Dict[MessageKind, Tuple[Counter, str]] = {}
         self._retransmit_counter = self.metrics.counter("retransmits")
 
         self.directory = Directory(
@@ -178,7 +192,7 @@ class ServiceContainer:
             recorder=self.recorder,
         )
         self._ingress: Optional[IngressScheduler] = None
-        self._abuse_logged: Dict[str, float] = {}
+        self._abuse_logged: OrderedDict[str, float] = OrderedDict()
         self._transport.set_protocol_error_handler(self._on_protocol_error)
         self.links = ReliableLinks(
             clock=clock,
@@ -205,6 +219,10 @@ class ServiceContainer:
         self.events = EventManager(self)
         self.invocations = InvocationManager(self)
         self.files = FileTransferManager(self)
+        #: Frame kind -> the primitive entry point that consumes it; bound on
+        #: the first data frame (:meth:`_bind_handlers`), so a container that
+        #: only ever talks control plane — most of a fleet — never builds it.
+        self._handlers: Dict[MessageKind, Callable[[Frame], None]] = {}
         self._services: Dict[str, ServiceRecord] = {}
         self.supervisor = ServiceSupervisor(self, rng=rng)
         #: Per-container runtime-verification engine; armed lazily at
@@ -226,7 +244,7 @@ class ServiceContainer:
     # -- identity and plumbing accessors (PrimitiveHost protocol) -------------
     @property
     def id(self) -> str:
-        return self._config.container_id
+        return self._id
 
     @property
     def clock(self) -> Clock:
@@ -252,45 +270,32 @@ class ServiceContainer:
         # Deferred work inherits the causal context active at submit time,
         # so spans opened inside the task chain to the message (or call)
         # that scheduled it — the cross-container propagation mechanism.
-        if self.tracer.enabled and self.tracer.current is not None:
-            context = self.tracer.current
-
-            def traced():
-                with self.tracer.activate(context):
-                    fn()
-
-            self.scheduler.submit(label, traced)
-            return
+        tracer = self.tracer
+        if tracer.enabled and tracer.current is not None:
+            fn = partial(self._run_in_context, tracer.current, fn)
         self.scheduler.submit(label, fn)
 
-    # -- frame plumbing ----------------------------------------------------------
-    def _note_tx(self, frame: Frame) -> None:
-        counter = self._tx_counters.get(frame.kind)
-        if counter is None:
-            counter = self._tx_counters[frame.kind] = self.metrics.counter(
-                "frames_sent", kind=frame.kind.name
-            )
-        counter.inc()
-        if frame.flags & int(FrameFlags.RETRANSMIT):
-            self._retransmit_counter.inc()
-        self.recorder.record(
-            "tx", kind=frame.kind.name, seq=frame.seq, bytes=len(frame.payload)
-        )
+    def _run_in_context(self, context, fn: Callable[[], None]) -> None:
+        with self.tracer.activate(context):
+            fn()
 
-    def _note_rx(self, frame: Frame) -> None:
-        counter = self._rx_counters.get(frame.kind)
-        if counter is None:
-            counter = self._rx_counters[frame.kind] = self.metrics.counter(
-                "frames_received", kind=frame.kind.name
-            )
-        counter.inc()
-        self.recorder.record(
-            "rx",
-            kind=frame.kind.name,
-            source=frame.source,
-            seq=frame.seq,
-            bytes=len(frame.payload),
+    # -- frame plumbing ----------------------------------------------------------
+    def _counted(
+        self, table: Dict[MessageKind, Tuple[Counter, str]], metric: str, kind: MessageKind
+    ) -> Tuple[Counter, str]:
+        """First frame of ``kind`` in one direction: resolve its counter and
+        name into ``table``."""
+        noted = table[kind] = (self.metrics.counter(metric, kind=kind.name), kind.name)
+        return noted
+
+    def _note_tx(self, frame: Frame) -> None:
+        counter, kind_name = self._tx_counters.get(frame.kind) or self._counted(
+            self._tx_counters, "frames_sent", frame.kind
         )
+        counter.inc()
+        if frame.flags & _RETRANSMIT:
+            self._retransmit_counter.inc()
+        self.recorder.record_tx(kind_name, frame.seq, len(frame.payload))
 
     def send_unicast(self, peer: str, frame: Frame) -> bool:
         if peer == self.id:
@@ -588,21 +593,29 @@ class ServiceContainer:
         return DEFAULT_BANDS.get(kind, 4)
 
     def _on_frame(self, frame: Frame, source_address: Address) -> None:
-        if frame.source == self.id:
+        if frame.source == self._id:
             return  # our own multicast loopback
         # Admission is the first gate: a dropped frame generates no ACK, no
         # dispatch, no scheduler work — nothing an attacker could amplify.
-        if not self.admission.admit(frame, source_address):
+        # ``enabled`` and ``policy`` are read live: a policy may be armed on
+        # a running container and binds from the very next frame.
+        admission = self.admission
+        if admission.enabled and not admission.admit(frame, source_address):
             return
-        self._note_rx(frame)
-        if frame.kind in _CONTROL_KINDS:
+        kind = frame.kind
+        counter, kind_name = self._rx_counters.get(kind) or self._counted(
+            self._rx_counters, "frames_received", kind
+        )
+        counter.inc()
+        self.recorder.record_rx(kind_name, frame.source, frame.seq, len(frame.payload))
+        if kind in _CONTROL_KINDS:
             try:
                 self._handle_control(frame)
             except (ProtocolError, EncodingError) as exc:
                 self._note_malformed(frame, exc)
             return
-        if self.admission.policy.ingress_scheduling:
-            self._ingress_scheduler().offer(frame, self._band_of(frame.kind))
+        if admission.policy.ingress_scheduling:
+            self._ingress_scheduler().offer(frame, self._band_of(kind))
             return
         self._ingest_data(frame)
 
@@ -662,9 +675,20 @@ class ServiceContainer:
         # (peer, reason) per second at most.
         key = f"{peer}:{reason}"
         now = self._clock.now()
-        if now - self._abuse_logged.get(key, -1.0) >= 1.0:
-            self._abuse_logged[key] = now
-            self.recorder.record("reliability-abuse", peer=peer, reason=reason)
+        logged = self._abuse_logged
+        if now - logged.get(key, -_ABUSE_LOG_WINDOW) < _ABUSE_LOG_WINDOW:
+            return
+        # Kept in the order logged, oldest first. ``peer`` is whatever a
+        # frame declared as its source: forged ids must not grow the table,
+        # and an entry past the window no longer suppresses anything.
+        logged[key] = now
+        logged.move_to_end(key)
+        while len(logged) > _ABUSE_LOG_MAX:
+            oldest = next(iter(logged))
+            if now - logged[oldest] < _ABUSE_LOG_WINDOW:
+                break
+            del logged[oldest]
+        self.recorder.record("reliability-abuse", peer=peer, reason=reason)
 
     def _handle_control(self, frame: Frame) -> None:
         if frame.kind == MessageKind.ANNOUNCE:
@@ -700,34 +724,29 @@ class ServiceContainer:
         self._dispatch(frame)
 
     def _dispatch(self, frame: Frame) -> None:
-        kind = frame.kind
-        if kind == MessageKind.VAR_SAMPLE:
-            self.variables.on_sample_frame(frame)
-        elif kind == MessageKind.VAR_INITIAL_REQUEST:
-            self.variables.on_initial_request(frame)
-        elif kind == MessageKind.VAR_INITIAL_RESPONSE:
-            self.variables.on_initial_response(frame)
-        elif kind == MessageKind.EVENT:
-            self.events.on_event_frame(frame)
-        elif kind == MessageKind.EVENT_SUBSCRIBE:
-            self.events.on_subscribe_frame(frame)
-        elif kind == MessageKind.RPC_REQUEST:
-            self.invocations.on_request_frame(frame)
-        elif kind == MessageKind.RPC_RESPONSE:
-            self.invocations.on_response_frame(frame)
-        elif kind == MessageKind.FILE_ANNOUNCE:
-            self.files.on_announce_frame(frame)
-        elif kind == MessageKind.FILE_SUBSCRIBE:
-            self.files.on_subscribe_frame(frame)
-        elif kind == MessageKind.FILE_CHUNK:
-            self.files.on_chunk_frame(frame)
-        elif kind == MessageKind.FILE_STATUS_REQUEST:
-            self.files.on_status_request_frame(frame)
-        elif kind == MessageKind.FILE_COMPLETION_ACK:
-            self.files.on_completion_ack_frame(frame)
-        elif kind == MessageKind.FILE_COMPLETION_NACK:
-            self.files.on_completion_nack_frame(frame)
-        # Unknown kinds are dropped silently: forward compatibility.
+        handler = (self._handlers or self._bind_handlers()).get(frame.kind)
+        if handler is not None:
+            handler(frame)
+
+    def _bind_handlers(self) -> Dict[MessageKind, Callable[[Frame], None]]:
+        """Kinds absent here (and not consumed by the control plane or the
+        reliability layers) are dropped silently: forward compatibility."""
+        self._handlers = {
+            MessageKind.VAR_SAMPLE: self.variables.on_sample_frame,
+            MessageKind.VAR_INITIAL_REQUEST: self.variables.on_initial_request,
+            MessageKind.VAR_INITIAL_RESPONSE: self.variables.on_initial_response,
+            MessageKind.EVENT: self.events.on_event_frame,
+            MessageKind.EVENT_SUBSCRIBE: self.events.on_subscribe_frame,
+            MessageKind.RPC_REQUEST: self.invocations.on_request_frame,
+            MessageKind.RPC_RESPONSE: self.invocations.on_response_frame,
+            MessageKind.FILE_ANNOUNCE: self.files.on_announce_frame,
+            MessageKind.FILE_SUBSCRIBE: self.files.on_subscribe_frame,
+            MessageKind.FILE_CHUNK: self.files.on_chunk_frame,
+            MessageKind.FILE_STATUS_REQUEST: self.files.on_status_request_frame,
+            MessageKind.FILE_COMPLETION_ACK: self.files.on_completion_ack_frame,
+            MessageKind.FILE_COMPLETION_NACK: self.files.on_completion_nack_frame,
+        }
+        return self._handlers
 
     def _on_tcp_event_payload(self, peer: str, payload: bytes) -> None:
         doc, trace = wire.decode_traced(wire.EVENT_MESSAGE_SCHEMA, payload)
@@ -738,23 +757,22 @@ class ServiceContainer:
         self.events.on_provider_up(record.container)
         self.files.on_provider_up(record.container)
 
+    def _reset_peer_state(self, container: str) -> None:
+        """``container`` died or restarted: its reliable streams start over
+        (new dedup epoch, link state dropped) and it no longer subscribes
+        to anything here until it says so again."""
+        self._peer_epochs[container] = self._peer_epochs.get(container, 0) + 1
+        self.links.reset_peer(container)
+        self.tcp_links.reset_peer(container)
+        self.events.on_subscriber_down(container)
+
     def _on_container_down(self, record: ContainerRecord) -> None:
-        self._peer_epochs[record.container] = (
-            self._peer_epochs.get(record.container, 0) + 1
-        )
-        self.links.reset_peer(record.container)
-        self.tcp_links.reset_peer(record.container)
-        self.events.on_subscriber_down(record.container)
+        self._reset_peer_state(record.container)
         self.files.on_subscriber_down(record.container)
         self.invocations.on_provider_down(record.container)
 
     def _on_container_restart(self, record: ContainerRecord) -> None:
-        self._peer_epochs[record.container] = (
-            self._peer_epochs.get(record.container, 0) + 1
-        )
-        self.links.reset_peer(record.container)
-        self.tcp_links.reset_peer(record.container)
-        self.events.on_subscriber_down(record.container)
+        self._reset_peer_state(record.container)
         # Re-subscribe to whatever the restarted container still offers.
         self.events.on_provider_up(record.container)
         self.files.on_provider_up(record.container)

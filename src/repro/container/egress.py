@@ -32,8 +32,10 @@ counters in the container's :class:`~repro.observability.metrics.MetricsRegistry
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.observability.metrics import Gauge
 from repro.protocol.batching import BATCH_MTU_BYTES, FrameBatcher, PiggybackFn
 from repro.protocol.frames import Frame, MessageKind
 from repro.simnet.packet import WIRE_OVERHEAD_BYTES, Destination
@@ -237,7 +239,7 @@ class EgressShaper:
         the bucket is full and drive it negative, so the long-run rate
         stays exact and oversized frames still make progress.
         """
-        if self._batcher is not None:
+        if self._batcher is not None and self._metrics is not None:
             self._note_batch_stats()
         if not self.enabled:
             self.passthrough_frames += 1
@@ -322,16 +324,27 @@ class EgressShaper:
         if self._on_overflow is not None:
             self._on_overflow(destination, band, policy, frame)
 
+    @cached_property
+    def _batch_gauges(self) -> Tuple[Gauge, Gauge, Gauge, Gauge]:
+        """Where the batcher's tallies are mirrored; resolved at the first
+        emit, like every per-frame instrument, not per datagram."""
+        gauge = self._metrics.gauge
+        return (
+            gauge("egress_batches"),
+            gauge("egress_batched_frames"),
+            gauge("egress_single_flushes"),
+            gauge("egress_piggybacked_acks"),
+        )
+
     def _note_batch_stats(self) -> None:
         """Mirror the batcher's tallies into the metrics registry (cheap:
         counters are set-on-read gauges of monotonic ints)."""
-        if self._metrics is None or self._batcher is None:
-            return
         b = self._batcher
-        self._metrics.gauge("egress_batches").set(b.batches_sent)
-        self._metrics.gauge("egress_batched_frames").set(b.batched_frames)
-        self._metrics.gauge("egress_single_flushes").set(b.single_flushes)
-        self._metrics.gauge("egress_piggybacked_acks").set(b.piggybacked_acks)
+        batches, batched_frames, single_flushes, piggybacked = self._batch_gauges
+        batches.set(b.batches_sent)
+        batched_frames.set(b.batched_frames)
+        single_flushes.set(b.single_flushes)
+        piggybacked.set(b.piggybacked_acks)
 
     def _frame_size(self, frame: Frame) -> int:
         # A zero-copy WireDatagram knows its wire size without joining its

@@ -20,7 +20,7 @@ import struct
 from io import BytesIO
 from typing import Any, BinaryIO
 
-from repro.encoding.codec import register_codec
+from repro.encoding.codec import Codec, register_codec
 from repro.encoding.types import (
     DataType,
     PrimitiveType,
@@ -55,7 +55,7 @@ _TAG = struct.Struct("<B")
 MAX_SEQUENCE_LENGTH = 1 << 24
 
 
-class BinaryCodec:
+class BinaryCodec(Codec):
     """The default, compact, schema-driven binary codec."""
 
     name = "binary"

@@ -8,7 +8,8 @@ them).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Protocol, runtime_checkable
+from functools import partial
+from typing import Any, Callable, Dict, Protocol, Tuple, runtime_checkable
 
 from repro.encoding.types import DataType
 from repro.util.errors import ConfigurationError
@@ -16,7 +17,16 @@ from repro.util.errors import ConfigurationError
 
 @runtime_checkable
 class Codec(Protocol):
-    """Marshals typed values to/from wire bytes."""
+    """Marshals typed values to/from wire bytes.
+
+    ``encode``/``decode`` take the schema on every call. A caller that
+    marshals one schema many times binds it once instead: ``encoder``,
+    ``decoder`` and ``prefix_decoder`` return a one-argument callable with
+    the same results and the same :class:`EncodingError`s. A codec that
+    subclasses this protocol inherits bindings that simply fix the first
+    argument; one with per-schema state (the compiled codec's plans)
+    returns a callable that skips its per-call lookup.
+    """
 
     #: registry key, e.g. ``"binary"``
     name: str
@@ -28,6 +38,20 @@ class Codec(Protocol):
     def decode(self, datatype: DataType, data: bytes) -> Any:
         """Unmarshal bytes produced by :meth:`encode` with the same type."""
         ...
+
+    def encoder(self, datatype: DataType) -> Callable[[Any], bytes]:
+        """``value -> bytes``, equal to ``encode(datatype, value)``."""
+        return partial(self.encode, datatype)
+
+    def decoder(self, datatype: DataType) -> Callable[[bytes], Any]:
+        """``data -> value``, equal to ``decode(datatype, data)``."""
+        return partial(self.decode, datatype)
+
+    def prefix_decoder(self, datatype: DataType) -> Callable[[bytes], Tuple[Any, int]]:
+        """``data -> (value, consumed)``, equal to ``decode_prefix(datatype,
+        data)`` — for codecs whose values are self-delimiting (the binary
+        wire format; JSON has no ``decode_prefix``)."""
+        return partial(self.decode_prefix, datatype)
 
 
 _REGISTRY: Dict[str, Codec] = {}

@@ -42,7 +42,7 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.encoding.binary import MAX_SEQUENCE_LENGTH
-from repro.encoding.codec import register_codec
+from repro.encoding.codec import Codec, register_codec
 from repro.encoding.types import (
     DataType,
     PrimitiveType,
@@ -517,53 +517,26 @@ def _generate_encoder(datatype: DataType) -> Callable[[Any], bytes]:
 
 # -- plan cache ------------------------------------------------------------------
 
-#: Hashing a DataType re-renders describe() recursively, so the hot lookup is
-#: keyed by object identity; a second describe()-keyed level shares compiled
-#: plans between equal-but-distinct schema instances. Both caches keep a
-#: reference to their datatype, so a live id() can never be recycled into a
-#: stale entry. Bounded so adversarial schema churn cannot grow them forever.
-_CACHE_LIMIT = 4096
-_PlanEntry = Tuple[DataType, Callable[[Any], bytes], _Decoder]
-_BY_ID: Dict[int, _PlanEntry] = {}
-_BY_KEY: Dict[str, _PlanEntry] = {}
+#: What a generated decoder raises on bytes it cannot consume, besides the
+#: EncodingErrors it builds itself.
+_DECODE_FAULTS = (struct.error, IndexError, UnicodeDecodeError)
 
 
-def _plan(datatype: DataType) -> _PlanEntry:
-    entry = _BY_ID.get(id(datatype))
-    if entry is not None and entry[0] is datatype:
-        return entry
-    key = datatype.describe()
-    shared = _BY_KEY.get(key)
-    if shared is None:
-        shared = (datatype, _generate_encoder(datatype), _generate_decoder(datatype))
-        if len(_BY_KEY) >= _CACHE_LIMIT:
-            _BY_KEY.clear()
-        _BY_KEY[key] = shared
-    entry = (datatype, shared[1], shared[2])
-    if len(_BY_ID) >= _CACHE_LIMIT:
-        _BY_ID.clear()
-    _BY_ID[id(datatype)] = entry
-    return entry
+def _decode_fault(exc: Exception) -> EncodingError:
+    if isinstance(exc, UnicodeDecodeError):
+        return EncodingError(f"string is not UTF-8: {exc}")
+    return EncodingError(f"truncated payload: {exc}")
 
 
-def compile_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
-    """Compile (or fetch the cached) plan: a ``value -> bytes`` encoder and a
-    ``(buf, offset) -> (value, offset)`` decoder."""
-    entry = _plan(datatype)
-    return entry[1], entry[2]
+def _bind(datatype: DataType, encoder: Callable[[Any], bytes], decoder: _Decoder):
+    """The generated pair behind the codec's error contract, as the three
+    one-argument callables ``CompiledCodec`` hands out: ``value -> bytes``,
+    ``data -> value`` (whole buffer or raise) and ``data -> (value,
+    consumed)``. The decoders slice whatever buffer they are given:
+    ``bytes`` is sliced as bytes (cheapest), a ``memoryview`` of a larger
+    buffer without copying. Nothing goes through BytesIO."""
 
-
-# -- the codec -------------------------------------------------------------------
-
-
-class CompiledCodec:
-    """Drop-in :class:`Codec` producing ``BinaryCodec``-identical bytes from
-    schema-compiled plans."""
-
-    name = "compiled"
-
-    def encode(self, datatype: DataType, value: Any) -> bytes:
-        encoder = _plan(datatype)[1]
+    def encode(value: Any) -> bytes:
         try:
             return encoder(value)
         except EncodingError:
@@ -576,34 +549,109 @@ class CompiledCodec:
             datatype.validate(value)
             raise
 
-    def decode(self, datatype: DataType, data) -> Any:
-        value, consumed, total = self._decode(datatype, data)
-        if consumed != total:
-            raise EncodingError(
-                f"{total - consumed} trailing bytes after decoding "
-                f"{datatype.describe()}"
-            )
-        return value
-
-    def decode_prefix(self, datatype: DataType, data) -> Tuple[Any, int]:
-        """Decode one value off the front of ``data``; (value, consumed)."""
-        value, consumed, _ = self._decode(datatype, data)
-        return value, consumed
-
-    def _decode(self, datatype: DataType, data) -> Tuple[Any, int, int]:
-        # The decoder slices whatever buffer it is given: ``bytes`` input is
-        # sliced as bytes (cheapest), a ``memoryview`` of a larger buffer is
-        # sliced without copying. Nothing goes through BytesIO.
-        decoder = _plan(datatype)[2]
+    def decode(data) -> Any:
         try:
             value, consumed = decoder(data, 0)
         except EncodingError:
             raise
-        except (struct.error, IndexError) as exc:
-            raise EncodingError(f"truncated payload: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"string is not UTF-8: {exc}") from exc
-        return value, consumed, len(data)
+        except _DECODE_FAULTS as exc:
+            raise _decode_fault(exc) from exc
+        if consumed != len(data):
+            raise EncodingError(
+                f"{len(data) - consumed} trailing bytes after decoding "
+                f"{datatype.describe()}"
+            )
+        return value
+
+    def decode_prefix(data) -> Tuple[Any, int]:
+        try:
+            return decoder(data, 0)
+        except EncodingError:
+            raise
+        except _DECODE_FAULTS as exc:
+            raise _decode_fault(exc) from exc
+
+    return encode, decode, decode_prefix
+
+
+#: Hashing a DataType re-renders describe() recursively, so the hot lookup is
+#: keyed by object identity; a second describe()-keyed level shares compiled
+#: plans between equal-but-distinct schema instances. Both caches keep a
+#: reference to their datatype, so a live id() can never be recycled into a
+#: stale entry. Bounded so adversarial schema churn cannot grow them forever.
+_CACHE_LIMIT = 4096
+
+
+class _Plan:
+    """One compiled schema: the generated pair and its three bound forms."""
+
+    __slots__ = ("encoder", "decoder", "encode", "decode", "decode_prefix")
+
+    def __init__(self, datatype: DataType):
+        self.encoder: Callable[[Any], bytes] = _generate_encoder(datatype)
+        self.decoder: _Decoder = _generate_decoder(datatype)
+        self.encode, self.decode, self.decode_prefix = _bind(
+            datatype, self.encoder, self.decoder
+        )
+
+
+_BY_ID: Dict[int, Tuple[DataType, _Plan]] = {}
+_BY_KEY: Dict[str, _Plan] = {}
+
+
+def _plan(datatype: DataType) -> _Plan:
+    hit = _BY_ID.get(id(datatype))
+    if hit is not None and hit[0] is datatype:
+        return hit[1]
+    key = datatype.describe()
+    plan = _BY_KEY.get(key)
+    if plan is None:
+        plan = _Plan(datatype)
+        if len(_BY_KEY) >= _CACHE_LIMIT:
+            _BY_KEY.clear()
+        _BY_KEY[key] = plan
+    if len(_BY_ID) >= _CACHE_LIMIT:
+        _BY_ID.clear()
+    _BY_ID[id(datatype)] = (datatype, plan)
+    return plan
+
+
+def compile_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
+    """Compile (or fetch the cached) plan: a ``value -> bytes`` encoder and a
+    ``(buf, offset) -> (value, offset)`` decoder."""
+    plan = _plan(datatype)
+    return plan.encoder, plan.decoder
+
+
+# -- the codec -------------------------------------------------------------------
+
+
+class CompiledCodec(Codec):
+    """Drop-in :class:`Codec` producing ``BinaryCodec``-identical bytes from
+    schema-compiled plans. The bound forms (``encoder``/``decoder``/
+    ``prefix_decoder``) are the plan's own callables, so a caller that binds
+    once pays neither the plan lookup nor a wrapper per value."""
+
+    name = "compiled"
+
+    def encode(self, datatype: DataType, value: Any) -> bytes:
+        return _plan(datatype).encode(value)
+
+    def decode(self, datatype: DataType, data) -> Any:
+        return _plan(datatype).decode(data)
+
+    def decode_prefix(self, datatype: DataType, data) -> Tuple[Any, int]:
+        """Decode one value off the front of ``data``; (value, consumed)."""
+        return _plan(datatype).decode_prefix(data)
+
+    def encoder(self, datatype: DataType) -> Callable[[Any], bytes]:
+        return _plan(datatype).encode
+
+    def decoder(self, datatype: DataType) -> Callable[[Any], Any]:
+        return _plan(datatype).decode
+
+    def prefix_decoder(self, datatype: DataType) -> Callable[[Any], Tuple[Any, int]]:
+        return _plan(datatype).decode_prefix
 
 
 register_codec(CompiledCodec())

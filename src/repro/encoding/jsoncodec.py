@@ -14,7 +14,7 @@ import json
 import math
 from typing import Any
 
-from repro.encoding.codec import register_codec
+from repro.encoding.codec import Codec, register_codec
 from repro.encoding.types import (
     DataType,
     PrimitiveType,
@@ -25,7 +25,7 @@ from repro.encoding.types import (
 from repro.util.errors import EncodingError
 
 
-class JsonCodec:
+class JsonCodec(Codec):
     """UTF-8 JSON codec with the same type-checking as the binary codec."""
 
     name = "json"

@@ -20,6 +20,21 @@ from repro.util.clock import Clock
 FLIGHT_RECORDER_CAPACITY = 256
 
 
+def _shape(entry: tuple) -> Dict[str, object]:
+    """One raw ring entry as the dict a dump carries; the entry's length
+    tells the three stored forms apart."""
+    if len(entry) == 6:
+        t, category, kind, source, seq, nbytes = entry
+        return {"t": t, "category": category, "kind": kind, "source": source,
+                "seq": seq, "bytes": nbytes}
+    if len(entry) == 5:
+        t, category, kind, seq, nbytes = entry
+        return {"t": t, "category": category, "kind": kind, "seq": seq,
+                "bytes": nbytes}
+    t, category, fields = entry
+    return {"t": t, "category": category, **fields}
+
+
 class FlightRecorder:
     """Fixed-capacity ring buffer of timestamped entries."""
 
@@ -28,9 +43,10 @@ class FlightRecorder:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self._clock = clock
-        # Entries are stored raw as (t, category, fields) and shaped into
-        # dicts at dump time: record() sits on the per-frame tx/rx path, so
-        # the steady-state cost is one tuple and one deque append.
+        # Entries are stored raw and shaped into dicts at dump time. The
+        # per-frame path (record_rx / record_tx) appends one flat tuple —
+        # no keyword dict per frame; everything else is rare and keeps its
+        # fields as given: (t, category, fields).
         self._entries: Deque[tuple] = deque(maxlen=capacity)
         #: Entries recorded over the whole run (the ring only keeps the tail).
         self.recorded = 0
@@ -39,12 +55,19 @@ class FlightRecorder:
         self.recorded += 1
         self._entries.append((self._clock.now(), category, fields))
 
+    def record_rx(self, kind: str, source: str, seq: int, nbytes: int) -> None:
+        """One received frame (the container's per-frame ingress entry)."""
+        self.recorded += 1
+        self._entries.append((self._clock.now(), "rx", kind, source, seq, nbytes))
+
+    def record_tx(self, kind: str, seq: int, nbytes: int) -> None:
+        """One sent frame (the container's per-frame egress entry)."""
+        self.recorded += 1
+        self._entries.append((self._clock.now(), "tx", kind, seq, nbytes))
+
     def dump(self) -> List[Dict[str, object]]:
         """The retained entries, oldest first."""
-        return [
-            {"t": t, "category": category, **fields}
-            for t, category, fields in self._entries
-        ]
+        return [_shape(entry) for entry in self._entries]
 
     def dump_json(self, indent: int = 2) -> str:
         return json.dumps(

@@ -13,6 +13,7 @@ application priority in the pluggable scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.encoding.schema import parse_type
@@ -36,6 +37,9 @@ class EventPublication:
     #: container ids subscribed to this event
     subscribers: Set[str] = field(default_factory=set)
     raised_events: int = 0
+    #: Resolved once at ``provide``: the value encoder bound to ``datatype``
+    #: (None for a pure signal).
+    _encode: Optional[Callable[[Any], bytes]] = field(repr=False, default=None)
 
     def raise_event(self, value: Any = None) -> None:
         """Publish one occurrence to every subscriber, reliably."""
@@ -74,15 +78,21 @@ class EventManager:
         #: the subscription is between containers (§3), not service
         #: instances. Seeds each (re-)publication's subscriber set.
         self._remote_interest: Dict[str, Set[str]] = {}
-        # Hot-path instruments, resolved once (registry lookups per event
-        # show up at high rates).
+        # Everything an event needs from the host, resolved once: the
+        # collaborators are fixed for the container's life (their *state* —
+        # tracer.enabled, probes.enabled — is read live, per event).
+        self._id = host.id
+        self._clock = host.clock
+        self._codec = host.codec
+        self._tracer = host.tracer
+        self._probes = host.probes
         self._publishes_counter = host.metrics.counter("event_publishes")
         self._deliveries_counter = host.metrics.counter("event_deliveries")
-        # (name, provider) -> resolved DataType for the rx path; valid only
-        # while the directory revision is unchanged and no local publication
-        # has been (re)provided or withdrawn since.
-        self._datatype_cache: Dict[tuple, DataType] = {}
-        self._datatype_cache_rev = -1
+        # (name, provider) -> the provider's datatype as a bound decoder for
+        # the rx path; valid only while the directory revision is unchanged
+        # and no local publication has been (re)provided or withdrawn since.
+        self._decoder_cache: Dict[tuple, Callable[[bytes], Any]] = {}
+        self._decoder_cache_rev = -1
 
     # -- publisher side -----------------------------------------------------
     def provide(
@@ -91,26 +101,30 @@ class EventManager:
         if name in self._publications:
             raise ConfigurationError(f"event {name!r} already provided here")
         publication = EventPublication(
-            name=name, datatype=datatype, service=service, _manager=self
+            name=name,
+            datatype=datatype,
+            service=service,
+            _manager=self,
+            _encode=self._codec.encoder(datatype) if datatype is not None else None,
         )
         # Restore interest recorded before (or between) provisions.
         publication.subscribers = set(self._remote_interest.get(name, set()))
         if self._subscriptions.get(name):
             publication.subscribers.add(self._host.id)
         self._publications[name] = publication
-        self._datatype_cache.clear()
+        self._decoder_cache.clear()
         self._host.announce_soon()
         return publication
 
     def withdraw(self, name: str) -> None:
         if self._publications.pop(name, None) is not None:
-            self._datatype_cache.clear()
+            self._decoder_cache.clear()
             self._host.announce_soon()
 
     def withdraw_service(self, service: str) -> None:
         for name in [n for n, p in self._publications.items() if p.service == service]:
             del self._publications[name]
-        self._datatype_cache.clear()
+        self._decoder_cache.clear()
         self._host.announce_soon()
 
     def offers(self) -> List[dict]:
@@ -123,14 +137,14 @@ class EventManager:
         ]
 
     def _raise(self, publication: EventPublication, value: Any) -> None:
-        tracer = self._host.tracer
-        now = self._host.clock.now()
+        tracer = self._tracer
+        now = self._clock.now()
         sanitizer = self._host.payload_sanitizer
         if sanitizer.enabled:
             value = sanitizer.on_publish("event", publication.name, value)
         publication.raised_events += 1
         self._publishes_counter.inc()
-        probes = self._host.probes
+        probes = self._probes
         if probes.enabled:
             probes.emit(
                 "event.publish", publication.name, attrs={"timestamp": now}
@@ -143,26 +157,28 @@ class EventManager:
             context = tracer.context_of(span)
         else:
             span = context = None  # skip span-name formatting on the hot path
-        if publication.datatype is not None:
-            encoded_value = self._host.codec.encode(publication.datatype, value)
-        else:
-            encoded_value = b""
-        payload = wire.encode(
-            wire.EVENT_MESSAGE_SCHEMA,
-            {"name": publication.name, "timestamp": now, "value": encoded_value},
-            trace=context,
+        encode = publication._encode
+        payload = wire.encode_event_message(
+            {
+                "name": publication.name,
+                "timestamp": now,
+                "value": encode(value) if encode is not None else b"",
+            },
+            context,
         )
+        host = self._host
+        tcp = host.config.event_mapping == "tcp"
         with tracer.activate(context):
             # Local subscribers first: same-container delivery never hits
             # the wire.
             self._dispatch_local(publication.name, value, now)
             for peer in sorted(publication.subscribers):
-                if peer == self._host.id:
+                if peer == self._id:
                     continue
-                if self._host.config.event_mapping == "tcp":
-                    self._host.send_tcp_stream(peer, payload)
+                if tcp:
+                    host.send_tcp_stream(peer, payload)
                 else:
-                    self._host.send_reliable(peer, MessageKind.EVENT, payload)
+                    host.send_reliable(peer, MessageKind.EVENT, payload)
         tracer.finish(span)
 
     # -- subscriber side ----------------------------------------------------
@@ -240,31 +256,30 @@ class EventManager:
 
     # -- frame input -----------------------------------------------------------
     def on_event_frame(self, frame: Frame) -> None:
-        doc, trace = wire.decode_traced(wire.EVENT_MESSAGE_SCHEMA, frame.payload)
+        doc, trace = wire.decode_event_message(frame.payload)
         self.on_event_payload(frame.source, doc, trace)
 
     def on_event_payload(self, provider: str, doc: dict, trace=None) -> None:
         name = doc["name"]
         revision = self._host.directory.revision
-        if revision != self._datatype_cache_rev:
-            self._datatype_cache.clear()
-            self._datatype_cache_rev = revision
+        if revision != self._decoder_cache_rev:
+            self._decoder_cache.clear()
+            self._decoder_cache_rev = revision
         key = (name, provider)
-        datatype = self._datatype_cache.get(key)
-        if datatype is None:
+        decode = self._decoder_cache.get(key)
+        if decode is None:
             datatype = self._datatype_of(name, provider)
             if datatype is not None:
-                self._datatype_cache[key] = datatype
+                decode = self._decoder_cache[key] = self._codec.decoder(datatype)
         value = None
-        if datatype is not None and doc["value"]:
-            value = self._host.codec.decode(datatype, doc["value"])
-        tracer = self._host.tracer
-        span = (
-            tracer.start_span(
-                f"event:{name}", "event.deliver", parent=trace, provider=provider
-            )
-            if tracer.enabled
-            else None
+        if decode is not None and doc["value"]:
+            value = decode(doc["value"])
+        tracer = self._tracer
+        if not tracer.enabled:
+            self._dispatch_local(name, value, doc["timestamp"])
+            return
+        span = tracer.start_span(
+            f"event:{name}", "event.deliver", parent=trace, provider=provider
         )
         with tracer.activate(tracer.context_of(span)):
             self._dispatch_local(name, value, doc["timestamp"])
@@ -289,19 +304,25 @@ class EventManager:
 
     # -- internals ---------------------------------------------------------------
     def _dispatch_local(self, name: str, value: Any, timestamp: float) -> None:
-        subs = [s for s in self._subscriptions.get(name, []) if s.active]
-        if subs:
-            self._deliveries_counter.inc(len(subs))
-            probes = self._host.probes
-            if probes.enabled:
-                probes.emit(
-                    "event.deliver",
-                    name,
-                    attrs={"timestamp": timestamp, "subscribers": len(subs)},
-                )
+        live = self._subscriptions.get(name)
+        if not live:
+            return
+        # Copy before delivering: an on_event callback may unsubscribe
+        # (unsubscribing is the only thing that clears ``active``, and it
+        # also leaves the list — so every listed subscription is active).
+        subs = live.copy()
+        self._deliveries_counter.inc(len(subs))
+        probes = self._probes
+        if probes.enabled:
+            probes.emit(
+                "event.deliver",
+                name,
+                attrs={"timestamp": timestamp, "subscribers": len(subs)},
+            )
+        submit = self._host.submit
         for sub in subs:
             sub.received_events += 1
-            self._host.submit("event", lambda s=sub: s.on_event(value, timestamp))
+            submit("event", partial(sub.on_event, value, timestamp))
 
     def _datatype_of(self, name: str, provider: str) -> Optional[DataType]:
         local = self._publications.get(name)

@@ -21,10 +21,12 @@ fully abstracted by the middleware:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType, StructType
+from repro.observability.metrics import Counter, Histogram
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
@@ -41,7 +43,7 @@ OnError = Callable[[Exception], None]
 
 #: Automatic re-routes of a failed call before giving up.
 CALL_MAX_REDIRECTS = 2
-#: Caller-side args structs kept per manager; cleared wholesale when full.
+#: Caller-side args encoders kept per manager; cleared wholesale when full.
 _ARGS_MEMO_MAX = 1024
 
 
@@ -67,6 +69,14 @@ class FunctionProvision:
     calls_served: int = 0
     #: Built once: the codec caches compiled schemas by object identity.
     args_schema: Optional[StructType] = field(init=False, repr=False)
+    #: Resolved once at ``provide``: the args decoder and the result encoder
+    #: bound to their schemas (None without arguments / without a result).
+    _decode_args: Optional[Callable[[bytes], dict]] = field(
+        init=False, repr=False, default=None
+    )
+    _encode_result: Optional[Callable[[Any], bytes]] = field(
+        init=False, repr=False, default=None
+    )
 
     def __post_init__(self) -> None:
         self.args_schema = _args_schema(self.name, self.params)
@@ -105,10 +115,46 @@ class InvocationManager:
         self._calls: Dict[str, CallHandle] = {}
         self._rr_counters: Dict[str, int] = {}
         self._static_bindings: Dict[str, str] = {}  # function -> container
-        self._args_memo: Dict[tuple, StructType] = {}  # (function, offered params)
+        #: (function, offered params) -> the args struct's bound encoder
+        self._args_memo: Dict[tuple, Callable[[dict], bytes]] = {}
         #: One wake-up for every pending call, never later than the earliest
         #: ``CallHandle.deadline``.
         self._wakeup = Wakeup(host.clock, host.timers, self._expire_due)
+        # Everything a call needs from the host, resolved once: the
+        # collaborators are fixed for the container's life (their *state* —
+        # tracer.enabled, probes.enabled — is read live, per call).
+        self._id = host.id
+        self._clock = host.clock
+        self._codec = host.codec
+        self._tracer = host.tracer
+        self._probes = host.probes
+
+    # Instruments, each resolved at its first use and then a plain attribute:
+    # no lookup by name per call, and a container that never makes, serves or
+    # times out a call — most of a fleet — registers none of them.
+    @cached_property
+    def _calls_counter(self) -> Counter:
+        return self._host.metrics.counter("rpc_calls")
+
+    @cached_property
+    def _served_counter(self) -> Counter:
+        return self._host.metrics.counter("rpc_served")
+
+    @cached_property
+    def _timeouts_counter(self) -> Counter:
+        return self._host.metrics.counter("rpc_timeouts")
+
+    @cached_property
+    def _completed_counter(self) -> Counter:
+        return self._host.metrics.counter("rpc_completed")
+
+    @cached_property
+    def _errors_counter(self) -> Counter:
+        return self._host.metrics.counter("rpc_errors")
+
+    @cached_property
+    def _latency_histogram(self) -> Histogram:
+        return self._host.metrics.histogram("rpc_latency")
 
     # -- server side ----------------------------------------------------------
     def provide(
@@ -128,6 +174,10 @@ class InvocationManager:
             fn=fn,
             service=service,
         )
+        if provision.args_schema is not None:
+            provision._decode_args = self._codec.decoder(provision.args_schema)
+        if result is not None:
+            provision._encode_result = self._codec.encoder(result)
         self._provisions[name] = provision
         self._host.announce_soon()
         return provision
@@ -181,26 +231,29 @@ class InvocationManager:
         """Invoke ``function`` wherever it lives. Completion is reported via
         callbacks; the returned handle tracks progress."""
         timeout = timeout if timeout is not None else self._host.config.call_timeout
+        now = self._clock.now()
         handle = CallHandle(
             call_id=make_uid("call"),
             function=function,
             args=tuple(args),
             on_result=on_result,
             on_error=on_error,
-            deadline=self._host.clock.now() + timeout,
+            deadline=now + timeout,
             binding=binding or self._host.config.call_binding,
-            issued_at=self._host.clock.now(),
+            issued_at=now,
         )
-        self._host.metrics.counter("rpc_calls").inc()
-        probes = self._host.probes
+        self._calls_counter.inc()
+        probes = self._probes
         if probes.enabled:
             probes.emit(
                 "rpc.call", function, key=handle.call_id,
                 attrs={"function": function},
             )
-        handle._span = self._host.tracer.start_span(
-            f"rpc:{function}", "rpc.call", call_id=handle.call_id
-        )
+        tracer = self._tracer
+        if tracer.enabled:  # skip span-name formatting on the untraced path
+            handle._span = tracer.start_span(
+                f"rpc:{function}", "rpc.call", call_id=handle.call_id
+            )
         self._calls[handle.call_id] = handle
         self._dispatch(handle)
         return handle
@@ -220,7 +273,7 @@ class InvocationManager:
 
     # -- frame input ----------------------------------------------------------
     def on_request_frame(self, frame: Frame) -> None:
-        doc, trace = wire.decode_traced(wire.RPC_REQUEST_SCHEMA, frame.payload)
+        doc, trace = wire.decode_rpc_request(frame.payload)
         caller = frame.source
         provision = self._provisions.get(doc["function"])
         if provision is None:
@@ -232,19 +285,22 @@ class InvocationManager:
         except Exception as exc:  # noqa: BLE001 — bad args are a caller error
             self._respond(caller, doc["call_id"], ok=False, error=f"bad arguments: {exc}")
             return
-        tracer = self._host.tracer
-        span = tracer.start_span(
-            f"rpc:{doc['function']}", "rpc.server", parent=trace, caller=caller
+        tracer = self._tracer
+        span = (
+            tracer.start_span(
+                f"rpc:{doc['function']}", "rpc.server", parent=trace, caller=caller
+            )
+            if tracer.enabled  # skip span-name formatting on the untraced path
+            else None
         )
 
         def execute():
             provision.calls_served += 1
-            self._host.metrics.counter("rpc_served").inc()
+            self._served_counter.inc()
             try:
                 result = provision.fn(*args)
-                encoded = b""
-                if provision.result is not None:
-                    encoded = self._host.codec.encode(provision.result, result)
+                encode = provision._encode_result
+                encoded = encode(result) if encode is not None else b""
                 self._respond(caller, doc["call_id"], ok=True, result=encoded)
             except Exception as exc:  # noqa: BLE001 — server fault, reported back
                 self._respond(caller, doc["call_id"], ok=False, error=str(exc))
@@ -254,7 +310,7 @@ class InvocationManager:
             self._host.submit("invocation", execute)
 
     def on_response_frame(self, frame: Frame) -> None:
-        doc = wire.decode(wire.RPC_RESPONSE_SCHEMA, frame.payload)  # tail-tolerant
+        doc = wire.decode_rpc_response(frame.payload)[0]  # tail-tolerant
         handle = self._calls.get(doc["call_id"])
         if handle is None or handle.done:
             return  # late or duplicate response
@@ -264,17 +320,17 @@ class InvocationManager:
         result = None
         provision_type = self._result_type_of(handle.function, frame.source)
         if provision_type is not None and doc["result"]:
-            result = self._host.codec.decode(provision_type, doc["result"])
+            result = self._codec.decode(provision_type, doc["result"])
         self._finish_ok(handle, result)
 
     # -- internals -----------------------------------------------------------
     def _dispatch(self, handle: CallHandle) -> None:
-        tracer = self._host.tracer
+        tracer = self._tracer
         context = tracer.context_of(handle._span)
         # Local fast path: the function lives in this container.
         local = self._provisions.get(handle.function)
         if local is not None:
-            handle.provider = self._host.id
+            handle.provider = self._id
             self._wakeup.need(handle.deadline)
 
             def execute():
@@ -302,10 +358,9 @@ class InvocationManager:
         except Exception as exc:  # noqa: BLE001
             self._finish_error(handle, InvocationError(handle.function, f"bad arguments: {exc}"))
             return
-        payload = wire.encode(
-            wire.RPC_REQUEST_SCHEMA,
+        payload = wire.encode_rpc_request(
             {"call_id": handle.call_id, "function": handle.function, "args": encoded_args},
-            trace=context,
+            context,
         )
         self._host.send_reliable(provider, MessageKind.RPC_REQUEST, payload)
         self._wakeup.need(handle.deadline)
@@ -355,7 +410,7 @@ class InvocationManager:
             # A timeout usually means the provider died between heartbeats;
             # treat it like a failure and try a redundant provider — which
             # gets one more timeout window.
-            self._host.metrics.counter("rpc_timeouts").inc()
+            self._timeouts_counter.inc()
             handle.deadline = now + self._host.config.call_timeout
             self._redirect(handle, reason="call timed out")
         return min((h.deadline for h in self._calls.values()), default=None)
@@ -364,67 +419,62 @@ class InvocationManager:
         handle.done = True
         handle.result = result
         self._calls.pop(handle.call_id, None)
-        self._host.metrics.counter("rpc_completed").inc()
-        self._host.metrics.histogram("rpc_latency").observe(
-            self._host.clock.now() - handle.issued_at
-        )
-        probes = self._host.probes
+        self._completed_counter.inc()
+        self._latency_histogram.observe(self._clock.now() - handle.issued_at)
+        probes = self._probes
         if probes.enabled:
             probes.emit(
                 "rpc.done", handle.function, key=handle.call_id,
                 attrs={"function": handle.function, "outcome": "ok"},
             )
-        tracer = self._host.tracer
+        tracer = self._tracer
         if handle._span is not None:
             handle._span.attrs["redirects"] = handle.redirects
         tracer.finish(handle._span)
         if handle.on_result is not None:
             with tracer.activate(tracer.context_of(handle._span)):
-                self._host.submit("invocation", lambda: handle.on_result(result))
+                self._host.submit("invocation", partial(handle.on_result, result))
 
     def _finish_error(self, handle: CallHandle, error: Exception) -> None:
         handle.done = True
         handle.error = error
         self._calls.pop(handle.call_id, None)
-        self._host.metrics.counter("rpc_errors").inc()
-        probes = self._host.probes
+        self._errors_counter.inc()
+        probes = self._probes
         if probes.enabled:
             probes.emit(
                 "rpc.done", handle.function, key=handle.call_id,
                 attrs={"function": handle.function, "outcome": "error"},
             )
-        tracer = self._host.tracer
+        tracer = self._tracer
         if handle._span is not None:
             handle._span.attrs["redirects"] = handle.redirects
             handle._span.attrs["error"] = str(error)
         tracer.finish(handle._span)
         if handle.on_error is not None:
             with tracer.activate(tracer.context_of(handle._span)):
-                self._host.submit("invocation", lambda: handle.on_error(error))
+                self._host.submit("invocation", partial(handle.on_error, error))
 
     def _respond(
         self, caller: str, call_id: str, ok: bool, error: str = "", result: bytes = b""
     ) -> None:
-        payload = wire.encode(
-            wire.RPC_RESPONSE_SCHEMA,
+        payload = wire.encode_rpc_response(
             {"call_id": call_id, "ok": ok, "error": error, "result": result},
             # Responses carry the server-side context (the ambient one while
             # the function executed); the caller correlates by call_id.
-            trace=self._host.tracer.current,
+            self._tracer.current,
         )
-        if caller == self._host.id:
+        if caller == self._id:
             # Local caller of a local function; deliver without the network.
-            self.on_response_frame(
-                Frame(kind=MessageKind.RPC_RESPONSE, source=self._host.id, payload=payload)
-            )
+            self.on_response_frame(Frame(MessageKind.RPC_RESPONSE, self._id, payload))
             return
         self._host.send_reliable(caller, MessageKind.RPC_RESPONSE, payload)
 
     def _decode_args(self, provision: FunctionProvision, encoded: bytes) -> tuple:
-        schema = provision.args_schema
-        if schema is None:
+        decode = provision._decode_args
+        if decode is None:
             return ()
-        doc = self._host.codec.decode(schema, encoded)
+        doc = decode(encoded)
         return tuple(doc[f"p{i}"] for i in range(len(provision.params)))
 
     def _encode_args(self, function: str, offer: Optional[dict], args: tuple) -> bytes:
@@ -438,16 +488,14 @@ class InvocationManager:
         if not params:
             return b""
         key = (function, tuple(params))
-        schema = self._args_memo.get(key)
-        if schema is None:
+        encode = self._args_memo.get(key)
+        if encode is None:
             if len(self._args_memo) >= _ARGS_MEMO_MAX:
                 self._args_memo.clear()
-            schema = self._args_memo[key] = _args_schema(
-                function, [parse_type(p) for p in params]
+            encode = self._args_memo[key] = self._codec.encoder(
+                _args_schema(function, [parse_type(p) for p in params])
             )
-        return self._host.codec.encode(
-            schema, {f"p{i}": a for i, a in enumerate(args)}
-        )
+        return encode({f"p{i}": a for i, a in enumerate(args)})
 
     def _result_type_of(self, function: str, provider: str) -> Optional[DataType]:
         local = self._provisions.get(function)

@@ -21,6 +21,7 @@ reproduced from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.encoding.schema import parse_type
@@ -28,7 +29,7 @@ from repro.encoding.types import DataType
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import variable_group
+from repro.simnet.addressing import GroupName, variable_group
 from repro.util.errors import ConfigurationError
 
 OnSample = Callable[[Any, float], None]  # (value, publisher timestamp)
@@ -77,6 +78,10 @@ class VariablePublication:
     last_value: Any = None
     last_timestamp: float = 0.0
     published_samples: int = 0
+    #: Resolved once at ``provide``: the value encoder bound to ``datatype``
+    #: and the multicast group of ``name``.
+    _encode: Callable[[Any], bytes] = field(repr=False, default=None)
+    _group: GroupName = field(repr=False, default=None)
 
     def publish(self, value: Any) -> None:
         """Send one sample to every subscriber, local and remote."""
@@ -139,15 +144,21 @@ class VariableManager:
         self._subscriptions: Dict[str, List[VariableSubscription]] = {}
         self._timeout_timers: Dict[str, object] = {}
         self._initial_timers: Dict[str, object] = {}
-        # Hot-path instruments, resolved once (registry lookups per sample
-        # show up at high rates).
+        # Everything a sample needs from the host, resolved once: the
+        # collaborators are fixed for the container's life (their *state* —
+        # tracer.enabled, probes.enabled — is read live, per sample).
+        self._id = host.id
+        self._clock = host.clock
+        self._codec = host.codec
+        self._tracer = host.tracer
+        self._probes = host.probes
         self._publishes_counter = host.metrics.counter("var_publishes")
         self._deliveries_counter = host.metrics.counter("var_deliveries")
-        # (name, provider) -> resolved DataType for the rx path; valid only
-        # while the directory revision is unchanged and no local publication
-        # has been (re)provided or withdrawn since.
-        self._datatype_cache: Dict[tuple, DataType] = {}
-        self._datatype_cache_rev = -1
+        # (name, provider) -> the provider's datatype as a bound decoder for
+        # the rx path; valid only while the directory revision is unchanged
+        # and no local publication has been (re)provided or withdrawn since.
+        self._decoder_cache: Dict[tuple, Callable[[bytes], Any]] = {}
+        self._decoder_cache_rev = -1
 
     # -- publisher side -----------------------------------------------------
     def provide(
@@ -168,22 +179,24 @@ class VariableManager:
             period=period,
             service=service,
             _manager=self,
+            _encode=self._codec.encoder(datatype),
+            _group=variable_group(name),
         )
         self._publications[name] = publication
-        self._datatype_cache.clear()
+        self._decoder_cache.clear()
         self._host.announce_soon()
         return publication
 
     def withdraw(self, name: str) -> None:
         if self._publications.pop(name, None) is not None:
-            self._datatype_cache.clear()
+            self._decoder_cache.clear()
             self._host.announce_soon()
 
     def withdraw_service(self, service: str) -> None:
         """Drop every publication owned by a stopped/failed service."""
         for name in [n for n, p in self._publications.items() if p.service == service]:
             del self._publications[name]
-        self._datatype_cache.clear()
+        self._decoder_cache.clear()
         self._host.announce_soon()
 
     def offers(self) -> List[dict]:
@@ -199,8 +212,8 @@ class VariableManager:
         ]
 
     def _publish(self, publication: VariablePublication, value: Any) -> None:
-        tracer = self._host.tracer
-        now = self._host.clock.now()
+        tracer = self._tracer
+        now = self._clock.now()
         sanitizer = self._host.payload_sanitizer
         if sanitizer.enabled:
             # Aliasing guard: checkpoint the previous sample and (in freeze
@@ -210,7 +223,7 @@ class VariableManager:
         publication.last_timestamp = now
         publication.published_samples += 1
         self._publishes_counter.inc()
-        probes = self._host.probes
+        probes = self._probes
         if probes.enabled:
             probes.emit(
                 "var.publish", publication.name, attrs={"timestamp": now}
@@ -220,24 +233,22 @@ class VariableManager:
             context = tracer.context_of(span)
         else:
             span = context = None  # skip span-name formatting on the hot path
-        encoded_value = self._host.codec.encode(publication.datatype, value)
-        payload = wire.encode(
-            wire.VAR_SAMPLE_SCHEMA,
-            {"name": publication.name, "timestamp": now, "value": encoded_value},
-            trace=context,
+        payload = wire.encode_var_sample(
+            {
+                "name": publication.name,
+                "timestamp": now,
+                "value": publication._encode(value),
+            },
+            context,
         )
         with tracer.activate(context):
             # Local subscribers: direct delivery, no network round trip.
-            for sub in self._subscriptions.get(publication.name, []):
+            for sub in self._subscriptions.get(publication.name, ()):
                 self._deliver_local(sub, value, now)
             # Remote subscribers: one multicast emission for all of them.
             self._host.send_group(
-                variable_group(publication.name),
-                Frame(
-                    kind=MessageKind.VAR_SAMPLE,
-                    source=self._host.id,
-                    payload=payload,
-                ),
+                publication._group,
+                Frame(MessageKind.VAR_SAMPLE, self._id, payload),
             )
         tracer.finish(span)
 
@@ -294,7 +305,7 @@ class VariableManager:
 
     # -- frame input (called by the container dispatcher) ---------------------
     def on_sample_frame(self, frame: Frame) -> None:
-        doc, trace = wire.decode_traced(wire.VAR_SAMPLE_SCHEMA, frame.payload)
+        doc, trace = wire.decode_var_sample(frame.payload)
         self._ingest(
             doc["name"], doc["value"], doc["timestamp"], frame.source, trace
         )
@@ -310,7 +321,7 @@ class VariableManager:
                 "timestamp": publication.last_timestamp if has_value else 0.0,
                 "has_value": has_value,
                 "value": (
-                    self._host.codec.encode(publication.datatype, publication.last_value)
+                    publication._encode(publication.last_value)
                     if has_value
                     else b""
                 ),
@@ -338,23 +349,23 @@ class VariableManager:
         live = self._subscriptions.get(name)
         if not live:
             return
-        # Copy before delivering: an on_sample callback may unsubscribe.
-        subs = [s for s in live if s.active]
-        if not subs:
-            return
         revision = self._host.directory.revision
-        if revision != self._datatype_cache_rev:
-            self._datatype_cache.clear()
-            self._datatype_cache_rev = revision
+        if revision != self._decoder_cache_rev:
+            self._decoder_cache.clear()
+            self._decoder_cache_rev = revision
         key = (name, provider)
-        datatype = self._datatype_cache.get(key)
-        if datatype is None:
+        decode = self._decoder_cache.get(key)
+        if decode is None:
             datatype = self._datatype_of(name, provider)
             if datatype is None:
                 return  # no schema known yet; drop (best-effort semantics)
-            self._datatype_cache[key] = datatype
-        value = self._host.codec.decode(datatype, encoded)
-        tracer = self._host.tracer
+            decode = self._decoder_cache[key] = self._codec.decoder(datatype)
+        value = decode(encoded)
+        # Copy before delivering: an on_sample callback may unsubscribe
+        # (unsubscribing is the only thing that clears ``active``, and it
+        # also leaves the list — so every listed subscription is active).
+        subs = live.copy()
+        tracer = self._tracer
         if not tracer.enabled:
             # Hot path at telemetry rates: no span bookkeeping at all.
             for sub in subs:
@@ -375,24 +386,24 @@ class VariableManager:
     def _deliver_local(self, sub: VariableSubscription, value: Any, timestamp: float) -> None:
         sub.last_value = value
         sub.last_timestamp = timestamp
-        sub.last_arrival = self._host.clock.now()
+        sub.last_arrival = self._clock.now()
         sub.received_samples += 1
         sub.got_initial = True
         self._deliveries_counter.inc()
-        probes = self._host.probes
+        probes = self._probes
         if probes.enabled:
             probes.emit("var.deliver", sub.name, attrs={"timestamp": timestamp})
         if sub.on_sample is not None:
-            self._host.submit("variable", lambda: sub.on_sample(value, timestamp))
+            self._host.submit("variable", partial(sub.on_sample, value, timestamp))
 
     def _latest(self, sub: VariableSubscription) -> Optional[Any]:
         if sub.last_arrival < 0:
             return None
         validity = self._validity_of(sub.name)
-        age = self._host.clock.now() - sub.last_arrival
+        age = self._clock.now() - sub.last_arrival
         if not self._fresh(sub, validity, age):
             return None
-        probes = self._host.probes
+        probes = self._probes
         if probes.enabled:
             # The probe reports the *measured* age and window, independent of
             # what _fresh decided — the validity spec re-derives freshness
@@ -477,7 +488,7 @@ class VariableManager:
                 return
             period = self._period_of(name)
             if period > 0:
-                now = self._host.clock.now()
+                now = self._clock.now()
                 limit = period * VARIABLE_TIMEOUT_PERIODS
                 for sub in subs:
                     reference = max(sub.last_arrival, sub.last_warning_at)

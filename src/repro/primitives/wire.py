@@ -14,7 +14,7 @@ and tracing costs nothing when disabled.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.encoding.compiled import CompiledCodec
 from repro.encoding.types import (
@@ -148,15 +148,31 @@ TRACE_CONTEXT_SCHEMA = StructType(
 TRACE_TAIL_TAG = 0x54
 
 
+_TAIL_TAG_BYTES = bytes((TRACE_TAIL_TAG,))
+_encode_tail = _CODEC.encoder(TRACE_CONTEXT_SCHEMA)
+_decode_tail = _CODEC.decoder(TRACE_CONTEXT_SCHEMA)
+
+
+def _with_tail(payload: bytes, trace: TraceContext) -> bytes:
+    return payload + _TAIL_TAG_BYTES + _encode_tail(trace.to_doc())
+
+
+def _read_tail(schema: StructType, payload: bytes, consumed: int) -> TraceContext:
+    """The trace context behind the ``consumed`` bytes of the payload struct."""
+    if payload[consumed] != TRACE_TAIL_TAG:
+        raise EncodingError(
+            f"{len(payload) - consumed} trailing bytes after decoding "
+            f"{schema.describe()} (not a trace tail)"
+        )
+    return TraceContext.from_doc(_decode_tail(payload[consumed + 1 :]))
+
+
 def encode(schema: StructType, doc: dict, trace: Optional[TraceContext] = None) -> bytes:
     """Encode ``doc``; with ``trace`` set, append the trace-context tail.
 
     ``trace=None`` produces exactly the historical untraced bytes."""
     payload = _CODEC.encode(schema, doc)
-    if trace is None:
-        return payload
-    tail = _CODEC.encode(TRACE_CONTEXT_SCHEMA, trace.to_doc())
-    return payload + bytes((TRACE_TAIL_TAG,)) + tail
+    return payload if trace is None else _with_tail(payload, trace)
 
 
 def decode_traced(
@@ -166,18 +182,52 @@ def decode_traced(
     doc, consumed = _CODEC.decode_prefix(schema, payload)
     if consumed == len(payload):
         return doc, None
-    if payload[consumed] != TRACE_TAIL_TAG:
-        raise EncodingError(
-            f"{len(payload) - consumed} trailing bytes after decoding "
-            f"{schema.describe()} (not a trace tail)"
-        )
-    tail = _CODEC.decode(TRACE_CONTEXT_SCHEMA, payload[consumed + 1 :])
-    return doc, TraceContext.from_doc(tail)
+    return doc, _read_tail(schema, payload, consumed)
 
 
 def decode(schema: StructType, payload: bytes) -> dict:
     """Decode a payload, tolerating (and dropping) a trace tail."""
     return decode_traced(schema, payload)[0]
+
+
+def _encoder(schema: StructType) -> Callable[..., bytes]:
+    """:func:`encode` with ``schema`` bound once: ``(doc, trace=None) -> bytes``."""
+    encode_doc = _CODEC.encoder(schema)
+
+    def encode_bound(doc: dict, trace: Optional[TraceContext] = None) -> bytes:
+        payload = encode_doc(doc)
+        return payload if trace is None else _with_tail(payload, trace)
+
+    return encode_bound
+
+
+def _traced_decoder(
+    schema: StructType,
+) -> Callable[[bytes], Tuple[dict, Optional[TraceContext]]]:
+    """:func:`decode_traced` with ``schema`` bound once: ``payload -> (doc,
+    context-or-None)``."""
+    decode_doc = _CODEC.prefix_decoder(schema)
+
+    def decode_bound(payload: bytes) -> Tuple[dict, Optional[TraceContext]]:
+        doc, consumed = decode_doc(payload)
+        if consumed == len(payload):
+            return doc, None
+        return doc, _read_tail(schema, payload, consumed)
+
+    return decode_bound
+
+
+# The per-message payloads, bound once for every container in the process:
+# what the variable, event and invocation managers call per sample, event
+# and call. Everything rarer goes through encode / decode / decode_traced.
+encode_var_sample = _encoder(VAR_SAMPLE_SCHEMA)
+decode_var_sample = _traced_decoder(VAR_SAMPLE_SCHEMA)
+encode_event_message = _encoder(EVENT_MESSAGE_SCHEMA)
+decode_event_message = _traced_decoder(EVENT_MESSAGE_SCHEMA)
+encode_rpc_request = _encoder(RPC_REQUEST_SCHEMA)
+decode_rpc_request = _traced_decoder(RPC_REQUEST_SCHEMA)
+encode_rpc_response = _encoder(RPC_RESPONSE_SCHEMA)
+decode_rpc_response = _traced_decoder(RPC_RESPONSE_SCHEMA)
 
 
 def ranges_from_indices(indices) -> list:
@@ -222,6 +272,14 @@ __all__ = [
     "encode",
     "decode",
     "decode_traced",
+    "encode_var_sample",
+    "decode_var_sample",
+    "encode_event_message",
+    "decode_event_message",
+    "encode_rpc_request",
+    "decode_rpc_request",
+    "encode_rpc_response",
+    "decode_rpc_response",
     "ranges_from_indices",
     "indices_from_ranges",
 ]

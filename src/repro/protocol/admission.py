@@ -198,28 +198,24 @@ class AdmissionController:
     ):
         self._clock = clock
         self._classify = classify
-        self._policy = policy or AdmissionPolicy()
         self._metrics = metrics
         self._recorder = recorder
         self._sources: Dict[str, _SourceState] = {}
         self.admitted = 0
         self.dropped = 0
+        self.configure(policy or AdmissionPolicy())
 
     # -- configuration ---------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._policy.enabled
-
-    @property
-    def policy(self) -> AdmissionPolicy:
-        return self._policy
-
     def configure(self, policy: AdmissionPolicy) -> None:
         """Swap the policy at runtime (``SimRuntime.enable_admission``).
 
         Source state is kept: an already-quarantined offender does not get
         a clean slate just because the knobs moved."""
-        self._policy = policy
+        #: The live policy, and its ``enabled`` bit as a plain attribute: the
+        #: container reads it once per received frame and calls
+        #: :meth:`admit` only while a policy is armed.
+        self.policy = policy
+        self.enabled = policy.enabled
 
     # -- the admission decision ------------------------------------------------
     def admit(self, frame: Frame, address=None) -> bool:
@@ -228,7 +224,7 @@ class AdmissionController:
         Drops are counted under ``admission_drops{source,band,reason}``;
         the caller simply discards the frame on False.
         """
-        if not self._policy.enabled:
+        if not self.enabled:
             return True
         now = self._clock.now()
         band = self._classify(frame.kind)
@@ -246,7 +242,7 @@ class AdmissionController:
                 return False
         if state is None:
             state = self._sources[source] = _SourceState()
-        policy = self._policy
+        policy = self.policy
         if policy.source_rate is not None:
             if state.bucket is None:
                 state.bucket = TokenBucket(policy.source_rate, policy.source_burst, now)
@@ -278,7 +274,7 @@ class AdmissionController:
         """
         if self._metrics is not None:
             self._metrics.counter("malformed_frames", source=source_key).inc()
-        if not self._policy.enabled:
+        if not self.enabled:
             return
         now = self._clock.now()
         state = self._sources.get(source_key)
@@ -288,7 +284,7 @@ class AdmissionController:
             # Already serving a quarantine; don't stack new windows for
             # traffic the quarantine is there to absorb.
             return
-        policy = self._policy
+        policy = self.policy
         elapsed = now - state.score_stamp
         if elapsed > 0:
             state.score = max(0.0, state.score - elapsed * policy.quarantine_decay)

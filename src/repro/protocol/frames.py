@@ -46,6 +46,13 @@ def _encode_source(source: str) -> bytes:
     return raw
 
 
+#: The decode-side mirror: received source-id bytes -> ``str``, so a frame
+#: from a known peer skips the UTF-8 decode. Same bound and wholesale clear
+#: as :data:`_SRC_CACHE` (the bytes come off the wire, so the table must not
+#: grow with forged ids); only ids that decoded are ever inserted.
+_SRC_DECODED: dict = {}
+
+
 class MessageKind(enum.IntEnum):
     """Intent of a frame. Grouped by subsystem."""
 
@@ -178,22 +185,20 @@ class Frame:
         if kind_enum is None:
             raise ProtocolError(f"unknown message kind {kind}")
         offset = _HEADER_SRC.size
-        if len(data) < offset + src_len:
+        end = offset + src_len
+        if len(data) < end:
             raise ProtocolError("frame truncated inside source id")
-        try:
-            source = data[offset : offset + src_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ProtocolError("source id is not UTF-8") from None
-        payload = data[offset + src_len :]
-        return cls(
-            kind=kind_enum,
-            source=source,
-            payload=payload,
-            channel=channel,
-            seq=seq,
-            flags=flags,
-            version=version,
-        )
+        raw = data[offset:end]
+        source = _SRC_DECODED.get(raw)
+        if source is None:
+            try:
+                source = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ProtocolError("source id is not UTF-8") from None
+            if len(_SRC_DECODED) >= 1024:
+                _SRC_DECODED.clear()
+            _SRC_DECODED[raw] = source
+        return cls(kind_enum, source, data[end:], channel, seq, flags, version)
 
     @property
     def header_size(self) -> int:

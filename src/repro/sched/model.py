@@ -1,9 +1,11 @@
-"""The simulation-runtime scheduler.
+"""The container's scheduler — the only one, on both runtimes.
 
 Models one CPU per node: each submitted task occupies the processor for its
 modelled cost (:class:`CpuModel`), so queueing delay — the quantity
 experiment E6 measures — emerges naturally. Handler side effects happen at
-task *completion* time.
+task *completion* time. Under ``SimRuntime`` the timers are the simulator's;
+under ``AsyncRuntime`` they are the event loop's, and with the default
+zero-cost model every task runs inline at ``submit``.
 """
 
 from __future__ import annotations
@@ -62,14 +64,15 @@ class TaskRecord:
 
 
 class SimScheduler:
-    """Single-CPU, policy-pluggable scheduler driven by simulator timers.
+    """Single-CPU, policy-pluggable scheduler driven by the runtime's timers.
 
     Parameters
     ----------
     timers:
-        Anything with ``schedule(delay, fn) -> handle`` — the simulator.
+        Anything with ``schedule(delay, fn) -> handle`` — the simulator, or
+        the event loop's ``LoopDomain``.
     clock:
-        Time source (normally the same simulator).
+        Time source (normally the same object).
     policy:
         The :class:`SchedulingPolicy` plug-in.
     cpu:

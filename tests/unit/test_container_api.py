@@ -11,6 +11,10 @@ from helpers import ProbeService, two_containers
 
 from repro import Service
 from repro.container import ServiceState
+from repro.container.links import RELIABLE_CHANNEL
+from repro.protocol.frames import Frame, FrameFlags, MessageKind
+from repro.protocol.reliability import ReliabilityHardening
+from repro.simnet.addressing import Address
 from repro.util.errors import ConfigurationError, ServiceError
 
 
@@ -190,3 +194,66 @@ class TestServiceContextResources:
         runtime.run_for(0.5)
         assert a.service_state("holder") == ServiceState.FAILED
         assert a.resources.device_owner("radio") is None
+
+
+class TestAbuseLog:
+    """The one-entry-per-(peer, reason)-per-second flight-recorder log of
+    reliability abuse is keyed on a frame's self-declared source."""
+
+    def hardened(self):
+        runtime, a, _ = two_containers(
+            reliability_hardening=ReliabilityHardening(enabled=True)
+        )
+        runtime.start()
+        runtime.run_for(0.1)
+        return runtime, a
+
+    @staticmethod
+    def far_future(source):
+        """A reliable data frame the replay horizon rejects: abuse."""
+        return Frame(
+            MessageKind.EVENT, source, b"", RELIABLE_CHANNEL, 1_000_000,
+            int(FrameFlags.RELIABLE),
+        )
+
+    def abuse_entries(self, container):
+        return [
+            e for e in container.recorder.dump() if e["category"] == "reliability-abuse"
+        ]
+
+    def test_forged_peers_do_not_grow_it_without_bound(self):
+        runtime, a = self.hardened()
+        per_window = 2500  # forged ids per second, over four seconds
+        largest = 0
+        for i in range(10_000):
+            if i and i % 250 == 0:
+                runtime.run_for(0.1)
+            a._on_frame(self.far_future(f"forged-{i}"), Address("attacker", 9))
+            largest = max(largest, len(a._abuse_logged))
+        assert a.metrics.counter_value(
+            "reliability_abuse", peer="forged-9999", reason="horizon"
+        ) == 1
+        assert largest <= 1024 + per_window
+        # Pruning forgot nothing that was still suppressing a repeat: each
+        # forged id got its one entry.
+        logged = [e["peer"] for e in self.abuse_entries(a)]
+        assert logged[-1] == "forged-9999" and len(set(logged)) == len(logged) > 100
+
+    def test_one_entry_per_peer_and_reason_per_second(self):
+        runtime, a = self.hardened()
+        frame, attacker = self.far_future("mallory"), Address("attacker", 9)
+        for _ in range(5):
+            a._on_frame(frame, attacker)
+        assert len(self.abuse_entries(a)) == 1
+        runtime.run_for(0.5)
+        a._on_frame(frame, attacker)
+        assert len(self.abuse_entries(a)) == 1
+        runtime.run_for(0.6)
+        a._on_frame(frame, attacker)
+        assert self.abuse_entries(a)[1:] == [
+            {"t": runtime.sim.now(), "category": "reliability-abuse",
+             "peer": "mallory", "reason": "horizon"}
+        ]
+        assert a.metrics.counter_value(
+            "reliability_abuse", peer="mallory", reason="horizon"
+        ) == 7

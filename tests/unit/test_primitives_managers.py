@@ -19,6 +19,7 @@ from repro.primitives.filetransfer import FileTransferManager
 from repro.primitives.invocation import InvocationManager
 from repro.primitives.variables import VariableManager
 from repro.protocol.frames import Frame, MessageKind
+from repro.sched import CpuModel, SimScheduler, make_policy
 from repro.sim import Simulator
 from repro.util.errors import ConfigurationError, NameResolutionError
 
@@ -429,6 +430,78 @@ def _subscribe(mgr, name, subscriber, revision=1):
     mgr.on_subscribe_frame(
         Frame(kind=MessageKind.FILE_SUBSCRIBE, source=subscriber, payload=payload)
     )
+
+
+class _QueueingHost(FakeHost):
+    """``submit`` goes to a real scheduler under experiment E6's cost model
+    (benchmarks/bench_scheduler.py), so deliveries queue instead of running
+    inline."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduler = SimScheduler(
+            timers=self.sim,
+            clock=self.sim,
+            policy=make_policy("fixed_priority"),
+            cpu=CpuModel(
+                costs={"event": 0.0002, "invocation": 0.005, "file": 0.002,
+                       "control": 0.0001}
+            ),
+            record=True,
+        )
+
+    def submit(self, label, fn):
+        self.scheduler.submit(label, fn)
+
+
+class TestDeliveriesQueueUnderAModelledCpu:
+    def test_order_and_queue_delays_are_the_recorded_ones(self):
+        """What the managers hand to ``submit`` (a ``functools.partial`` per
+        delivery) queues, is ordered and completes exactly as the closures
+        it replaced: both lists below were recorded before the change."""
+        host = _QueueingHost()
+        variables, events = VariableManager(host), EventManager(host)
+        calls = InvocationManager(host)
+        ran = []
+        sample = variables.provide("v", SCHEMA)
+        alarm = events.provide("alarm", SCHEMA)
+        calls.provide("work", lambda x: x * 2)
+        variables.subscribe("v", on_sample=lambda value, t: ran.append(("v", value["x"], t)))
+        events.subscribe("alarm", lambda value, t: ran.append(("alarm-1", value["x"], t)))
+        events.subscribe("alarm", lambda value, t: ran.append(("alarm-2", value["x"], t)))
+
+        def burst(n):
+            calls.call(
+                "work", (n,), on_result=lambda r: ran.append(("work", r, host.sim.now()))
+            )
+            sample.publish({"x": float(n)})
+            alarm.raise_event({"x": float(n)})
+
+        for n, at in enumerate((0.0, 0.001, 0.0015, 0.02)):
+            host.sim.schedule(at, lambda n=n: burst(n))
+        host.sim.run(until=1.0)
+        assert ran == [
+            ("alarm-1", 0.0, 0.0), ("alarm-2", 0.0, 0.0),
+            ("alarm-1", 1.0, 0.001), ("alarm-2", 1.0, 0.001),
+            ("alarm-1", 2.0, 0.0015), ("alarm-2", 2.0, 0.0015),
+            ("v", 0.0, 0.0), ("v", 1.0, 0.001), ("v", 2.0, 0.0015),
+            ("work", 0, 0.0212),
+            ("alarm-1", 3.0, 0.02), ("alarm-2", 3.0, 0.02), ("v", 3.0, 0.02),
+            ("work", 2, 0.0266), ("work", 4, 0.031599999999999996),
+            ("work", 6, 0.04159999999999999),
+        ]
+        assert [
+            (r.label, round(r.queue_delay, 9)) for r in host.scheduler.records
+        ] == [
+            ("invocation", 0.0),
+            ("event", 0.005), ("event", 0.0052), ("event", 0.0044),
+            ("event", 0.0046), ("event", 0.0043), ("event", 0.0045),
+            ("variable", 0.0062), ("variable", 0.0052), ("variable", 0.0047),
+            ("invocation", 0.0052), ("invocation", 0.0097), ("invocation", 0.0112),
+            ("event", 0.0012), ("event", 0.0014), ("variable", 0.0016),
+            ("invocation", 0.0104), ("invocation", 0.0104), ("invocation", 0.0116),
+            ("invocation", 0.0),
+        ]
 
 
 class TestFileManagerUnits:
