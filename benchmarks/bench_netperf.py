@@ -12,8 +12,10 @@ time cannot stand in. Three measurements:
   ``SUBSCRIBERS`` containers. The classic avionics firehose: many small
   samples, no acks.
 - **reliable events** — the same fanout with the acked event primitive.
+- **rpc roundtrip** — one client calling an ``INT64 -> INT64`` function on
+  one server, ``RPC_WIDTH`` calls in flight, each result issuing the next.
 
-Both middleware workloads are driven closed-loop (bounded undelivered
+The fan-out workloads are driven closed-loop (bounded undelivered
 backlog) so the plane runs at its *sustainable* rate — open-loop
 overload just measures queue depth: best-effort latency tails explode and
 the reliable plane degrades into retransmission pathology.
@@ -27,13 +29,15 @@ with zero cross-thread posts.
 Events/sec counts *deliveries* (samples × subscribers reached); latency is
 publisher ``perf_counter`` at publish to subscriber callback. Medians over
 ``--reps`` runs land in ``BENCH_netperf.json``. ``--smoke`` runs a small
-configuration and asserts every offered message was delivered on both
-workloads, that the reliable plane asked the loop for at most
-``MAX_SCHEDULE_CALLS_PER_DELIVERY`` timers per delivered event, and that the
-loop thread made at most ``MAX_LOOP_CALLS_PER_DELIVERY`` Python-level calls
-per delivered telemetry sample — counts, so they hold on a loaded runner
-(the CI gate; the PR-to-PR performance gate is ``BENCHMARK.json``'s suite
-under ``benchmarks/suite/``).
+configuration and asserts every offered message was delivered and every
+call returned its argument plus one, that the reliable plane asked the loop
+for at most ``MAX_SCHEDULE_CALLS_PER_DELIVERY`` timers per delivered event,
+and that the loop thread made at most ``MAX_LOOP_CALLS_PER_DELIVERY``
+Python-level calls per delivered telemetry sample,
+``MAX_LOOP_CALLS_PER_RELIABLE_EVENT`` per delivered reliable event and
+``MAX_LOOP_CALLS_PER_RPC`` per completed call — counts, so they hold on a
+loaded runner (the CI gate; the PR-to-PR performance gate is
+``BENCHMARK.json``'s suite under ``benchmarks/suite/``).
 """
 
 import argparse
@@ -50,7 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from exphelpers import print_table, write_bench_json
 
 from repro import AsyncRuntime
-from repro.encoding.types import FLOAT64
+from repro.encoding.types import FLOAT64, INT64
 from repro.runtime.async_runtime import LoopDomain
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -63,6 +67,8 @@ FANOUT_MAX_LAG = 1_800
 RELIABLE_EVENTS = 6_000
 RELIABLE_BURST = 200
 RELIABLE_MAX_LAG = 1_200
+RPC_CALLS = 30_000
+RPC_WIDTH = 16
 RAW_DATAGRAMS = 50_000
 SETTLE_SECONDS = 0.2
 #: One wake-up per stream, per delayed-ACK receiver and per batch flush: the
@@ -72,7 +78,15 @@ MAX_SCHEDULE_CALLS_PER_DELIVERY = 0.25
 #: event loop and subscriber callback included, over one extra burst after
 #: the timed run. 44.3 before the receive path resolved its per-frame work
 #: at bind time, 28.7 after (both repeat exactly); the bound sits midway.
+#: 24-26 since the clock read became ``time.monotonic`` itself.
 MAX_LOOP_CALLS_PER_DELIVERY = 36.5
+#: The same count per delivered reliable event and per completed call, over
+#: one extra burst / one extra round of calls: 69-71 and 189.6 before the
+#: acknowledged plane was bound when a stream opens, 46-49 and 120.0 after
+#: (per event it moves with how the wall clock batches the burst; per call
+#: it repeats). Each bound sits midway.
+MAX_LOOP_CALLS_PER_RELIABLE_EVENT = 58.5
+MAX_LOOP_CALLS_PER_RPC = 155.0
 
 #: The async plane's feature set: the schema-compiled codec (byte-identical
 #: wire format, property-tested against the interpreter), batching and
@@ -313,12 +327,90 @@ def reliable_events(events=RELIABLE_EVENTS, burst=RELIABLE_BURST):
             )
         deliveries = [entry for per_sub in received for entry in per_sub]
         t_end = max(r for r, _ in deliveries)
+        # One more burst, untimed, with every call on the loop thread counted.
+        with count_loop_calls(runtime) as loop_calls:
+            runtime.on_reactor(
+                lambda: [pub.handle.raise_event(time.perf_counter()) for _ in range(burst)]
+            )
+            assert runtime.run_until(
+                lambda: sum(len(r) for r in received)
+                >= len(deliveries) + burst * SUBSCRIBERS,
+                timeout=10.0,
+            )
+        counted = sum(len(r) for r in received) - len(deliveries)
         return {
             "offered": events * SUBSCRIBERS,
             "delivered": len(deliveries),
             "events_per_sec": round(len(deliveries) / (t_end - t0)),
             "schedule_calls_per_delivery": round(schedule_calls[0] / len(deliveries), 3),
+            "loop_calls_per_delivery": round(loop_calls[0] / counted, 1),
             **_stats([r - s for r, s in deliveries]),
+        }
+    finally:
+        runtime.stop()
+
+
+def rpc_roundtrip(calls=RPC_CALLS, width=RPC_WIDTH):
+    """Closed-loop calls, ``width`` in flight; returns calls/s + tails."""
+    runtime = AsyncRuntime()
+    client, server = ProbeService("client"), ProbeService("server")
+    runtime.add_container("client", **FAST, **ASYNC_PLANE).install_service(client)
+    runtime.add_container("server", **FAST, **ASYNC_PLANE).install_service(server)
+    runtime.start()
+    done = []  # (completed at, issued at)
+    wrong = [0]
+    limit = [0]
+
+    def issue(arg):
+        t_call = time.perf_counter()
+        client.ctx.call(
+            "net.increment", (arg,),
+            on_result=lambda result: finish(arg, result, t_call),
+            on_error=lambda exc: wrong.__setitem__(0, wrong[0] + 1),
+        )
+
+    def finish(arg, result, t_call):
+        done.append((time.perf_counter(), t_call))
+        wrong[0] += result != arg + 1
+        if len(done) + width <= limit[0]:
+            issue(len(done) + width - 1)
+
+    def round_of(count):
+        """``count`` more calls, ``width`` in flight; waits for the last."""
+        start = len(done)
+        limit[0] = start + count
+        runtime.on_reactor(lambda: [issue(start + i) for i in range(width)])
+        assert runtime.run_until(lambda: len(done) >= start + count, timeout=60.0)
+
+    try:
+        runtime.on_reactor(
+            lambda: server.ctx.provide_function(
+                "net.increment", lambda x: x + 1, params=[INT64], result=INT64
+            )
+        )
+        assert runtime.run_until(
+            lambda: not runtime.on_reactor(
+                lambda: client.ctx.check_required_functions(["net.increment"])
+            ),
+            timeout=10.0,
+        )
+        round_of(width * 10)  # streams open, bindings made
+        first = len(done)
+        t0 = time.perf_counter()
+        round_of(calls)
+        timed = done[first:]
+        t_end = max(at for at, _ in timed)
+        # One more round, untimed, with every call on the loop thread counted.
+        before = len(done)
+        with count_loop_calls(runtime) as loop_calls:
+            round_of(min(calls, 2_000))
+        return {
+            "offered": calls,
+            "completed": len(timed),
+            "wrong": wrong[0],
+            "calls_per_sec": round(len(timed) / (t_end - t0)),
+            "loop_calls_per_call": round(loop_calls[0] / (len(done) - before), 1),
+            **_stats([at - issued for at, issued in timed]),
         }
     finally:
         runtime.stop()
@@ -337,7 +429,7 @@ def _median_by_rate(runs):
     return sorted(runs, key=lambda r: r["events_per_sec"])[len(runs) // 2]
 
 
-def run_suite(reps, samples, events, raw_n):
+def run_suite(reps, samples, events, raw_n, calls):
     """Medians over ``reps`` repetitions.
 
     Each rep measures the ceiling and both workloads back-to-back, and the
@@ -351,12 +443,18 @@ def run_suite(reps, samples, events, raw_n):
             "raw_ceiling": raw_ceiling(raw_n),
             "telemetry_fanout": telemetry_fanout(samples),
             "reliable_events": reliable_events(events),
+            "rpc_roundtrip": rpc_roundtrip(calls),
         }
         for _ in range(reps)
     ]
     results = {"raw_ceiling": _median_by_rate([r["raw_ceiling"] for r in rep_data])}
     for workload in WORKLOADS:
         results[workload] = {"async": _median_by_rate([r[workload] for r in rep_data])}
+    results["rpc_roundtrip"] = {
+        "async": sorted(
+            (r["rpc_roundtrip"] for r in rep_data), key=lambda r: r["calls_per_sec"]
+        )[reps // 2]
+    }
     results["telemetry_fanout"]["ceiling_fraction"] = round(
         _median(
             [
@@ -382,17 +480,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.smoke:
-        reps, samples, events, raw_n = 1, 2_000, 1_000, 10_000
+        reps, samples, events, raw_n, calls = 1, 2_000, 1_000, 10_000, 3_000
     else:
-        reps, samples, events, raw_n = args.reps, FANOUT_SAMPLES, RELIABLE_EVENTS, RAW_DATAGRAMS
+        reps, samples, events, raw_n, calls = (
+            args.reps, FANOUT_SAMPLES, RELIABLE_EVENTS, RAW_DATAGRAMS, RPC_CALLS
+        )
 
-    results = run_suite(reps, samples, events, raw_n)
+    results = run_suite(reps, samples, events, raw_n, calls)
 
     ceiling = results["raw_ceiling"]
     rows = [["raw ceiling", ceiling["events_per_sec"], ceiling["p50_ms"], ceiling["p99_ms"]]]
     for workload in WORKLOADS:
         r = results[workload]["async"]
         rows.append([f"{workload}/async", r["events_per_sec"], r["p50_ms"], r["p99_ms"]])
+    rpc = results["rpc_roundtrip"]["async"]
+    rows.append([f"rpc_roundtrip/async (calls, {RPC_WIDTH} wide)", rpc["calls_per_sec"],
+                 rpc["p50_ms"], rpc["p99_ms"]])
     print_table(
         "netperf: events/sec and latency tails",
         ["configuration", "events/sec", "p50 ms", "p99 ms"],
@@ -404,6 +507,10 @@ def main(argv=None):
     print(f"reliable_events LoopDomain.schedule calls per delivered event: {timers}")
     loop_calls = results["telemetry_fanout"]["async"]["loop_calls_per_delivery"]
     print(f"telemetry_fanout Python calls on the loop thread per delivered sample: {loop_calls}")
+    event_calls = results["reliable_events"]["async"]["loop_calls_per_delivery"]
+    print(f"reliable_events Python calls on the loop thread per delivered event: {event_calls}")
+    rpc_calls = rpc["loop_calls_per_call"]
+    print(f"rpc_roundtrip Python calls on the loop thread per completed call: {rpc_calls}")
 
     if args.smoke:
         for workload in WORKLOADS:
@@ -411,6 +518,10 @@ def main(argv=None):
             assert r["delivered"] == r["offered"], (
                 f"{workload}: delivered {r['delivered']} of {r['offered']} offered"
             )
+        assert rpc["completed"] == rpc["offered"] and rpc["wrong"] == 0, (
+            f"rpc_roundtrip: {rpc['completed']} of {rpc['offered']} calls completed, "
+            f"{rpc['wrong']} wrong or failed"
+        )
         assert timers <= MAX_SCHEDULE_CALLS_PER_DELIVERY, (
             f"reliable_events: {timers} schedule calls per delivered event "
             f"(limit {MAX_SCHEDULE_CALLS_PER_DELIVERY}): a timer per frame or per ACK is back"
@@ -419,9 +530,17 @@ def main(argv=None):
             f"telemetry_fanout: {loop_calls} Python calls per delivered sample "
             f"(limit {MAX_LOOP_CALLS_PER_DELIVERY}): per-frame lookups or wrappers are back"
         )
+        assert event_calls <= MAX_LOOP_CALLS_PER_RELIABLE_EVENT, (
+            f"reliable_events: {event_calls} Python calls per delivered event "
+            f"(limit {MAX_LOOP_CALLS_PER_RELIABLE_EVENT}): per-frame stream work is back"
+        )
+        assert rpc_calls <= MAX_LOOP_CALLS_PER_RPC, (
+            f"rpc_roundtrip: {rpc_calls} Python calls per completed call "
+            f"(limit {MAX_LOOP_CALLS_PER_RPC}): per-call or per-frame work is back"
+        )
         print(
-            "smoke OK: delivered == offered on both workloads, "
-            "timers per event and calls per sample in bound"
+            "smoke OK: delivered == offered, every call answered, timers per event "
+            "and calls per sample, per event and per call in bound"
         )
         return results
 
@@ -431,6 +550,8 @@ def main(argv=None):
             "reps": reps,
             "fanout_samples": samples,
             "reliable_events": events,
+            "rpc_calls": calls,
+            "rpc_width": RPC_WIDTH,
             "raw_datagrams": raw_n,
             "async_plane": ASYNC_PLANE,
         }

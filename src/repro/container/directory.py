@@ -258,6 +258,14 @@ class Directory:
     def record(self, container: str) -> Optional[ContainerRecord]:
         return self._records.get(container)
 
+    def knows(self, container: str) -> bool:
+        """Whether ``container`` has a record here, live or dead, or a route
+        through a zone summary."""
+        return (
+            container in self._records
+            or self.summary_address_of(container) is not None
+        )
+
     def all_records(self) -> Iterable[ContainerRecord]:
         """Every held record, live or dead (summary publication walks this)."""
         return self._records.values()

@@ -12,6 +12,7 @@ per stream, armed no later than its earliest retransmit deadline
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.protocol.frames import Frame, MessageKind
@@ -30,11 +31,20 @@ RELIABLE_CHANNEL = 1
 #: Channel carrying the TCP-modelled stream (experiment E5 only).
 TCP_CHANNEL = 2
 
+#: Receivers kept for sources the directory does not know. The source id is
+#: whatever a frame declares, so past this many the oldest such stream is
+#: closed; a known peer's stream is never counted, never closed.
+MAX_STRANGER_STREAMS = 256
+
 SendToPeer = Callable[[str, Frame], None]  # (destination container, frame)
 DeliverFrame = Callable[[Frame], None]  # reliable frame ready for dispatch
 PeerFailure = Callable[[str, Frame], None]  # (peer, frame that gave up)
 PeerSlow = Callable[[str, Frame], None]  # (peer, frame shed by bounded backlog)
 PeerAbuse = Callable[[str, str], None]  # (peer, defense that fired)
+KnownPeer = Callable[[str], bool]  # does the directory know this container?
+
+_ACK = MessageKind.ACK
+_NACK = MessageKind.NACK
 
 
 def _stream_wakeup(clock: Clock, timers, sender) -> Wakeup:
@@ -58,7 +68,15 @@ def _reread(wakeup: Wakeup, sender) -> None:
 
 class ReliableLinks:
     """Manages one :class:`ReliableSender`/:class:`ReliableReceiver` pair
-    per remote container."""
+    per remote container.
+
+    Everything a stream needs is bound when it opens — its emit callables
+    (``partial(send_to_peer, peer)``), its wake-up, which the sender holds
+    to every first transmission's deadline — so a send is one dict lookup
+    and the sender's own work, and a received frame one dict lookup and the
+    receiver's. ``known`` tells sources the directory knows from strangers;
+    omitted, every source counts as known.
+    """
 
     def __init__(
         self,
@@ -74,6 +92,7 @@ class ReliableLinks:
         on_peer_slow: Optional[PeerSlow] = None,
         hardening: Optional[ReliabilityHardening] = None,
         on_peer_abuse: Optional[PeerAbuse] = None,
+        known: Optional[KnownPeer] = None,
     ):
         self._clock = clock
         self._timers = timers
@@ -87,9 +106,12 @@ class ReliableLinks:
         self._ack_max_pending = ack_max_pending
         self._hardening = hardening
         self._on_peer_abuse = on_peer_abuse
+        self._known = known
         self._senders: Dict[str, ReliableSender] = {}
         self._receivers: Dict[str, ReliableReceiver] = {}
-        self._wakeups: Dict[str, Wakeup] = {}
+        #: Sources of receivers opened while ``known`` said no, oldest first
+        #: (an insertion-ordered dict used as a set); made by the first one.
+        self._strangers: Optional[Dict[str, None]] = None
 
     @property
     def hardening(self) -> Optional[ReliabilityHardening]:
@@ -107,12 +129,10 @@ class ReliableLinks:
     # -- sending ---------------------------------------------------------------
     def send(self, peer: str, kind: MessageKind, payload: bytes) -> int:
         """Reliably send ``payload`` to ``peer``; returns the stream seq."""
-        sender = self._sender_for(peer)
-        sent, now = sender.sent_frames, self._clock.now()
-        seq = sender.send(kind, payload)
-        if sender.sent_frames != sent:
-            self._wakeups[peer].need(now + self._policy.initial_rto)
-        return seq
+        sender = self._senders.get(peer)
+        if sender is None:
+            sender = self._open_sender(peer)
+        return sender.send(kind, payload)
 
     def pending_to(self, peer: str) -> int:
         sender = self._senders.get(peer)
@@ -136,24 +156,25 @@ class ReliableLinks:
         """
         if frame.channel != RELIABLE_CHANNEL:
             return False
-        if frame.kind == MessageKind.ACK:
+        kind = frame.kind
+        if kind == _ACK:
             sender = self._senders.get(frame.source)
             if sender is not None:
-                sent, now = sender.sent_frames, self._clock.now()
                 sender.on_ack_frame(frame)
-                if sender.sent_frames != sent:  # the backlog drained into the window
-                    self._wakeups[frame.source].need(now + self._policy.initial_rto)
             return True
-        if frame.kind == MessageKind.NACK:
+        if kind == _NACK:
             # A NACK names *our* stream to the peer: it is an explicit
             # retransmit request, handled by the send side. Rare, and an RTO
             # capped below the first one moves a deadline earlier: re-read.
             sender = self._senders.get(frame.source)
             if sender is not None:
                 sender.on_nack_frame(frame)
-                _reread(self._wakeups[frame.source], sender)
+                _reread(sender.wakeup, sender)
             return True
-        self._receiver_for(frame.source).on_frame(frame)
+        receiver = self._receivers.get(frame.source)
+        if receiver is None:
+            receiver = self._open_receiver(frame.source)
+        receiver.on_frame(frame)
         return True
 
     # -- peer lifecycle -----------------------------------------------------------
@@ -167,56 +188,68 @@ class ReliableLinks:
         receiver = self._receivers.pop(peer, None)
         if receiver is not None:
             receiver.close()
+            if self._strangers:
+                self._strangers.pop(peer, None)
         if sender is None:
             return
-        self._wakeups.pop(peer).close()
+        sender.wakeup.close()
         if self._on_peer_failure is not None:
-            for state in list(sender._in_flight.values()):
-                self._on_peer_failure(peer, state.frame)
-            for frame in sender._backlog:
+            for frame in sender.outstanding():
                 self._on_peer_failure(peer, frame)
 
     def peers(self):
         return sorted(set(self._senders) | set(self._receivers))
 
     # -- internals -----------------------------------------------------------
-    def _sender_for(self, peer: str) -> ReliableSender:
-        sender = self._senders.get(peer)
-        if sender is None:
-            sender = ReliableSender(
-                clock=self._clock,
-                source=self._local,
-                channel=RELIABLE_CHANNEL,
-                emit=lambda frame, p=peer: self._send_to_peer(p, frame),
-                on_failure=lambda seq, frame, p=peer: self._peer_failed(p, frame),
-                policy=self._policy,
-                on_overflow=lambda frame, p=peer: self._peer_slow(p, frame),
-                hardening=self._hardening,
-                on_abuse=lambda reason, p=peer: self._peer_abuse(p, reason),
-            )
-            self._senders[peer] = sender
-            self._wakeups[peer] = _stream_wakeup(self._clock, self._timers, sender)
+    def _open_sender(self, peer: str) -> ReliableSender:
+        sender = ReliableSender(
+            clock=self._clock,
+            source=self._local,
+            channel=RELIABLE_CHANNEL,
+            emit=partial(self._send_to_peer, peer),
+            on_failure=lambda seq, frame, p=peer: self._peer_failed(p, frame),
+            policy=self._policy,
+            on_overflow=partial(self._peer_slow, peer),
+            hardening=self._hardening,
+            on_abuse=partial(self._peer_abuse, peer),
+        )
+        sender.wakeup = _stream_wakeup(self._clock, self._timers, sender)
+        self._senders[peer] = sender
         return sender
 
-    def _receiver_for(self, peer: str) -> ReliableReceiver:
-        receiver = self._receivers.get(peer)
-        if receiver is None:
-            receiver = ReliableReceiver(
-                source=peer,
-                channel=RELIABLE_CHANNEL,
-                emit_ack=lambda ack, p=peer: self._send_to_peer(p, ack),
-                deliver=self._deliver,
-                ordered=True,
-                ack_source=self._local,
-                ack_delay=self._ack_delay,
-                timers=self._timers,
-                max_pending_acks=self._ack_max_pending,
-                clock=self._clock,
-                hardening=self._hardening,
-                on_abuse=lambda reason, p=peer: self._peer_abuse(p, reason),
-            )
-            self._receivers[peer] = receiver
+    def _open_receiver(self, peer: str) -> ReliableReceiver:
+        receiver = ReliableReceiver(
+            source=peer,
+            channel=RELIABLE_CHANNEL,
+            emit_ack=partial(self._send_to_peer, peer),
+            deliver=self._deliver,
+            ordered=True,
+            ack_source=self._local,
+            ack_delay=self._ack_delay,
+            timers=self._timers,
+            max_pending_acks=self._ack_max_pending,
+            clock=self._clock,
+            hardening=self._hardening,
+            on_abuse=partial(self._peer_abuse, peer),
+        )
+        self._receivers[peer] = receiver
+        if self._known is not None and not self._known(peer):
+            self._note_stranger(peer)
         return receiver
+
+    def _note_stranger(self, peer: str) -> None:
+        """``peer`` opened a stream unannounced. Past the cap, close the
+        oldest stranger's streams — unless the directory has learned it
+        since, in which case it is a peer now and only stops being counted."""
+        strangers = self._strangers
+        if strangers is None:
+            strangers = self._strangers = {}
+        strangers[peer] = None
+        while len(strangers) > MAX_STRANGER_STREAMS:
+            oldest = next(iter(strangers))
+            del strangers[oldest]
+            if not self._known(oldest):
+                self.reset_peer(oldest)
 
     def _peer_failed(self, peer: str, frame: Frame) -> None:
         if self._on_peer_failure is not None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType, StructType
@@ -43,8 +43,15 @@ OnError = Callable[[Exception], None]
 
 #: Automatic re-routes of a failed call before giving up.
 CALL_MAX_REDIRECTS = 2
-#: Caller-side args encoders kept per manager; cleared wholesale when full.
+#: Caller-side args bindings kept per manager; cleared wholesale when full.
 _ARGS_MEMO_MAX = 1024
+#: A result decoder not bound yet (a bound ``None`` means "no result type").
+_UNBOUND = object()
+
+
+def _param_names(count: int) -> Tuple[str, ...]:
+    """Field names of the args struct: ``p0``, ``p1``, …"""
+    return tuple(f"p{i}" for i in range(count))
 
 
 def _args_schema(name: str, params: Sequence[DataType]) -> Optional[StructType]:
@@ -53,7 +60,7 @@ def _args_schema(name: str, params: Sequence[DataType]) -> Optional[StructType]:
         return None
     return StructType(
         f"Args_{name.replace('.', '_')}",
-        [(f"p{i}", t) for i, t in enumerate(params)],
+        list(zip(_param_names(len(params)), params)),
     )
 
 
@@ -77,9 +84,12 @@ class FunctionProvision:
     _encode_result: Optional[Callable[[Any], bytes]] = field(
         init=False, repr=False, default=None
     )
+    #: The args struct's field names, in parameter order.
+    _arg_names: Tuple[str, ...] = field(init=False, repr=False, default=())
 
     def __post_init__(self) -> None:
         self.args_schema = _args_schema(self.name, self.params)
+        self._arg_names = _param_names(len(self.params))
 
 
 @dataclass
@@ -94,6 +104,8 @@ class CallHandle:
     deadline: float
     binding: str
     issued_at: float = 0.0
+    #: The window the call was made with: the first and every redirect's.
+    timeout: float = 0.0
     provider: Optional[str] = None
     redirects: int = 0
     done: bool = False
@@ -115,17 +127,29 @@ class InvocationManager:
         self._calls: Dict[str, CallHandle] = {}
         self._rr_counters: Dict[str, int] = {}
         self._static_bindings: Dict[str, str] = {}  # function -> container
-        #: (function, offered params) -> the args struct's bound encoder
-        self._args_memo: Dict[tuple, Callable[[dict], bytes]] = {}
+        #: (function, offered params) -> (parameter count, field names, the
+        #: args struct's bound encoder): one schema per distinct offer.
+        self._args_memo: Dict[tuple, tuple] = {}
+        #: What calling a function at one provider needs, bound from the
+        #: provider's offer at the first call (its ``_args_memo`` entry) and
+        #: at the first response (the result decoder, or None); both valid
+        #: while the directory revision stands and no local provision has
+        #: come or gone since, like the event manager's decoder cache.
+        self._arg_encoders: Dict[Tuple[str, str], tuple] = {}
+        self._result_decoders: Dict[Tuple[str, str], Optional[Callable]] = {}
+        self._bound_rev = -1
         #: One wake-up for every pending call, never later than the earliest
         #: ``CallHandle.deadline``.
         self._wakeup = Wakeup(host.clock, host.timers, self._expire_due)
         # Everything a call needs from the host, resolved once: the
         # collaborators are fixed for the container's life (their *state* —
-        # tracer.enabled, probes.enabled — is read live, per call).
+        # tracer.enabled, probes.enabled, the config's values — is read
+        # live, per call).
         self._id = host.id
         self._clock = host.clock
         self._codec = host.codec
+        self._config = host.config
+        self._directory = host.directory
         self._tracer = host.tracer
         self._probes = host.probes
 
@@ -179,16 +203,19 @@ class InvocationManager:
         if result is not None:
             provision._encode_result = self._codec.encoder(result)
         self._provisions[name] = provision
+        self._unbind()
         self._host.announce_soon()
         return provision
 
     def withdraw(self, name: str) -> None:
         if self._provisions.pop(name, None) is not None:
+            self._unbind()
             self._host.announce_soon()
 
     def withdraw_service(self, service: str) -> None:
         for name in [n for n, p in self._provisions.items() if p.service == service]:
             del self._provisions[name]
+        self._unbind()
         self._host.announce_soon()
 
     def offers(self) -> List[dict]:
@@ -229,18 +256,16 @@ class InvocationManager:
         binding: Optional[str] = None,
     ) -> CallHandle:
         """Invoke ``function`` wherever it lives. Completion is reported via
-        callbacks; the returned handle tracks progress."""
-        timeout = timeout if timeout is not None else self._host.config.call_timeout
+        callbacks; the returned handle tracks progress. ``timeout`` (default
+        ``ContainerConfig.call_timeout``) is the window of the first attempt
+        and of every redirect after a timeout."""
+        config = self._config
+        if timeout is None:
+            timeout = config.call_timeout
         now = self._clock.now()
         handle = CallHandle(
-            call_id=make_uid("call"),
-            function=function,
-            args=tuple(args),
-            on_result=on_result,
-            on_error=on_error,
-            deadline=now + timeout,
-            binding=binding or self._host.config.call_binding,
-            issued_at=now,
+            make_uid("call"), function, tuple(args), on_result, on_error,
+            now + timeout, binding or config.call_binding, now, timeout,
         )
         self._calls_counter.inc()
         probes = self._probes
@@ -275,39 +300,31 @@ class InvocationManager:
     def on_request_frame(self, frame: Frame) -> None:
         doc, trace = wire.decode_rpc_request(frame.payload)
         caller = frame.source
+        call_id = doc["call_id"]
         provision = self._provisions.get(doc["function"])
         if provision is None:
-            self._respond(caller, doc["call_id"], ok=False,
-                          error=f"function {doc['function']!r} not provided here")
+            self._respond(
+                caller, call_id, False, f"function {doc['function']!r} not provided here"
+            )
             return
         try:
             args = self._decode_args(provision, doc["args"])
         except Exception as exc:  # noqa: BLE001 — bad args are a caller error
-            self._respond(caller, doc["call_id"], ok=False, error=f"bad arguments: {exc}")
+            self._respond(caller, call_id, False, f"bad arguments: {exc}")
             return
         tracer = self._tracer
-        span = (
-            tracer.start_span(
-                f"rpc:{doc['function']}", "rpc.server", parent=trace, caller=caller
+        if not tracer.enabled:  # no span: no name formatting, no context switch
+            self._host.submit(
+                "invocation", partial(self._serve, provision, args, caller, call_id, None)
             )
-            if tracer.enabled  # skip span-name formatting on the untraced path
-            else None
+            return
+        span = tracer.start_span(
+            f"rpc:{doc['function']}", "rpc.server", parent=trace, caller=caller
         )
-
-        def execute():
-            provision.calls_served += 1
-            self._served_counter.inc()
-            try:
-                result = provision.fn(*args)
-                encode = provision._encode_result
-                encoded = encode(result) if encode is not None else b""
-                self._respond(caller, doc["call_id"], ok=True, result=encoded)
-            except Exception as exc:  # noqa: BLE001 — server fault, reported back
-                self._respond(caller, doc["call_id"], ok=False, error=str(exc))
-            tracer.finish(span)
-
         with tracer.activate(tracer.context_of(span)):
-            self._host.submit("invocation", execute)
+            self._host.submit(
+                "invocation", partial(self._serve, provision, args, caller, call_id, span)
+            )
 
     def on_response_frame(self, frame: Frame) -> None:
         doc = wire.decode_rpc_response(frame.payload)[0]  # tail-tolerant
@@ -317,31 +334,57 @@ class InvocationManager:
         if not doc["ok"]:
             self._finish_error(handle, InvocationError(handle.function, doc["error"]))
             return
-        result = None
-        provision_type = self._result_type_of(handle.function, frame.source)
-        if provision_type is not None and doc["result"]:
-            result = self._codec.decode(provision_type, doc["result"])
-        self._finish_ok(handle, result)
+        if self._directory.revision != self._bound_rev:
+            self._unbind()
+        key = (handle.function, frame.source)
+        decode = self._result_decoders.get(key, _UNBOUND)
+        if decode is _UNBOUND:
+            decode = self._bind_result(key)
+        encoded = doc["result"]
+        self._finish_ok(handle, decode(encoded) if decode is not None and encoded else None)
 
     # -- internals -----------------------------------------------------------
-    def _dispatch(self, handle: CallHandle) -> None:
+    def _serve(
+        self, provision: FunctionProvision, args: tuple, caller: str, call_id: str, span
+    ) -> None:
+        """One served request, run by the scheduler."""
+        provision.calls_served += 1
+        self._served_counter.inc()
+        try:
+            result = provision.fn(*args)
+            encode = provision._encode_result
+            encoded = encode(result) if encode is not None else b""
+            self._respond(caller, call_id, True, "", encoded)
+        except Exception as exc:  # noqa: BLE001 — server fault, reported back
+            self._respond(caller, call_id, False, str(exc))
+        if span is not None:
+            self._tracer.finish(span)
+
+    def _run_local(self, provision: FunctionProvision, handle: CallHandle) -> None:
+        """A call to a function this container provides, run by the scheduler."""
+        provision.calls_served += 1
+        try:
+            self._finish_ok(handle, provision.fn(*handle.args))
+        except Exception as exc:  # noqa: BLE001
+            self._finish_error(handle, InvocationError(handle.function, str(exc)))
+
+    def _submit(self, handle: CallHandle, task: Callable[[], None]) -> None:
+        """Hand ``task`` to the scheduler inside the call's trace context."""
+        span = handle._span
+        if span is None:
+            self._host.submit("invocation", task)
+            return
         tracer = self._tracer
-        context = tracer.context_of(handle._span)
+        with tracer.activate(tracer.context_of(span)):
+            self._host.submit("invocation", task)
+
+    def _dispatch(self, handle: CallHandle) -> None:
         # Local fast path: the function lives in this container.
         local = self._provisions.get(handle.function)
         if local is not None:
             handle.provider = self._id
             self._wakeup.need(handle.deadline)
-
-            def execute():
-                local.calls_served += 1
-                try:
-                    self._finish_ok(handle, local.fn(*handle.args))
-                except Exception as exc:  # noqa: BLE001
-                    self._finish_error(handle, InvocationError(handle.function, str(exc)))
-
-            with tracer.activate(context):
-                self._host.submit("invocation", execute)
+            self._submit(handle, partial(self._run_local, local, handle))
             return
 
         provider = self._select_provider(handle)
@@ -351,16 +394,15 @@ class InvocationManager:
             self._finish_error(handle, NameResolutionError(message))
             return
         handle.provider = provider
-        record = self._host.directory.record(provider)
-        offer = record.functions.get(handle.function) if record else None
         try:
-            encoded_args = self._encode_args(handle.function, offer, handle.args)
+            encoded_args = self._encode_args(handle.function, provider, handle.args)
         except Exception as exc:  # noqa: BLE001
             self._finish_error(handle, InvocationError(handle.function, f"bad arguments: {exc}"))
             return
+        span = handle._span
         payload = wire.encode_rpc_request(
             {"call_id": handle.call_id, "function": handle.function, "args": encoded_args},
-            context,
+            None if span is None else self._tracer.context_of(span),
         )
         self._host.send_reliable(provider, MessageKind.RPC_REQUEST, payload)
         self._wakeup.need(handle.deadline)
@@ -369,18 +411,16 @@ class InvocationManager:
         if handle.binding == "static":
             pinned = self._static_bindings.get(handle.function)
             if pinned is not None:
-                record = self._host.directory.record(pinned)
+                record = self._directory.record(pinned)
                 if record is not None and record.alive and handle.function in record.functions:
                     return pinned
                 return None  # static binding down: no silent re-route
-        providers = [
-            r
-            for r in self._host.directory.providers_of_function(handle.function)
-            if r.container != handle.provider  # skip the one that just failed
-        ]
-        if not providers:
-            # Allow retrying the same provider if it is the only one alive.
-            providers = self._host.directory.providers_of_function(handle.function)
+        providers = self._directory.providers_of_function(handle.function)
+        if handle.provider is not None:
+            # Skip the one that just failed — unless it is the only one alive.
+            others = [r for r in providers if r.container != handle.provider]
+            if others:
+                providers = others
         if not providers:
             return None
         if handle.binding == "least_loaded":
@@ -411,7 +451,7 @@ class InvocationManager:
             # treat it like a failure and try a redundant provider — which
             # gets one more timeout window.
             self._timeouts_counter.inc()
-            handle.deadline = now + self._host.config.call_timeout
+            handle.deadline = now + handle.timeout
             self._redirect(handle, reason="call timed out")
         return min((h.deadline for h in self._calls.values()), default=None)
 
@@ -427,13 +467,12 @@ class InvocationManager:
                 "rpc.done", handle.function, key=handle.call_id,
                 attrs={"function": handle.function, "outcome": "ok"},
             )
-        tracer = self._tracer
-        if handle._span is not None:
-            handle._span.attrs["redirects"] = handle.redirects
-        tracer.finish(handle._span)
+        span = handle._span
+        if span is not None:
+            span.attrs["redirects"] = handle.redirects
+            self._tracer.finish(span)
         if handle.on_result is not None:
-            with tracer.activate(tracer.context_of(handle._span)):
-                self._host.submit("invocation", partial(handle.on_result, result))
+            self._submit(handle, partial(handle.on_result, result))
 
     def _finish_error(self, handle: CallHandle, error: Exception) -> None:
         handle.done = True
@@ -446,14 +485,13 @@ class InvocationManager:
                 "rpc.done", handle.function, key=handle.call_id,
                 attrs={"function": handle.function, "outcome": "error"},
             )
-        tracer = self._tracer
-        if handle._span is not None:
-            handle._span.attrs["redirects"] = handle.redirects
-            handle._span.attrs["error"] = str(error)
-        tracer.finish(handle._span)
+        span = handle._span
+        if span is not None:
+            span.attrs["redirects"] = handle.redirects
+            span.attrs["error"] = str(error)
+            self._tracer.finish(span)
         if handle.on_error is not None:
-            with tracer.activate(tracer.context_of(handle._span)):
-                self._host.submit("invocation", partial(handle.on_error, error))
+            self._submit(handle, partial(handle.on_error, error))
 
     def _respond(
         self, caller: str, call_id: str, ok: bool, error: str = "", result: bytes = b""
@@ -474,38 +512,64 @@ class InvocationManager:
         decode = provision._decode_args
         if decode is None:
             return ()
-        doc = decode(encoded)
-        return tuple(doc[f"p{i}"] for i in range(len(provision.params)))
+        return tuple(map(decode(encoded).__getitem__, provision._arg_names))
 
-    def _encode_args(self, function: str, offer: Optional[dict], args: tuple) -> bytes:
+    def _encode_args(self, function: str, provider: str, args: tuple) -> bytes:
+        if self._directory.revision != self._bound_rev:
+            self._unbind()
+        bound = self._arg_encoders.get((function, provider))
+        if bound is None:
+            bound = self._bind_args(function, provider)
+        arity, names, encode = bound
+        if arity != len(args):
+            raise InvocationError(function, f"expected {arity} arguments, got {len(args)}")
+        return encode(dict(zip(names, args))) if arity else b""
+
+    def _bind_args(self, function: str, provider: str) -> tuple:
+        """(parameter count, field names, encoder) from ``provider``'s offer."""
+        record = self._directory.record(provider)
+        offer = record.functions.get(function) if record else None
         if offer is None:
             raise InvocationError(function, "provider offer unknown")
-        params = offer["params"]
-        if len(params) != len(args):
-            raise InvocationError(
-                function, f"expected {len(params)} arguments, got {len(args)}"
-            )
-        if not params:
-            return b""
-        key = (function, tuple(params))
-        encode = self._args_memo.get(key)
-        if encode is None:
+        key = (function, tuple(offer["params"]))
+        bound = self._args_memo.get(key)
+        if bound is None:
             if len(self._args_memo) >= _ARGS_MEMO_MAX:
                 self._args_memo.clear()
-            encode = self._args_memo[key] = self._codec.encoder(
-                _args_schema(function, [parse_type(p) for p in params])
+            params = [parse_type(p) for p in offer["params"]]
+            schema = _args_schema(function, params)
+            bound = self._args_memo[key] = (
+                len(params),
+                _param_names(len(params)),
+                self._codec.encoder(schema) if schema is not None else None,
             )
-        return encode({f"p{i}": a for i, a in enumerate(args)})
+        self._arg_encoders[(function, provider)] = bound
+        return bound
 
-    def _result_type_of(self, function: str, provider: str) -> Optional[DataType]:
+    def _bind_result(self, key: Tuple[str, str]) -> Optional[Callable[[bytes], Any]]:
+        """The decoder for ``function``'s result as ``provider`` sends it: a
+        local provision's type wins, else the provider's offer; None when
+        neither names one."""
+        function, provider = key
         local = self._provisions.get(function)
         if local is not None:
-            return local.result
-        record = self._host.directory.record(provider)
-        offer = record.functions.get(function) if record else None
-        if offer is None or not offer["result"]:
-            return None
-        return parse_type(offer["result"])
+            datatype = local.result
+        else:
+            record = self._directory.record(provider)
+            offer = record.functions.get(function) if record else None
+            has_result = offer is not None and offer["result"]
+            datatype = parse_type(offer["result"]) if has_result else None
+        decode = self._result_decoders[key] = (
+            self._codec.decoder(datatype) if datatype is not None else None
+        )
+        return decode
+
+    def _unbind(self) -> None:
+        """Forget every binding: the directory moved, or a local provision
+        came or went."""
+        self._arg_encoders.clear()
+        self._result_decoders.clear()
+        self._bound_rev = self._directory.revision
 
 
 __all__ = ["InvocationManager", "CallHandle", "FunctionProvision"]

@@ -177,7 +177,7 @@ class WireDatagram:
         self.seq = 0
         self.flags = 0
         self.views = views
-        self.wire_size = sum(len(v) for v in views)
+        self.wire_size = sum(map(len, views))
         self.frame_count = frame_count
 
     def encode(self) -> bytes:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.util.clock import Clock
@@ -26,28 +28,43 @@ from repro.util.wakeup import Wakeup
 
 _ACK_COUNT = struct.Struct("<H")
 _ACK_SEQ = struct.Struct("<I")
+_ACK_MAX_SEQS = 0xFFFF
+_RELIABLE = int(FrameFlags.RELIABLE)
+_RETRANSMIT = int(FrameFlags.RETRANSMIT)
+_ACK = MessageKind.ACK
+_NACK = MessageKind.NACK
 
 
-def encode_ack(seqs: List[int]) -> bytes:
+@lru_cache(maxsize=256)
+def _ack_layout(count: int) -> struct.Struct:
+    """The whole selective-ack payload for ``count`` seqs as one ``Struct``,
+    composed from the count and seq formats: encoding or decoding an ACK is
+    one ``struct`` call, however many seqs it carries."""
+    return struct.Struct(f"{_ACK_COUNT.format}{count}{_ACK_SEQ.format[1:]}")
+
+
+def encode_ack(seqs: Sequence[int]) -> bytes:
     """Selective-ack payload: uint16 count + uint32 seq each."""
-    if len(seqs) > 0xFFFF:
+    count = len(seqs)
+    if count > _ACK_MAX_SEQS:
         raise ProtocolError("too many seqs in one ack")
-    out = [_ACK_COUNT.pack(len(seqs))]
-    out.extend(_ACK_SEQ.pack(s) for s in seqs)
-    return b"".join(out)
+    return _ack_layout(count).pack(count, *seqs)
 
 
 def decode_ack(payload: bytes) -> List[int]:
-    if len(payload) < _ACK_COUNT.size:
+    size = len(payload)
+    if size < _ACK_COUNT.size:
         raise ProtocolError("ack payload too short")
-    (count,) = _ACK_COUNT.unpack_from(payload)
-    expected = _ACK_COUNT.size + count * _ACK_SEQ.size
-    if len(payload) != expected:
-        raise ProtocolError(f"ack payload wrong size: {len(payload)} != {expected}")
-    return [
-        _ACK_SEQ.unpack_from(payload, _ACK_COUNT.size + i * _ACK_SEQ.size)[0]
-        for i in range(count)
-    ]
+    count, odd = divmod(size - _ACK_COUNT.size, _ACK_SEQ.size)
+    if not odd and count <= _ACK_MAX_SEQS:
+        declared, *seqs = _ack_layout(count).unpack(payload)
+        if declared == count:
+            return seqs
+    else:
+        (declared,) = _ACK_COUNT.unpack_from(payload)
+    raise ProtocolError(
+        f"ack payload wrong size: {size} != {_ACK_COUNT.size + declared * _ACK_SEQ.size}"
+    )
 
 
 #: NACKs carry the same seq-list payload as selective ACKs.
@@ -165,12 +182,11 @@ class RetransmitPolicy:
             raise ValueError("invalid retransmit policy")
 
 
-@dataclass
-class _InFlight:
-    frame: Frame
-    deadline: float
-    rto: float
-    retries: int = 0
+#: One in-flight frame: (frame, retransmit deadline, current RTO, retries so
+#: far). A tuple, replaced whole on a retransmission — a first transmission
+#: allocates no object besides its frame.
+_InFlight = Tuple[Frame, float, float, int]
+_deadline_of = itemgetter(1)
 
 
 class ReliableSender:
@@ -201,7 +217,15 @@ class ReliableSender:
         Called with a reason string (``"ack-flood"``, ``"future-ack"``,
         ``"stale-ack"``, ``"nack-flood"``, ``"stale-nack"``) each time a
         defense fires, so the owner can attribute abuse to the peer.
+
+    An owner that drives the stream by wake-up rather than by polling sets
+    :attr:`wakeup` to it: a send, or a backlog drain, then holds the wake-up
+    to the deadline it gave what it transmitted — one clock read for both.
     """
+
+    #: The stream's wake-up (:class:`~repro.util.wakeup.Wakeup`), if an
+    #: owner attached one; ``None`` leaves timing to whoever calls ``poll``.
+    wakeup: Optional[Wakeup] = None
 
     def __init__(
         self,
@@ -229,6 +253,7 @@ class ReliableSender:
         self._nack_ignore_until = 0.0
         self._nack_penalty = 0.0
         self._next_seq = 1
+        #: seq -> in-flight state, in transmission order
         self._in_flight: Dict[int, _InFlight] = {}
         self._backlog: Deque[Frame] = deque()
         # Statistics surfaced by experiment E5.
@@ -252,40 +277,30 @@ class ReliableSender:
         Returns 0 (never a valid seq) when the bounded backlog sheds the
         frame instead of admitting it.
         """
-        if (
-            self._policy.max_backlog is not None
-            and len(self._in_flight) >= self._policy.window
-            and len(self._backlog) >= self._policy.max_backlog
-        ):
-            self.shed_frames += 1
-            if self._on_overflow is not None:
-                self._on_overflow(
-                    Frame(
-                        kind=kind,
-                        source=self._source,
-                        payload=payload,
-                        channel=self._channel,
-                    )
-                )
-            return 0
-        frame = Frame(
-            kind=kind,
-            source=self._source,
-            payload=payload,
-            channel=self._channel,
-            seq=self._next_seq,
-            flags=int(FrameFlags.RELIABLE),
-        )
-        self._next_seq += 1
-        if len(self._in_flight) < self._policy.window:
-            self._transmit(frame)
-        else:
-            self._backlog.append(frame)
-        return frame.seq
+        policy = self._policy
+        if len(self._in_flight) >= policy.window:
+            if policy.max_backlog is not None and len(self._backlog) >= policy.max_backlog:
+                self.shed_frames += 1
+                if self._on_overflow is not None:
+                    self._on_overflow(Frame(kind, self._source, payload, self._channel))
+                return 0
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            self._backlog.append(
+                Frame(kind, self._source, payload, self._channel, seq, _RELIABLE)
+            )
+            return seq
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        deadline = self._clock.now() + policy.initial_rto
+        self._transmit(Frame(kind, self._source, payload, self._channel, seq, _RELIABLE), deadline)
+        if self.wakeup is not None:
+            self.wakeup.need(deadline)
+        return seq
 
     def on_ack_frame(self, frame: Frame) -> None:
         """Feed an ACK frame received for this stream."""
-        if frame.kind != MessageKind.ACK:
+        if frame.kind != _ACK:
             raise ProtocolError(f"not an ack frame: {frame!r}")
         hardening = self._hardening
         if hardening is not None and hardening.enabled:
@@ -299,19 +314,25 @@ class ReliableSender:
                 return
         self.on_acked(decode_ack(frame.payload))
 
-    def on_acked(self, seqs: List[int]) -> None:
-        hardened = self._hardening is not None and self._hardening.enabled
-        for seq in seqs:
-            if hardened and seq >= self._next_seq:
-                # An ACK for a sequence number this stream never issued is
-                # forgery, not a delivery report.
-                self.future_acks += 1
-                self._abuse("future-ack")
-                continue
-            if self._in_flight.pop(seq, None) is None and hardened:
-                self.stale_acks += 1
-                self._abuse("stale-ack")
-        self._drain_backlog()
+    def on_acked(self, seqs: Sequence[int]) -> None:
+        in_flight = self._in_flight
+        hardening = self._hardening
+        if hardening is None or not hardening.enabled:
+            for seq in seqs:
+                in_flight.pop(seq, None)
+        else:
+            for seq in seqs:
+                if seq >= self._next_seq:
+                    # An ACK for a sequence number this stream never issued
+                    # is forgery, not a delivery report.
+                    self.future_acks += 1
+                    self._abuse("future-ack")
+                    continue
+                if in_flight.pop(seq, None) is None:
+                    self.stale_acks += 1
+                    self._abuse("stale-ack")
+        if self._backlog:
+            self._drain_backlog()
 
     def on_nack_frame(self, frame: Frame) -> None:
         """Feed a NACK frame: an explicit retransmit request from the peer.
@@ -323,7 +344,7 @@ class ReliableSender:
         it opens an exponentially growing penalty window during which every
         NACK from this peer is ignored outright.
         """
-        if frame.kind != MessageKind.NACK:
+        if frame.kind != _NACK:
             raise ProtocolError(f"not a nack frame: {frame!r}")
         now = self._clock.now()
         hardening = self._hardening
@@ -347,20 +368,23 @@ class ReliableSender:
                 self.suppressed_nacks += 1
                 self._abuse("nack-flood")
                 return
+        in_flight = self._in_flight
+        policy = self._policy
         for seq in decode_nack(frame.payload):
-            state = self._in_flight.get(seq)
+            state = in_flight.get(seq)
             if state is None:
                 self.stale_nacks += 1
                 if hardening is not None and hardening.enabled:
                     self._abuse("stale-nack")
                 continue
-            state.rto = min(state.rto * self._policy.backoff, self._policy.max_rto)
-            state.deadline = now + state.rto
-            state.frame.flags |= int(FrameFlags.RETRANSMIT)
+            resent, _, rto, retries = state
+            rto = min(rto * policy.backoff, policy.max_rto)
+            in_flight[seq] = (resent, now + rto, rto, retries)
+            resent.flags |= _RETRANSMIT
             self.nack_retransmits += 1
             self.retransmitted_frames += 1
-            self.retransmitted_bytes += len(state.frame.payload)
-            self._emit(state.frame)
+            self.retransmitted_bytes += len(resent.payload)
+            self._emit(resent)
 
     def _abuse(self, reason: str) -> None:
         if self._on_abuse is not None:
@@ -370,28 +394,33 @@ class ReliableSender:
         """Retransmit every frame whose deadline has passed."""
         if now is None:
             now = self._clock.now()
-        expired = [st for st in self._in_flight.values() if st.deadline <= now]
-        for state in expired:
-            if state.retries >= self._policy.max_retries:
+        in_flight = self._in_flight
+        policy = self._policy
+        expired = [(seq, st) for seq, st in in_flight.items() if st[1] <= now]
+        for seq, (frame, _, rto, retries) in expired:
+            if retries >= policy.max_retries:
                 self.failed_frames += 1
-                del self._in_flight[state.frame.seq]
+                del in_flight[seq]
                 if self._on_failure is not None:
-                    self._on_failure(state.frame.seq, state.frame)
+                    self._on_failure(seq, frame)
                 continue
-            state.retries += 1
-            state.rto = min(state.rto * self._policy.backoff, self._policy.max_rto)
-            state.deadline = now + state.rto
-            state.frame.flags |= int(FrameFlags.RETRANSMIT)
+            rto = min(rto * policy.backoff, policy.max_rto)
+            in_flight[seq] = (frame, now + rto, rto, retries + 1)
+            frame.flags |= _RETRANSMIT
             self.retransmitted_frames += 1
-            self.retransmitted_bytes += len(state.frame.payload)
-            self._emit(state.frame)
+            self.retransmitted_bytes += len(frame.payload)
+            self._emit(frame)
         self._drain_backlog()
 
     def next_wakeup(self) -> Optional[float]:
         """Earliest time ``poll`` has work to do, or None when idle."""
         if not self._in_flight:
             return None
-        return min(st.deadline for st in self._in_flight.values())
+        return min(self._in_flight.values(), key=_deadline_of)[1]
+
+    def outstanding(self) -> List[Frame]:
+        """Every frame not yet acknowledged: in flight, then the backlog."""
+        return [state[0] for state in self._in_flight.values()] + list(self._backlog)
 
     @property
     def unacked(self) -> int:
@@ -402,15 +431,23 @@ class ReliableSender:
         return not self._in_flight and not self._backlog
 
     # -- internals --------------------------------------------------------------
-    def _transmit(self, frame: Frame) -> None:
-        rto = self._policy.initial_rto
-        self._in_flight[frame.seq] = _InFlight(frame, self._clock.now() + rto, rto)
+    def _transmit(self, frame: Frame, deadline: float) -> None:
+        """First transmission, due for its first retransmit at ``deadline``
+        (the clock read once by the caller, for every frame it sends); the
+        caller then holds the wake-up, if any, to that deadline."""
+        self._in_flight[frame.seq] = (frame, deadline, self._policy.initial_rto, 0)
         self.sent_frames += 1
         self._emit(frame)
 
     def _drain_backlog(self) -> None:
-        while self._backlog and len(self._in_flight) < self._policy.window:
-            self._transmit(self._backlog.popleft())
+        backlog, in_flight, window = self._backlog, self._in_flight, self._policy.window
+        if not backlog or len(in_flight) >= window:
+            return
+        deadline = self._clock.now() + self._policy.initial_rto
+        while backlog and len(in_flight) < window:
+            self._transmit(backlog.popleft(), deadline)
+        if self.wakeup is not None:
+            self.wakeup.need(deadline)
 
 
 class ReliableReceiver:
@@ -430,10 +467,6 @@ class ReliableReceiver:
     nothing or a later batch to sleep on. ``ack_delay == 0`` keeps the exact
     seed behavior: one immediate ACK per frame.
     """
-
-    #: How many seqs below the contiguous point we remember for dedupe; far
-    #: larger than any sane retransmit window.
-    HISTORY = 4096
 
     def __init__(
         self,
@@ -472,7 +505,10 @@ class ReliableReceiver:
         self._ack_wakeup = Wakeup(self._ack_clock, timers, self._flush_due)
         self._expected = 1  # next seq for in-order delivery
         self._pending: Dict[int, Frame] = {}  # out-of-order buffer
-        self._seen: Set[int] = set()
+        #: Seqs above ``_expected`` already accepted — the duplicates to
+        #: suppress: the reorder buffer itself when ordered, the seqs
+        #: delivered early when not. Every seq below ``_expected`` is one.
+        self._held = self._pending if ordered else set()
         self.delivered_frames = 0
         self.duplicate_frames = 0
         self.coalesced_acks = 0
@@ -482,13 +518,6 @@ class ReliableReceiver:
         self.horizon_drops = 0
         self.suppressed_dup_acks = 0
 
-    def _hardened(self) -> bool:
-        return (
-            self._hardening is not None
-            and self._hardening.enabled
-            and self._clock is not None
-        )
-
     def on_frame(self, frame: Frame) -> None:
         if frame.source != self._source or frame.channel != self._channel:
             raise ProtocolError(
@@ -496,90 +525,94 @@ class ReliableReceiver:
                 f"({self._source}, {self._channel})"
             )
         seq = frame.seq
-        if self._hardened():
-            window = self._hardening.replay_window
-            if seq < self._expected - window:
-                # Ancient replay: do NOT re-ack — the re-ACK is exactly the
-                # amplification a replay flood is after.
-                self.replayed_frames += 1
-                self._abuse("replay")
-                return
-            if seq >= self._expected + window:
-                # Far-future seq: buffering it would let an attacker grow
-                # the out-of-order buffer without bound.
-                self.horizon_drops += 1
-                self._abuse("horizon")
-                return
-            if seq < self._expected or seq in self._seen:
-                # In-window duplicate: re-ACK (lost-ACK recovery), but on a
-                # budget so a duplicate firehose cannot mint ACK traffic.
-                if self._dup_ack_bucket is None:
-                    self._dup_ack_bucket = _Bucket(
-                        self._hardening.dup_ack_rate,
-                        self._hardening.dup_ack_burst,
-                        self._clock.now(),
-                    )
-                if self._dup_ack_bucket.try_take(self._clock.now()):
-                    self._ack([seq])
-                else:
-                    self.suppressed_dup_acks += 1
-                    self._abuse("dup-ack")
-                self.duplicate_frames += 1
-                return
-        # Always ack, even duplicates.
-        self._ack([seq])
-        if seq < self._expected or seq in self._seen:
-            self.duplicate_frames += 1
+        hardening = self._hardening
+        if (
+            hardening is not None
+            and hardening.enabled
+            and self._clock is not None
+            and self._screened(seq, hardening)
+        ):
             return
-        self._seen.add(seq)
-        if len(self._seen) > self.HISTORY:
-            # Forget ancient seqs; anything older than expected is a dup anyway.
-            self._seen = {s for s in self._seen if s >= self._expected}
-        if not self._ordered:
+        # Always ack, even duplicates.
+        if self._ack_delay > 0:
+            pending_acks = self._pending_acks
+            pending_acks.add(seq)
+            self.coalesced_acks += 1
+            if len(pending_acks) >= self._max_pending_acks:
+                self.flush_acks()
+            elif self._ack_due is None:
+                self._ack_due = due = self._ack_clock.now() + self._ack_delay
+                self._ack_wakeup.need(due)
+        else:
+            self._emit_ack(self._make_ack((seq,)))
+        if seq == self._expected:
             self.delivered_frames += 1
             self._deliver(frame)
-            if seq == self._expected:
-                # Advance the low-water mark past everything already seen.
-                self._seen.discard(self._expected)
-                self._expected += 1
-                while self._expected in self._seen:
-                    self._seen.discard(self._expected)
-                    self._expected += 1
+            self._expected = seq + 1
+            if self._held:
+                self._advance()
             return
-        if seq == self._expected:
-            self._deliver_in_order(frame)
-            # Flush buffered successors.
-            while self._expected in self._pending:
-                self._deliver_in_order(self._pending.pop(self._expected))
-        else:
+        if seq < self._expected or seq in self._held:
+            self.duplicate_frames += 1
+            return
+        if self._ordered:
             self._pending[seq] = frame
-
-    def _deliver_in_order(self, frame: Frame) -> None:
+            return
+        self._held.add(seq)
         self.delivered_frames += 1
         self._deliver(frame)
-        self._seen.discard(frame.seq)
-        self._expected = frame.seq + 1
 
-    def _ack(self, seqs: List[int]) -> None:
-        if self._ack_delay <= 0:
-            self._emit_ack(self._make_ack(seqs))
+    def _screened(self, seq: int, hardening: ReliabilityHardening) -> bool:
+        """The hardened stream's gate, ahead of the ACK: True when ``seq``
+        ends here. A duplicate within the re-ACK budget passes on, to be
+        re-ACKed and counted like any other duplicate."""
+        window = hardening.replay_window
+        if seq < self._expected - window:
+            # Ancient replay: do NOT re-ack — the re-ACK is exactly the
+            # amplification a replay flood is after.
+            self.replayed_frames += 1
+            self._abuse("replay")
+            return True
+        if seq >= self._expected + window:
+            # Far-future seq: buffering it would let an attacker grow
+            # the out-of-order buffer without bound.
+            self.horizon_drops += 1
+            self._abuse("horizon")
+            return True
+        if seq < self._expected or seq in self._held:
+            # In-window duplicate: re-ACK (lost-ACK recovery), but on a
+            # budget so a duplicate firehose cannot mint ACK traffic.
+            if self._dup_ack_bucket is None:
+                self._dup_ack_bucket = _Bucket(
+                    hardening.dup_ack_rate, hardening.dup_ack_burst, self._clock.now()
+                )
+            if self._dup_ack_bucket.try_take(self._clock.now()):
+                return False
+            self.suppressed_dup_acks += 1
+            self._abuse("dup-ack")
+            self.duplicate_frames += 1
+            return True
+        return False
+
+    def _advance(self) -> None:
+        """``_expected`` just moved: deliver the buffered successors it
+        reaches (ordered), or step past the seqs delivered early (not)."""
+        if self._ordered:
+            pending = self._pending
+            while self._expected in pending:
+                frame = pending.pop(self._expected)
+                self.delivered_frames += 1
+                self._deliver(frame)
+                self._expected = frame.seq + 1
             return
-        self._pending_acks.update(seqs)
-        self.coalesced_acks += len(seqs)
-        if len(self._pending_acks) >= self._max_pending_acks:
-            self.flush_acks()
-        elif self._ack_due is None:
-            self._ack_due = self._ack_clock.now() + self._ack_delay
-            self._ack_wakeup.need(self._ack_due)
+        held = self._held
+        while self._expected in held:
+            held.discard(self._expected)
+            self._expected += 1
 
-    def _make_ack(self, seqs: List[int]) -> Frame:
+    def _make_ack(self, seqs: Sequence[int]) -> Frame:
         self.ack_frames_sent += 1
-        return Frame(
-            kind=MessageKind.ACK,
-            source=self._ack_source,
-            payload=encode_ack(seqs),
-            channel=self._channel,
-        )
+        return Frame(_ACK, self._ack_source, encode_ack(seqs), self._channel)
 
     def close(self) -> None:
         """The stream is being discarded: no ACK may leave for it later."""

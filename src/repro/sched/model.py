@@ -116,13 +116,15 @@ class SimScheduler:
         # modelled cost, no deadlines, no telemetry): run the handler now.
         # Identical semantics — a zero-cost task on an idle scheduler
         # completes at submit time anyway — without a Task allocation or a
-        # policy round per delivery.
+        # policy round per delivery. The cost is ``CpuModel.cost_for``'s
+        # lookup, read live but without the call.
+        cpu = self._cpu
         if (
             not self._busy
             and not self._ready
             and not self._record
             and not self._has_deadlines
-            and self._cpu.cost_for(label) <= 0.0
+            and cpu.costs.get(label, cpu.default_cost) <= 0.0
         ):
             self._busy = True
             try:

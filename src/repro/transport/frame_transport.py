@@ -81,7 +81,7 @@ class FrameTransport:
     def send(self, destination: Destination, frame: Frame) -> None:
         if self._send_buffers is not None:
             views = frame.encode_views()
-            total = sum(len(v) for v in views)
+            total = sum(map(len, views))
             if total <= self._raw.mtu:
                 self._send_buffers(destination, views)
                 return

@@ -151,7 +151,7 @@ class AsyncUdpTransport:
         """Queue one datagram given as an unjoined buffer list."""
         if self._socket is None:
             raise TransportError("transport not open")
-        total = sum(len(v) for v in views)
+        total = sum(map(len, views))
         if total > UDP_MTU:
             raise TransportError(f"payload exceeds UDP MTU {UDP_MTU}")
         view = self._network.view  # one atomic read; no lock on the send path

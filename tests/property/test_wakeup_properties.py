@@ -79,8 +79,9 @@ class Oracle:
     def reset(self):
         sender, self.sender = self.sender, None
         if sender is not None:
-            frames = [s.frame for s in sender._in_flight.values()] + list(sender._backlog)
-            self.log.extend((self.clock.now(), f.seq, "failed") for f in frames)
+            self.log.extend(
+                (self.clock.now(), f.seq, "failed") for f in sender.outstanding()
+            )
 
 
 class UnderTest:

@@ -363,9 +363,8 @@ class TestInvocationManagerUnits:
     def test_each_call_expires_at_its_own_deadline(self):
         """Deadlines in the opposite order of issue, one wake-up for both. A
         timed-out call is redirected (to the only provider, again) with
-        exactly one more ``call_timeout`` window, ``CALL_MAX_REDIRECTS``
-        times. The instants pass at the parent; the timer count does not
-        (10: one per call, two more per expiry)."""
+        exactly one more window of its own ``timeout=``,
+        ``CALL_MAX_REDIRECTS`` times."""
         host = FakeHost()
         self.make_remote_offer(host)
         mgr = InvocationManager(host)
@@ -373,22 +372,42 @@ class TestInvocationManagerUnits:
         host.send_reliable = lambda peer, kind, payload: requests.append(host.sim.now())
         schedule = host.sim.schedule
         host.sim.schedule = lambda delay, fn: (made.append(delay), schedule(delay, fn))[1]
-        window = host.config.call_timeout
         for tag, timeout in (("slow", 0.5), ("fast", 0.1)):
             mgr.call(
                 "f", (1,), timeout=timeout,
                 on_error=lambda e, tag=tag: errors.append((tag, host.sim.now(), str(e))),
             )
         host.sim.run(until=10.0)
-        assert requests == [0.0, 0.0, 0.1, 0.5, 0.1 + window, 0.5 + window]
-        assert [(tag, when) for tag, when, _ in errors] == [
-            ("fast", 0.1 + window + window), ("slow", 0.5 + window + window),
-        ]
+        assert requests == pytest.approx([0.0, 0.0, 0.1, 0.2, 0.5, 1.0])
+        assert [tag for tag, _, _ in errors] == ["fast", "slow"]
+        assert [when for _, when, _ in errors] == pytest.approx([0.3, 1.5])
         assert all("redirect limit reached" in message for _, _, message in errors)
         assert host.metrics.counter("rpc_timeouts").value == 6
         assert mgr.pending_calls() == [] and host.sim.pending == 0
         # slow, then fast re-arms earlier; after that one re-arm per wake-up.
         assert len(made) == 7
+
+    def test_a_calls_own_timeout_governs_every_redirect_window(self):
+        """``timeout=0.05`` under the default 1 s ``call_timeout``: the call
+        is re-issued 0.05 s after each attempt and fails 0.15 s after it
+        was made. Fails at the parent, which gave each redirect the
+        container's 1 s (re-issued at 0.05 and 1.05, failed at 2.05)."""
+        host = FakeHost()
+        assert host.config.call_timeout == 1.0
+        self.make_remote_offer(host)
+        mgr = InvocationManager(host)
+        requests, errors = [], []
+        host.send_reliable = lambda peer, kind, payload: requests.append(host.sim.now())
+        handle = mgr.call(
+            "f", (1,), timeout=0.05, on_error=lambda e: errors.append(host.sim.now())
+        )
+        assert handle.timeout == 0.05
+        host.sim.run(until=5.0)
+        assert requests == pytest.approx([0.0, 0.05, 0.10])
+        assert errors == pytest.approx([0.15])
+        assert handle.redirects == 2 and "redirect limit reached" in str(handle.error)
+        # Without ``timeout=`` the container's default is the call's window.
+        assert mgr.call("f", (1,)).timeout == host.config.call_timeout
 
     def test_completed_calls_leave_the_wakeup_alone(self):
         """Fails at the parent: a timer per call, cancelled on completion."""
