@@ -75,12 +75,11 @@ def run_one(loss: float, mapping: str, seed: int = 37):
         runtime.run_for(0.02)
     runtime.run_for(30.0)  # drain retransmissions
     wire_bytes = runtime.network.stats.emissions.bytes - bytes_before
-    if mapping == "udp_ack":
-        sender = a.links._senders.get("sub-node")
-        retx = sender.retransmitted_bytes if sender else 0
-    else:
-        sender = a.tcp_links._senders.get("sub-node")
-        retx = sender.retransmitted_bytes if sender else 0
+    peer = a.directory.find("sub-node")
+    sender = None
+    if peer is not None:
+        sender = peer.sender if mapping == "udp_ack" else peer.tcp_sender
+    retx = sender.retransmitted_bytes if sender else 0
     return {
         "delivered": len(sink.deliveries),
         "wire_bytes": wire_bytes,

@@ -84,9 +84,11 @@ MAX_LOOP_CALLS_PER_DELIVERY = 36.5
 #: one extra burst / one extra round of calls: 69-71 and 189.6 before the
 #: acknowledged plane was bound when a stream opens, 46-49 and 120.0 after
 #: (per event it moves with how the wall clock batches the burst; per call
-#: it repeats). Each bound sits midway.
-MAX_LOOP_CALLS_PER_RELIABLE_EVENT = 58.5
-MAX_LOOP_CALLS_PER_RPC = 155.0
+#: it repeats), 42.5-44.2 and 115.0 once a send read its peer's address
+#: instead of the directory and batches were kept per peer. Each bound is
+#: the top of the last range plus the margin the first one got (9.5, 35).
+MAX_LOOP_CALLS_PER_RELIABLE_EVENT = 53.7
+MAX_LOOP_CALLS_PER_RPC = 150.0
 
 #: The async plane's feature set: the schema-compiled codec (byte-identical
 #: wire format, property-tested against the interpreter), batching and

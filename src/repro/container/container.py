@@ -7,7 +7,6 @@ primitive managers; hosts and watches the services installed on this node.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -41,6 +40,7 @@ from repro.primitives.variables import VariableManager
 from repro.primitives import wire
 from repro.protocol.admission import AdmissionController, IngressScheduler
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
+from repro.protocol.peers import Peer
 from repro.sched.model import SimScheduler
 from repro.sched.policies import make_policy
 from repro.simnet.addressing import BACKBONE_GROUP, Address, GroupName
@@ -57,10 +57,8 @@ from repro.util.rng import SeededRng
 _RETRANSMIT = int(FrameFlags.RETRANSMIT)
 
 #: The flight recorder takes one reliability-abuse entry per (peer, reason)
-#: per this many seconds; the table remembering when is pruned of entries
-#: older than that whenever it holds more than this many keys.
+#: per this many seconds.
 _ABUSE_LOG_WINDOW = 1.0
-_ABUSE_LOG_MAX = 1024
 
 #: Frame kinds the container treats as control plane (processed inline,
 #: before the scheduler).
@@ -109,12 +107,6 @@ class ServiceContainer:
         self._codec = get_codec(config.codec)
         self._running = False
         self._incarnation = 0
-        # Per-peer reliable-stream epoch: bumped whenever the peer's link
-        # state is torn down (death/restart), i.e. whenever the dedup
-        # window restarts. The reliable.deliver probe keys on it so
-        # exactly-once specs match the link layer's actual dedup scope —
-        # a restarted peer legitimately reuses sequence numbers.
-        self._peer_epochs: Dict[str, int] = {}
         self._announce_pending = False
         self._periodic_handles: List[object] = []
 
@@ -148,6 +140,9 @@ class ServiceContainer:
             # liveness timeout even between housekeeping sweeps.
             strict_liveness_reads=config.fleet.enabled,
         )
+        #: The directory's known peers, read first by every per-peer path:
+        #: one dict lookup unless the id is new or a stranger's.
+        self._peers = self.directory.known
         #: The control group we announce on: domain-wide by default, the
         #: zone's group in a federated fleet.
         self._control_group = config.fleet.control_group()
@@ -191,8 +186,9 @@ class ServiceContainer:
             metrics=self.metrics,
             recorder=self.recorder,
         )
+        # Admission state is one more field of each source's Peer.
+        self.admission.peers = self.directory
         self._ingress: Optional[IngressScheduler] = None
-        self._abuse_logged: OrderedDict[str, float] = OrderedDict()
         self._transport.set_protocol_error_handler(self._on_protocol_error)
         self.links = ReliableLinks(
             clock=clock,
@@ -207,7 +203,6 @@ class ServiceContainer:
             on_peer_slow=self._on_peer_slow,
             hardening=config.reliability_hardening,
             on_peer_abuse=self._on_peer_abuse,
-            known=self.directory.knows,
         )
         self.tcp_links = TcpLinks(
             clock=clock,
@@ -302,27 +297,22 @@ class ServiceContainer:
         if peer == self._id:
             self._dispatch(frame)
             return True
-        if not self._running:
-            return False
-        address = self.directory.address_of(peer)
-        if address is None:
-            return False
-        self._note_tx(frame)
-        self.egress.send(address, frame)
-        return True
+        return self._send_frame_to_peer(
+            self._peers.get(peer) or self.directory.peer(peer), frame
+        )
 
     def send_reliable(self, peer: str, kind: MessageKind, payload: bytes) -> None:
         if peer == self._id:
             # Local reliable delivery is trivially guaranteed.
             self._dispatch_reliable(Frame(kind, self._id, payload))
             return
-        self.links.send(peer, kind, payload)
+        self.links.send(self._peers.get(peer) or self.directory.peer(peer), kind, payload)
 
     def send_tcp_stream(self, peer: str, payload: bytes) -> None:
         if peer == self.id:
             self._on_tcp_event_payload(peer, payload)
             return
-        self.tcp_links.send(peer, payload)
+        self.tcp_links.send(self._peers.get(peer) or self.directory.peer(peer), payload)
 
     def send_group(self, group: GroupName, frame: Frame) -> None:
         if not self._running:
@@ -641,12 +631,12 @@ class ServiceContainer:
         """
         try:
             # Channel 0 is the best-effort data plane — the common case at
-            # telemetry rates — and skips the reliability layers outright.
+            # telemetry rates — and skips the peer and the reliability
+            # layers outright.
             if frame.channel != 0:
                 # Reliability layers consume their channels (and emit acks).
-                if self.links.on_frame(frame):
-                    return
-                if self.tcp_links.on_frame(frame):
+                peer = self._peers.get(frame.source) or self.directory.peer(frame.source)
+                if self.links.on_frame(frame, peer) or self.tcp_links.on_frame(frame, peer):
                     return
             self._dispatch(frame)
         except (ProtocolError, EncodingError) as exc:
@@ -667,27 +657,18 @@ class ServiceContainer:
         self.metrics.counter("malformed_datagrams").inc()
         self.admission.note_malformed_address(source_address)
 
-    def _on_peer_abuse(self, peer: str, reason: str) -> None:
+    def _on_peer_abuse(self, peer: Peer, reason: str) -> None:
         """A reliability abuse defense fired against ``peer``."""
-        self.metrics.counter("reliability_abuse", peer=peer, reason=reason).inc()
+        self.metrics.counter("reliability_abuse", peer=peer.id, reason=reason).inc()
         # Counters carry volume; the bounded recorder gets one entry per
-        # (peer, reason) per second at most.
-        key = f"{peer}:{reason}"
+        # (peer, reason) per second at most. The times live on the peer:
+        # one per reason, as bounded as the peer table.
         now = self._clock.now()
-        logged = self._abuse_logged
-        if now - logged.get(key, -_ABUSE_LOG_WINDOW) < _ABUSE_LOG_WINDOW:
+        logged = peer.abuse_logged
+        if now - logged.get(reason, -_ABUSE_LOG_WINDOW) < _ABUSE_LOG_WINDOW:
             return
-        # Kept in the order logged, oldest first. ``peer`` is whatever a
-        # frame declared as its source: forged ids must not grow the table,
-        # and an entry past the window no longer suppresses anything.
-        logged[key] = now
-        logged.move_to_end(key)
-        while len(logged) > _ABUSE_LOG_MAX:
-            oldest = next(iter(logged))
-            if now - logged[oldest] < _ABUSE_LOG_WINDOW:
-                break
-            del logged[oldest]
-        self.recorder.record("reliability-abuse", peer=peer, reason=reason)
+        logged[reason] = now
+        self.recorder.record("reliability-abuse", peer=peer.id, reason=reason)
 
     def _handle_control(self, frame: Frame) -> None:
         if frame.kind == MessageKind.ANNOUNCE:
@@ -709,7 +690,8 @@ class ServiceContainer:
         if self.probes.enabled and frame.seq > 0:
             # seq 0 marks the local-loopback path, which never crosses the
             # dedup window — probing it would false-fire exactly-once specs.
-            epoch = self._peer_epochs.get(frame.source, 0)
+            peer = self.directory.find(frame.source)
+            epoch = peer.epoch if peer is not None else 0
             self.probes.emit(
                 "reliable.deliver",
                 frame.kind.name.lower(),
@@ -759,52 +741,41 @@ class ServiceContainer:
         self.events.on_provider_up(record.container)
         self.files.on_provider_up(record.container)
 
-    def _reset_peer_state(self, container: str) -> None:
-        """``container`` died or restarted: its reliable streams start over
-        (new dedup epoch, link state dropped) and it no longer subscribes
-        to anything here until it says so again."""
-        self._peer_epochs[container] = self._peer_epochs.get(container, 0) + 1
-        self.links.reset_peer(container)
-        self.tcp_links.reset_peer(container)
-        self.events.on_subscriber_down(container)
-
     def _on_container_down(self, record: ContainerRecord) -> None:
-        self._reset_peer_state(record.container)
+        self.directory.peer(record.container).reset(self.events)
         self.files.on_subscriber_down(record.container)
         self.invocations.on_provider_down(record.container)
 
     def _on_container_restart(self, record: ContainerRecord) -> None:
-        self._reset_peer_state(record.container)
+        self.directory.peer(record.container).reset(self.events)
         # Re-subscribe to whatever the restarted container still offers.
         self.events.on_provider_up(record.container)
         self.files.on_provider_up(record.container)
 
     # -- internals -----------------------------------------------------------
-    def _send_frame_to_peer(self, peer: str, frame: Frame) -> None:
+    def _send_frame_to_peer(self, peer: Peer, frame: Frame) -> bool:
         if not self._running:
-            return  # late timer after stop(); nothing to send on
-        address = self.directory.address_of(peer)
+            return False  # late timer after stop(); nothing to send on
+        directory = self.directory
+        address = peer.address if peer.routed == directory.revision else directory.route(peer)
         if address is None:
-            return  # peer unknown/dead; retransmission or failure will handle it
+            return False  # unknown/dead; retransmission or failure will handle it
         self._note_tx(frame)
-        self.egress.send(address, frame)
+        self.egress.send(address, frame, peer)
+        return True
 
-    def _piggyback_acks(self, destination) -> List[Frame]:
-        """Pending coalesced ACKs for whoever lives at ``destination`` —
-        the batcher's piggyback hook. Group sends carry no ACKs (ACKs are
-        strictly unicast)."""
-        if not isinstance(destination, Address):
+    def _piggyback_acks(self, slot) -> List[Frame]:
+        """The batcher's piggyback hook: pending coalesced ACKs for the peer a
+        unicast batch leaves for. Group batches carry none."""
+        receiver = slot.receiver if isinstance(slot, Peer) else None
+        if receiver is None:
             return []
-        peer = self.directory.container_at(destination)
-        if peer is None:
-            return []
-        ack = self.links.pending_ack_frame(peer)
-        if ack is None:
-            return []
-        self._note_tx(ack)
-        return [ack]
+        acks = receiver.take_pending_acks()
+        for ack in acks:
+            self._note_tx(ack)
+        return acks
 
-    def _on_peer_slow(self, peer: str, frame: Frame) -> None:
+    def _on_peer_slow(self, peer: Peer, frame: Frame) -> None:
         """The bounded reliable backlog to ``peer`` overflowed — the peer is
         alive but consuming too slowly. Evict it from event subscriptions:
         guaranteed delivery must never silently drop, so a subscriber that
@@ -813,11 +784,11 @@ class ServiceContainer:
         egress drop-oldest policy rather than here)."""
         self.metrics.counter("slow_peer_sheds", kind=frame.kind.name).inc()
         self.recorder.record(
-            "backpressure", peer=peer, kind=frame.kind.name, action="evict"
+            "backpressure", peer=peer.id, kind=frame.kind.name, action="evict"
         )
-        evicted = self.events.evict_subscriber(peer)
+        evicted = self.events.evict_subscriber(peer.id)
         if evicted:
-            self.recorder.record("backpressure", peer=peer, action="evicted")
+            self.recorder.record("backpressure", peer=peer.id, action="evicted")
 
     def _on_egress_overflow(self, destination, band: int, policy: str, frame: Frame) -> None:
         self.recorder.record(
@@ -828,15 +799,15 @@ class ServiceContainer:
             action="egress-overflow",
         )
 
-    def _on_link_failure(self, peer: str, frame: Frame) -> None:
+    def _on_link_failure(self, peer: Peer, frame: Frame) -> None:
         """A reliable frame exhausted its retries: the peer is unreachable.
 
         Declare it dead locally (faster than the heartbeat timeout) so the
         primitives rebind.
         """
-        record = self.directory.record(peer)
+        record = self.directory.record(peer.id)
         if record is not None and record.alive:
-            self.directory.handle_bye(peer)
+            self.directory.handle_bye(peer.id)
 
     def _on_task_error(self, label: str, exc: Exception) -> None:
         # A scheduler task without a service guard raised; surface loudly in

@@ -16,8 +16,10 @@ Fleet-scale additions (each inert unless used):
 - An **L1 lookup cache**: ``live_containers`` and the ``providers_of_*``
   queries are answered from cached lists invalidated on every directory
   mutation, so the hot publish path stops re-sorting N records per send.
-- A **reverse address index** for :meth:`container_at` (the ACK-piggyback
-  path calls it per datagram).
+- **One Peer per container id** (:class:`~repro.protocol.peers.Peers`),
+  made at first use: a record (live or dead) or a summary route makes it
+  known, anyone else is a stranger. :meth:`route` resolves its address as
+  :meth:`address_of` would, held until the revision moves.
 - **Zone summaries**: compact digests of other federation zones, applied by
   the fleet coordinator and held in wire form — ``(origin, version, member
   bytes)`` per zone; :meth:`address_of` falls back to summary addresses for
@@ -34,14 +36,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.container.gossip import decode_summary_members
 from repro.container.records import ContainerRecord
+from repro.protocol.peers import Peer, Peers
 from repro.simnet.addressing import Address
 from repro.util.clock import Clock
 
 ContainerCallback = Callable[[ContainerRecord], None]
 
 
-class Directory:
-    """The proxy cache of remote containers and their offered names."""
+class Directory(Peers):
+    """The proxy cache of remote containers and their offered names, and
+    the owner of the one :class:`Peer` per container id."""
 
     def __init__(
         self,
@@ -50,14 +54,12 @@ class Directory:
         liveness_timeout: float,
         strict_liveness_reads: bool = False,
     ):
+        super().__init__()
         self._clock = clock
         self._local = local_container
         self._liveness_timeout = liveness_timeout
         self._strict_reads = strict_liveness_reads
         self._records: Dict[str, ContainerRecord] = {}
-        #: Reverse index address -> container id (live records only; repaired
-        #: lazily on lookup misses).
-        self._by_address: Dict[Address, str] = {}
         #: L1 cache: sorted live records, or None when dirty.
         self._live_cache: Optional[List[ContainerRecord]] = None
         #: L1 cache: ("variables"|"events"|..., name) -> candidate records.
@@ -74,9 +76,10 @@ class Directory:
         self._on_down: List[ContainerCallback] = []
         self._on_change: List[ContainerCallback] = []
         self._on_restart: List[ContainerCallback] = []
-        #: Bumped on every topology/offer change; readers (e.g. the
-        #: primitive managers' datatype caches) compare it to know their
-        #: derived state is still valid without re-walking records.
+        #: Bumped on every topology/offer change (a record, an address, a
+        #: summary route); readers (the primitive managers' datatype caches,
+        #: each routed :class:`Peer`) compare it to know their derived state
+        #: is still valid without re-walking records.
         self.revision = 0
 
     # -- callback registration ------------------------------------------------
@@ -110,9 +113,7 @@ class Directory:
         # The record object is replaced wholesale even when nothing changed,
         # so cached lists would silently go stale: always invalidate.
         self._invalidate()
-        if old is not None and old.address != fresh.address:
-            self._drop_address(old.address, fresh.container)
-        self._by_address[fresh.address] = fresh.container
+        self.promote(fresh.container)
         if old is None or not old.alive:
             self._notify(self._on_up, fresh)
         elif old.incarnation != fresh.incarnation:
@@ -149,7 +150,7 @@ class Directory:
                 last_seen=now,
             )
             self._records[doc["container"]] = record
-            self._by_address[record.address] = record.container
+            self.promote(record.container)
             self._invalidate()
             self._notify(self._on_up, record)
             record.load = doc["load"]
@@ -160,9 +161,8 @@ class Directory:
             record.incarnation = doc["incarnation"]
             new_address = Address(doc["node"], doc["port"])
             if record.address != new_address:
-                self._drop_address(record.address, record.container)
                 record.address = new_address
-                self._by_address[new_address] = record.container
+                self.revision += 1
             self._notify(self._on_restart, record)
         record.last_seen = now
         record.load = doc["load"]
@@ -212,6 +212,7 @@ class Directory:
                 return False
         if held is None or held_members != members:
             self._summary_index = None
+            self.revision += 1
         else:
             # Canonical encoding: equal bytes are equal membership, so this is
             # a periodic refresh. The newer version becomes visible; the
@@ -271,30 +272,14 @@ class Directory:
         return self._records.values()
 
     def address_of(self, container: str) -> Optional[Address]:
-        record = self._records.get(container)
-        if record is None:
-            # Outside our zone? Summaries still give us a route (UAV → relay
-            # → ground addressing without full records).
-            return self.summary_address_of(container)
-        if not record.alive:
-            return None
-        if self._strict_reads and self._is_stale(record):
-            return None
-        return record.address
+        return self._address(container)
 
-    def container_at(self, address: Address) -> Optional[str]:
-        """Reverse lookup: which live container sits at ``address``?"""
-        container = self._by_address.get(address)
-        if container is not None:
-            record = self._records.get(container)
-            if record is not None and record.alive and record.address == address:
-                return container
-        # Index miss (or a stale entry): fall back to the scan and repair.
-        for record in self._records.values():
-            if record.alive and record.address == address:
-                self._by_address[address] = record.container
-                return record.container
-        return None
+    def route(self, peer: Peer) -> Optional[Address]:
+        """Resolve ``peer.address`` as :meth:`address_of` would, stamped
+        with the revision it holds for (under strict reads, none)."""
+        peer.address = address = self._address(peer.id)
+        peer.routed = -1 if self._strict_reads else self.revision
+        return address
 
     def live_containers(self) -> List[ContainerRecord]:
         """All live records, sorted by container id.
@@ -341,6 +326,18 @@ class Directory:
             return list(cached)
         return [r for r in cached if not self._is_stale(r)]
 
+    def _address(self, container: str) -> Optional[Address]:
+        record = self._records.get(container)
+        if record is None:
+            # Outside our zone? Summaries still give us a route (UAV → relay
+            # → ground addressing without full records).
+            return self.summary_address_of(container)
+        if not record.alive:
+            return None
+        if self._strict_reads and self._is_stale(record):
+            return None
+        return record.address
+
     def _is_stale(self, record: ContainerRecord) -> bool:
         return self._clock.now() - record.last_seen > self._liveness_timeout
 
@@ -348,10 +345,6 @@ class Directory:
         self._live_cache = None
         self._providers_cache.clear()
         self.revision += 1
-
-    def _drop_address(self, address: Address, expected: str) -> None:
-        if self._by_address.get(address) == expected:
-            del self._by_address[address]
 
     @staticmethod
     def _offers_differ(a: ContainerRecord, b: ContainerRecord) -> bool:

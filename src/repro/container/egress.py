@@ -12,8 +12,8 @@ pipeline:
    leave at the end of the turn that produced them unless a hold is
    configured; a batch never spans bands.
 2. **Bounded queues** (optional): when shaping backs traffic up, each
-   (destination, band) queue is capped at ``queue_limit`` frames with an
-   explicit per-band overflow policy — ``block`` (refuse admission and
+   (slot, band) queue (``_SlotKey``) is capped at ``queue_limit`` frames with
+   an explicit per-band overflow policy — ``block`` (refuse admission and
    signal backpressure), ``drop-oldest`` (shed the stalest frame, right for
    fresh-or-worthless variables) or ``drop-newest``. A slow subscriber can
    no longer grow queues without bound.
@@ -94,6 +94,8 @@ OVERFLOW_POLICIES = ("block", "drop-oldest", "drop-newest")
 SendFn = Callable[[Destination, Frame], None]
 #: Overflow callback: (destination, band, policy, affected frame).
 OverflowFn = Callable[[Destination, int, str, Frame], None]
+#: (slot, band): a unicast frame's peer, hashed by identity, else its destination.
+_SlotKey = Tuple[object, int]
 
 
 class EgressShaper:
@@ -119,7 +121,7 @@ class EgressShaper:
         of joined BATCH frames — set when the transport underneath supports
         ``send_buffers`` (byte-identical on the wire either way).
     queue_limit:
-        Per-(destination, band) cap on queued frames while shaping;
+        Per-(slot, band) cap on queued frames while shaping;
         ``None`` keeps the seed's unbounded queues.
     overflow_policy / overflow_policies:
         Default policy and optional per-band overrides applied when a
@@ -158,7 +160,8 @@ class EgressShaper:
         self._rate_bps = rate_bps
         self._burst = float(burst_bytes)
         self._bands = dict(DEFAULT_BANDS if bands is None else bands)
-        self._queues: List[Deque[Tuple[Destination, Frame, int]]] = [
+        #: Per band: (destination, frame, size, slot key), oldest first.
+        self._queues: List[Deque[Tuple[Destination, Frame, int, _SlotKey]]] = [
             deque() for _ in range(_NUM_BANDS)
         ]
         self._tokens = self._burst
@@ -169,7 +172,7 @@ class EgressShaper:
         self._queue_limit = queue_limit
         self._policies = self._resolve_policies(overflow_policy, overflow_policies)
         self._on_overflow = on_overflow
-        self._depth: Dict[Tuple[Destination, int], int] = {}
+        self._depth: Dict[_SlotKey, int] = {}
         # Batching stage.
         self._batcher: Optional[FrameBatcher] = None
         if batching:
@@ -219,20 +222,21 @@ class EgressShaper:
     #: Tolerance for float rounding in token arithmetic (bytes).
     _EPSILON = 1e-9
 
-    def send(self, destination: Destination, frame: Frame) -> None:
-        """Entry point: classify into a band, batch if enabled, then shape."""
+    def send(self, destination: Destination, frame: Frame, slot=None) -> None:
+        """Entry point: classify into a band, batch if enabled, then shape.
+        ``slot`` is the peer a unicast ``destination`` belongs to."""
         band = self._bands.get(frame.kind, _NUM_BANDS - 1)
         if self._batcher is not None:
-            self._batcher.add(destination, frame, band)
+            self._batcher.add(destination, frame, band, slot)
             return
-        self._submit(destination, frame, band)
+        self._submit(destination, frame, band, slot)
 
     def flush(self) -> None:
         """Flush any pending batches (e.g. just before container stop)."""
         if self._batcher is not None:
             self._batcher.flush()
 
-    def _submit(self, destination: Destination, frame: Frame, band: int) -> None:
+    def _submit(self, destination: Destination, frame: Frame, band: int, slot=None) -> None:
         """Send now if tokens allow, else queue by priority band.
 
         Frames larger than the burst use deficit accounting: they send once
@@ -251,19 +255,17 @@ class EgressShaper:
             self._tokens -= size
             self._send(destination, frame)
             return
-        self._enqueue(destination, frame, band, size)
+        self._enqueue(destination, frame, band, size, slot)
 
-    def _enqueue(
-        self, destination: Destination, frame: Frame, band: int, size: int
-    ) -> None:
-        key = (destination, band)
+    def _enqueue(self, destination: Destination, frame: Frame, band: int, size: int, slot) -> None:
+        key = (destination if slot is None else slot, band)
         if (
             self._queue_limit is not None
             and self._depth.get(key, 0) >= self._queue_limit
         ):
             policy = self._policies[band]
             if policy == "drop-oldest":
-                evicted = self._pop_oldest(destination, band)
+                evicted = self._pop_oldest(key)
                 if evicted is not None:
                     self.dropped_frames += 1
                     self._note_overflow(destination, band, policy, evicted)
@@ -276,7 +278,7 @@ class EgressShaper:
                 self.blocked_frames += 1
                 self._note_overflow(destination, band, policy, frame)
                 return
-        self._queues[band].append((destination, frame, size))
+        self._queues[band].append((destination, frame, size, key))
         self._depth[key] = self._depth.get(key, 0) + 1
         self.shaped_frames += 1
         self.max_queue_depth = max(self.max_queue_depth, self._pending())
@@ -286,25 +288,25 @@ class EgressShaper:
     def queued(self) -> int:
         return self._pending()
 
-    def queued_to(self, destination: Destination, band: int) -> int:
-        """Current queue depth for one (destination, band) — the bounded
+    def queued_to(self, slot, band: int) -> int:
+        """Current queue depth for one (slot, band) — the bounded
         quantity."""
-        return self._depth.get((destination, band), 0)
+        return self._depth.get((slot, band), 0)
 
     # -- internals -----------------------------------------------------------
     def _pending(self) -> int:
         return sum(len(q) for q in self._queues)
 
-    def _pop_oldest(self, destination: Destination, band: int) -> Optional[Frame]:
-        queue = self._queues[band]
-        for i, (dest, frame, _size) in enumerate(queue):
-            if dest == destination:
+    def _pop_oldest(self, key: _SlotKey) -> Optional[Frame]:
+        queue = self._queues[key[1]]
+        for i, (_destination, frame, _size, queued) in enumerate(queue):
+            if queued == key:
                 del queue[i]
-                self._dec_depth((destination, band))
+                self._dec_depth(key)
                 return frame
         return None
 
-    def _dec_depth(self, key: Tuple[Destination, int]) -> None:
+    def _dec_depth(self, key: _SlotKey) -> None:
         depth = self._depth.get(key, 0) - 1
         if depth <= 0:
             self._depth.pop(key, None)
@@ -386,17 +388,15 @@ class EgressShaper:
         self._drain_timer = None
         self._refill()
         while True:
-            band, queue = next(
-                ((i, q) for i, q in enumerate(self._queues) if q), (None, None)
-            )
+            queue = next((q for q in self._queues if q), None)
             if queue is None:
                 return
-            destination, frame, size = queue[0]
+            destination, frame, size, key = queue[0]
             if self._tokens + self._EPSILON < min(size, self._burst):
                 self._arm_drain()
                 return
             queue.popleft()
-            self._dec_depth((destination, band))
+            self._dec_depth(key)
             self._tokens -= size
             self._send(destination, frame)
 

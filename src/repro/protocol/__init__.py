@@ -11,7 +11,9 @@ Frames "the encoded data to denote the intent of the message" (§6) and is
   baseline in that comparison (experiment E5);
 - :mod:`repro.protocol.fragmentation` — MTU-sized fragmentation/reassembly;
 - :mod:`repro.protocol.batching` — packing small same-destination frames
-  into one BATCH datagram to amortize fixed per-packet overhead.
+  into one BATCH datagram to amortize fixed per-packet overhead;
+- :mod:`repro.protocol.peers` — the one object per remote container that
+  holds all of the above for it, and the table that bounds strangers.
 """
 
 from repro.protocol.batching import (

@@ -42,6 +42,7 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 from collections import deque
 
 from repro.protocol.frames import Frame, MessageKind
+from repro.protocol.peers import Peer, Peers
 
 #: Default per-(source, band) admission rates in frames/second. Band 0
 #: (control plane: ANNOUNCE/HEARTBEAT/BYE/ACK) deliberately has no
@@ -186,6 +187,11 @@ class AdmissionController:
         shaper's band map so ingress and egress agree on what a band is.
     metrics / recorder:
         Where drops, quarantines and malformed counts are surfaced.
+
+    Per-source state lives on each source's :class:`Peer`
+    (``peer.admission``), an ``@host:port`` key being a stranger like any
+    unannounced id, in :attr:`peers`: a table of its own, which a container
+    replaces with its directory.
     """
 
     def __init__(
@@ -200,7 +206,7 @@ class AdmissionController:
         self._classify = classify
         self._metrics = metrics
         self._recorder = recorder
-        self._sources: Dict[str, _SourceState] = {}
+        self.peers = Peers()
         self.admitted = 0
         self.dropped = 0
         self.configure(policy or AdmissionPolicy())
@@ -228,27 +234,24 @@ class AdmissionController:
             return True
         now = self._clock.now()
         band = self._classify(frame.kind)
-        source = frame.source
-        state = self._sources.get(source)
-        addr_state = (
-            self._sources.get(self._address_key(address))
-            if address is not None
-            else None
-        )
-        for offender in (state, addr_state):
+        peers = self.peers
+        peer = peers.known.get(frame.source) or peers.peer(frame.source)
+        state = peer.admission
+        via = peers.find(f"@{address}") if address is not None else None
+        for offender in (state, via and via.admission):
             if offender is not None and offender.quarantined_until > now:
                 self.dropped += 1
-                self._note_drop(source, band, "quarantine", now)
+                self._note_drop(peer, band, "quarantine", now)
                 return False
         if state is None:
-            state = self._sources[source] = _SourceState()
+            state = peer.admission = _SourceState()
         policy = self.policy
         if policy.source_rate is not None:
             if state.bucket is None:
                 state.bucket = TokenBucket(policy.source_rate, policy.source_burst, now)
             if not state.bucket.try_take(now):
                 self.dropped += 1
-                self._note_drop(source, band, "source-rate", now)
+                self._note_drop(peer, band, "source-rate", now)
                 return False
         rates = DEFAULT_BAND_RATES if policy.band_rates is None else policy.band_rates
         rate = rates.get(band)
@@ -260,7 +263,7 @@ class AdmissionController:
                 )
             if not bucket.try_take(now):
                 self.dropped += 1
-                self._note_drop(source, band, "band-rate", now)
+                self._note_drop(peer, band, "band-rate", now)
                 return False
         self.admitted += 1
         return True
@@ -277,9 +280,10 @@ class AdmissionController:
         if not self.enabled:
             return
         now = self._clock.now()
-        state = self._sources.get(source_key)
+        peer = self.peers.peer(source_key)
+        state = peer.admission
         if state is None:
-            state = self._sources[source_key] = _SourceState()
+            state = peer.admission = _SourceState()
         if state.quarantined_until > now:
             # Already serving a quarantine; don't stack new windows for
             # traffic the quarantine is there to absorb.
@@ -314,43 +318,37 @@ class AdmissionController:
     def note_malformed_address(self, address) -> None:
         """Quarantine trigger for datagrams whose source id is unreadable —
         the only identity we have is the network address."""
-        self.note_malformed(self._address_key(address))
+        self.note_malformed(f"@{address}")
 
     def quarantined_sources(self) -> List[str]:
         """Source keys currently serving a quarantine window."""
-        now = self._clock.now()
-        return sorted(
-            key
-            for key, state in self._sources.items()
-            if state.quarantined_until > now
-        )
+        return sorted(peer.id for peer in self.peers.peers() if self._serving(peer))
 
     def is_quarantined(self, source_key: str) -> bool:
-        state = self._sources.get(source_key)
-        return state is not None and state.quarantined_until > self._clock.now()
+        return self._serving(self.peers.find(source_key))
 
     # -- internals -------------------------------------------------------------
-    @staticmethod
-    def _address_key(address) -> str:
-        return f"@{address}"
+    def _serving(self, peer: Optional[Peer]) -> bool:
+        state = peer.admission if peer is not None else None
+        return state is not None and state.quarantined_until > self._clock.now()
 
-    def _note_drop(self, source: str, band: int, reason: str, now: float) -> None:
+    def _note_drop(self, peer: Peer, band: int, reason: str, now: float) -> None:
         if self._metrics is not None:
             self._metrics.counter(
-                "admission_drops", source=source, band=str(band), reason=reason
+                "admission_drops", source=peer.id, band=str(band), reason=reason
             ).inc()
         if self._recorder is None:
             return
         # The counters carry the volume; the flight recorder gets at most
         # one entry per source per second so a flood cannot churn the ring.
-        state = self._sources.get(source)
+        state = peer.admission
         if state is None:
-            state = self._sources[source] = _SourceState()
+            state = peer.admission = _SourceState()
         if now - state.last_drop_logged < 1.0:
             return
         state.last_drop_logged = now
         self._recorder.record(
-            "admission", action="drop", source=source, band=band, reason=reason
+            "admission", action="drop", source=peer.id, band=band, reason=reason
         )
 
 

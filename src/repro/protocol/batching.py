@@ -29,11 +29,12 @@ pins down:
   frame raw, not wrapped — its datagram is byte-identical to the unbatched
   wire format. With batching disabled nothing here runs at all, so the
   wire stays byte-for-byte the seed format.
-- **Band purity**: the batcher is keyed by (destination, priority band); a
-  batch never spans bands, so batching composes with the egress shaper's
-  strict-priority drain. The one sanctioned exception is ACK piggybacking:
-  tiny coalesced ACK frames may ride along in whatever batch is leaving
-  for their destination anyway (see ``piggyback`` below).
+- **Band purity**: the batcher is keyed by (slot, priority band) — the
+  slot is a unicast destination's peer, else the destination; a batch never
+  spans bands (so batching composes with the egress shaper's
+  strict-priority drain) or addresses. The one sanctioned exception is ACK
+  piggybacking: tiny coalesced ACK frames may ride along in whatever batch
+  is leaving for their peer anyway (see ``piggyback`` below).
 """
 
 from __future__ import annotations
@@ -210,28 +211,29 @@ def make_wire_datagram(source: str, encoded_frames: List[bytes]) -> WireDatagram
     return WireDatagram(source, views, len(encoded_frames))
 
 
-#: Emit callback: ``(destination, frame, band)`` — either one raw frame
-#: (single-frame flush) or one assembled BATCH frame (a :class:`Frame`, or
-#: a :class:`WireDatagram` buffer list in zero-copy mode).
-EmitFn = Callable[[Destination, Frame, int], None]
-#: Piggyback hook: returns extra (ACK) frames to ride along to a
-#: destination. Called at flush time with the destination being flushed.
-PiggybackFn = Callable[[Destination], List[Frame]]
+#: Emit callback: ``(destination, frame, band, slot)`` — either one raw
+#: frame (single-frame flush) or one assembled BATCH frame (a
+#: :class:`Frame`, or a :class:`WireDatagram` buffer list in zero-copy mode).
+EmitFn = Callable[[Destination, Frame, int, object], None]
+#: Piggyback hook: returns extra (ACK) frames to ride along. Called at flush
+#: time with the slot being flushed.
+PiggybackFn = Callable[[object], List[Frame]]
 
-_BatchKey = Tuple[Destination, int]
+_BatchKey = Tuple[object, int]
 
 
 class _PendingBatch:
-    __slots__ = ("frames", "encoded", "size")
+    __slots__ = ("destination", "frames", "encoded", "size")
 
-    def __init__(self) -> None:
+    def __init__(self, destination: Destination, size: int) -> None:
+        self.destination = destination
         self.frames: List[Frame] = []
         self.encoded: List[bytes] = []
-        self.size = 0  # projected encoded size of the whole batch frame
+        self.size = size  # projected encoded size of the whole batch frame
 
 
 class FrameBatcher:
-    """Per-(destination, band) frame accumulator flushed once per turn.
+    """Per-(slot, band) frame accumulator flushed once per turn.
 
     Sans-io: frames come in through :meth:`add`, batches (or raw single
     frames) leave through the ``emit`` callback. Frames are encoded at add
@@ -255,9 +257,9 @@ class FrameBatcher:
         produced together (the responses to one received datagram, the
         sends an ACK releases) still share datagrams.
     piggyback:
-        Optional hook returning pending coalesced-ACK frames for a
-        destination; whatever fits the remaining budget joins the batch,
-        the rest is emitted raw immediately after.
+        Optional hook returning pending coalesced-ACK frames for a slot;
+        whatever fits the remaining budget joins the batch, the rest is
+        emitted raw immediately after.
     zero_copy:
         When true, multi-frame flushes emit a :class:`WireDatagram`
         (scatter/gather buffer list, no payload join) instead of a joined
@@ -302,28 +304,31 @@ class FrameBatcher:
         return sum(len(b.frames) for b in self._pending.values())
 
     # -- input ---------------------------------------------------------------
-    def add(self, destination: Destination, frame: Frame, band: int = 0) -> None:
-        """Queue ``frame`` for ``destination``; flushes as needed to keep
-        every batch datagram within the MTU budget."""
+    def add(self, destination: Destination, frame: Frame, band: int = 0, slot=None) -> None:
+        """Queue ``frame`` for ``destination`` in the batch of (``slot`` —
+        a unicast destination's peer, hashed by identity — else the
+        destination, band); flushes as needed to keep every batch datagram
+        within the MTU budget and to one address."""
         raw = frame.encode()
         entry = ENTRY_OVERHEAD + len(raw)
+        key = (destination if slot is None else slot, band)
+        batch = self._pending.get(key)
         if self._base + entry > self._mtu:
             # Too big to share a datagram with anyone: flush what this key
             # has (order!) and send the frame raw.
-            key = (destination, band)
-            if key in self._pending:
+            if batch is not None:
                 self._flush_key(key)
             self.oversize_bypasses += 1
-            self._emit(destination, frame, band)
+            self._emit(destination, frame, band, key[0])
             return
-        key = (destination, band)
-        batch = self._pending.get(key)
-        if batch is not None and batch.size + entry > self._mtu:
+        if batch is not None and (
+            batch.size + entry > self._mtu
+            or (batch.destination is not destination and batch.destination != destination)
+        ):
             self._flush_key(key)
             batch = None
         if batch is None:
-            batch = self._pending[key] = _PendingBatch()
-            batch.size = self._base
+            batch = self._pending[key] = _PendingBatch(destination, self._base)
         batch.frames.append(frame)
         batch.encoded.append(raw)
         batch.size += entry
@@ -352,10 +357,11 @@ class FrameBatcher:
 
     def _flush_key(self, key: _BatchKey) -> None:
         batch = self._pending.pop(key)
-        destination, band = key
+        destination = batch.destination
+        slot, band = key
         overflow: List[Frame] = []
         if self._piggyback is not None:
-            for extra in self._piggyback(destination):
+            for extra in self._piggyback(slot):
                 raw = extra.encode()
                 entry = ENTRY_OVERHEAD + len(raw)
                 if batch.size + entry <= self._mtu:
@@ -369,7 +375,7 @@ class FrameBatcher:
             # Single-frame parity: no wrapper, byte-identical to the
             # unbatched wire format.
             self.single_flushes += 1
-            self._emit(destination, batch.frames[0], band)
+            self._emit(destination, batch.frames[0], band, slot)
         else:
             self.batches_sent += 1
             self.batched_frames += len(batch.frames)
@@ -378,9 +384,9 @@ class FrameBatcher:
                 if self._zero_copy
                 else make_batch_frame(self._source, batch.encoded)
             )
-            self._emit(destination, assembled, band)
+            self._emit(destination, assembled, band, slot)
         for extra in overflow:
-            self._emit(destination, extra, band)
+            self._emit(destination, extra, band, slot)
 
 
 __all__ = [

@@ -418,9 +418,15 @@ class ReliableSender:
             return None
         return min(self._in_flight.values(), key=_deadline_of)[1]
 
-    def outstanding(self) -> List[Frame]:
-        """Every frame not yet acknowledged: in flight, then the backlog."""
-        return [state[0] for state in self._in_flight.values()] + list(self._backlog)
+    def close(self) -> None:
+        """Discard the stream: wake-up disarmed, every frame not yet
+        acknowledged (in flight, then the backlog) handed to the failure
+        callback."""
+        if self.wakeup is not None:
+            self.wakeup.close()
+        if self._on_failure is not None:
+            for frame in [state[0] for state in self._in_flight.values()] + list(self._backlog):
+                self._on_failure(frame.seq, frame)
 
     @property
     def unacked(self) -> int:

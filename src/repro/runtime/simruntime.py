@@ -176,7 +176,7 @@ class SimRuntime:
 
         armed = hardening or ReliabilityHardening(enabled=True)
         for container in self.containers.values():
-            container.links.set_hardening(armed)
+            container.links.set_hardening(armed, container.directory.peers())
 
     def enable_verification(self, specs=None, tracing: bool = False):
         """Arm runtime-verification monitors over every current container.

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Service, SimRuntime
-from repro.container.links import MAX_STRANGER_STREAMS, RELIABLE_CHANNEL
+from repro.container.links import RELIABLE_CHANNEL
 from repro.encoding.types import FLOAT64, INT64
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
+from repro.protocol.peers import MAX_STRANGERS
 from repro.protocol.reliability import (
     ReliabilityHardening,
     ReliableReceiver,
@@ -49,14 +50,23 @@ RPC_WIDTH = 16
 RPCS = 2000
 
 #: Python-level calls per delivered reliable event and per completed RPC,
-#: measured by the two tests below on the parent of the change that bound
-#: the acknowledged plane at stream open (the parent re-derived it per
-#: frame; the change reads 50.7 and 126.1). The bounds are 0.85x and 0.80x
-#: of the parent's.
-PARENT_CALLS_PER_EVENT = 63.42
-PARENT_CALLS_PER_RPC = 172.63
-MAX_CALLS_PER_EVENT = 0.85 * PARENT_CALLS_PER_EVENT
-MAX_CALLS_PER_RPC = 0.80 * PARENT_CALLS_PER_RPC
+#: measured by the two tests below on the parent of the change that made
+#: each peer one object (the parent resolved every unicast frame's address
+#: through ``Directory.address_of`` and hashed the address per batch slot;
+#: the change reads 48.1 and 121.2). Earlier: 63.4 and 172.6 before the
+#: acknowledged plane was bound when a stream opens.
+PARENT_CALLS_PER_EVENT = 50.71
+PARENT_CALLS_PER_RPC = 126.08
+MAX_CALLS_PER_EVENT = 49.0
+MAX_CALLS_PER_RPC = 122.0
+
+
+def _no_address_lookups(calls):
+    """A send reads its peer's resolved address; nothing maps a container
+    id to an address, or an address back to an id, per frame."""
+    assert _called(calls, "container/directory.py", "address_of") == 0
+    assert _called(calls, "container/directory.py", "container_at") == 0
+    assert _called(calls, "<string>", "__hash__") == 0  # Address's, generated
 
 
 def _counted(run):
@@ -187,6 +197,7 @@ class TestCallsPerDeliveredReliableEvent:
         assert _called(calls, "protocol/reliability.py", "<genexpr>") == 0
         assert _called(calls, "protocol/reliability.py", "_screened") == 0
         assert _called(calls, "sched/model.py", "cost_for") == 0
+        _no_address_lookups(calls)
 
 
 class TestCallsPerCompletedRpc:
@@ -206,6 +217,7 @@ class TestCallsPerCompletedRpc:
         assert _called(calls, "encoding/schema.py", "parse_type") == 0
         assert _called(calls, "primitives/invocation.py", "<genexpr>") == 0
         assert _called(calls, "primitives/invocation.py", "<dictcomp>") == 0
+        _no_address_lookups(calls)
 
 
 # -- the ACK codec: one struct call per ACK, against the per-seq form ------------
@@ -508,11 +520,11 @@ class TestBoundReceiverAgainstThePerFrameOne:
 class TestStreamsFromUnknownSources:
     def test_ten_thousand_forged_ids_keep_the_table_bounded_and_a_peer_exact(self):
         """Every reliable-channel frame from a new source id opens a receiver
-        and its ACK wake-up. 10,000 forged ids, interleaved with a known
-        peer's events: at most ``MAX_STRANGER_STREAMS`` strangers are held,
-        the oldest closed first; the peer's stream is never touched and
-        delivers every event once, in order. Fails at the parent (10,001
-        receivers)."""
+        and its ACK wake-up on that id's peer. 10,000 forged ids, interleaved
+        with a known peer's events: at most ``MAX_STRANGERS`` strangers are
+        held, the least recently used dropped first with its streams; the
+        peer's stream is never touched and delivers every event once, in
+        order. Fails before strangers were bounded (10,001 receivers)."""
         runtime = SimRuntime(seed=2)
         a = runtime.add_container("a", **FAST_PLANE)
         b = runtime.add_container("b", **FAST_PLANE)
@@ -527,7 +539,7 @@ class TestStreamsFromUnknownSources:
         assert runtime.run_until(lambda: events.subscribers == {"b"}, timeout=5.0)
         events.raise_event(0)
         runtime.run_for(0.01)
-        peer_stream = b.links._receivers["a"]
+        peer_stream = b.directory.peer("a").receiver
         forged_at = Address("nowhere", 1)
         for i in range(10_000):
             # EVENT_UNSUBSCRIBE has no handler: the frame is ACKed (to no
@@ -538,36 +550,38 @@ class TestStreamsFromUnknownSources:
                 forged_at,
             )
             if i == 0:
-                first = b.links._receivers["forged-0"]
+                first = b.directory.peer("forged-0").receiver
             if i % 100 == 99:
                 events.raise_event(1 + i // 100)
                 runtime.run_for(0.001)
-            assert len(b.links._receivers) <= 1 + MAX_STRANGER_STREAMS
+            assert len(list(b.directory.peers())) <= 1 + MAX_STRANGERS
         runtime.run_for(1.0)
         assert got == list(range(101))
-        assert b.links._receivers["a"] is peer_stream
-        strangers = [s for s in b.links._receivers if s.startswith("forged-")]
-        assert strangers == [f"forged-{i}" for i in range(10_000 - MAX_STRANGER_STREAMS, 10_000)]
+        assert b.directory.peer("a").receiver is peer_stream
+        strangers = [p.id for p in b.directory.peers() if p.id.startswith("forged-")]
+        assert strangers == [f"forged-{i}" for i in range(10_000 - MAX_STRANGERS, 10_000)]
         # The oldest stranger's stream was closed: its ACK wake-up is dead.
         assert first._ack_wakeup._at == float("-inf")
 
     def test_a_stranger_learned_since_is_kept(self):
         """A source whose announce arrives after its first frame is a peer
-        from then on: when its turn as the oldest stranger comes it stops
-        being counted, and its stream stays open."""
+        from then on: it leaves the strangers' LRU with its stream, and no
+        number of strangers after it closes that stream."""
         runtime = SimRuntime(seed=3)
         b = runtime.add_container("b", **FAST_PLANE)
         runtime.start()
         runtime.settle()
-        links = b.links
+        directory = b.directory
         frame = dict(channel=RELIABLE_CHANNEL, seq=1, flags=int(FrameFlags.RELIABLE))
         b._on_frame(Frame(MessageKind.EVENT_UNSUBSCRIBE, "late", **frame), Address("n", 1))
-        late = links._receivers["late"]
+        late = directory.peer("late").receiver
+        assert "late" not in directory.known
         b.directory.handle_heartbeat({
             "container": "late", "node": "late", "port": 47001, "incarnation": 1,
             "load": 0, "restarts": 0,
         })
-        for i in range(MAX_STRANGER_STREAMS + 5):
+        for i in range(MAX_STRANGERS + 5):
             b._on_frame(Frame(MessageKind.EVENT_UNSUBSCRIBE, f"x{i}", **frame), Address("n", 1))
-        assert links._receivers["late"] is late
-        assert "x0" not in links._receivers and "x5" in links._receivers
+        assert directory.known["late"].receiver is late
+        assert late._ack_wakeup._at != float("-inf")
+        assert directory.find("x0") is None and directory.find("x5") is not None

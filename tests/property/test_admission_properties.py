@@ -189,7 +189,7 @@ class TestDisabledParity:
         frame = Frame(kind=MessageKind.EVENT, source="s", payload=b"", channel=0)
         assert all(ctl.admit(frame) for _ in range(1000))
         assert ctl.dropped == 0
-        assert not ctl._sources  # no per-source state accrued
+        assert not ctl.peers.peers()  # no per-source state accrued
 
 
 class TestTokenBucketProperties:

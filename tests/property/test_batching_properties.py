@@ -54,7 +54,7 @@ def collecting_batcher(source="batcher", mtu=1200, piggyback=None):
         clock=sim,
         timers=sim,
         source=source,
-        emit=lambda dest, frame, band: emitted.append((dest, frame, band)),
+        emit=lambda dest, frame, band, _slot: emitted.append((dest, frame, band)),
         mtu=mtu,
         flush_interval=0.002,
         piggyback=piggyback,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.container.directory import Directory
+from repro.container.gossip import encode_zone_summary, peek_zone_summary
 from repro.protocol.frames import Frame
 from repro.util import ManualClock
 from repro.util.errors import EncodingError, ProtocolError
@@ -83,6 +84,73 @@ def test_directory_invariants_hold_under_any_sequence(ops):
     # Invariant 3: the local container never appears.
     assert directory.record("local") is None
     assert "local" not in ups
+
+
+def _moved(container, incarnation):
+    """An incarnation's node: a restart may come back elsewhere."""
+    return f"{container}-{incarnation % 2}"
+
+
+def _summary(version, members):
+    payload = encode_zone_summary({
+        "zone": "zx", "origin": "relay-x", "version": version,
+        "members": [
+            {"container": c, "node": f"{c}-far", "port": 47000, "incarnation": 1,
+             "alive": alive}
+            for c, alive in members
+        ],
+    })
+    zone, origin, version, offset = peek_zone_summary(payload)
+    return zone, origin, version, payload[offset:]
+
+
+_route_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["announce", "heartbeat", "bye", "advance", "sweep", "summary"]),
+        st.sampled_from(["c1", "c2", "c3", "c4"]),
+        st.integers(1, 3),  # incarnation; also the summary's membership draw
+        st.floats(0.0, 0.8),  # time advance
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_route_ops, strict=st.booleans())
+def test_a_peer_address_follows_address_of_exactly(ops, strict):
+    """What a send reads — the peer's address while its stamp matches the
+    directory revision, else ``route`` — equals ``address_of`` after every
+    operation: dead records, strict-staleness reads, summary routes, moves
+    by announce and by heartbeat."""
+    clock = ManualClock()
+    directory = Directory(
+        clock, local_container="local", liveness_timeout=1.0,
+        strict_liveness_reads=strict,
+    )
+    peers = {name: directory.peer(name) for name in ["c1", "c2", "c3", "c4"]}
+    version = 0
+    for op, container, incarnation, dt in ops:
+        if op == "announce":
+            doc = _announce(container, incarnation)
+            doc["node"] = _moved(container, incarnation)
+            directory.handle_announce(doc)
+        elif op == "heartbeat":
+            doc = _heartbeat(container, incarnation)
+            doc["node"] = _moved(container, incarnation)
+            directory.handle_heartbeat(doc)
+        elif op == "bye":
+            directory.handle_bye(container)
+        elif op == "advance":
+            clock.advance(dt)
+        elif op == "sweep":
+            directory.check_liveness()
+        else:
+            version += 1
+            members = [(c, (incarnation >> i) & 1) for i, c in enumerate(["c3", "c4"])]
+            directory.apply_zone_summary(*_summary(version, members))
+        for name, peer in peers.items():
+            read = peer.address if peer.routed == directory.revision else directory.route(peer)
+            assert read == directory.address_of(name)
 
 
 @settings(max_examples=200, deadline=None)

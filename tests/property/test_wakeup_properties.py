@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.container.links import RELIABLE_CHANNEL, ReliableLinks
 from repro.protocol import MessageKind, ReliableSender, RetransmitPolicy
 from repro.protocol.frames import Frame
+from repro.protocol.peers import Peer
 from repro.protocol.reliability import encode_ack
 from repro.sim import Simulator
 from repro.util import ManualClock
@@ -79,9 +80,7 @@ class Oracle:
     def reset(self):
         sender, self.sender = self.sender, None
         if sender is not None:
-            self.log.extend(
-                (self.clock.now(), f.seq, "failed") for f in sender.outstanding()
-            )
+            sender.close()  # every unacknowledged frame is reported failed
 
 
 class UnderTest:
@@ -90,6 +89,7 @@ class UnderTest:
     def __init__(self, policy):
         self.sim = Simulator()
         self.log = []
+        self.peer = Peer("b")
         self.links = ReliableLinks(
             clock=self.sim, timers=self.sim, local="a",
             send_to_peer=lambda peer, f: self.log.append((self.sim.now(), f.seq, f.flags)),
@@ -99,16 +99,16 @@ class UnderTest:
         )
 
     def send(self):
-        self.links.send("b", MessageKind.EVENT, b"x")
+        self.links.send(self.peer, MessageKind.EVENT, b"x")
 
     def feed(self, frame):
-        self.links.on_frame(frame)
+        self.links.on_frame(frame, self.peer)
 
     def wait(self, until):
         self.sim.run(until=until)
 
     def reset(self):
-        self.links.reset_peer("b")
+        self.peer.close()
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,4 +138,5 @@ def test_links_emit_exactly_what_the_polled_sender_emits(policy, ops):
     for side in (oracle, links):
         side.wait(now + 16.0)
     assert links.log == oracle.log
-    assert links.links.pending_to("b") == 0 and links.sim.pending == 0
+    assert links.peer.sender is None or links.peer.sender.unacked == 0
+    assert links.sim.pending == 0

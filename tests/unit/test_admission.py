@@ -210,7 +210,7 @@ class TestQuarantine:
         def trip():
             for _ in range(3):
                 ctl.note_malformed("peer")
-            state = ctl._sources["peer"]
+            state = ctl.peers.find("peer").admission
             return state.quarantined_until - clock.now()
 
         assert trip() == pytest.approx(2.0)  # first offense
@@ -225,11 +225,11 @@ class TestQuarantine:
         ctl = controller(self.POLICY, clock=clock, metrics=metrics)
         for _ in range(3):
             ctl.note_malformed("peer")
-        until = ctl._sources["peer"].quarantined_until
+        until = ctl.peers.find("peer").admission.quarantined_until
         # A garbage firehose during the window must not extend or re-count.
         for _ in range(50):
             ctl.note_malformed("peer")
-        assert ctl._sources["peer"].quarantined_until == until
+        assert ctl.peers.find("peer").admission.quarantined_until == until
         assert metrics.counter_value("quarantines", source="peer") == 1
 
     def test_address_keyed_quarantine_blocks_frames_from_address(self):

@@ -13,6 +13,7 @@ from repro import Service
 from repro.container import ServiceState
 from repro.container.links import RELIABLE_CHANNEL
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
+from repro.protocol.peers import MAX_STRANGERS
 from repro.protocol.reliability import ReliabilityHardening
 from repro.simnet.addressing import Address
 from repro.util.errors import ConfigurationError, ServiceError
@@ -198,7 +199,8 @@ class TestServiceContextResources:
 
 class TestAbuseLog:
     """The one-entry-per-(peer, reason)-per-second flight-recorder log of
-    reliability abuse is keyed on a frame's self-declared source."""
+    reliability abuse is kept on the peer a frame declares as its source:
+    as bounded as the peer table."""
 
     def hardened(self):
         runtime, a, _ = two_containers(
@@ -223,19 +225,20 @@ class TestAbuseLog:
 
     def test_forged_peers_do_not_grow_it_without_bound(self):
         runtime, a = self.hardened()
-        per_window = 2500  # forged ids per second, over four seconds
-        largest = 0
+        largest = 0  # 2,500 forged ids per second, over four seconds
         for i in range(10_000):
             if i and i % 250 == 0:
                 runtime.run_for(0.1)
             a._on_frame(self.far_future(f"forged-{i}"), Address("attacker", 9))
-            largest = max(largest, len(a._abuse_logged))
+            if i % 50 == 0:
+                logs = sum(1 for peer in a.directory.peers() if peer.abuse_logged)
+                largest = max(largest, logs)
         assert a.metrics.counter_value(
             "reliability_abuse", peer="forged-9999", reason="horizon"
         ) == 1
-        assert largest <= 1024 + per_window
-        # Pruning forgot nothing that was still suppressing a repeat: each
-        # forged id got its one entry.
+        assert MAX_STRANGERS <= largest <= MAX_STRANGERS + 1
+        # Evicting a stranger forgot nothing that was still suppressing a
+        # repeat: each forged id got its one entry.
         logged = [e["peer"] for e in self.abuse_entries(a)]
         assert logged[-1] == "forged-9999" and len(set(logged)) == len(logged) > 100
 

@@ -253,21 +253,37 @@ class TestDeterministicOrderAndIndexes:
                                                variables=[]))
         assert directory.providers_of_variable("gps") == []
 
-    def test_container_at_uses_index_and_survives_address_change(self, setup):
+    @staticmethod
+    def address(directory, peer):
+        """A send's read of the peer's address (``ServiceContainer``)."""
+        if peer.routed == directory.revision:
+            return peer.address
+        return directory.route(peer)
+
+    def test_peer_route_follows_an_address_change(self, setup):
         clock, directory = setup
         directory.handle_announce(announce_doc(container="a", node="n1"))
-        assert directory.container_at(Address("n1", 47000)) == "a"
-        # The container moves nodes: old address must stop resolving.
+        peer = directory.peer("a")
+        assert self.address(directory, peer) == Address("n1", 47000)
+        assert peer.routed == directory.revision  # held until the next change
+        # The container moves nodes, by announce and then by heartbeat (a
+        # restart seen before its announce): the old address stops at once.
         directory.handle_announce(announce_doc(container="a", node="n2",
                                                incarnation=2))
-        assert directory.container_at(Address("n1", 47000)) is None
-        assert directory.container_at(Address("n2", 47000)) == "a"
+        assert self.address(directory, peer) == Address("n2", 47000)
+        directory.handle_heartbeat(heartbeat_doc(container="a", node="n3",
+                                                 incarnation=3))
+        assert self.address(directory, peer) == Address("n3", 47000)
+        assert directory.peer("a") is peer
 
-    def test_container_at_ignores_dead_records(self, setup):
+    def test_peer_route_of_a_dead_record_is_none(self, setup):
         clock, directory = setup
         directory.handle_announce(announce_doc(container="a", node="n1"))
+        peer = directory.peer("a")
+        assert self.address(directory, peer) == Address("n1", 47000)
         directory.handle_bye("a")
-        assert directory.container_at(Address("n1", 47000)) is None
+        assert self.address(directory, peer) is None
+        assert directory.known["a"] is peer  # a dead record still knows it
 
 
 class TestStrictLivenessReads:

@@ -314,7 +314,7 @@ class TestBatchHold:
         out = []  # (virtual time, emitted frame)
         batcher = FrameBatcher(
             clock=sim, timers=sim, source="c",
-            emit=lambda dest, f, band: out.append((sim.now(), f)),
+            emit=lambda dest, f, band, _slot: out.append((sim.now(), f)),
             flush_interval=hold, mtu=mtu,
         )
         return sim, batcher, out
