@@ -1,25 +1,18 @@
 """Architectural analysis: static checker + runtime sanitizers.
 
-The static half (`python -m repro.analysis`) machine-checks the paper's
-container invariants — services never touch the network (REP001), sim-path
-code never reads ambient time/randomness (REP002), the frame/schema
-registry stays sound (REP003), and dispatch-path code never blocks
-(REP004) — with justified inline suppressions and a JSON report for CI.
+The static half (`python -m repro.analysis`) machine-checks the container
+invariants no test or runtime monitor covers — services never touch the
+network (REP001), sim-path code never reads ambient time/randomness
+(REP002), dispatch-path code never blocks (REP004), decode rejections are
+counted (REP005) and temporal specs are owned and bounded (REP006) — with
+justified inline suppressions and a JSON report for CI.
+:mod:`repro.analysis.schemalock` computes the wire-schema lockfile from
+the live schema objects.
 
 The runtime half (:mod:`repro.analysis.sanitizers`) catches what static
 analysis cannot: payload aliasing leaks across the local fast path.
+
+Nothing is re-exported here: the container imports the sanitizer, and a
+middleware process must not load the checker with it. Import the
+submodules (``repro.analysis.engine``, ``repro.analysis.cli``) directly.
 """
-
-from repro.analysis.engine import Analyzer, run_analysis
-from repro.analysis.findings import Finding, Report
-from repro.analysis.rules import Rule, all_rules, register
-
-__all__ = [
-    "Analyzer",
-    "run_analysis",
-    "Finding",
-    "Report",
-    "Rule",
-    "register",
-    "all_rules",
-]

@@ -1,8 +1,8 @@
-"""Shared context objects the engine hands to rules.
+"""The one object the engine hands to rules: a parsed module.
 
-One :class:`SourceFile` per parsed module (source text + AST + its
-suppressions), one :class:`Project` per run. Parsing happens exactly once
-per file regardless of how many rules inspect it.
+One :class:`SourceFile` per scanned module (its AST and its
+suppressions). Parsing happens exactly once per file regardless of how
+many rules inspect it.
 """
 
 from __future__ import annotations
@@ -10,22 +10,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import List
 
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import SuppressionSet, collect
-
-if TYPE_CHECKING:
-    from repro.analysis.callgraph import CallGraph
 
 
 @dataclass
 class SourceFile:
     """One analyzed module."""
 
-    path: Path  # absolute
     rel: str  # posix path relative to the scan root
-    source: str
     tree: ast.Module
     suppressions: SuppressionSet
     parse_problems: List[Finding]
@@ -48,44 +43,11 @@ class SourceFile:
                 )
             ]
         return cls(
-            path=path,
             rel=rel,
-            source=source,
             tree=tree,
             suppressions=suppressions,
             parse_problems=problems,
         )
 
 
-@dataclass
-class Project:
-    """Everything one analysis run can see."""
-
-    root: Path  # the scan root (the directory containing ``repro/``)
-    files: List[SourceFile]
-    #: Directory holding the test suite, for cross-checks like REP003's
-    #: codec-parity coverage. ``None`` disables those checks.
-    tests_dir: Optional[Path] = None
-    #: When False, rules skip their call-graph passes (transitive REP002/
-    #: REP004) — the PR 5 local-only behavior, kept selectable for
-    #: the checker-cost benchmark and narrow scans.
-    interprocedural: bool = True
-
-    def __post_init__(self) -> None:
-        self._by_rel: Dict[str, SourceFile] = {f.rel: f for f in self.files}
-        self._callgraph = None
-
-    def file(self, rel: str) -> Optional[SourceFile]:
-        return self._by_rel.get(rel)
-
-    def callgraph(self) -> "CallGraph":
-        """The project call graph, built once on first use (lazy so
-        local-only runs never pay for it)."""
-        if self._callgraph is None:
-            from repro.analysis.callgraph import build_callgraph
-
-            self._callgraph = build_callgraph(self)
-        return self._callgraph
-
-
-__all__ = ["SourceFile", "Project"]
+__all__ = ["SourceFile"]

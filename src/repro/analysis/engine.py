@@ -8,6 +8,9 @@ yield raw findings and the engine decides what they mean:
 - a suppression with no justification is itself a REP000 error;
 - a suppression that never matched anything becomes a warning, so stale
   waivers surface instead of rotting.
+
+Every rule is local to one module, so a file is checked, waived and
+audited for stale waivers on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.analysis.context import Project, SourceFile
+from repro.analysis.context import SourceFile
 from repro.analysis.findings import Finding, Report
 from repro.analysis.rules import Rule, all_rules
 from repro.analysis.suppressions import META_RULE
@@ -39,75 +42,36 @@ def discover_files(root: Path, paths: Optional[Sequence[Path]] = None) -> List[P
 class Analyzer:
     """One configured analysis run."""
 
-    def __init__(
-        self,
-        root: Path,
-        rules: Optional[Iterable[Rule]] = None,
-        tests_dir: Optional[Path] = None,
-        interprocedural: bool = True,
-        baseline: Optional[Path] = None,
-    ) -> None:
+    def __init__(self, root: Path, rules: Optional[Iterable[Rule]] = None) -> None:
         self.root = Path(root).resolve()
         self.rules: List[Rule] = (
             list(rules) if rules is not None else [cls() for cls in all_rules()]
         )
-        if tests_dir is None:
-            # Conventional layout: <repo>/src/repro next to <repo>/tests.
-            candidate = self.root.parent / "tests"
-            tests_dir = candidate if candidate.is_dir() else None
-        self.tests_dir = tests_dir
-        self.interprocedural = interprocedural
-        self.baseline = baseline
 
     def run(self, paths: Optional[Sequence[Path]] = None) -> Report:
-        files = [
-            SourceFile.load(path, self.root)
-            for path in discover_files(self.root, paths)
-        ]
-        project = Project(
-            root=self.root,
-            files=files,
-            tests_dir=self.tests_dir,
-            interprocedural=self.interprocedural,
-        )
+        files = discover_files(self.root, paths)
         findings: List[Finding] = []
-        for file in files:
-            findings.extend(file.parse_problems)
-            for rule in self.rules:
-                findings.extend(rule.check_file(project, file))
-        for rule in self.rules:
-            findings.extend(rule.check_project(project))
-        self._apply_suppressions(project, findings)
-        findings.extend(self._unused_suppressions(project))
+        for path in files:
+            findings.extend(self.check(SourceFile.load(path, self.root)))
         findings.sort(key=lambda f: (f.file, f.line, f.rule, f.column))
-        if self.baseline is not None and self.baseline.is_file():
-            from repro.analysis.baseline import apply_baseline, load_baseline
+        return Report(root=str(self.root), files_scanned=len(files), findings=findings)
 
-            apply_baseline(findings, load_baseline(self.baseline))
-        return Report(
-            root=str(self.root), files_scanned=len(files), findings=findings
-        )
-
-    def _apply_suppressions(self, project: Project, findings: List[Finding]) -> None:
+    def check(self, file: SourceFile) -> List[Finding]:
+        """Every finding for one module, waivers applied, stale waivers added."""
+        findings = list(file.parse_problems)
+        for rule in self.rules:
+            findings.extend(rule.check_file(file))
         for finding in findings:
             if finding.rule == META_RULE:
                 continue  # the meta-rule cannot be waived
-            file = project.file(finding.file)
-            if file is None:
-                continue
             suppression = file.suppressions.apply(finding.rule, finding.line)
             if suppression is not None:
                 finding.suppressed = True
                 finding.justification = suppression.justification
-
-    def _unused_suppressions(self, project: Project) -> List[Finding]:
-        out: List[Finding] = []
-        for file in project.files:
-            for suppression in file.suppressions.all():
-                if suppression.used:
-                    continue
+        for suppression in file.suppressions.all():
+            if not suppression.used:
                 codes = ",".join(suppression.codes)
-                out.append(
+                findings.append(
                     Finding(
                         rule=META_RULE,
                         message=(
@@ -119,23 +83,12 @@ class Analyzer:
                         severity="warning",
                     )
                 )
-        return out
+        return findings
 
 
-def run_analysis(
-    root: Path,
-    paths: Optional[Sequence[Path]] = None,
-    tests_dir: Optional[Path] = None,
-    interprocedural: bool = True,
-    baseline: Optional[Path] = None,
-) -> Report:
+def run_analysis(root: Path, paths: Optional[Sequence[Path]] = None) -> Report:
     """Convenience one-shot entry point (used by the CLIs and tests)."""
-    return Analyzer(
-        root,
-        tests_dir=tests_dir,
-        interprocedural=interprocedural,
-        baseline=baseline,
-    ).run(paths)
+    return Analyzer(root).run(paths)
 
 
 __all__ = ["Analyzer", "run_analysis", "discover_files"]

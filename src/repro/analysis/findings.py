@@ -24,15 +24,9 @@ class Finding:
     severity: str = "error"  # "error" gates CI; "warning" is informational
     suppressed: bool = False
     justification: str = ""
-    #: Interprocedural findings carry the call chain from the reported
-    #: entry point to the offending site (rendered hop strings).
-    path: List[str] = field(default_factory=list)
-    #: True when a baseline was applied and this finding (keyed by
-    #: rule/file/message) was already in it — tracked debt, not a gate.
-    baselined: bool = False
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "rule": self.rule,
             "message": self.message,
             "file": self.file,
@@ -42,20 +36,10 @@ class Finding:
             "suppressed": self.suppressed,
             "justification": self.justification,
         }
-        if self.path:
-            out["path"] = list(self.path)
-        if self.baselined:
-            out["baselined"] = True
-        return out
 
     def render(self) -> str:
         tag = " (suppressed)" if self.suppressed else ""
-        if self.baselined:
-            tag += " (baselined)"
-        text = f"{self.file}:{self.line}:{self.column}: {self.rule} {self.message}{tag}"
-        if self.path:
-            text += f"\n    call path: {' -> '.join(self.path)}"
-        return text
+        return f"{self.file}:{self.line}:{self.column}: {self.rule} {self.message}{tag}"
 
 
 @dataclass
@@ -73,14 +57,9 @@ class Report:
         ]
 
     @property
-    def new_unsuppressed(self) -> List[Finding]:
-        """Unsuppressed errors not covered by the applied baseline — the
-        CI gate once a baseline is in play."""
-        return [f for f in self.unsuppressed if not f.baselined]
-
-    @property
     def ok(self) -> bool:
-        return not self.new_unsuppressed
+        """The CI gate: zero unsuppressed error findings."""
+        return not self.unsuppressed
 
     def counts_by_rule(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -89,9 +68,9 @@ class Report:
         return dict(sorted(counts.items()))
 
     def to_dict(self) -> Dict[str, object]:
-        """The machine-readable report shape (stable; consumed by CI)."""
+        """The machine-readable report shape (consumed by CI)."""
         return {
-            "version": 1,
+            "version": 2,
             "root": self.root,
             "files_scanned": self.files_scanned,
             "ok": self.ok,
@@ -99,8 +78,6 @@ class Report:
                 "total": len(self.findings),
                 "suppressed": sum(1 for f in self.findings if f.suppressed),
                 "unsuppressed": len(self.unsuppressed),
-                "baselined": sum(1 for f in self.unsuppressed if f.baselined),
-                "new": len(self.new_unsuppressed),
                 "by_rule": self.counts_by_rule(),
             },
             "findings": [f.to_dict() for f in self.findings],

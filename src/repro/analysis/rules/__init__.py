@@ -1,9 +1,9 @@
 """Pluggable rule registry.
 
-A rule is a class with a ``code``, a one-line ``summary``, and either (or
-both) of ``check_file(project, file)`` — called once per scanned module —
-and ``check_project(project)`` — called once per run for whole-tree
-invariants. Registration is declarative::
+A rule is a class with a ``code``, a one-line ``summary`` and a
+``check_file(file)`` that walks one module and yields findings. Every rule
+is a single local pass: it sees one :class:`SourceFile` at a time, never
+the rest of the tree. Registration is declarative::
 
     @register
     class MyRule(Rule):
@@ -11,13 +11,14 @@ invariants. Registration is declarative::
         summary = "what it enforces"
 
 The engine applies suppressions afterwards; rules just yield findings.
+Retired codes (REP003, REP007, REP008) are not reused.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Type
 
-from repro.analysis.context import Project, SourceFile
+from repro.analysis.context import SourceFile
 from repro.analysis.findings import Finding
 
 
@@ -27,10 +28,7 @@ class Rule:
     code: str = "REP???"
     summary: str = ""
 
-    def check_file(self, project: Project, file: SourceFile) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
+    def check_file(self, file: SourceFile) -> Iterable[Finding]:
         return ()
 
 
@@ -55,11 +53,9 @@ def _load_builtin_rules() -> None:
     from repro.analysis.rules import (  # noqa: F401
         rep001_transport,
         rep002_nondeterminism,
-        rep003_frames,
         rep004_blocking,
         rep005_decode_paths,
         rep006_spec_hygiene,
-        rep008_schema_lock,
     )
 
 

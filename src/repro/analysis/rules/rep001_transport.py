@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Tuple
 
-from repro.analysis.context import Project, SourceFile
+from repro.analysis.context import SourceFile
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register
 
@@ -49,7 +49,7 @@ class TransportReachAroundRule(Rule):
         "transport/network layers; all I/O goes through the container"
     )
 
-    def check_file(self, project: Project, file: SourceFile) -> Iterable[Finding]:
+    def check_file(self, file: SourceFile) -> Iterable[Finding]:
         if not file.rel.startswith(SERVICE_PATHS):
             return
         banned_names = set()

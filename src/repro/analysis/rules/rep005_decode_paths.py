@@ -27,7 +27,7 @@ import ast
 import re
 from typing import Iterable, List
 
-from repro.analysis.context import Project, SourceFile
+from repro.analysis.context import SourceFile
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register
 
@@ -101,7 +101,7 @@ class SilentDecodeDropRule(Rule):
         "quarantine counters — no silent `except: pass` on parse errors"
     )
 
-    def check_file(self, project: Project, file: SourceFile) -> Iterable[Finding]:
+    def check_file(self, file: SourceFile) -> Iterable[Finding]:
         if not file.rel.startswith("repro/"):
             return
         for node in ast.walk(file.tree):

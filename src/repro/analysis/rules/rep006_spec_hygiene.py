@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Optional
 
-from repro.analysis.context import Project, SourceFile
+from repro.analysis.context import SourceFile
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register
 
@@ -77,7 +77,7 @@ class SpecHygieneRule(Rule):
         "bound — anonymous or unbounded obligations are unactionable"
     )
 
-    def check_file(self, project: Project, file: SourceFile) -> Iterable[Finding]:
+    def check_file(self, file: SourceFile) -> Iterable[Finding]:
         aliases = _verify_aliases(file.tree)
         if not aliases:
             return

@@ -24,7 +24,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -42,7 +42,6 @@ class Suppression:
     codes: Tuple[str, ...]
     line: int  # the source line the comment covers (file scope: 0)
     justification: str
-    file_scope: bool = False
     used: bool = False
 
     def matches(self, rule: str) -> bool:
@@ -56,7 +55,7 @@ class SuppressionSet:
     by_line: Dict[int, List[Suppression]] = field(default_factory=dict)
     file_wide: List[Suppression] = field(default_factory=list)
 
-    def apply(self, rule: str, line: int) -> Suppression:
+    def apply(self, rule: str, line: int) -> Optional[Suppression]:
         """The suppression covering (rule, line), or None. Marks it used."""
         for suppression in self.by_line.get(line, ()):
             if suppression.matches(rule):
@@ -67,14 +66,6 @@ class SuppressionSet:
                 suppression.used = True
                 return suppression
         return None
-
-    def covers(self, rule: str, line: int) -> bool:
-        """Like :meth:`apply` but read-only: does not mark the suppression
-        used. The transitive rules use this to drop waived sites from
-        their taint sources without claiming the waiver."""
-        return any(
-            s.matches(rule) for s in self.by_line.get(line, ())
-        ) or any(s.matches(rule) for s in self.file_wide)
 
     def all(self) -> List[Suppression]:
         out = list(self.file_wide)
@@ -117,7 +108,7 @@ def collect(source: str, rel_path: str) -> Tuple[SuppressionSet, List[Finding]]:
         )
         if match.group("scope"):
             suppressions.file_wide.append(
-                Suppression(codes=codes, line=0, justification=why, file_scope=True)
+                Suppression(codes=codes, line=0, justification=why)
             )
             continue
         # A comment-only line covers the next *code* line (the comment may

@@ -48,8 +48,8 @@ class DataType:
         peer depends on. Renaming a *field* changes the fingerprint (field
         names ride in the describe text and matter to document shape);
         so does any reorder, type change, insertion, or removal. The
-        schema lockfile (``schemas.lock.json``, rule REP008) pins these
-        per message kind.
+        schema lockfile (``schemas.lock.json``, checked by
+        ``tests/unit/test_schema_lock.py``) pins these per message kind.
         """
         return hashlib.sha256(self.describe().encode("utf-8")).hexdigest()[:16]
 

@@ -215,8 +215,9 @@ def header_fingerprint() -> str:
     """Wire-compatibility fingerprint of the frame *header* layout.
 
     Locked in ``schemas.lock.json`` alongside the per-kind payload
-    fingerprints (rule REP008): any change to the magic, version, or the
-    packed header format is a protocol break every peer must agree on.
+    fingerprints (checked by ``tests/unit/test_schema_lock.py``): any
+    change to the magic, version, or the packed header format is a
+    protocol break every peer must agree on.
     """
     import hashlib
 

@@ -1,8 +1,9 @@
 """Canonical map from every :class:`~repro.protocol.frames.MessageKind` to
 the payload layout it carries on the wire.
 
-This is the single declarative source the schema lockfile (REP008) is
-generated from and checked against. Two reference styles:
+This is the single declarative source the schema lockfile
+(``schemas.lock.json``, written by :mod:`repro.analysis.schemalock`) is
+generated from. Two reference styles:
 
 - ``"<module rel path>::<SCHEMA_NAME>"`` — the payload is a typed schema
   (a module-level ``*_SCHEMA`` constant built from the encoding type
@@ -13,10 +14,9 @@ generated from and checked against. Two reference styles:
   framing, the TCP-like baseline). Its fingerprint covers the module's
   literal ``struct.Struct`` format strings.
 
-The dict MUST stay a literal of string constants: the static checker
-reads it from the AST without importing this package, which is also how
-fixture trees under ``tests/`` get their own registries. Adding a
-``MessageKind`` without a row here fails REP008.
+Adding a ``MessageKind`` without a row here fails
+``tests/unit/test_kind_coverage.py``, and a row whose layout drifts from
+the committed lock fails ``tests/unit/test_schema_lock.py``.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ def _module_name(rel_path: str) -> str:
 def schema_for(kind_name: str) -> Optional[DataType]:
     """Resolve a kind's schema object at runtime (None for manual layouts).
 
-    Tests use this to pin the statically-computed lockfile fingerprints to
-    the live schema objects.
+    The schema lockfile fingerprints these live objects.
     """
     ref = KIND_SCHEMA_REFS.get(kind_name)
     if ref is None or ref.startswith("manual:"):

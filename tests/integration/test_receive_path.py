@@ -277,9 +277,9 @@ class TestSourceIdMemo:
 def _locked_schemas():
     """Every typed payload schema in ``schemas.lock.json``, by schema name,
     plus the benchmark's sample."""
-    from tests.unit.test_schema_lock import SRC_ROOT
+    from tests.unit.test_schema_lock import REPO_ROOT
 
-    lock = json.loads((SRC_ROOT.parent / "schemas.lock.json").read_text())
+    lock = json.loads((REPO_ROOT / "schemas.lock.json").read_text())
     found = {"BenchTelemetry": BENCH_TELEMETRY}
     for kind, row in lock["kinds"].items():
         if "schema" in row:

@@ -9,8 +9,9 @@ must agree byte-for-byte on encode and document-for-document on decode.
 The nested offer schemas (``VAR_OFFER_SCHEMA`` …) and ``RUMOR_SCHEMA``
 are covered by composition through their parents.
 
-These schemas are also pinned by the wire-schema lockfile (REP008); this
-suite is the behavioral half of that contract.
+These schemas are also pinned by the wire-schema lockfile
+(``tests/unit/test_schema_lock.py``); this suite is the behavioral half
+of that contract.
 """
 
 import pytest

@@ -1,155 +1,107 @@
-"""Tests for REP008 (wire-schema lockfile) and the static schema evaluator.
+"""Tests for the wire-schema lockfile (``schemas.lock.json``).
 
-The committed ``schemas.lock.json`` is the compatibility contract: these
-tests prove the static (AST-evaluated) fingerprints agree with the live
-schema objects, that the committed lock is current, and that every drift
-mode — field mutation, manual-layout change, new kind, removed kind,
-header change — fails the rule on a mutated copy of the fixture tree.
+The committed lock is the compatibility contract and this file is its one
+check: the writer's output for the live tree must equal the committed
+file byte for byte. The drift cases below pin what :func:`diff` reports
+for every way a lock can break — field mutation, manual-layout change,
+new kind, removed kind, header change, missing lockfile.
 """
 
 import json
-import shutil
 from pathlib import Path
 
-from repro.analysis import Analyzer, schemas as schemalock
-from repro.analysis.rules.rep008_schema_lock import SchemaLockRule
-from repro.protocol.frames import MessageKind, header_fingerprint
-from repro.protocol.wire_registry import KIND_SCHEMA_REFS, schema_for
-from tests.unit.test_callgraph import FIXTURES
+from repro.analysis import schemalock
+from repro.analysis.cli import main as analysis_main
+from repro.encoding.types import STRING, UINT32, StructType
+from repro.protocol.frames import MessageKind
+from repro.protocol.wire_registry import KIND_SCHEMA_REFS
 
-SRC_ROOT = Path(__file__).parent.parent.parent / "src"
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-
-def run_rep008(root: Path):
-    analyzer = Analyzer(root, rules=[SchemaLockRule()])
-    report = analyzer.run(paths=[root / "repro"])
-    return [f for f in report.findings if f.rule == "REP008"]
-
-
-def copy_fixture(tmp_path: Path) -> Path:
-    root = tmp_path / "tree"
-    shutil.copytree(FIXTURES / "rep008_good", root)
-    return root
+DATA_REF = "repro/wire.py::DATA_SCHEMA"
+DATA = StructType("Data", [("seq", UINT32), ("body", STRING)])
+PING_MODULE = "repro/protocol/ping.py"
+PING_SOURCE = 'import struct\n\n_SEQ = struct.Struct("<I")\n'
 
 
-def edit(root: Path, rel: str, old: str, new: str) -> None:
-    path = root / rel
-    text = path.read_text(encoding="utf-8")
-    assert old in text, f"fixture drifted: {old!r} not in {rel}"
-    path.write_text(text.replace(old, new), encoding="utf-8")
+def lock(header="d9e1c2968ef659cc", data=DATA, ping_source=PING_SOURCE, **extra):
+    """A two-kind lock document: one typed kind, one hand-packed kind."""
+    kinds = {
+        "PING": schemalock.manual_entry(1, PING_MODULE, ping_source),
+        "DATA": schemalock.typed_entry(2, DATA_REF, data),
+        **extra,
+    }
+    return {"version": 1, "header": header, "kinds": kinds}
 
 
-class TestRep008OnFixture:
-    def test_clean_tree_matches_its_lock(self):
-        assert run_rep008(FIXTURES / "rep008_good") == []
+class TestLockDiff:
+    def test_unchanged_tree_matches_its_lock(self):
+        assert schemalock.diff(lock(), lock()) == []
 
-    def test_field_type_change_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        edit(root, "repro/wire.py", '("seq", UINT32)', '("seq", STRING)')
-        findings = run_rep008(root)
+    def test_field_type_change_fails(self):
+        current = lock(data=StructType("Data", [("seq", STRING), ("body", STRING)]))
+        problems = schemalock.diff(lock(), current)
         assert any(
-            "MessageKind.DATA" in f.message and "mint a new MessageKind" in f.message
-            for f in findings
+            "MessageKind.DATA" in p and "mint a new MessageKind" in p for p in problems
         )
         # The locked and current shapes ride in the message for the diff.
-        assert any("uint32 seq" in f.message and "string seq" in f.message
-                   for f in findings)
+        assert any("uint32 seq" in p and "string seq" in p for p in problems)
 
-    def test_field_reorder_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        edit(
-            root,
-            "repro/wire.py",
-            '[("seq", UINT32), ("body", STRING)]',
-            '[("body", STRING), ("seq", UINT32)]',
-        )
-        assert any("MessageKind.DATA" in f.message for f in run_rep008(root))
+    def test_field_reorder_fails(self):
+        current = lock(data=StructType("Data", [("body", STRING), ("seq", UINT32)]))
+        assert any("MessageKind.DATA" in p for p in schemalock.diff(lock(), current))
 
-    def test_manual_layout_change_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        edit(root, "repro/protocol/ping.py", '"<I"', '"<Q"')
-        assert any("MessageKind.PING" in f.message for f in run_rep008(root))
+    def test_manual_layout_change_fails(self):
+        current = lock(ping_source=PING_SOURCE.replace('"<I"', '"<Q"'))
+        problems = schemalock.diff(lock(), current)
+        assert len(problems) == 1 and "MessageKind.PING" in problems[0]
 
-    def test_new_kind_without_lock_entry_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        edit(root, "repro/protocol/frames.py", "DATA = 2", "DATA = 2\n    EXTRA = 3")
-        findings = run_rep008(root)
-        # Unmapped in the registry AND absent from the lock: both surface.
-        assert any("MessageKind.EXTRA" in f.message for f in findings)
-
-    def test_removed_kind_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        edit(root, "repro/protocol/frames.py", "    DATA = 2\n", "")
+    def test_new_kind_without_lock_entry_fails(self):
+        current = lock(EXTRA=schemalock.typed_entry(3, DATA_REF, DATA))
+        problems = schemalock.diff(lock(), current)
         assert any(
-            "MessageKind.DATA" in f.message and "no longer exists" in f.message
-            for f in run_rep008(root)
+            "MessageKind.EXTRA" in p and "--update-schema-lock" in p for p in problems
         )
 
-    def test_header_format_change_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        edit(root, "repro/protocol/frames.py", '"<2sBBBHI"', '"<2sBBBHQ"')
-        assert any("frame header layout changed" in f.message
-                   for f in run_rep008(root))
+    def test_removed_kind_fails(self):
+        current = lock()
+        del current["kinds"]["DATA"]
+        assert any(
+            "MessageKind.DATA" in p and "no longer exists" in p
+            for p in schemalock.diff(lock(), current)
+        )
 
-    def test_missing_lockfile_fails(self, tmp_path):
-        root = copy_fixture(tmp_path)
-        (root / "schemas.lock.json").unlink()
-        assert any("no schemas.lock.json" in f.message for f in run_rep008(root))
+    def test_header_format_change_fails(self):
+        problems = schemalock.diff(lock(), lock(header="0000000000000000"))
+        assert any("frame header layout changed" in p for p in problems)
 
-    def test_tree_without_registry_is_out_of_scope(self):
-        assert run_rep008(FIXTURES / "interproc_taint") == []
+    def test_missing_lockfile_fails(self):
+        problems = schemalock.diff(None, lock())
+        assert problems == [
+            "no schemas.lock.json found — the wire-schema lockfile is mandatory; "
+            "regenerate deliberately with `repro.cli check --update-schema-lock`"
+        ]
 
 
 class TestStaticEvaluatorAgainstRuntime:
-    def test_static_fingerprints_match_live_schemas(self):
-        project = load_project_src()
-        lock = schemalock.compute_lock(project)
-        assert lock is not None and not lock["unmapped"]
-        for kind in MessageKind:
-            entry = lock["kinds"][kind.name]
-            datatype = schema_for(kind.name)
-            if datatype is None:
-                assert entry["layout"] == "manual"
-            else:
-                assert entry["fingerprint"] == datatype.fingerprint(), kind.name
-                assert entry["describe"] == datatype.describe()
+    """The lock is computed per kind through ``KIND_SCHEMA_REFS``.
 
-    def test_static_header_fingerprint_matches_runtime(self):
-        project = load_project_src()
-        frames = project.file("repro/protocol/frames.py")
-        assert schemalock.static_header_fingerprint(frames) == header_fingerprint()
+    The static evaluator this class once compared is gone; the writer now
+    reads the live schema objects, and this keeps every kind reachable.
+    """
 
     def test_every_kind_is_mapped(self):
         assert {k.name for k in MessageKind} <= set(KIND_SCHEMA_REFS)
 
 
 class TestCommittedLockIsCurrent:
-    def test_repo_lockfile_matches_the_tree(self):
-        project = load_project_src()
-        current = schemalock.compute_lock(project)
-        committed = json.loads(
-            (SRC_ROOT.parent / "schemas.lock.json").read_text(encoding="utf-8")
+    def test_repo_lockfile_matches_the_tree(self, tmp_path, capsys):
+        # Run the writer itself (into a scratch root) and compare its whole
+        # output with the committed file.
+        assert analysis_main(["--update-schema-lock", "--root", str(tmp_path)]) == 0
+        capsys.readouterr()
+        written = (tmp_path / schemalock.LOCK_FILENAME).read_text(encoding="utf-8")
+        committed = (REPO_ROOT / schemalock.LOCK_FILENAME).read_text(encoding="utf-8")
+        assert written == committed, schemalock.diff(
+            json.loads(committed), json.loads(written)
         )
-        assert committed["header"] == current["header"]
-        current_kinds = {
-            name: entry["fingerprint"] for name, entry in current["kinds"].items()
-        }
-        committed_kinds = {
-            name: entry["fingerprint"]
-            for name, entry in committed["kinds"].items()
-        }
-        assert committed_kinds == current_kinds, (
-            "schemas.lock.json is stale — regenerate deliberately with "
-            "`repro.cli check --update-schema-lock`"
-        )
-
-
-def load_project_src():
-    from repro.analysis.context import Project, SourceFile
-
-    files = [
-        SourceFile.load(path, SRC_ROOT)
-        for path in sorted((SRC_ROOT / "repro").rglob("*.py"))
-        if "__pycache__" not in path.parts
-    ]
-    return Project(root=SRC_ROOT, files=files)
