@@ -123,10 +123,8 @@ def run_loaded(mechanism: str, seed: int = 19):
 
     runtime = SimRuntime(seed=seed)
     a = runtime.add_container("ctl")
-    b = runtime.add_container(
-        "srv",
-        cpu_model=CpuModel(costs={"invocation": 0.004, "event": 0.0002}),
-    )
+    b = runtime.add_container("srv")
+    b.scheduler.cpu = CpuModel(costs={"invocation": 0.004, "event": 0.0002})
     trigger = Trigger()
     server = ActionServer()
     a.install_service(trigger)

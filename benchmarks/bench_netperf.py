@@ -97,7 +97,6 @@ ASYNC_PLANE = dict(
     codec="compiled",
     batching_enabled=True,
     ack_coalesce_delay=0.002,
-    ack_coalesce_max_pending=64,
 )
 
 FAST = dict(

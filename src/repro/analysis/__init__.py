@@ -1,6 +1,6 @@
-"""Architectural analysis: static checker + runtime sanitizers.
+"""Architectural analysis: the static checker and the schema lock.
 
-The static half (`python -m repro.analysis`) machine-checks the container
+The checker (`python -m repro.analysis`) machine-checks the container
 invariants no test or runtime monitor covers — services never touch the
 network (REP001), sim-path code never reads ambient time/randomness
 (REP002), dispatch-path code never blocks (REP004), decode rejections are
@@ -9,10 +9,7 @@ justified inline suppressions and a JSON report for CI.
 :mod:`repro.analysis.schemalock` computes the wire-schema lockfile from
 the live schema objects.
 
-The runtime half (:mod:`repro.analysis.sanitizers`) catches what static
-analysis cannot: payload aliasing leaks across the local fast path.
-
-Nothing is re-exported here: the container imports the sanitizer, and a
-middleware process must not load the checker with it. Import the
-submodules (``repro.analysis.engine``, ``repro.analysis.cli``) directly.
+Nothing is re-exported here, and no runtime module imports this package:
+a middleware process never loads the checker. Import the submodules
+(``repro.analysis.engine``, ``repro.analysis.cli``) directly.
 """

@@ -6,16 +6,13 @@ touching code. Defaults match a small switched-Ethernet UAV LAN.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.container.fleet import FleetConfig
-from repro.container.resources import ResourceLimits
 from repro.container.supervisor import RestartPolicy
 from repro.protocol.admission import AdmissionPolicy
 from repro.protocol.reliability import ReliabilityHardening, RetransmitPolicy
-from repro.sched.model import CpuModel
 from repro.util.errors import ConfigurationError
 
 #: Port every container binds (one container per node, so one port suffices).
@@ -32,7 +29,6 @@ class ContainerConfig:
 
     # PEPt plug-in selection.
     codec: str = "binary"
-    scheduler_policy: str = "fixed_priority"
     #: "udp_ack" (the paper's app-layer mechanism) or "tcp" (the baseline).
     event_mapping: str = "udp_ack"
 
@@ -51,22 +47,14 @@ class ContainerConfig:
     retransmit: RetransmitPolicy = field(default_factory=RetransmitPolicy)
     #: Abuse defenses for the reliable streams (NACK budgets, ACK-flood
     #: rejection, replay windows). Disabled by default: the protocol stays
-    #: byte/behavior-identical to the seed. The env default lets CI arm the
-    #: defenses fleet-wide (REPRO_RELIABILITY_HARDENING=1).
+    #: byte/behavior-identical to the seed.
     reliability_hardening: ReliabilityHardening = field(
-        default_factory=lambda: ReliabilityHardening(
-            enabled=os.environ.get("REPRO_RELIABILITY_HARDENING", "") == "1"
-        )
+        default_factory=ReliabilityHardening
     )
 
     # Ingress admission control (repro.protocol.admission). Disabled by
-    # default: frames reach dispatch exactly as in the seed. The env
-    # default (REPRO_ADMISSION=1) arms the default policy fleet-wide.
-    admission: AdmissionPolicy = field(
-        default_factory=lambda: AdmissionPolicy(
-            enabled=os.environ.get("REPRO_ADMISSION", "") == "1"
-        )
-    )
+    # default: frames reach dispatch exactly as in the seed.
+    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
 
     # Supervision (§3 "watching for their correct operation"). The default
     # mode is "never" — failures are recorded but nothing auto-restarts —
@@ -75,11 +63,6 @@ class ContainerConfig:
     restart_policy: RestartPolicy = field(
         default_factory=lambda: RestartPolicy(mode="never")
     )
-
-    # Remote invocation (§4.3).
-    call_timeout: float = 1.0
-    #: "static" | "round_robin" | "least_loaded"
-    call_binding: str = "round_robin"
 
     # File transmission (§4.4).
     #: False switches the transfer phase to per-subscriber unicast — the
@@ -92,22 +75,16 @@ class ContainerConfig:
     #: a floor under the timer's resolution. 0 is unpaced: one chunk per
     #: turn of the loop.
     file_chunk_interval: float = 0.0002
-    #: How long the publisher waits for completion ACK/NACKs per round.
-    file_status_timeout: float = 0.05
-    #: Retransmission rounds before stragglers are dropped.
-    file_max_rounds: int = 50
 
     # Egress shaping — the §4.2/§7 network-reservation extension. ``None``
     # disables it (the paper's baseline); a bits-per-second value slightly
     # below the uplink rate makes outbound traffic queue *inside* the
     # container, where priority bands apply.
     egress_rate_bps: Optional[float] = None
-    #: Bound on each (destination, band) egress queue while shaping;
-    #: ``None`` keeps the seed's unbounded queues.
+    #: Bound on each (destination, band) egress queue while shaping; a full
+    #: queue sheds its oldest frame. ``None`` keeps the seed's unbounded
+    #: queues.
     egress_queue_limit: Optional[int] = None
-    #: Overflow policy when a bounded egress queue is full:
-    #: "block" | "drop-oldest" | "drop-newest".
-    egress_overflow_policy: str = "drop-oldest"
 
     # Datagram batching (off by default: the wire stays byte-for-byte the
     # seed format). When on, small frames to the same destination share one
@@ -122,8 +99,6 @@ class ContainerConfig:
     #: Delay-and-merge window for ACKs on the reliable channel; 0 keeps the
     #: seed's one-ACK-per-frame behavior.
     ack_coalesce_delay: float = 0.0
-    #: Pending-seq cap that forces an early coalesced-ACK flush.
-    ack_coalesce_max_pending: int = 64
 
     # Observability. Tracing is off by default: untraced frames stay
     # byte-identical to the pre-tracing wire format. Off, the data path
@@ -136,39 +111,22 @@ class ContainerConfig:
     # memory).
     tracing_enabled: bool = False
 
-    # Debug sanitizers (repro.analysis.sanitizers). "off" keeps the data
-    # path byte/behavior-identical; "checksum" detects post-publish payload
-    # mutation at the next checkpoint; "freeze" hands local subscribers
-    # deep-frozen copies so mutation raises at the mutation site. The env
-    # default lets CI turn the sanitizer on for a whole test run without
-    # touching code (REPRO_PAYLOAD_SANITIZER=checksum).
-    payload_sanitizer: str = field(
-        default_factory=lambda: os.environ.get("REPRO_PAYLOAD_SANITIZER", "off")
-    )
-
     # Runtime verification (repro.verify). "off" keeps the probe stream
     # dormant (one bool read per emit site); "standard" arms the shipped
     # middleware-contract specs on this container at start(). Fleet-level
     # monitoring (cross-container specs, one merged verdict) instead goes
-    # through SimRuntime.enable_verification / verify.FleetMonitor. The env
-    # default lets CI arm every container (REPRO_VERIFY=standard).
-    verification: str = field(
-        default_factory=lambda: os.environ.get("REPRO_VERIFY", "off")
-    )
-
-    # Scheduling.
-    cpu_model: CpuModel = field(default_factory=CpuModel)
-
-    # Resources.
-    resource_limits: ResourceLimits = field(default_factory=ResourceLimits)
+    # through SimRuntime.enable_verification / verify.FleetMonitor.
+    verification: str = "off"
 
     def __post_init__(self) -> None:
         if self.event_mapping not in ("udp_ack", "tcp"):
             raise ConfigurationError(
                 f"event_mapping must be 'udp_ack' or 'tcp', got {self.event_mapping!r}"
             )
-        if self.call_binding not in ("static", "round_robin", "least_loaded"):
-            raise ConfigurationError(f"unknown call binding {self.call_binding!r}")
+        for name in ("announce_interval", "heartbeat_interval", "housekeeping_interval"):
+            # A zero period would reschedule itself at the same instant forever.
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be > 0")
         if self.heartbeat_interval >= self.liveness_timeout:
             raise ConfigurationError(
                 "liveness_timeout must exceed heartbeat_interval or every "
@@ -178,23 +136,12 @@ class ContainerConfig:
             raise ConfigurationError("file_chunk_size must be positive")
         if self.file_chunk_interval < 0:
             raise ConfigurationError("file_chunk_interval must be >= 0")
-        if self.egress_overflow_policy not in ("block", "drop-oldest", "drop-newest"):
-            raise ConfigurationError(
-                f"unknown egress overflow policy {self.egress_overflow_policy!r}"
-            )
         if self.egress_queue_limit is not None and self.egress_queue_limit < 1:
             raise ConfigurationError("egress_queue_limit must be >= 1")
         if self.batch_flush_interval < 0:
             raise ConfigurationError("batch_flush_interval must be >= 0")
         if self.ack_coalesce_delay < 0:
             raise ConfigurationError("ack_coalesce_delay must be >= 0")
-        if self.ack_coalesce_max_pending < 1:
-            raise ConfigurationError("ack_coalesce_max_pending must be >= 1")
-        if self.payload_sanitizer not in ("off", "checksum", "freeze"):
-            raise ConfigurationError(
-                f"payload_sanitizer must be 'off', 'checksum' or 'freeze', "
-                f"got {self.payload_sanitizer!r}"
-            )
         if self.verification not in ("off", "standard"):
             raise ConfigurationError(
                 f"verification must be 'off' or 'standard', "

@@ -26,7 +26,6 @@ from repro.container.records import (
     encode_heartbeat,
 )
 from repro.container.resources import ResourceManager
-from repro.analysis.sanitizers.payload import PayloadSanitizer
 from repro.container.supervisor import RestartPolicy, ServiceSupervisor
 from repro.encoding.codec import get_codec
 from repro.observability.metrics import Counter, MetricsRegistry
@@ -42,7 +41,7 @@ from repro.protocol.admission import AdmissionController, IngressScheduler
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import Peer
 from repro.sched.model import SimScheduler
-from repro.sched.policies import make_policy
+from repro.sched.policies import FixedPriorityPolicy
 from repro.simnet.addressing import BACKBONE_GROUP, Address, GroupName
 from repro.transport.frame_transport import FrameTransport
 from repro.util.clock import Clock
@@ -120,11 +119,6 @@ class ServiceContainer:
         # Monitor-probe stream: dormant (one bool read per emit site) until a
         # runtime-verification monitor subscribes. Wire-inert either way.
         self.probes = ProbeBus(config.container_id, clock)
-        self.payload_sanitizer = PayloadSanitizer(
-            mode=config.payload_sanitizer,
-            recorder=self.recorder,
-            metrics=self.metrics,
-        )
         # kind -> (its frames_sent / frames_received counter, kind.name),
         # filled at first sight of a kind: ``kind.name`` is an enum
         # descriptor call, read once per kind instead of once per frame.
@@ -157,11 +151,10 @@ class ServiceContainer:
         self.scheduler = SimScheduler(
             timers=timers,
             clock=clock,
-            policy=make_policy(config.scheduler_policy),
-            cpu=config.cpu_model,
+            policy=FixedPriorityPolicy(),
             on_error=self._on_task_error,
         )
-        self.resources = ResourceManager(config.resource_limits)
+        self.resources = ResourceManager()
         self.egress = EgressShaper(
             clock=clock,
             timers=timers,
@@ -172,7 +165,6 @@ class ServiceContainer:
             source=config.container_id,
             piggyback=self._piggyback_acks,
             queue_limit=config.egress_queue_limit,
-            overflow_policy=config.egress_overflow_policy,
             on_overflow=self._on_egress_overflow,
             metrics=self.metrics,
             # Scatter-capable transports (the async UDP data plane) take
@@ -199,7 +191,6 @@ class ServiceContainer:
             on_peer_failure=self._on_link_failure,
             policy=config.retransmit,
             ack_delay=config.ack_coalesce_delay,
-            ack_max_pending=config.ack_coalesce_max_pending,
             on_peer_slow=self._on_peer_slow,
             hardening=config.reliability_hardening,
             on_peer_abuse=self._on_peer_abuse,
@@ -390,10 +381,6 @@ class ServiceContainer:
         self._periodic_handles = []
         self._transport.close()
         self._running = False
-        if self.payload_sanitizer.enabled:
-            # Final aliasing checkpoint: catch mutations after the last
-            # publish of each payload before the evidence goes away.
-            self.payload_sanitizer.verify_all()
 
     # -- service management (§3) -------------------------------------------------
     def install_service(
@@ -790,11 +777,11 @@ class ServiceContainer:
         if evicted:
             self.recorder.record("backpressure", peer=peer.id, action="evicted")
 
-    def _on_egress_overflow(self, destination, band: int, policy: str, frame: Frame) -> None:
+    def _on_egress_overflow(self, destination, band: int, frame: Frame) -> None:
         self.recorder.record(
             "backpressure",
             band=band,
-            policy=policy,
+            policy="drop-oldest",
             kind=frame.kind.name,
             action="egress-overflow",
         )

@@ -12,10 +12,9 @@ pipeline:
    leave at the end of the turn that produced them unless a hold is
    configured; a batch never spans bands.
 2. **Bounded queues** (optional): when shaping backs traffic up, each
-   (slot, band) queue (``_SlotKey``) is capped at ``queue_limit`` frames with
-   an explicit per-band overflow policy — ``block`` (refuse admission and
-   signal backpressure), ``drop-oldest`` (shed the stalest frame, right for
-   fresh-or-worthless variables) or ``drop-newest``. A slow subscriber can
+   (slot, band) queue (``_SlotKey``) is capped at ``queue_limit`` frames. A
+   full queue sheds its oldest frame to admit the new one (drop-oldest, the
+   right policy for fresh-or-worthless variables), so a slow subscriber can
    no longer grow queues without bound.
 3. **Token bucket + strict priority** (optional): classifies outbound
    frames into priority bands and drains them through a token bucket, so a
@@ -88,12 +87,9 @@ DEFAULT_BANDS: Dict[MessageKind, int] = {
 
 _NUM_BANDS = 5
 
-#: Admissible overflow policies for a bounded (destination, band) queue.
-OVERFLOW_POLICIES = ("block", "drop-oldest", "drop-newest")
-
 SendFn = Callable[[Destination, Frame], None]
-#: Overflow callback: (destination, band, policy, affected frame).
-OverflowFn = Callable[[Destination, int, str, Frame], None]
+#: Overflow callback: (destination, band, shed frame).
+OverflowFn = Callable[[Destination, int, Frame], None]
 #: (slot, band): a unicast frame's peer, hashed by identity, else its destination.
 _SlotKey = Tuple[object, int]
 
@@ -121,17 +117,13 @@ class EgressShaper:
         of joined BATCH frames — set when the transport underneath supports
         ``send_buffers`` (byte-identical on the wire either way).
     queue_limit:
-        Per-(slot, band) cap on queued frames while shaping;
-        ``None`` keeps the seed's unbounded queues.
-    overflow_policy / overflow_policies:
-        Default policy and optional per-band overrides applied when a
-        bounded queue is full.
+        Per-(slot, band) cap on queued frames while shaping; a full queue
+        drops its oldest frame. ``None`` keeps the seed's unbounded queues.
     on_overflow:
-        Called once per shed/refused frame — the container's backpressure
-        signal.
+        Called once per shed frame — the container's backpressure signal.
     metrics:
         A :class:`MetricsRegistry`; batching and shedding counters land
-        here labeled by band/policy/kind.
+        here labeled by band/kind.
     """
 
     def __init__(
@@ -148,8 +140,6 @@ class EgressShaper:
         source: str = "",
         piggyback: Optional[PiggybackFn] = None,
         queue_limit: Optional[int] = None,
-        overflow_policy: str = "drop-oldest",
-        overflow_policies: Optional[Dict[int, str]] = None,
         on_overflow: Optional[OverflowFn] = None,
         metrics=None,
         zero_copy: bool = False,
@@ -170,7 +160,6 @@ class EgressShaper:
         self._metrics = metrics
         # Bounded queues.
         self._queue_limit = queue_limit
-        self._policies = self._resolve_policies(overflow_policy, overflow_policies)
         self._on_overflow = on_overflow
         self._depth: Dict[_SlotKey, int] = {}
         # Batching stage.
@@ -193,19 +182,6 @@ class EgressShaper:
         self.passthrough_frames = 0
         self.max_queue_depth = 0
         self.dropped_frames = 0
-        self.blocked_frames = 0
-
-    @staticmethod
-    def _resolve_policies(
-        default: str, overrides: Optional[Dict[int, str]]
-    ) -> List[str]:
-        policies = [default] * _NUM_BANDS
-        for band, policy in (overrides or {}).items():
-            policies[band] = policy
-        for policy in policies:
-            if policy not in OVERFLOW_POLICIES:
-                raise ConfigurationError(f"unknown overflow policy {policy!r}")
-        return policies
 
     @property
     def enabled(self) -> bool:
@@ -263,21 +239,11 @@ class EgressShaper:
             self._queue_limit is not None
             and self._depth.get(key, 0) >= self._queue_limit
         ):
-            policy = self._policies[band]
-            if policy == "drop-oldest":
-                evicted = self._pop_oldest(key)
-                if evicted is not None:
-                    self.dropped_frames += 1
-                    self._note_overflow(destination, band, policy, evicted)
-                    # fall through: the fresh frame takes the freed slot
-            elif policy == "drop-newest":
+            evicted = self._pop_oldest(key)
+            if evicted is not None:
+                # The fresh frame takes the freed slot.
                 self.dropped_frames += 1
-                self._note_overflow(destination, band, policy, frame)
-                return
-            else:  # "block": refuse admission, signal backpressure upstream
-                self.blocked_frames += 1
-                self._note_overflow(destination, band, policy, frame)
-                return
+                self._note_overflow(destination, band, evicted)
         self._queues[band].append((destination, frame, size, key))
         self._depth[key] = self._depth.get(key, 0) + 1
         self.shaped_frames += 1
@@ -313,18 +279,17 @@ class EgressShaper:
         else:
             self._depth[key] = depth
 
-    def _note_overflow(
-        self, destination: Destination, band: int, policy: str, frame: Frame
-    ) -> None:
+    def _note_overflow(self, destination: Destination, band: int, frame: Frame) -> None:
         if self._metrics is not None:
+            # ``policy`` keeps the series' labels stable for its readers.
             self._metrics.counter(
                 "egress_overflow",
                 band=str(band),
-                policy=policy,
+                policy="drop-oldest",
                 kind=frame.kind.name,
             ).inc()
         if self._on_overflow is not None:
-            self._on_overflow(destination, band, policy, frame)
+            self._on_overflow(destination, band, frame)
 
     @cached_property
     def _batch_gauges(self) -> Tuple[Gauge, Gauge, Gauge, Gauge]:
@@ -401,4 +366,4 @@ class EgressShaper:
             self._send(destination, frame)
 
 
-__all__ = ["EgressShaper", "DEFAULT_BANDS", "OVERFLOW_POLICIES"]
+__all__ = ["EgressShaper", "DEFAULT_BANDS"]

@@ -86,7 +86,6 @@ class ReliableLinks:
         on_peer_failure: PeerFailure = _ignore,
         policy: Optional[RetransmitPolicy] = None,
         ack_delay: float = 0.0,
-        ack_max_pending: int = 64,
         on_peer_slow: PeerSlow = _ignore,
         hardening: Optional[ReliabilityHardening] = None,
         on_peer_abuse: PeerAbuse = _ignore,
@@ -100,7 +99,6 @@ class ReliableLinks:
         self._on_peer_slow = on_peer_slow
         self._policy = policy or RetransmitPolicy()
         self._ack_delay = ack_delay
-        self._ack_max_pending = ack_max_pending
         self._hardening = hardening
         self._on_peer_abuse = on_peer_abuse
 
@@ -178,7 +176,6 @@ class ReliableLinks:
             ack_source=self._local,
             ack_delay=self._ack_delay,
             timers=self._timers,
-            max_pending_acks=self._ack_max_pending,
             clock=self._clock,
             hardening=self._hardening,
             on_abuse=partial(self._on_peer_abuse, peer),

@@ -139,9 +139,6 @@ class EventManager:
     def _raise(self, publication: EventPublication, value: Any) -> None:
         tracer = self._tracer
         now = self._clock.now()
-        sanitizer = self._host.payload_sanitizer
-        if sanitizer.enabled:
-            value = sanitizer.on_publish("event", publication.name, value)
         publication.raised_events += 1
         self._publishes_counter.inc()
         probes = self._probes

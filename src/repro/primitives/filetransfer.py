@@ -41,6 +41,10 @@ OnRevision = Callable[[int], str]  # new revision -> "restart" | "ignore"
 #: sends what has fallen due, but a long stall is not repaid in full: a
 #: 50 ms hiccup must not dump 250 KiB into a socket buffer.
 _MAX_CATCHUP_CHUNKS = 16
+#: How long the publisher waits for completion ACK/NACKs per round.
+FILE_STATUS_TIMEOUT = 0.05
+#: Retransmission rounds before stragglers are dropped.
+FILE_MAX_ROUNDS = 50
 
 
 @dataclass
@@ -452,7 +456,7 @@ class FileTransferManager:
             for peer in sorted(session.pending):
                 self._host.send_unicast(peer, frame)
         session.timer = self._host.timers.schedule(
-            self._host.config.file_status_timeout, lambda: self._finish_poll(session)
+            FILE_STATUS_TIMEOUT, lambda: self._finish_poll(session)
         )
 
     def _finish_poll(self, session: _Session) -> None:
@@ -462,7 +466,7 @@ class FileTransferManager:
             session.silent_polls = 0
             return  # everyone ACKed — "the subscribers list is empty"
         session.round += 1
-        if session.round > self._host.config.file_max_rounds:
+        if session.round > FILE_MAX_ROUNDS:
             # Stragglers hold the session hostage; drop them and report.
             self.dropped_stragglers += len(session.pending)
             self._host.emergency(

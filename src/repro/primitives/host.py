@@ -12,7 +12,6 @@ from typing import Callable, Protocol
 from repro.container.config import ContainerConfig
 from repro.container.directory import Directory
 from repro.encoding.codec import Codec
-from repro.analysis.sanitizers.payload import PayloadSanitizer
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.probes import ProbeBus
 from repro.observability.recorder import FlightRecorder
@@ -70,11 +69,6 @@ class PrimitiveHost(Protocol):
     @property
     def probes(self) -> ProbeBus:
         """The monitor-probe stream (emit only behind ``probes.enabled``)."""
-        ...
-
-    @property
-    def payload_sanitizer(self) -> PayloadSanitizer:
-        """The payload-aliasing sanitizer (no-op unless enabled)."""
         ...
 
     def submit(self, label: str, fn: Callable[[], None]) -> None:

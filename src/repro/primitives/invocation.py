@@ -43,6 +43,11 @@ OnError = Callable[[Exception], None]
 
 #: Automatic re-routes of a failed call before giving up.
 CALL_MAX_REDIRECTS = 2
+#: A call's window when it passes no ``timeout=``.
+CALL_TIMEOUT = 1.0
+#: How a call picks its provider when it passes no ``binding=``.
+CALL_BINDING = "round_robin"
+CALL_BINDINGS = frozenset(("static", "round_robin", "least_loaded"))
 #: Caller-side args bindings kept per manager; cleared wholesale when full.
 _ARGS_MEMO_MAX = 1024
 #: A result decoder not bound yet (a bound ``None`` means "no result type").
@@ -143,12 +148,10 @@ class InvocationManager:
         self._wakeup = Wakeup(host.clock, host.timers, self._expire_due)
         # Everything a call needs from the host, resolved once: the
         # collaborators are fixed for the container's life (their *state* —
-        # tracer.enabled, probes.enabled, the config's values — is read
-        # live, per call).
+        # tracer.enabled, probes.enabled — is read live, per call).
         self._id = host.id
         self._clock = host.clock
         self._codec = host.codec
-        self._config = host.config
         self._directory = host.directory
         self._tracer = host.tracer
         self._probes = host.probes
@@ -257,15 +260,19 @@ class InvocationManager:
     ) -> CallHandle:
         """Invoke ``function`` wherever it lives. Completion is reported via
         callbacks; the returned handle tracks progress. ``timeout`` (default
-        ``ContainerConfig.call_timeout``) is the window of the first attempt
-        and of every redirect after a timeout."""
-        config = self._config
+        :data:`CALL_TIMEOUT`) is the window of the first attempt and of every
+        redirect after a timeout; ``binding`` (default :data:`CALL_BINDING`)
+        is one of :data:`CALL_BINDINGS`."""
         if timeout is None:
-            timeout = config.call_timeout
+            timeout = CALL_TIMEOUT
+        if binding is None:
+            binding = CALL_BINDING
+        elif binding not in CALL_BINDINGS:
+            raise ConfigurationError(f"unknown call binding {binding!r}")
         now = self._clock.now()
         handle = CallHandle(
             make_uid("call"), function, tuple(args), on_result, on_error,
-            now + timeout, binding or config.call_binding, now, timeout,
+            now + timeout, binding, now, timeout,
         )
         self._calls_counter.inc()
         probes = self._probes

@@ -214,11 +214,6 @@ class VariableManager:
     def _publish(self, publication: VariablePublication, value: Any) -> None:
         tracer = self._tracer
         now = self._clock.now()
-        sanitizer = self._host.payload_sanitizer
-        if sanitizer.enabled:
-            # Aliasing guard: checkpoint the previous sample and (in freeze
-            # mode) swap in a frozen copy for the cache and local delivery.
-            value = sanitizer.on_publish("var", publication.name, value)
         publication.last_value = value
         publication.last_timestamp = now
         publication.published_samples += 1

@@ -5,7 +5,7 @@ The container is the single network choke point for all four primitives
 frame deserves any further work. This module is that decision, three
 mechanisms deep, all sans-io and all **off by default** (the wire and the
 dispatch path stay byte/behavior-identical to the seed until a policy is
-armed, the same bar batching and the sanitizers meet):
+armed, the same bar batching meets):
 
 1. **Token-bucket rate limiting**, per remote source and per (source,
    priority band). A flooding peer exhausts its own buckets and its frames

@@ -34,6 +34,9 @@ _RETRANSMIT = int(FrameFlags.RETRANSMIT)
 _ACK = MessageKind.ACK
 _NACK = MessageKind.NACK
 
+#: Pending seqs that force a coalescing receiver to flush its ACK early.
+ACK_COALESCE_MAX_PENDING = 64
+
 
 @lru_cache(maxsize=256)
 def _ack_layout(count: int) -> struct.Struct:
@@ -484,7 +487,7 @@ class ReliableReceiver:
         ack_source: str = "",
         ack_delay: float = 0.0,
         timers=None,
-        max_pending_acks: int = 64,
+        max_pending_acks: int = ACK_COALESCE_MAX_PENDING,
         clock: Optional[Clock] = None,
         hardening: Optional[ReliabilityHardening] = None,
         on_abuse: Optional[Callable[[str], None]] = None,
@@ -658,6 +661,7 @@ class ReliableReceiver:
 
 
 __all__ = [
+    "ACK_COALESCE_MAX_PENDING",
     "RetransmitPolicy",
     "ReliabilityHardening",
     "ReliableSender",

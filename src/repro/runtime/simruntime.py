@@ -146,18 +146,6 @@ class SimRuntime:
         for container in self.containers.values():
             container.tracer.enabled = True
 
-    def enable_payload_sanitizer(
-        self, mode: str = "checksum", strict: bool = False
-    ) -> None:
-        """Arm the payload-aliasing sanitizer in every (current) container.
-
-        ``checksum`` detects post-publish mutation at the next checkpoint;
-        ``freeze`` makes local subscribers' copies raise at the mutation
-        site. ``strict`` escalates detections to PayloadMutationError.
-        """
-        for container in self.containers.values():
-            container.payload_sanitizer.configure(mode, strict)
-
     def enable_admission(self, policy=None) -> None:
         """Arm ingress admission control in every (current) container.
 
@@ -217,14 +205,6 @@ class SimRuntime:
                 "quarantined": quarantined,
             }
         return report
-
-    def sanitizer_violations(self) -> Dict[str, List[dict]]:
-        """Payload-sanitizer violations per container (empty when clean)."""
-        return {
-            container_id: list(container.payload_sanitizer.violations)
-            for container_id, container in sorted(self.containers.items())
-            if container.payload_sanitizer.violations
-        }
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """One fleet-wide metrics dict: every container's registry merged

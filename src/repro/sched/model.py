@@ -76,7 +76,8 @@ class SimScheduler:
     policy:
         The :class:`SchedulingPolicy` plug-in.
     cpu:
-        The cost model.
+        The cost model, kept as :attr:`cpu` and read live: assigning a new
+        model to a running scheduler prices the next task with it.
     on_error:
         Invoked with ``(label, exception)`` when a task raises; the
         container uses this to mark services as failed instead of letting
@@ -98,7 +99,7 @@ class SimScheduler:
         self._timers = timers
         self._clock = clock
         self._policy = policy
-        self._cpu = cpu or CpuModel()
+        self.cpu = cpu or CpuModel()
         self._priorities = dict(DEFAULT_PRIORITIES if priorities is None else priorities)
         self._on_error = on_error
         self._has_deadlines = isinstance(policy, DeadlinePolicy)
@@ -118,7 +119,7 @@ class SimScheduler:
         # completes at submit time anyway — without a Task allocation or a
         # policy round per delivery. The cost is ``CpuModel.cost_for``'s
         # lookup, read live but without the call.
-        cpu = self._cpu
+        cpu = self.cpu
         if (
             not self._busy
             and not self._ready
@@ -153,7 +154,7 @@ class SimScheduler:
             fn=fn,
             priority=priority,
             enqueued_at=now,
-            cost=self._cpu.cost_for(label),
+            cost=self.cpu.cost_for(label),
             deadline=deadline,
         )
         self._ready.append(task)

@@ -138,7 +138,6 @@ class TestVariableShedding:
             "pub",
             egress_rate_bps=40_000.0,
             egress_queue_limit=4,
-            egress_overflow_policy="drop-oldest",
         )
         sub = runtime.add_container("sub")
         from repro.encoding.types import FLOAT64

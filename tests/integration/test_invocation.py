@@ -133,11 +133,11 @@ class TestErrors:
 
 
 class TestRedundancyAndFailover:
-    def make_redundant(self, binding="round_robin"):
+    def make_redundant(self):
         runtime = SimRuntime(seed=2)
-        s1 = runtime.add_container("s1", call_binding=binding)
-        s2 = runtime.add_container("s2", call_binding=binding)
-        c = runtime.add_container("c", call_binding=binding)
+        s1 = runtime.add_container("s1")
+        s2 = runtime.add_container("s2")
+        c = runtime.add_container("c")
 
         def make_server(tag):
             def setup(s):
@@ -154,7 +154,7 @@ class TestRedundancyAndFailover:
         return runtime, client, s1, s2, c
 
     def test_round_robin_spreads_calls(self):
-        runtime, client, *_ = self.make_redundant("round_robin")
+        runtime, client, *_ = self.make_redundant()
         for _ in range(10):
             client.call_recorded("who.am_i")
         runtime.run_for(2.0)
@@ -176,9 +176,9 @@ class TestRedundancyAndFailover:
         # A provider that never answers, then dies: the call times out and
         # is redirected to the redundant provider.
         runtime = SimRuntime(seed=4)
-        s1 = runtime.add_container("s1", call_timeout=0.5)
-        s2 = runtime.add_container("s2", call_timeout=0.5)
-        c = runtime.add_container("c", call_timeout=0.5)
+        s1 = runtime.add_container("s1")
+        s2 = runtime.add_container("s2")
+        c = runtime.add_container("c")
 
         def slow_setup(s):
             # Provided but wedged: burn virtual time by never completing —
@@ -195,14 +195,15 @@ class TestRedundancyAndFailover:
         settle(runtime)
         injector = FaultInjector(runtime)
         injector.crash_container(0.05, "s1")  # dies right after the call lands
-        client.call_recorded("svc.answer", binding="static")  # force no rerouting
-        client.call_recorded("svc.answer")  # this one may redirect
+        # force no rerouting
+        client.call_recorded("svc.answer", binding="static", timeout=0.5)
+        client.call_recorded("svc.answer", timeout=0.5)  # this one may redirect
         runtime.run_for(10.0)
         # The non-static call eventually succeeded somewhere.
         assert "fast" in client.results or "slow" in client.results
 
     def test_static_binding_sticks(self):
-        runtime, client, s1, s2, c = self.make_redundant("static")
+        runtime, client, s1, s2, c = self.make_redundant()
         client.ctx.bind_static("who.am_i", "s1")
         for _ in range(5):
             client.call_recorded("who.am_i", binding="static")
@@ -210,7 +211,7 @@ class TestRedundancyAndFailover:
         assert set(client.results) == {"one"}
 
     def test_static_binding_does_not_failover(self):
-        runtime, client, s1, s2, c = self.make_redundant("static")
+        runtime, client, s1, s2, c = self.make_redundant()
         client.ctx.bind_static("who.am_i", "s1")
         injector = FaultInjector(runtime)
         injector.crash_container(0.0, "s1")
@@ -221,7 +222,7 @@ class TestRedundancyAndFailover:
         assert len(client.errors) == 1
 
     def test_least_loaded_prefers_idle_provider(self):
-        runtime, client, s1, s2, c = self.make_redundant("least_loaded")
+        runtime, client, s1, s2, c = self.make_redundant()
         # Pile synthetic load onto s1's scheduler.
         rec = runtime.container("s1")
         for _ in range(50):

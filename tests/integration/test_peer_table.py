@@ -41,7 +41,7 @@ from repro.simnet.addressing import Address
 
 FAST_PLANE = dict(
     codec="compiled", batching_enabled=True,
-    ack_coalesce_delay=0.002, ack_coalesce_max_pending=64,
+    ack_coalesce_delay=0.002,
 )
 FORGED = 100_000
 WARM = 10_000

@@ -42,7 +42,7 @@ from repro.util.wakeup import Wakeup
 #: The suite's one configuration (benchmarks/suite/conditions.py FAST_PLANE).
 FAST_PLANE = dict(
     codec="compiled", batching_enabled=True,
-    ack_coalesce_delay=0.002, ack_coalesce_max_pending=64,
+    ack_coalesce_delay=0.002,
 )
 SUBSCRIBERS = 4
 BURST = 1000

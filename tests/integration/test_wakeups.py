@@ -20,7 +20,7 @@ from repro.util.ids import reset_uid_counter
 
 COALESCED = dict(
     codec="compiled", batching_enabled=True,
-    ack_coalesce_delay=0.002, ack_coalesce_max_pending=64,
+    ack_coalesce_delay=0.002,
 )
 
 #: (packets, sha256 over source>destination@sent/delivered:payload with the
@@ -54,7 +54,7 @@ def test_lossy_fanout_with_a_redirected_call_matches_the_recorded_trace():
     runtime = SimRuntime(seed=11, default_link=LinkModel(loss=0.15, bandwidth_bps=0))
     trace = runtime.network.enable_trace()
     pub = ProbeService("pub", lambda s: setattr(s, "evt", s.ctx.provide_event("mark", INT64)))
-    a = runtime.add_container("a", call_timeout=0.4, **COALESCED)
+    a = runtime.add_container("a", **COALESCED)
     a.install_service(pub)
     subs = [ProbeService("sub", lambda s: s.watch_event("mark")) for _ in range(2)]
     for name, sub in zip(("b", "c"), subs):
@@ -69,7 +69,7 @@ def test_lossy_fanout_with_a_redirected_call_matches_the_recorded_trace():
         0.0007, lambda: (pub.evt.raise_event(len(raised)), raised.append(None))
     )
     runtime.run_for(0.25)
-    call = pub.call_recorded("inc", (1,))
+    call = pub.call_recorded("inc", (1,), timeout=0.4)
     FaultInjector(runtime).crash_container(0.0, call.provider)
     runtime.run_for(1.5)
     burst.cancel()

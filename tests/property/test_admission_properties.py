@@ -11,7 +11,7 @@ reliability paths behind it) are built on:
   and the reliability hardening may carry any knob values whatsoever and
   the wire traffic of a seeded run stays packet-for-packet identical to a
   default-config run — the seed-parity guarantee (same bar the batching
-  and sanitizer stages meet).
+  stage meets).
 - **Token buckets and quarantine behave as specified** for arbitrary
   schedules: conservation bounds, no negative tokens, decay forgiveness.
 """

@@ -262,8 +262,10 @@ class TestCheckerOnRealTree:
 
 class TestImportBoundary:
     def test_a_running_container_does_not_load_the_linter(self):
-        # The container imports the payload sanitizer from this package;
-        # that must not drag the checker into every middleware process.
+        # No runtime module imports repro.analysis: a middleware process
+        # loads neither the checker nor anything else from the package.
+        # Fails at the parent, whose container imported the payload
+        # sanitizer from it.
         script = (
             "import sys\n"
             "from repro import SimRuntime\n"
@@ -272,9 +274,7 @@ class TestImportBoundary:
             "runtime.start()\n"
             "runtime.run_for(1.0)\n"
             "runtime.stop()\n"
-            "assert 'repro.analysis.sanitizers.payload' in sys.modules\n"
-            "loaded = [m for m in ('repro.analysis.engine', 'repro.analysis.rules')"
-            " if m in sys.modules]\n"
+            "loaded = [m for m in sys.modules if m.split('.')[:2] == ['repro', 'analysis']]\n"
             "assert not loaded, loaded\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))

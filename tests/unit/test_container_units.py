@@ -142,17 +142,42 @@ class TestConfig:
         assert config.codec == "binary"
         assert config.event_mapping == "udp_ack"
 
+    def test_defaults_ignore_the_environment(self, monkeypatch):
+        """Fails at the parent, whose defaults read these variables."""
+        armed = {
+            "REPRO_RELIABILITY_HARDENING": "1",
+            "REPRO_ADMISSION": "1",
+            "REPRO_PAYLOAD_SANITIZER": "checksum",
+            "REPRO_VERIFY": "standard",
+        }
+        for name in armed:
+            monkeypatch.delenv(name, raising=False)
+        clean = ContainerConfig("a", "n")
+        for name, value in armed.items():
+            monkeypatch.setenv(name, value)
+        config = ContainerConfig("a", "n")
+        assert config == clean
+        assert not config.admission.enabled
+        assert not config.reliability_hardening.enabled
+        assert config.verification == "off"
+
     def test_bad_event_mapping(self):
         with pytest.raises(ConfigurationError):
             self.base(event_mapping="sctp")
 
-    def test_bad_binding(self):
-        with pytest.raises(ConfigurationError):
-            self.base(call_binding="random")
-
     def test_heartbeat_must_beat_liveness(self):
         with pytest.raises(ConfigurationError):
             self.base(heartbeat_interval=2.0, liveness_timeout=1.0)
+
+    @pytest.mark.parametrize(
+        "name", ["announce_interval", "heartbeat_interval", "housekeeping_interval"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_periodic_intervals_must_be_positive(self, name, value):
+        """Fails at the parent: a zero period rescheduled itself at the same
+        instant forever, a negative one failed only at ``start()``."""
+        with pytest.raises(ConfigurationError, match=name):
+            self.base(**{name: value})
 
     def test_chunk_size_positive(self):
         with pytest.raises(ConfigurationError):

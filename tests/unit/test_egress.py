@@ -113,7 +113,7 @@ class TestEndToEnd:
         assert sub.events_of("shaped.evt") == ["through the shaper"]
 
 
-def make_bounded_shaper(policy="drop-oldest", limit=2, policies=None, **kwargs):
+def make_bounded_shaper(limit=2):
     from repro.observability.metrics import MetricsRegistry
 
     sim = Simulator()
@@ -127,11 +127,8 @@ def make_bounded_shaper(policy="drop-oldest", limit=2, policies=None, **kwargs):
         rate_bps=8000,  # slow: queues form immediately after the burst
         burst_bytes=600,
         queue_limit=limit,
-        overflow_policy=policy,
-        overflow_policies=policies,
-        on_overflow=lambda dest, band, pol, f: overflowed.append((dest, band, pol, f)),
+        on_overflow=lambda dest, band, f: overflowed.append((dest, band, f)),
         metrics=metrics,
-        **kwargs,
     )
     return sim, shaper, sent, overflowed, metrics
 
@@ -141,20 +138,20 @@ class TestBoundedQueues:
         return [f.payload for _, f in sent]
 
     def test_drop_oldest_keeps_newest(self):
-        sim, shaper, sent, overflowed, metrics = make_bounded_shaper("drop-oldest")
+        sim, shaper, sent, overflowed, metrics = make_bounded_shaper()
         # First frame leaves on burst tokens; queue admits 2; two oldest shed.
         for _ in range(5):
             shaper.send("dest", frame(MessageKind.FILE_CHUNK, 430))
         sim.run()
         assert shaper.dropped_frames == 2
-        assert [pol for _, _, pol, _ in overflowed] == ["drop-oldest"] * 2
+        assert [(dest, band) for dest, band, _ in overflowed] == [("dest", 4)] * 2
         assert len(sent) == 3
         assert metrics.counter_value(
             "egress_overflow", band="4", policy="drop-oldest", kind="FILE_CHUNK"
         ) == 2
 
     def test_drop_oldest_delivers_the_newest_frames(self):
-        sim, shaper, sent, overflowed, _ = make_bounded_shaper("drop-oldest")
+        sim, shaper, sent, overflowed, _ = make_bounded_shaper()
         frames = [Frame(kind=MessageKind.FILE_CHUNK, source="c", payload=bytes([i]) * 430)
                   for i in range(5)]
         for f in frames:
@@ -163,38 +160,8 @@ class TestBoundedQueues:
         # Burst sends frame 0 inline; the bounded queue kept the 2 newest.
         assert [f.payload[0] for _, f in sent] == [0, 3, 4]
 
-    def test_drop_newest_refuses_fresh_frames(self):
-        sim, shaper, sent, overflowed, _ = make_bounded_shaper("drop-newest")
-        frames = [Frame(kind=MessageKind.FILE_CHUNK, source="c", payload=bytes([i]) * 430)
-                  for i in range(5)]
-        for f in frames:
-            shaper.send("dest", f)
-        sim.run()
-        assert shaper.dropped_frames == 2
-        assert [f.payload[0] for _, f in sent] == [0, 1, 2]
-
-    def test_block_policy_signals_backpressure(self):
-        sim, shaper, sent, overflowed, metrics = make_bounded_shaper("block")
-        for _ in range(5):
-            shaper.send("dest", frame(MessageKind.FILE_CHUNK, 430))
-        sim.run()
-        assert shaper.blocked_frames == 2
-        assert shaper.dropped_frames == 0
-        assert [pol for _, _, pol, _ in overflowed] == ["block"] * 2
-        assert len(sent) == 3
-
-    def test_per_band_policy_override(self):
-        # Bulk band drops oldest, variable band blocks.
-        sim, shaper, sent, overflowed, _ = make_bounded_shaper(
-            "drop-oldest", policies={2: "block"}
-        )
-        for _ in range(5):
-            shaper.send("dest", frame(MessageKind.VAR_SAMPLE, 430))
-        sim.run()
-        assert shaper.blocked_frames == 2
-
     def test_queues_are_bounded_per_destination(self):
-        sim, shaper, sent, overflowed, _ = make_bounded_shaper("drop-oldest", limit=2)
+        sim, shaper, sent, overflowed, _ = make_bounded_shaper(limit=2)
         for _ in range(3):
             shaper.send("dest-a", frame(MessageKind.FILE_CHUNK, 430))
         for _ in range(2):
@@ -214,16 +181,6 @@ class TestBoundedQueues:
             shaper.send("dest", frame(MessageKind.FILE_CHUNK, 430))
         assert shaper.dropped_frames == 0
         assert shaper.queued == 49
-
-    def test_bad_policy_rejected(self):
-        from repro.util.errors import ConfigurationError
-
-        sim = Simulator()
-        with pytest.raises(ConfigurationError):
-            EgressShaper(
-                clock=sim, timers=sim, send=lambda d, f: None,
-                overflow_policy="drop-random",
-            )
 
 
 class TestBatchingStage:

@@ -7,7 +7,6 @@ dropping, provision withdrawal, offers formatting.
 
 import pytest
 
-from repro.analysis.sanitizers.payload import PayloadSanitizer
 from repro.container.config import ContainerConfig
 from repro.container.directory import Directory
 from repro.encoding.binary import BinaryCodec
@@ -16,7 +15,7 @@ from repro.observability import FlightRecorder, MetricsRegistry, ProbeBus, Trace
 from repro.primitives import wire
 from repro.primitives.events import EventManager
 from repro.primitives.filetransfer import FileTransferManager
-from repro.primitives.invocation import InvocationManager
+from repro.primitives.invocation import CALL_TIMEOUT, InvocationManager
 from repro.primitives.variables import VariableManager
 from repro.protocol.frames import Frame, MessageKind
 from repro.sched import CpuModel, SimScheduler, make_policy
@@ -39,7 +38,6 @@ class FakeHost:
         self.probes = ProbeBus(container_id, self.sim)
         self.metrics = MetricsRegistry()
         self.recorder = FlightRecorder(self.sim)
-        self.payload_sanitizer = PayloadSanitizer()
         self.unicasts = []  # (peer, frame)
         self.reliables = []  # (peer, kind, payload)
         self.tcp_payloads = []
@@ -295,6 +293,17 @@ class TestInvocationManagerUnits:
         assert isinstance(errors[0], NameResolutionError)
         assert host.emergencies
 
+    def test_misspelt_binding_rejected(self):
+        """Fails at the parent, where an unknown per-call binding silently
+        took the round-robin branch."""
+        host = FakeHost()
+        self.make_remote_offer(host)
+        mgr = InvocationManager(host)
+        with pytest.raises(ConfigurationError):
+            mgr.call("f", (1,), binding="least-loaded")
+        assert host.reliables == [] and mgr.pending_calls() == []
+        assert mgr.call("f", (1,), binding="least_loaded").binding == "least_loaded"
+
     def test_request_payload_shape(self):
         host = FakeHost()
         self.make_remote_offer(host)
@@ -388,12 +397,12 @@ class TestInvocationManagerUnits:
         assert len(made) == 7
 
     def test_a_calls_own_timeout_governs_every_redirect_window(self):
-        """``timeout=0.05`` under the default 1 s ``call_timeout``: the call
+        """``timeout=0.05`` under the default 1 s ``CALL_TIMEOUT``: the call
         is re-issued 0.05 s after each attempt and fails 0.15 s after it
         was made. Fails at the parent, which gave each redirect the
         container's 1 s (re-issued at 0.05 and 1.05, failed at 2.05)."""
         host = FakeHost()
-        assert host.config.call_timeout == 1.0
+        assert CALL_TIMEOUT == 1.0
         self.make_remote_offer(host)
         mgr = InvocationManager(host)
         requests, errors = [], []
@@ -406,8 +415,8 @@ class TestInvocationManagerUnits:
         assert requests == pytest.approx([0.0, 0.05, 0.10])
         assert errors == pytest.approx([0.15])
         assert handle.redirects == 2 and "redirect limit reached" in str(handle.error)
-        # Without ``timeout=`` the container's default is the call's window.
-        assert mgr.call("f", (1,)).timeout == host.config.call_timeout
+        # Without ``timeout=`` the module default is the call's window.
+        assert mgr.call("f", (1,)).timeout == CALL_TIMEOUT
 
     def test_completed_calls_leave_the_wakeup_alone(self):
         """Fails at the parent: a timer per call, cancelled on completion."""
@@ -527,8 +536,7 @@ class TestFileManagerUnits:
     def test_straggler_dropped_after_max_rounds(self):
         host = FakeHost()
         host.config = ContainerConfig(
-            container_id="local", node="n", file_max_rounds=2,
-            file_chunk_interval=0.0, file_status_timeout=0.01,
+            container_id="local", node="n", file_chunk_interval=0.0,
         )
         mgr = FileTransferManager(host)
         mgr.publish("res", b"x" * 100)
@@ -566,7 +574,7 @@ class TestFileManagerUnits:
         host = FakeHost()
         host.config = ContainerConfig(
             container_id="local", node="n",
-            file_chunk_size=10, file_chunk_interval=0.0, file_status_timeout=0.01,
+            file_chunk_size=10, file_chunk_interval=0.0,
         )
         mgr = FileTransferManager(host)
         mgr.publish("res", b"0123456789" * 5)  # 5 chunks

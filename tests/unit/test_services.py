@@ -155,10 +155,9 @@ class TestStorageService:
 
     def test_storage_quota_respected(self):
         runtime = SimRuntime(seed=1)
-        from repro.container.resources import ResourceLimits
-
         node = runtime.add_container("node")
-        node.resources._limits = ResourceLimits(storage_bytes=10)
+        # Leave 10 bytes of the node's default budget free.
+        node.resources.allocate_storage("filler", node.resources.storage_free - 10)
         storage = StorageService()
         probe = ProbeService("probe")
         node.install_service(storage)
