@@ -15,14 +15,12 @@ from exphelpers import print_table, run_benchmark
 
 from repro import SimRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
-from repro.services import (
-    CameraService,
-    GpsService,
-    GroundStationService,
-    MissionControlService,
-    StorageService,
-    VideoProcessingService,
-)
+from repro.services.camera import CameraService
+from repro.services.gps import GpsService
+from repro.services.ground import GroundStationService
+from repro.services.mission import MissionControlService
+from repro.services.storage import StorageService
+from repro.services.videoproc import VideoProcessingService
 
 
 def run_mission(seed: int = 7):

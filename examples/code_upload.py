@@ -12,8 +12,8 @@ Run:  python examples/code_upload.py
 """
 
 from repro import SimRuntime
-from repro.services import DeploymentService, Service
-from repro.services.deploy import deployment_resource
+from repro.services import Service
+from repro.services.deploy import DeploymentService, deployment_resource
 
 SPECTROMETER_V1 = b'''
 from repro.services import Service

@@ -13,7 +13,7 @@ Run:  python examples/flightgear_telemetry.py
 
 from repro import SimRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
-from repro.services import GpsService
+from repro.services.gps import GpsService
 from repro.telemetry import InMemoryTelemetrySink, TelemetryService
 from repro.telemetry.generic import FLIGHTGEAR_POSITION_PROTOCOL
 

@@ -14,7 +14,8 @@ import time
 
 from repro import AsyncRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
-from repro.services import GpsService, GroundStationService
+from repro.services.gps import GpsService
+from repro.services.ground import GroundStationService
 
 FAST_DISCOVERY = dict(
     announce_interval=0.2,

@@ -21,7 +21,7 @@ from repro.encoding.schema import parse_type
 from repro.encoding.types import BOOL, FLOAT64
 from repro.flight import FlightPlan, GeoPoint, KinematicUav, Waypoint, destination_point
 from repro.imaging import decode_pgm, detect_features, encode_pgm, generate_image
-from repro.services import GpsService
+from repro.services.gps import GpsService
 
 HOTSPOT = parse_type(
     "struct Hotspot { uint32 frame; uint32 count; float64 score; }"

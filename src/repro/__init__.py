@@ -10,7 +10,8 @@ and multicast file transmission — over a pluggable PEPt stack
 Quickstart::
 
     from repro import SimRuntime
-    from repro.services import GpsService, GroundStationService
+    from repro.services.gps import GpsService
+    from repro.services.ground import GroundStationService
     from repro.flight import survey_plan, KinematicUav, GeoPoint
 
     runtime = SimRuntime(seed=7)
@@ -24,7 +25,7 @@ Quickstart::
 """
 
 from repro.container import ContainerConfig, RestartPolicy, ServiceContainer
-from repro.runtime import AsyncRuntime, SimRuntime
+from repro.runtime import AsyncRuntime
 from repro.services import Service, ServiceContext
 from repro.util.errors import (
     ConfigurationError,
@@ -39,6 +40,16 @@ from repro.util.errors import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # Lazy: the simulation runtime loads the simulator, which a deployment never runs.
+    if name == "SimRuntime":
+        from repro.runtime.simruntime import SimRuntime
+
+        return SimRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SimRuntime",

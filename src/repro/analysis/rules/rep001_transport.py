@@ -24,7 +24,8 @@ BANNED_MODULES: Tuple[str, ...] = (
     # Listed separately: prefix matching is on dotted boundaries, so
     # "repro.transport.udp" does not cover its sibling module.
     "repro.transport.udp_async",
-    "repro.simnet.network",
+    # The simulator as a whole: addressing lives in repro.transport.addressing.
+    "repro.simnet",
 )
 
 #: Path prefixes (relative to the scan root) the rule polices.

@@ -42,7 +42,7 @@ from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import Peer
 from repro.sched.model import SimScheduler
 from repro.sched.policies import FixedPriorityPolicy
-from repro.simnet.addressing import BACKBONE_GROUP, Address, GroupName
+from repro.transport.addressing import BACKBONE_GROUP, Address, GroupName
 from repro.transport.frame_transport import FrameTransport
 from repro.util.clock import Clock
 from repro.util.errors import (

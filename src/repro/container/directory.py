@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.container.gossip import decode_summary_members
 from repro.container.records import ContainerRecord
 from repro.protocol.peers import Peer, Peers
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.util.clock import Clock
 
 ContainerCallback = Callable[[ContainerRecord], None]

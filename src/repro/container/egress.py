@@ -37,7 +37,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.observability.metrics import Gauge
 from repro.protocol.batching import BATCH_MTU_BYTES, FrameBatcher, PiggybackFn
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.packet import WIRE_OVERHEAD_BYTES, Destination
+from repro.transport.addressing import WIRE_OVERHEAD_BYTES, Destination
 from repro.util.clock import Clock
 from repro.util.errors import ConfigurationError
 

@@ -12,7 +12,7 @@ default** so the seed behavior (and its packet traces) are untouched:
   keeps convergence fast while per-container control traffic stays bounded
   by fanout, not fleet size.
 - **Hierarchical federation** (``zone``): containers join a per-zone
-  control group (:func:`repro.simnet.addressing.zone_control_group`), so
+  control group (:func:`repro.transport.addressing.zone_control_group`), so
   raw announce/heartbeat traffic stays inside the zone. Containers with
   role ``relay`` or ``ground`` additionally join the backbone group and
   periodically publish :data:`~repro.protocol.frames.MessageKind.ZONE_SUMMARY`
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.simnet.addressing import CONTROL_GROUP, GroupName, zone_control_group
+from repro.transport.addressing import CONTROL_GROUP, GroupName, zone_control_group
 from repro.util.errors import ConfigurationError
 
 #: Roles a fleet container can take. ``uav`` is a plain zone member;

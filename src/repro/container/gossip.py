@@ -47,7 +47,7 @@ from repro.encoding.types import (
     VectorType,
 )
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import BACKBONE_GROUP, zone_control_group
+from repro.transport.addressing import BACKBONE_GROUP, zone_control_group
 from repro.util.errors import ProtocolError
 from repro.util.rng import SeededRng
 
@@ -115,7 +115,12 @@ def encode_zone_summary(doc: dict) -> bytes:
 
 
 def decode_zone_summary(payload: bytes) -> dict:
-    return _CODEC.decode(ZONE_SUMMARY_SCHEMA, payload)
+    document = _CODEC.decode(ZONE_SUMMARY_SCHEMA, payload)
+    for member in document["members"]:
+        # An alive member becomes an Address (Directory.summary_address_of).
+        if member["alive"] and not member["node"]:
+            raise ProtocolError(f"summary member {member['container']!r} names an empty node id")
+    return document
 
 
 def peek_zone_summary(payload: bytes) -> Tuple[str, str, int, int]:

@@ -19,7 +19,8 @@ from repro.encoding.types import (
     StructType,
     VectorType,
 )
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
+from repro.util.errors import ProtocolError
 
 # Control-plane frames use the compiled binary codec: same bytes as the
 # reference BinaryCodec, from flat precompiled pack/unpack plans.
@@ -102,8 +103,15 @@ def encode_announce(doc: dict) -> bytes:
     return _CODEC.encode(ANNOUNCE_SCHEMA, doc)
 
 
+def _with_node(doc: dict) -> dict:
+    # The node id becomes an Address: an empty one is a malformed frame.
+    if not doc["node"]:
+        raise ProtocolError(f"container {doc['container']!r} names an empty node id")
+    return doc
+
+
 def decode_announce(payload: bytes) -> dict:
-    return _CODEC.decode(ANNOUNCE_SCHEMA, payload)
+    return _with_node(_CODEC.decode(ANNOUNCE_SCHEMA, payload))
 
 
 def encode_heartbeat(doc: dict) -> bytes:
@@ -111,7 +119,7 @@ def encode_heartbeat(doc: dict) -> bytes:
 
 
 def decode_heartbeat(payload: bytes) -> dict:
-    return _CODEC.decode(HEARTBEAT_SCHEMA, payload)
+    return _with_node(_CODEC.decode(HEARTBEAT_SCHEMA, payload))
 
 
 def encode_bye(container: str) -> bytes:

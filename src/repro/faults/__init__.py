@@ -1,6 +1,6 @@
 """Fault injection for the failover experiments (E7) and chaos campaigns.
 
-Scripted faults against a :class:`~repro.runtime.SimRuntime`: service
+Scripted faults against a :class:`~repro.runtime.simruntime.SimRuntime`: service
 crashes, whole-container/node crashes and link-quality changes, scheduled
 in virtual time (:class:`FaultInjector`); seeded randomized campaigns
 composing them (:class:`ChaosCampaign`), with the §3 contracts validated

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.container.config import CONTAINER_PORT
 from repro.container.records import encode_announce, encode_heartbeat
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.reliability import encode_nack
 from repro.runtime.simruntime import SimRuntime
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.transport.sim import SimTransport
 from repro.util.rng import SeededRng
 

@@ -154,14 +154,12 @@ def build_mission(runtime, spec: MissionSpec):
     Mission Control, Camera, Storage, Video Processing and Ground Station,
     configured from the spec. Returns a dict of the service instances.
     """
-    from repro.services import (
-        CameraService,
-        GpsService,
-        GroundStationService,
-        MissionControlService,
-        StorageService,
-        VideoProcessingService,
-    )
+    from repro.services.camera import CameraService
+    from repro.services.gps import GpsService
+    from repro.services.ground import GroundStationService
+    from repro.services.mission import MissionControlService
+    from repro.services.storage import StorageService
+    from repro.services.videoproc import VideoProcessingService
 
     fcs = runtime.add_container("fcs")
     payload = runtime.add_container("payload")

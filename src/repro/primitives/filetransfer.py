@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import file_group
+from repro.transport.addressing import CONTROL_GROUP, file_group
 from repro.util.errors import ConfigurationError
 
 OnComplete = Callable[[bytes, int], None]  # (data, revision)
@@ -370,8 +370,6 @@ class FileTransferManager:
 
     # -- publisher transfer machinery -------------------------------------------
     def _broadcast_announce(self, resource: FileResource) -> None:
-        from repro.simnet.addressing import CONTROL_GROUP
-
         payload = wire.encode(
             wire.FILE_ANNOUNCE_SCHEMA, resource.announce_doc(), trace=resource.trace
         )

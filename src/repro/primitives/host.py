@@ -17,7 +17,7 @@ from repro.observability.probes import ProbeBus
 from repro.observability.recorder import FlightRecorder
 from repro.observability.trace import Tracer
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import GroupName
+from repro.transport.addressing import GroupName
 from repro.util.clock import Clock
 
 

@@ -29,7 +29,7 @@ from repro.encoding.types import DataType
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import GroupName, variable_group
+from repro.transport.addressing import GroupName, variable_group
 from repro.util.errors import ConfigurationError
 
 OnSample = Callable[[Any, float], None]  # (value, publisher timestamp)

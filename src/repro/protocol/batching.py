@@ -1,10 +1,10 @@
 """Datagram batching — amortizing per-packet overhead on the data plane.
 
 The simulated medium (like the real stacks it stands in for) charges a
-fixed per-datagram header cost (:data:`~repro.simnet.packet.WIRE_OVERHEAD_BYTES`),
+fixed per-datagram header cost (:data:`~repro.transport.addressing.WIRE_OVERHEAD_BYTES`),
 so fan-out workloads that emit many small frames pay that cost linearly.
 This module packs multiple small frames destined for the *same*
-:class:`~repro.simnet.packet.Destination` into one ``BATCH`` datagram, up
+:class:`~repro.transport.addressing.Destination` into one ``BATCH`` datagram, up
 to a configurable MTU budget. By default nothing waits for companions: what
 one turn of the serialization domain produced leaves at the end of that
 turn, so batching emerges under load and an idle link adds no delay. A
@@ -43,7 +43,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.packet import Destination
+from repro.transport.addressing import Destination
 from repro.util.clock import Clock
 from repro.util.errors import EncodingError, ProtocolError
 

@@ -14,13 +14,16 @@ from repro.container.container import ServiceContainer
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Span, build_span_tree
 from repro.sim.kernel import Simulator
-from repro.simnet.addressing import BACKBONE_ZONE
 from repro.simnet.models import LinkModel
 from repro.simnet.network import SimNetwork
 from repro.transport.frame_transport import FrameTransport
 from repro.transport.sim import SimTransport
 from repro.util.errors import ConfigurationError
 from repro.util.rng import SeededRng
+
+#: Network-model zone shared by every backbone member (relays bridge it
+#: with their own zone; see ``SimNetwork.add_node_to_zone``).
+BACKBONE_ZONE = "backbone"
 
 
 class SimRuntime:

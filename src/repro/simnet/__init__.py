@@ -7,15 +7,12 @@ fault injection, and wire-level statistics used by the bandwidth experiments
 (E3, E4 in DESIGN.md).
 """
 
-from repro.simnet.addressing import Address, GroupName
 from repro.simnet.models import LinkModel
 from repro.simnet.network import SimNetwork, SimNic
 from repro.simnet.packet import Packet
 from repro.simnet.stats import NetworkStats
 
 __all__ = [
-    "Address",
-    "GroupName",
     "LinkModel",
     "SimNetwork",
     "SimNic",

@@ -25,10 +25,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulator
-from repro.simnet.addressing import Address, GroupName
 from repro.simnet.models import LinkModel
 from repro.simnet.packet import Packet
 from repro.simnet.stats import NetworkStats
+from repro.transport.addressing import Address, GroupName
 from repro.util.errors import TransportError
 from repro.util.rng import SeededRng
 

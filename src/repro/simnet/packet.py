@@ -3,15 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
-from repro.simnet.addressing import Address, GroupName
-
-Destination = Union[Address, GroupName]
-
-# Fixed per-packet overhead charged by the simulated medium, standing in for
-# Ethernet + IP + UDP headers (14 + 20 + 8 bytes, rounded).
-WIRE_OVERHEAD_BYTES = 42
+from repro.transport.addressing import WIRE_OVERHEAD_BYTES, Address, Destination, GroupName
 
 
 @dataclass
@@ -39,4 +32,4 @@ class Packet:
         return isinstance(self.destination, GroupName)
 
 
-__all__ = ["Packet", "Destination", "WIRE_OVERHEAD_BYTES"]
+__all__ = ["Packet"]

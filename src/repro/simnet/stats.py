@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.simnet.packet import WIRE_OVERHEAD_BYTES
+from repro.transport.addressing import WIRE_OVERHEAD_BYTES
 
 
 @dataclass

@@ -9,6 +9,7 @@ types (§3, "Network management and abstraction").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 
 @dataclass(frozen=True, order=True)
@@ -44,15 +45,17 @@ class GroupName(str):
         return super().__new__(cls, value)
 
 
+Destination = Union[Address, GroupName]
+
+# Fixed per-datagram overhead charged on the wire, standing in for
+# Ethernet + IP + UDP headers (14 + 20 + 8 bytes, rounded).
+WIRE_OVERHEAD_BYTES = 42
+
 CONTROL_GROUP = GroupName("mcast.control")
 
 #: Backbone group joined by relay and ground-station containers in a
 #: federated fleet; zone summaries travel here (never raw zone traffic).
 BACKBONE_GROUP = GroupName("mcast.control.backbone")
-
-#: Network-model zone shared by every backbone member (relays bridge it
-#: with their own zone; see ``SimNetwork.add_node_to_zone``).
-BACKBONE_ZONE = "backbone"
 
 
 def zone_control_group(zone: str) -> GroupName:
@@ -74,9 +77,10 @@ def file_group(resource_name: str) -> GroupName:
 __all__ = [
     "Address",
     "GroupName",
+    "Destination",
+    "WIRE_OVERHEAD_BYTES",
     "CONTROL_GROUP",
     "BACKBONE_GROUP",
-    "BACKBONE_ZONE",
     "variable_group",
     "file_group",
     "zone_control_group",

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.simnet.addressing import Address, GroupName
-from repro.simnet.packet import Destination
+from repro.transport.addressing import Address, Destination, GroupName
 
 #: Callback invoked with (payload, source_address) for every datagram.
 RawReceiver = Callable[[bytes, Address], None]

@@ -13,8 +13,7 @@ from typing import Callable, Optional
 from repro.protocol.batching import decode_batch_payload
 from repro.protocol.fragmentation import Fragmenter, Reassembler
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import Address
-from repro.simnet.packet import Destination
+from repro.transport.addressing import Address, Destination
 from repro.transport.base import RawTransport
 from repro.util.clock import Clock
 from repro.util.errors import EncodingError, ProtocolError

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.simnet.addressing import Address, GroupName
 from repro.simnet.network import SimNetwork
-from repro.simnet.packet import Destination, Packet
+from repro.simnet.packet import Packet
+from repro.transport.addressing import Address, Destination, GroupName
 from repro.transport.base import RawReceiver
 from repro.util.errors import TransportError
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Set, Tuple
 
-from repro.simnet.addressing import GroupName
+from repro.transport.addressing import GroupName
 
 #: Loopback-safe datagram size.
 UDP_MTU = 8192

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import socket
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
-from repro.simnet.addressing import Address, GroupName
-from repro.simnet.packet import Destination
+from repro.transport.addressing import Address, Destination, GroupName
 from repro.transport.base import RawReceiver
 from repro.transport.udp import UDP_MTU, UdpNetwork
 from repro.util.errors import TransportError

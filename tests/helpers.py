@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any, Callable, List, Optional
 
 from repro import Service, SimRuntime
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 
 class ProbeService(Service):
@@ -73,3 +80,35 @@ def two_containers(seed: int = 1, link=None, **config_overrides):
 def settle(runtime: SimRuntime, duration: float = 3.0) -> None:
     runtime.start()
     runtime.run_for(duration)
+
+
+#: A deployment in miniature: one ``AsyncRuntime`` container hosting one
+#: bare ``Service`` over real UDP sockets, started, run for 0.3 s and
+#: stopped. It then prints the ``repro`` modules it loaded, as JSON, and
+#: checks that the lazy ``repro.SimRuntime`` export still resolves.
+DEPLOYMENT_SCENARIO = """
+import json, sys
+from repro import AsyncRuntime, Service
+runtime = AsyncRuntime()
+runtime.add_container("node").install_service(Service("bare"))
+runtime.start()
+try:
+    runtime.run_for(0.3)
+finally:
+    runtime.stop()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+from repro import SimRuntime
+"""
+
+
+def deployment_closure() -> List[str]:
+    """The ``repro`` modules a deployment loads: :data:`DEPLOYMENT_SCENARIO`
+    run in a fresh interpreter, so nothing this process imported counts."""
+    result = subprocess.run(
+        [sys.executable, "-c", DEPLOYMENT_SCENARIO],
+        env=dict(os.environ, PYTHONPATH=str(SRC_ROOT)),
+        capture_output=True, text=True, timeout=120,
+    )
+    if result.returncode != 0:
+        raise RuntimeError(f"deployment scenario failed:\n{result.stderr}")
+    return json.loads(result.stdout)

@@ -23,7 +23,7 @@ from repro import SimRuntime
 from repro.container.fleet import FleetConfig
 from repro.encoding.types import FLOAT64, StructType
 from repro.faults import ChaosCampaign, ChaosProfile, InvariantChecker
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.util.ids import reset_uid_counter
 
 SCHEMA = StructType("Telemetry", [("x", FLOAT64)])

@@ -87,14 +87,12 @@ class TestHeterogeneousTopology:
 
     def test_mission_works_with_ground_behind_radio(self):
         from repro.flight import GeoPoint, KinematicUav, survey_plan
-        from repro.services import (
-            CameraService,
-            GpsService,
-            GroundStationService,
-            MissionControlService,
-            StorageService,
-            VideoProcessingService,
-        )
+        from repro.services.camera import CameraService
+        from repro.services.gps import GpsService
+        from repro.services.ground import GroundStationService
+        from repro.services.mission import MissionControlService
+        from repro.services.storage import StorageService
+        from repro.services.videoproc import VideoProcessingService
 
         runtime, fcs, payload, ground = make_topology()
         plan = survey_plan(GeoPoint(41.275, 1.985), rows=1, row_length_m=500,

@@ -17,14 +17,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from repro import SimRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
 from repro.imaging import decode_pgm
-from repro.services import (
-    CameraService,
-    GpsService,
-    GroundStationService,
-    MissionControlService,
-    StorageService,
-    VideoProcessingService,
-)
+from repro.services.camera import CameraService
+from repro.services.gps import GpsService
+from repro.services.ground import GroundStationService
+from repro.services.mission import MissionControlService
+from repro.services.storage import StorageService
+from repro.services.videoproc import VideoProcessingService
 from repro.services.names import photo_resource
 
 

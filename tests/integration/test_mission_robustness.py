@@ -13,13 +13,11 @@ from repro.encoding.types import STRING
 from repro.faults import FaultInjector
 from repro.flight import FlightPlan, GeoPoint, KinematicUav, Waypoint, WaypointAction
 from repro.flight.geodesy import destination_point
-from repro.services import (
-    CameraService,
-    GpsService,
-    MissionControlService,
-    StorageService,
-    VideoProcessingService,
-)
+from repro.services.camera import CameraService
+from repro.services.gps import GpsService
+from repro.services.mission import MissionControlService
+from repro.services.storage import StorageService
+from repro.services.videoproc import VideoProcessingService
 
 
 def plan_with_photo_at_start():

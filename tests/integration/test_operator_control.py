@@ -11,18 +11,16 @@ from helpers import ProbeService
 
 from repro import SimRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
-from repro.services import (
-    CameraService,
-    GpsService,
-    MissionControlService,
-    StorageService,
-    VideoProcessingService,
-)
+from repro.services.camera import CameraService
+from repro.services.gps import GpsService
 from repro.services.mission import (
     FN_MISSION_ABORT,
     FN_MISSION_HOLD,
     FN_MISSION_RESUME,
+    MissionControlService,
 )
+from repro.services.storage import StorageService
+from repro.services.videoproc import VideoProcessingService
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from repro.protocol.admission import HARDENED_ADMISSION
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import MAX_STRANGERS
 from repro.protocol.tcp_like import TCP_EXTRA_HEADER
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 
 FAST_PLANE = dict(
     codec="compiled", batching_enabled=True,

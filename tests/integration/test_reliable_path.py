@@ -35,7 +35,7 @@ from repro.protocol.reliability import (
     encode_ack,
 )
 from repro.sim import Simulator
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.util.errors import ProtocolError
 from repro.util.wakeup import Wakeup
 

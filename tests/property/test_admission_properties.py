@@ -28,7 +28,7 @@ from repro.protocol.admission import (
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.reliability import ReliabilityHardening
 from repro.runtime.simruntime import SimRuntime
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.util import ManualClock
 
 _SOURCES = st.text(

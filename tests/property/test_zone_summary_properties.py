@@ -37,7 +37,7 @@ from repro.encoding.binary import BinaryCodec
 from repro.encoding.types import StructType, VectorType
 from repro.protocol.frames import Frame, MessageKind
 from repro.runtime.simruntime import SimRuntime
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.util.errors import EncodingError
 
 #: The interpreted codec is the reference the compiled peek is held to.

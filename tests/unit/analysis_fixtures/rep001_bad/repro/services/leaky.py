@@ -5,6 +5,7 @@ import socket  # noqa: F401
 
 from repro.transport import udp  # noqa: F401
 from repro.simnet.network import SimNetwork  # noqa: F401
+from repro.simnet.models import LinkModel  # noqa: F401
 
 
 def leak():

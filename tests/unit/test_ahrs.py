@@ -11,8 +11,8 @@ from helpers import ProbeService
 
 from repro import SimRuntime
 from repro.flight import GeoPoint, KinematicUav, survey_plan
-from repro.services import GpsService
 from repro.services.ahrs import VAR_ATTITUDE, AhrsService
+from repro.services.gps import GpsService
 
 
 def make_runtime(rows=1):

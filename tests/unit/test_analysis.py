@@ -12,6 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from helpers import SRC_ROOT, deployment_closure
+
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.engine import Analyzer, run_analysis
 from repro.analysis.rules.rep001_transport import TransportReachAroundRule
@@ -21,7 +25,6 @@ from repro.analysis.rules.rep005_decode_paths import SilentDecodeDropRule
 from repro.analysis.rules.rep006_spec_hygiene import SpecHygieneRule
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
-SRC_ROOT = Path(__file__).parent.parent.parent / "src"
 
 
 def run_rule(rule, fixture: str):
@@ -40,6 +43,7 @@ class TestRep001Transport:
         assert "socket" in messages
         assert "repro.transport.udp" in messages
         assert "repro.simnet.network" in messages
+        assert "repro.simnet.models" in messages
 
     def test_silent_on_clean_service(self):
         report = run_rule(TransportReachAroundRule(), "rep001_good")
@@ -283,3 +287,20 @@ class TestImportBoundary:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_a_deployment_loads_no_simulator_and_no_application(self):
+        # Addressing lives in the transport and the package roots import
+        # neither the simulator nor the apps, so an AsyncRuntime container
+        # with one bare service loads only the middleware. The scenario
+        # also checks that `from repro import SimRuntime` still resolves.
+        substrates = {"sim", "simnet", "flight", "imaging", "faults", "analysis",
+                      "verify", "telemetry"}
+        loaded = deployment_closure()
+        forbidden = [
+            m for m in loaded
+            if m.partition(".")[2].split(".")[0] in substrates
+            or m in ("repro.runtime.simruntime", "repro.transport.sim")
+            or (m.startswith("repro.services.") and m != "repro.services.base")
+        ]
+        assert not forbidden, forbidden
+        assert "repro.runtime.async_runtime" in loaded

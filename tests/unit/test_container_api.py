@@ -12,10 +12,12 @@ from helpers import ProbeService, two_containers
 from repro import Service
 from repro.container import ServiceState
 from repro.container.links import RELIABLE_CHANNEL
+from repro.container.records import encode_heartbeat
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import MAX_STRANGERS
 from repro.protocol.reliability import ReliabilityHardening
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
+from repro.transport.sim import SimTransport
 from repro.util.errors import ConfigurationError, ServiceError
 
 
@@ -260,3 +262,21 @@ class TestAbuseLog:
         assert a.metrics.counter_value(
             "reliability_abuse", peer="mallory", reason="horizon"
         ) == 7
+
+
+class TestForgedControlFrames:
+    def test_empty_node_id_is_a_malformed_frame_not_a_crash(self):
+        # An empty node id cannot become an Address: the frame is counted
+        # as malformed instead of ending the run with a ValueError.
+        runtime, a, _ = two_containers()
+        runtime.start()
+        runtime.run_for(0.1)
+        forger = SimTransport(runtime.network, "forger")
+        forger.open(9, lambda payload, source: None)
+        heartbeat = {"container": "evil", "node": "", "port": 5, "incarnation": 1,
+                     "load": 0, "restarts": 0}
+        frame = Frame(MessageKind.HEARTBEAT, "evil", encode_heartbeat(heartbeat))
+        forger.send_bytes(Address(a.config.node, a.config.port), frame.encode())
+        runtime.run_for(0.5)
+        assert a.directory.record("evil") is None
+        assert a.metrics.counter_value("malformed_frames", source="evil") == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.container.directory import Directory
-from repro.container.gossip import encode_zone_summary, peek_zone_summary
+from repro.container.gossip import decode_zone_summary, encode_zone_summary, peek_zone_summary
 from repro.container.records import (
     decode_announce,
     decode_bye,
@@ -12,8 +12,9 @@ from repro.container.records import (
     encode_bye,
     encode_heartbeat,
 )
-from repro.simnet.addressing import Address
+from repro.transport.addressing import Address
 from repro.util import ManualClock
+from repro.util.errors import ProtocolError
 
 
 def announce_doc(container="remote", node="n1", port=47000, incarnation=1, **kw):
@@ -68,6 +69,12 @@ class TestControlPlaneCodecs:
 
     def test_bye_round_trip(self):
         assert decode_bye(encode_bye("c9")) == "c9"
+
+    def test_an_empty_node_id_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="empty node id"):
+            decode_announce(encode_announce(announce_doc(node="")))
+        with pytest.raises(ProtocolError, match="empty node id"):
+            decode_heartbeat(encode_heartbeat(heartbeat_doc(node="")))
 
 
 class TestAnnounceHandling:
@@ -349,6 +356,16 @@ class TestZoneSummaries:
         payload = encode_zone_summary(self.summary(**summary))
         zone, origin, version, offset = peek_zone_summary(payload)
         return directory.apply_zone_summary(zone, origin, version, payload[offset:])
+
+    def test_an_alive_member_with_an_empty_node_id_is_malformed(self):
+        # Stored, it would make address_of() raise for every well-formed member.
+        good = self.member("good")
+        bad = dict(self.member("bad"), node="")
+        with pytest.raises(ProtocolError, match="empty node id"):
+            decode_zone_summary(encode_zone_summary(self.summary(members=[good, bad])))
+        dead = dict(bad, alive=0)  # never becomes an address
+        document = decode_zone_summary(encode_zone_summary(self.summary(members=[good, dead])))
+        assert document["members"] == [good, dead]
 
     def test_apply_and_address_fallback(self, setup):
         clock, directory = setup

@@ -5,8 +5,8 @@ CPU model, storage-of-logs, least-loaded tie-breaks, packet helpers."""
 from repro.encoding.codec import available_codecs, get_codec, register_codec
 from repro.sched.model import CpuModel, TaskRecord
 from repro.sched.policies import DeadlinePolicy
-from repro.simnet.addressing import Address
-from repro.simnet.packet import WIRE_OVERHEAD_BYTES, Packet
+from repro.simnet.packet import Packet
+from repro.transport.addressing import WIRE_OVERHEAD_BYTES, Address
 
 
 class TestCodecRegistry:
@@ -59,7 +59,7 @@ class TestPacketHelpers:
         assert packet.size == 5 + WIRE_OVERHEAD_BYTES
 
     def test_is_multicast(self):
-        from repro.simnet.addressing import GroupName
+        from repro.transport.addressing import GroupName
 
         unicast = Packet(Address("a", 1), Address("b", 2), b"")
         multicast = Packet(Address("a", 1), GroupName("mcast.x"), b"")
@@ -76,7 +76,7 @@ class TestStorageLogDelete:
         from helpers import ProbeService
 
         from repro import SimRuntime
-        from repro.services import StorageService
+        from repro.services.storage import StorageService
 
         runtime = SimRuntime(seed=1)
         node = runtime.add_container("node")

@@ -14,12 +14,10 @@ from repro import SimRuntime
 from repro.container import ServiceState
 from repro.flight import GeoPoint, KinematicUav, survey_plan
 from repro.imaging import decode_pgm
-from repro.services import (
-    CameraService,
-    GpsService,
-    StorageService,
-    VideoProcessingService,
-)
+from repro.services.camera import CameraService
+from repro.services.gps import GpsService
+from repro.services.storage import StorageService
+from repro.services.videoproc import VideoProcessingService
 from repro.services.names import (
     DEV_CAMERA,
     EVT_PHOTO_TAKEN,

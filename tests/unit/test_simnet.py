@@ -3,14 +3,16 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.simnet import Address, GroupName, LinkModel, Packet, SimNetwork
-from repro.simnet.addressing import (
+from repro.simnet import LinkModel, Packet, SimNetwork
+from repro.simnet.models import PERFECT_LINK, RADIO_LINK
+from repro.transport.addressing import (
     CONTROL_GROUP,
+    WIRE_OVERHEAD_BYTES,
+    Address,
+    GroupName,
     file_group,
     variable_group,
 )
-from repro.simnet.models import PERFECT_LINK, RADIO_LINK
-from repro.simnet.packet import WIRE_OVERHEAD_BYTES
 from repro.util import SeededRng, TransportError
 
 

@@ -105,7 +105,7 @@ class TestTelemetryServiceIntegration:
 
         from repro import SimRuntime
         from repro.flight import GeoPoint, KinematicUav, survey_plan
-        from repro.services import GpsService
+        from repro.services.gps import GpsService
         from repro.telemetry import InMemoryTelemetrySink, TelemetryService
 
         runtime = SimRuntime(seed=2)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.protocol.frames import Frame, MessageKind
 from repro.sim import Simulator
-from repro.simnet import Address, GroupName, LinkModel, SimNetwork
-from repro.transport import FrameTransport, SimTransport
+from repro.simnet import LinkModel, SimNetwork
+from repro.transport import FrameTransport
+from repro.transport.addressing import Address, GroupName
+from repro.transport.sim import SimTransport
 from repro.util import SeededRng
 from repro.util.errors import TransportError
 

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.simnet.addressing import Address, GroupName
+from repro.transport.addressing import Address, GroupName
 from repro.transport.udp import UDP_MTU, UdpNetwork
 from repro.transport.udp_async import AsyncUdpTransport
 from repro.util.errors import TransportError
