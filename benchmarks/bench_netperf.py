@@ -78,8 +78,10 @@ MAX_SCHEDULE_CALLS_PER_DELIVERY = 0.25
 #: event loop and subscriber callback included, over one extra burst after
 #: the timed run. 44.3 before the receive path resolved its per-frame work
 #: at bind time, 28.7 after (both repeat exactly); the bound sits midway.
-#: 24-26 since the clock read became ``time.monotonic`` itself.
-MAX_LOOP_CALLS_PER_DELIVERY = 36.5
+#: 24-26 since the clock read became ``time.monotonic`` itself. 16.5 (it
+#: repeats exactly) once a BATCH crossed the container as runs of same-kind
+#: frames; the bound sits midway again, between 24.3 and 16.5.
+MAX_LOOP_CALLS_PER_DELIVERY = 20.4
 #: The same count per delivered reliable event and per completed call, over
 #: one extra burst / one extra round of calls: 69-71 and 189.6 before the
 #: acknowledged plane was bound when a stream opens, 46-49 and 120.0 after

@@ -15,7 +15,7 @@ controller, a metrics ``counter``, a recorder entry, or one of the
 ``Container._ingest_data``::
 
     except (ProtocolError, EncodingError) as exc:
-        self._note_malformed(frame, exc)
+        self.note_malformed(frame, exc)
 
 Scope: every ``repro/`` module. Waive per line with a justified
 ``# repro: allow[REP005]`` where swallowing is genuinely correct.

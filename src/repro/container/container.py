@@ -54,6 +54,7 @@ from repro.util.errors import (
 from repro.util.rng import SeededRng
 
 _RETRANSMIT = int(FrameFlags.RETRANSMIT)
+_VAR_SAMPLE = MessageKind.VAR_SAMPLE
 
 #: The flight recorder takes one reliability-abuse entry per (peer, reason)
 #: per this many seconds.
@@ -209,6 +210,7 @@ class ServiceContainer:
         #: Frame kind -> the primitive entry point that consumes it; bound on
         #: the first data frame (:meth:`_bind_handlers`), so a container that
         #: only ever talks control plane — most of a fleet — never builds it.
+        #: A run of VAR_SAMPLE frames goes to ``variables.on_sample_frames``.
         self._handlers: Dict[MessageKind, Callable[[Frame], None]] = {}
         self._services: Dict[str, ServiceRecord] = {}
         self.supervisor = ServiceSupervisor(self, rng=rng)
@@ -323,7 +325,7 @@ class ServiceContainer:
         if self._running:
             raise ConfigurationError(f"container {self.id} already started")
         self._incarnation += 1
-        self._transport.open(self._config.port, self._on_frame)
+        self._transport.open(self._config.port, self._on_frames)
         self._transport.join(self._control_group)
         if self._config.fleet.backbone_member:
             self._transport.join(BACKBONE_GROUP)
@@ -568,32 +570,74 @@ class ServiceContainer:
     def _band_of(kind: MessageKind) -> int:
         return DEFAULT_BANDS.get(kind, 4)
 
-    def _on_frame(self, frame: Frame, source_address: Address) -> None:
-        if frame.source == self._id:
-            return  # our own multicast loopback
-        # Admission is the first gate: a dropped frame generates no ACK, no
-        # dispatch, no scheduler work — nothing an attacker could amplify.
-        # ``enabled`` and ``policy`` are read live: a policy may be armed on
-        # a running container and binds from the very next frame.
+    def _on_frames(self, frames: List[Frame], source_address: Address) -> None:
+        """The one ingress path: the frames of one datagram, in wire order.
+
+        Consecutive data frames that share a source, a kind and a channel
+        form a run, and what depends only on those is done once per run:
+        the own-loopback check, the admission switch, the receive counter
+        and the clock read for the run's flight-recorder entries. A
+        best-effort VAR_SAMPLE run goes whole to the variable manager; any
+        other run, and every run while ingress scheduling is on, is taken
+        one frame at a time. A control frame is a run of its own, and so
+        is every frame while admission is armed, so a drop or a quarantine
+        binds from the very next frame.
+        """
+        own = self._id
         admission = self.admission
-        if admission.enabled and not admission.admit(frame, source_address):
-            return
-        kind = frame.kind
-        counter, kind_name = self._rx_counters.get(kind) or self._counted(
-            self._rx_counters, "frames_received", kind
-        )
-        counter.inc()
-        self.recorder.record_rx(kind_name, frame.source, frame.seq, len(frame.payload))
-        if kind in _CONTROL_KINDS:
-            try:
-                self._handle_control(frame)
-            except (ProtocolError, EncodingError) as exc:
-                self._note_malformed(frame, exc)
-            return
-        if admission.policy.ingress_scheduling:
-            self._ingress_scheduler().offer(frame, self._band_of(kind))
-            return
-        self._ingest_data(frame)
+        count = len(frames)
+        start = 0
+        while start < count:
+            frame = frames[start]
+            kind = frame.kind
+            source = frame.source
+            stop = start + 1
+            # ``enabled`` and ``policy`` are read live: a policy may be armed
+            # on a running container and binds from the very next run.
+            armed = admission.enabled
+            channel = frame.channel
+            if not (armed or kind in _CONTROL_KINDS):
+                while stop < count:
+                    following = frames[stop]
+                    if (
+                        following.kind is not kind
+                        or following.channel != channel
+                        or following.source != source
+                    ):
+                        break
+                    stop += 1
+            run = frames if stop - start == count else frames[start:stop]
+            start = stop
+            if source == own:
+                continue  # our own multicast loopback
+            # Admission is the first gate: a dropped frame generates no ACK,
+            # no dispatch, no scheduler work — nothing an attacker could
+            # amplify.
+            if armed and not admission.admit(frame, source_address):
+                continue
+            counter, kind_name = self._rx_counters.get(kind) or self._counted(
+                self._rx_counters, "frames_received", kind
+            )
+            counter.inc(len(run))
+            self.recorder.record_rx(kind_name, run)
+            if kind in _CONTROL_KINDS:
+                try:
+                    self._handle_control(frame)
+                except (ProtocolError, EncodingError) as exc:
+                    self.note_malformed(frame, exc)
+            elif admission.policy.ingress_scheduling:
+                scheduler, band = self._ingress_scheduler(), self._band_of(kind)
+                for queued in run:
+                    scheduler.offer(queued, band)
+            elif kind is _VAR_SAMPLE and not channel:
+                self.variables.on_sample_frames(run)
+            else:
+                for each in run:
+                    self._ingest_data(each)
+
+    def _on_frame(self, frame: Frame, source_address: Address) -> None:
+        """One frame through :meth:`_on_frames`, as a datagram of its own."""
+        self._on_frames([frame], source_address)
 
     def _ingress_scheduler(self) -> IngressScheduler:
         if self._ingress is None:
@@ -617,9 +661,8 @@ class ServiceContainer:
         never silently swallowed (REP005).
         """
         try:
-            # Channel 0 is the best-effort data plane — the common case at
-            # telemetry rates — and skips the peer and the reliability
-            # layers outright.
+            # Channel 0, the best-effort data plane, skips the peer and the
+            # reliability layers outright.
             if frame.channel != 0:
                 # Reliability layers consume their channels (and emit acks).
                 peer = self._peers.get(frame.source) or self.directory.peer(frame.source)
@@ -627,9 +670,11 @@ class ServiceContainer:
                     return
             self._dispatch(frame)
         except (ProtocolError, EncodingError) as exc:
-            self._note_malformed(frame, exc)
+            self.note_malformed(frame, exc)
 
-    def _note_malformed(self, frame: Frame, exc: Exception) -> None:
+    def note_malformed(self, frame: Frame, exc: Exception) -> None:
+        """A frame whose payload did not decode: scored by admission and
+        logged in the flight recorder."""
         self.admission.note_malformed(frame.source)
         self.recorder.record(
             "protocol-error",

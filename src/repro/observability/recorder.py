@@ -55,10 +55,14 @@ class FlightRecorder:
         self.recorded += 1
         self._entries.append((self._clock.now(), category, fields))
 
-    def record_rx(self, kind: str, source: str, seq: int, nbytes: int) -> None:
-        """One received frame (the container's per-frame ingress entry)."""
-        self.recorded += 1
-        self._entries.append((self._clock.now(), "rx", kind, source, seq, nbytes))
+    def record_rx(self, kind: str, frames: List) -> None:
+        """One entry per received frame of a run of ``kind`` (the container's
+        ingress entries), all stamped with one clock read."""
+        t = self._clock.now()
+        append = self._entries.append
+        for frame in frames:
+            append((t, "rx", kind, frame.source, frame.seq, len(frame.payload)))
+        self.recorded += len(frames)
 
     def record_tx(self, kind: str, seq: int, nbytes: int) -> None:
         """One sent frame (the container's per-frame egress entry)."""

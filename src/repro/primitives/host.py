@@ -96,6 +96,11 @@ class PrimitiveHost(Protocol):
     def leave_group(self, group: GroupName) -> None:
         ...
 
+    def note_malformed(self, frame: Frame, exc: Exception) -> None:
+        """Count a frame whose payload did not decode (admission scoring,
+        flight recorder)."""
+        ...
+
     def announce_soon(self) -> None:
         """Ask the container to re-announce (our offers changed)."""
         ...

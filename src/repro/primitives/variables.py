@@ -30,7 +30,7 @@ from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
 from repro.transport.addressing import GroupName, variable_group
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, EncodingError, ProtocolError
 
 OnSample = Callable[[Any, float], None]  # (value, publisher timestamp)
 OnTimeout = Callable[[str], None]  # (variable name)
@@ -238,8 +238,12 @@ class VariableManager:
         )
         with tracer.activate(context):
             # Local subscribers: direct delivery, no network round trip.
+            delivered = 0
             for sub in self._subscriptions.get(publication.name, ()):
-                self._deliver_local(sub, value, now)
+                self._deliver_local(sub, value, now, now)
+                delivered += 1
+            if delivered:
+                self._deliveries_counter.inc(delivered)
             # Remote subscribers: one multicast emission for all of them.
             self._host.send_group(
                 publication._group,
@@ -275,7 +279,10 @@ class VariableManager:
         local = self._publications.get(name)
         if local is not None and local.published_samples > 0:
             subscription.got_initial = True
-            self._deliver_local(subscription, local.last_value, local.last_timestamp)
+            self._deliver_local(
+                subscription, local.last_value, local.last_timestamp, self._clock.now()
+            )
+            self._deliveries_counter.inc()
         elif initial:
             self._request_initial(subscription)
         self._arm_timeout_watch(name)
@@ -299,11 +306,53 @@ class VariableManager:
                 self.unsubscribe(sub)
 
     # -- frame input (called by the container dispatcher) ---------------------
+    def on_sample_frames(self, frames: List[Frame]) -> None:
+        """Deliver a run of VAR_SAMPLE frames, in order.
+
+        The clock is read once per run, and the decoder cache (with the
+        directory revision it is valid for) is consulted once per run and
+        again only where the run switches variable or provider. Each frame
+        has its own ``try``: a malformed sample is reported to the host and
+        the rest of the run is still delivered."""
+        decode_sample = wire.decode_var_sample
+        subscriptions = self._subscriptions
+        tracer = self._tracer
+        deliver = self._deliver_local
+        now = self._clock.now()
+        key = decode = None
+        delivered = 0
+        for frame in frames:
+            try:
+                doc, trace = decode_sample(frame.payload)
+                name = doc["name"]
+                live = subscriptions.get(name)
+                if not live:
+                    continue
+                if key != (name, frame.source):
+                    key = (name, frame.source)
+                    decode = self._decoder_of(key)
+                if decode is None:
+                    continue  # no schema known yet; drop (best-effort semantics)
+                value = decode(doc["value"])
+            except (ProtocolError, EncodingError) as exc:
+                self._host.note_malformed(frame, exc)
+                continue
+            timestamp = doc["timestamp"]
+            if tracer.enabled:
+                self._deliver_sample(live, value, timestamp, now, key, trace)
+                continue
+            # Hot path at telemetry rates: _deliver_sample's loop without
+            # the span bookkeeping, counted once per run.
+            for sub in live.copy():
+                if timestamp < sub.last_timestamp:
+                    continue  # stale sample overtaken by a newer one
+                deliver(sub, value, timestamp, now)
+                delivered += 1
+        if delivered:
+            self._deliveries_counter.inc(delivered)
+
     def on_sample_frame(self, frame: Frame) -> None:
-        doc, trace = wire.decode_var_sample(frame.payload)
-        self._ingest(
-            doc["name"], doc["value"], doc["timestamp"], frame.source, trace
-        )
+        self.on_sample_frames([frame])
 
     def on_initial_request(self, frame: Frame) -> None:
         doc = wire.decode(wire.VAR_INITIAL_REQUEST_SCHEMA, frame.payload)
@@ -335,56 +384,73 @@ class VariableManager:
         doc = wire.decode(wire.VAR_INITIAL_RESPONSE_SCHEMA, frame.payload)
         if not doc["has_value"]:
             return  # provider has nothing yet; the retry timer keeps polling
-        self._ingest(doc["name"], doc["value"], doc["timestamp"], frame.source)
-
-    # -- internals ---------------------------------------------------------------
-    def _ingest(
-        self, name: str, encoded: bytes, timestamp: float, provider: str, trace=None
-    ) -> None:
-        live = self._subscriptions.get(name)
+        live = self._subscriptions.get(doc["name"])
         if not live:
             return
+        key = (doc["name"], frame.source)
+        decode = self._decoder_of(key)
+        if decode is not None:
+            self._deliver_sample(
+                live, decode(doc["value"]), doc["timestamp"], self._clock.now(), key
+            )
+
+    # -- internals ---------------------------------------------------------------
+    def _decoder_of(self, key: tuple) -> Optional[Callable[[bytes], Any]]:
+        """The bound value decoder for ``(name, provider)``, or None while
+        no datatype is known."""
         revision = self._host.directory.revision
         if revision != self._decoder_cache_rev:
             self._decoder_cache.clear()
             self._decoder_cache_rev = revision
-        key = (name, provider)
         decode = self._decoder_cache.get(key)
         if decode is None:
-            datatype = self._datatype_of(name, provider)
+            datatype = self._datatype_of(*key)
             if datatype is None:
-                return  # no schema known yet; drop (best-effort semantics)
+                return None
             decode = self._decoder_cache[key] = self._codec.decoder(datatype)
-        value = decode(encoded)
-        # Copy before delivering: an on_sample callback may unsubscribe
-        # (unsubscribing is the only thing that clears ``active``, and it
-        # also leaves the list — so every listed subscription is active).
-        subs = live.copy()
+        return decode
+
+    def _deliver_sample(
+        self,
+        live: List[VariableSubscription],
+        value: Any,
+        timestamp: float,
+        now: float,
+        key: tuple,
+        trace=None,
+    ) -> None:
+        """One sample of ``key = (name, provider)``, arrived at ``now``, to
+        its subscribers, inside a ``var.deliver`` span while tracing."""
         tracer = self._tracer
-        if not tracer.enabled:
-            # Hot path at telemetry rates: no span bookkeeping at all.
-            for sub in subs:
-                if timestamp < sub.last_timestamp:
-                    continue  # stale sample overtaken by a newer one
-                self._deliver_local(sub, value, timestamp)
-            return
+        name, provider = key
         span = tracer.start_span(
             f"var:{name}", "var.deliver", parent=trace, provider=provider
         )
+        delivered = 0
         with tracer.activate(tracer.context_of(span)):
-            for sub in subs:
+            # Copy before delivering: an on_sample callback may unsubscribe
+            # (unsubscribing is the only thing that clears ``active``, and
+            # it also leaves the list — so every listed subscription is
+            # active).
+            for sub in live.copy():
                 if timestamp < sub.last_timestamp:
                     continue  # stale sample overtaken by a newer one
-                self._deliver_local(sub, value, timestamp)
+                self._deliver_local(sub, value, timestamp, now)
+                delivered += 1
         tracer.finish(span)
+        if delivered:
+            self._deliveries_counter.inc(delivered)
 
-    def _deliver_local(self, sub: VariableSubscription, value: Any, timestamp: float) -> None:
+    def _deliver_local(
+        self, sub: VariableSubscription, value: Any, timestamp: float, now: float
+    ) -> None:
+        """One sample into one subscription; the caller counts deliveries
+        (``var_deliveries``), once per loop."""
         sub.last_value = value
         sub.last_timestamp = timestamp
-        sub.last_arrival = self._clock.now()
+        sub.last_arrival = now
         sub.received_samples += 1
         sub.got_initial = True
-        self._deliveries_counter.inc()
         probes = self._probes
         if probes.enabled:
             probes.emit("var.deliver", sub.name, attrs={"timestamp": timestamp})

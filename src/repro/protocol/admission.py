@@ -173,7 +173,7 @@ ClassifyFn = Callable[[MessageKind], int]
 class AdmissionController:
     """Evaluates the :class:`AdmissionPolicy` at frame ingress.
 
-    Owned by the container; consulted in ``_on_frame`` before any control
+    Owned by the container; consulted in ``_on_frames`` before any control
     handling, reliability processing or primitive dispatch. ``admit``
     answers "does this frame deserve further work?"; ``note_malformed`` is
     the quarantine trigger fed by every decode-rejection path.
@@ -218,8 +218,8 @@ class AdmissionController:
         Source state is kept: an already-quarantined offender does not get
         a clean slate just because the knobs moved."""
         #: The live policy, and its ``enabled`` bit as a plain attribute: the
-        #: container reads it once per received frame and calls
-        #: :meth:`admit` only while a policy is armed.
+        #: container reads it once per run of received frames and calls
+        #: :meth:`admit` per frame only while a policy is armed.
         self.policy = policy
         self.enabled = policy.enabled
 

@@ -16,8 +16,8 @@ Wire format of a ``BATCH`` payload::
     count x { uint32 length; length bytes = one complete encoded frame }
 
 Inner frames are ordinary frames (header included), so the receive side
-unbatches with :func:`Frame.decode` and feeds each inner frame through the
-normal dispatch path — primitives gain the win without any logic changes.
+unbatches with :func:`Frame.decode`, in place, and hands the inner frames to
+the container's one ingress path together, in wire order.
 Nested batches and fragments inside a batch are illegal; the decoder
 rejects them (a fragment is produced *below* the batching stage, a batch
 never nests by construction).
@@ -112,7 +112,7 @@ def decode_batch_payload(payload: bytes) -> List[Frame]:
                 f"({length} bytes declared, {len(payload) - offset} left)"
             )
         try:
-            frame = Frame.decode(payload[offset : offset + length])
+            frame = Frame.decode(payload, offset, offset + length)
         except ProtocolError as exc:
             raise EncodingError(f"inner frame {index} malformed: {exc}") from exc
         if frame.kind in _FORBIDDEN_INNER:

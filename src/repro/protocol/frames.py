@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.util.errors import ProtocolError
 
@@ -171,11 +172,16 @@ class Frame:
         return [prefix]
 
     @classmethod
-    def decode(cls, data: bytes) -> "Frame":
-        if len(data) < _HEADER_SRC.size:
-            raise ProtocolError(f"frame too short: {len(data)} bytes")
+    def decode(cls, data: bytes, start: int = 0, stop: Optional[int] = None) -> "Frame":
+        """Decode the frame in ``data[start:stop]`` (the whole buffer by
+        default). The bounds let a batch decode its inner frames in place:
+        the payload is the one slice taken."""
+        if stop is None:
+            stop = len(data)
+        if stop - start < _HEADER_SRC.size:
+            raise ProtocolError(f"frame too short: {stop - start} bytes")
         magic, version, kind, flags, channel, seq, src_len = _HEADER_SRC.unpack_from(
-            data
+            data, start
         )
         if magic != MAGIC:
             raise ProtocolError(f"bad magic {magic!r}")
@@ -184,9 +190,9 @@ class Frame:
         kind_enum = _KIND_BY_VALUE.get(kind)
         if kind_enum is None:
             raise ProtocolError(f"unknown message kind {kind}")
-        offset = _HEADER_SRC.size
+        offset = start + _HEADER_SRC.size
         end = offset + src_len
-        if len(data) < end:
+        if stop < end:
             raise ProtocolError("frame truncated inside source id")
         raw = data[offset:end]
         source = _SRC_DECODED.get(raw)
@@ -198,7 +204,7 @@ class Frame:
             if len(_SRC_DECODED) >= 1024:
                 _SRC_DECODED.clear()
             _SRC_DECODED[raw] = source
-        return cls(kind_enum, source, data[end:], channel, seq, flags, version)
+        return cls(kind_enum, source, data[end:stop], channel, seq, flags, version)
 
     @property
     def header_size(self) -> int:

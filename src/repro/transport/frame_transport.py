@@ -1,14 +1,15 @@
 """Adapter between Protocol-layer frames and a raw byte transport.
 
 Encodes outbound :class:`Frame` objects, transparently fragmenting any that
-exceed the transport MTU; decodes and reassembles inbound datagrams. This is
+exceed the transport MTU; decodes and reassembles inbound datagrams and hands
+the receiver each datagram's frames as one list, in wire order. This is
 the seam between the PEPt Protocol and Transport subsystems, so swapping the
 transport (sim / in-proc / UDP) never touches protocol code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.protocol.batching import decode_batch_payload
 from repro.protocol.fragmentation import Fragmenter, Reassembler
@@ -18,8 +19,9 @@ from repro.transport.base import RawTransport
 from repro.util.clock import Clock
 from repro.util.errors import EncodingError, ProtocolError
 
-#: Callback invoked with (frame, source_address) for each inbound frame.
-FrameReceiver = Callable[[Frame, Address], None]
+#: Callback invoked with (frames, source_address) for each inbound datagram:
+#: the inner frames of a BATCH in wire order, or a list of one.
+FrameReceiver = Callable[[List[Frame], Address], None]
 
 
 class FrameTransport:
@@ -115,22 +117,20 @@ class FrameTransport:
                     return
                 frame = Frame.decode(complete)
             if frame.kind == MessageKind.BATCH:
-                # Transparent unbatching: each inner frame enters the normal
-                # dispatch path exactly as if it had arrived alone.
-                inner_frames = decode_batch_payload(frame.payload)
+                # Transparent unbatching: the inner frames reach the
+                # receiver together, as they arrived.
+                frames = decode_batch_payload(frame.payload)
                 self.batched_datagrams += 1
-                self.unbatched_frames += len(inner_frames)
-                if self._receiver is not None:
-                    for inner in inner_frames:
-                        self._receiver(inner, source)
-                return
+                self.unbatched_frames += len(frames)
+            else:
+                frames = [frame]
         except (ProtocolError, EncodingError) as exc:
             self.malformed_datagrams += 1
             if self._on_protocol_error is not None:
                 self._on_protocol_error(exc, source)
             return
         if self._receiver is not None:
-            self._receiver(frame, source)
+            self._receiver(frames, source)
 
 
 __all__ = ["FrameTransport", "FrameReceiver"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Set, Tuple
 
-from repro.transport.addressing import GroupName
+from repro.transport.addressing import Address, GroupName
 
 #: Loopback-safe datagram size.
 UDP_MTU = 8192
@@ -44,7 +44,7 @@ class RegistryView:
     def __init__(
         self,
         node_to_sockaddr: Dict[Tuple[str, int], Tuple[str, int]],
-        sockaddr_to_node: Dict[Tuple[str, int], Tuple[str, int]],
+        sockaddr_to_node: Dict[Tuple[str, int], Address],
         groups: Dict[GroupName, Tuple[_Member, ...]],
     ):
         self.node_to_sockaddr = node_to_sockaddr
@@ -64,7 +64,9 @@ class UdpNetwork:
         self.base_port = base_port  # 0 = ephemeral ports chosen by the OS
         self._lock = threading.Lock()
         self._node_to_sockaddr: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        self._sockaddr_to_node: Dict[Tuple[str, int], Tuple[str, int]] = {}
+        #: Built once per registration, so the receive path reads a ready
+        #: source :class:`Address` per datagram instead of constructing one.
+        self._sockaddr_to_node: Dict[Tuple[str, int], Address] = {}
         self._group_members: Dict[GroupName, Set[Tuple[str, int]]] = {}
         self._next_port_offset = 0
         #: The current immutable snapshot; republished on every mutation.
@@ -104,7 +106,7 @@ class UdpNetwork:
     def _register(self, node: str, port: int, sockaddr: Tuple[str, int]) -> None:
         with self._lock:
             self._node_to_sockaddr[(node, port)] = sockaddr
-            self._sockaddr_to_node[sockaddr] = (node, port)
+            self._sockaddr_to_node[sockaddr] = Address(node, port)
             self._rebuild_view()
 
     def _unregister(self, node: str, port: int) -> None:

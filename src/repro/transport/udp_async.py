@@ -241,14 +241,11 @@ class AsyncUdpTransport:
             except OSError:
                 return  # socket closed underneath us
             self.recv_datagrams += 1
-            entry = network_view.sockaddr_to_node.get(sockaddr)
-            source = (
-                Address(entry[0], entry[1])
-                if entry is not None
-                else _UNKNOWN_SOURCE
-            )
             if receiver is not None:
-                receiver(payload, source)
+                receiver(
+                    payload,
+                    network_view.sockaddr_to_node.get(sockaddr, _UNKNOWN_SOURCE),
+                )
         # Anything still queued re-triggers the (level-triggered) selector
         # on the next loop pass, so timers never starve behind a flood.
 

@@ -295,17 +295,19 @@ _TAP_SCHEMAS = {
 
 
 def _tap_frames(container, log):
-    """Record every application frame a container's dispatch sees —
+    """Record every application frame a container's ingress sees —
     reliable frames on first delivery only. The two timing artifacts the
     wire legitimately carries — retransmission flags and the publisher's
     clock timestamp — are normalized out; every other bit must match
     across runtimes."""
     seen = set()
-    orig = container._on_frame
+    orig = container._on_frames
 
-    def wrapped(frame, source):
-        schema = _TAP_SCHEMAS.get(frame.kind)
-        if schema is not None:
+    def wrapped(frames, source):
+        for frame in frames:
+            schema = _TAP_SCHEMAS.get(frame.kind)
+            if schema is None:
+                continue
             key = (frame.source, frame.channel, frame.seq, frame.kind)
             # Only reliable frames are ever retransmitted; best-effort
             # samples carry no sequence number and are all recorded.
@@ -321,9 +323,9 @@ def _tap_frames(container, log):
                     int(frame.flags) & ~int(FrameFlags.RETRANSMIT),
                     wire.encode(schema, doc),
                 ))
-        orig(frame, source)
+        orig(frames, source)
 
-    container._on_frame = wrapped
+    container._on_frames = wrapped
 
 
 def _run_mission(runtime, **extra_config):

@@ -90,7 +90,7 @@ class TestFrameTransport:
         sim, fa, fb = self.make_frame_pair()
         got = []
         fa.open(5000, lambda f, s: None)
-        fb.open(5000, lambda f, s: got.append((f, s)))
+        fb.open(5000, lambda frames, s: got.extend((f, s) for f in frames))
         frame = Frame(kind=MessageKind.EVENT, source="ca", payload=b"evt", seq=3)
         fa.send(Address("b", 5000), frame)
         sim.run()
@@ -103,7 +103,7 @@ class TestFrameTransport:
         sim, fa, fb = self.make_frame_pair(mtu=300)
         got = []
         fa.open(5000, lambda f, s: None)
-        fb.open(5000, lambda f, s: got.append(f))
+        fb.open(5000, lambda frames, s: got.extend(frames))
         payload = bytes(range(256)) * 8  # 2048 B > 300 B MTU
         fa.send(Address("b", 5000), Frame(kind=MessageKind.RPC_REQUEST, source="ca", payload=payload))
         sim.run()
@@ -134,7 +134,7 @@ class TestFrameTransport:
         sim, fa, fb = self.make_frame_pair(mtu=300)
         got = []
         fa.open(5000, lambda f, s: None)
-        fb.open(5000, lambda f, s: got.append(f))
+        fb.open(5000, lambda frames, s: got.extend(frames))
         # Monkeypatch raw send to drop the second fragment.
         sent = {"count": 0}
         original = fa._raw.send_bytes

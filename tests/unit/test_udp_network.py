@@ -45,7 +45,7 @@ class TestRegistry:
         assert resolve(net, "a") is None
         net._register("a", 1, ("127.0.0.1", 40001))
         assert resolve(net, "a") == ("127.0.0.1", 40001)
-        assert source_of(net, ("127.0.0.1", 40001)) == ("a", 1)
+        assert source_of(net, ("127.0.0.1", 40001)) == addr("a")
         net._unregister("a", 1)
         assert resolve(net, "a") is None
         assert source_of(net, ("127.0.0.1", 40001)) is None
@@ -72,7 +72,7 @@ class TestRegistry:
         # the published snapshot, never the locked mutable state).
         with net._lock:
             assert resolve(net, "a") == ("127.0.0.1", 40001)
-            assert source_of(net, ("127.0.0.1", 40001)) == ("a", 1)
+            assert source_of(net, ("127.0.0.1", 40001)) == addr("a")
 
     def test_group_membership_sorted_and_resolved(self):
         net = UdpNetwork()
