@@ -1,7 +1,13 @@
 """Container configuration.
 
-One dataclass gathers every tunable so experiments can sweep them without
-touching code. Defaults match a small switched-Ethernet UAV LAN.
+One dataclass gathers what a deployment chooses when it builds a
+container: plug-ins, timing, the optional data-plane stages. What is armed
+on a running container — admission, reliability hardening, runtime
+verification — is not here: each has one run-time call
+(``SimRuntime.enable_admission``, ``harden_reliability``,
+``enable_verification``), and the two defenses keep fixed budgets as
+constants of their own modules. Defaults match a small switched-Ethernet
+UAV LAN.
 """
 
 from __future__ import annotations
@@ -11,8 +17,7 @@ from typing import Optional
 
 from repro.container.fleet import FleetConfig
 from repro.container.supervisor import RestartPolicy
-from repro.protocol.admission import AdmissionPolicy
-from repro.protocol.reliability import ReliabilityHardening, RetransmitPolicy
+from repro.protocol.reliability import RetransmitPolicy
 from repro.util.errors import ConfigurationError
 
 #: Port every container binds (one container per node, so one port suffices).
@@ -21,7 +26,7 @@ CONTAINER_PORT = 47000
 
 @dataclass
 class ContainerConfig:
-    """All knobs of one service container."""
+    """What a deployment chooses for one service container."""
 
     container_id: str
     node: str
@@ -45,16 +50,6 @@ class ContainerConfig:
 
     # Reliability.
     retransmit: RetransmitPolicy = field(default_factory=RetransmitPolicy)
-    #: Abuse defenses for the reliable streams (NACK budgets, ACK-flood
-    #: rejection, replay windows). Disabled by default: the protocol stays
-    #: byte/behavior-identical to the seed.
-    reliability_hardening: ReliabilityHardening = field(
-        default_factory=ReliabilityHardening
-    )
-
-    # Ingress admission control (repro.protocol.admission). Disabled by
-    # default: frames reach dispatch exactly as in the seed.
-    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
 
     # Supervision (§3 "watching for their correct operation"). The default
     # mode is "never" — failures are recorded but nothing auto-restarts —
@@ -111,13 +106,6 @@ class ContainerConfig:
     # memory).
     tracing_enabled: bool = False
 
-    # Runtime verification (repro.verify). "off" keeps the probe stream
-    # dormant (one bool read per emit site); "standard" arms the shipped
-    # middleware-contract specs on this container at start(). Fleet-level
-    # monitoring (cross-container specs, one merged verdict) instead goes
-    # through SimRuntime.enable_verification / verify.FleetMonitor.
-    verification: str = "off"
-
     def __post_init__(self) -> None:
         if self.event_mapping not in ("udp_ack", "tcp"):
             raise ConfigurationError(
@@ -136,17 +124,16 @@ class ContainerConfig:
             raise ConfigurationError("file_chunk_size must be positive")
         if self.file_chunk_interval < 0:
             raise ConfigurationError("file_chunk_interval must be >= 0")
+        if self.egress_rate_bps is not None and not self.egress_rate_bps > 0:
+            # Zero divides the shaper's drain delay; a negative rate re-arms
+            # its drain timer every microsecond and never sends.
+            raise ConfigurationError("egress_rate_bps must be > 0 (or None)")
         if self.egress_queue_limit is not None and self.egress_queue_limit < 1:
             raise ConfigurationError("egress_queue_limit must be >= 1")
         if self.batch_flush_interval < 0:
             raise ConfigurationError("batch_flush_interval must be >= 0")
         if self.ack_coalesce_delay < 0:
             raise ConfigurationError("ack_coalesce_delay must be >= 0")
-        if self.verification not in ("off", "standard"):
-            raise ConfigurationError(
-                f"verification must be 'off' or 'standard', "
-                f"got {self.verification!r}"
-            )
 
 
 __all__ = ["ContainerConfig", "CONTAINER_PORT"]

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.container.config import ContainerConfig
 from repro.container.directory import Directory
-from repro.container.egress import DEFAULT_BANDS, EgressShaper
+from repro.container.egress import EgressShaper
 from repro.container.gossip import FleetCoordinator
 from repro.container.lifecycle import ServiceRecord, ServiceState
 from repro.container.links import ReliableLinks, TcpLinks
@@ -38,6 +38,7 @@ from repro.primitives.invocation import InvocationManager
 from repro.primitives.variables import VariableManager
 from repro.primitives import wire
 from repro.protocol.admission import AdmissionController, IngressScheduler
+from repro.protocol.bands import band_of
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import Peer
 from repro.sched.model import SimScheduler
@@ -174,8 +175,7 @@ class ServiceContainer:
         )
         self.admission = AdmissionController(
             clock=clock,
-            classify=self._band_of,
-            policy=config.admission,
+            classify=band_of,
             metrics=self.metrics,
             recorder=self.recorder,
         )
@@ -193,7 +193,6 @@ class ServiceContainer:
             policy=config.retransmit,
             ack_delay=config.ack_coalesce_delay,
             on_peer_slow=self._on_peer_slow,
-            hardening=config.reliability_hardening,
             on_peer_abuse=self._on_peer_abuse,
         )
         self.tcp_links = TcpLinks(
@@ -214,11 +213,6 @@ class ServiceContainer:
         self._handlers: Dict[MessageKind, Callable[[Frame], None]] = {}
         self._services: Dict[str, ServiceRecord] = {}
         self.supervisor = ServiceSupervisor(self, rng=rng)
-        #: Per-container runtime-verification engine; armed lazily at
-        #: start() when ``config.verification`` asks for it (or externally
-        #: by a fleet-wide verify.FleetMonitor, which leaves this None).
-        self.monitor = None
-        self._monitor_tap = None
         self._emergency_handlers: List[Callable[[str], None]] = []
         self.emergencies: List[str] = []
 
@@ -338,14 +332,6 @@ class ServiceContainer:
         ]
         if self.fleet is not None:
             self._periodic_handles.extend(self.fleet.start())
-        if self._config.verification != "off" and self.monitor is None:
-            # Lazy import: repro.verify consumes container types; the
-            # config knob must not make every container pay the import.
-            from repro.verify.library import standard_specs
-            from repro.verify.monitor import ContainerTap, MonitorEngine
-
-            self.monitor = MonitorEngine(standard_specs())
-            self._monitor_tap = ContainerTap(self, self.monitor)
         for record in list(self._services.values()):
             if record.state == ServiceState.INSTALLED:
                 self._start_service(record)
@@ -566,10 +552,6 @@ class ServiceContainer:
         return _Handle()
 
     # -- inbound frame dispatch ----------------------------------------------------
-    @staticmethod
-    def _band_of(kind: MessageKind) -> int:
-        return DEFAULT_BANDS.get(kind, 4)
-
     def _on_frames(self, frames: List[Frame], source_address: Address) -> None:
         """The one ingress path: the frames of one datagram, in wire order.
 
@@ -578,10 +560,10 @@ class ServiceContainer:
         the own-loopback check, the admission switch, the receive counter
         and the clock read for the run's flight-recorder entries. A
         best-effort VAR_SAMPLE run goes whole to the variable manager; any
-        other run, and every run while ingress scheduling is on, is taken
-        one frame at a time. A control frame is a run of its own, and so
-        is every frame while admission is armed, so a drop or a quarantine
-        binds from the very next frame.
+        other run is taken one frame at a time. A control frame is a run of
+        its own, and so is every frame while admission is armed, so a drop
+        or a quarantine binds from the very next frame; an admitted data
+        frame then waits its band's turn on the ingress scheduler.
         """
         own = self._id
         admission = self.admission
@@ -592,8 +574,8 @@ class ServiceContainer:
             kind = frame.kind
             source = frame.source
             stop = start + 1
-            # ``enabled`` and ``policy`` are read live: a policy may be armed
-            # on a running container and binds from the very next run.
+            # ``enabled`` is read live: admission may be armed on a running
+            # container and binds from the very next run.
             armed = admission.enabled
             channel = frame.channel
             if not (armed or kind in _CONTROL_KINDS):
@@ -625,10 +607,8 @@ class ServiceContainer:
                     self._handle_control(frame)
                 except (ProtocolError, EncodingError) as exc:
                     self.note_malformed(frame, exc)
-            elif admission.policy.ingress_scheduling:
-                scheduler, band = self._ingress_scheduler(), self._band_of(kind)
-                for queued in run:
-                    scheduler.offer(queued, band)
+            elif armed:
+                self._ingress_scheduler().offer(frame, band_of(kind))
             elif kind is _VAR_SAMPLE and not channel:
                 self.variables.on_sample_frames(run)
             else:
@@ -641,13 +621,8 @@ class ServiceContainer:
 
     def _ingress_scheduler(self) -> IngressScheduler:
         if self._ingress is None:
-            policy = self.admission.policy
             self._ingress = IngressScheduler(
-                timers=self._timers,
-                deliver=self._ingest_data,
-                weights=policy.ingress_weights,
-                queue_limit=policy.ingress_queue_limit,
-                metrics=self.metrics,
+                timers=self._timers, deliver=self._ingest_data, metrics=self.metrics
             )
         return self._ingress
 

@@ -36,56 +36,11 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.observability.metrics import Gauge
 from repro.protocol.batching import BATCH_MTU_BYTES, FrameBatcher, PiggybackFn
-from repro.protocol.frames import Frame, MessageKind
+from repro.protocol.bands import BANDS, FALLBACK_BAND, NUM_BANDS
+from repro.protocol.frames import Frame
 from repro.transport.addressing import WIRE_OVERHEAD_BYTES, Destination
 from repro.util.clock import Clock
 from repro.util.errors import ConfigurationError
-
-#: Frame kind → priority band (lower = more urgent). Mirrors the
-#: scheduler's per-primitive priorities (§6).
-DEFAULT_BANDS: Dict[MessageKind, int] = {
-    # Control plane: failure detection must never starve.
-    MessageKind.ANNOUNCE: 0,
-    MessageKind.HEARTBEAT: 0,
-    MessageKind.BYE: 0,
-    # Gossip rumors and zone summaries *are* the control plane at fleet
-    # scale — they carry the liveness everyone else times out against.
-    MessageKind.GOSSIP: 0,
-    MessageKind.ZONE_SUMMARY: 0,
-    MessageKind.ACK: 0,
-    # A NACK is a retransmit request: it repairs the reliable stream, so it
-    # rides the control band with the ACKs it complements.
-    MessageKind.NACK: 0,
-    # Events are the latency-critical class (§4.2).
-    MessageKind.EVENT: 1,
-    MessageKind.EVENT_SUBSCRIBE: 1,
-    MessageKind.EVENT_UNSUBSCRIBE: 1,
-    # Variables are fresh-or-worthless.
-    MessageKind.VAR_SAMPLE: 2,
-    MessageKind.VAR_INITIAL_REQUEST: 2,
-    MessageKind.VAR_INITIAL_RESPONSE: 2,
-    # Invocations can queue briefly.
-    MessageKind.RPC_REQUEST: 3,
-    MessageKind.RPC_RESPONSE: 3,
-    MessageKind.STREAM_SYN: 3,
-    MessageKind.STREAM_SYNACK: 3,
-    MessageKind.STREAM_SEGMENT: 3,
-    MessageKind.STREAM_ACK: 3,
-    # Bulk transfer is background work.
-    MessageKind.FILE_ANNOUNCE: 4,
-    MessageKind.FILE_SUBSCRIBE: 4,
-    MessageKind.FILE_CHUNK: 4,
-    MessageKind.FILE_STATUS_REQUEST: 4,
-    MessageKind.FILE_COMPLETION_ACK: 4,
-    MessageKind.FILE_COMPLETION_NACK: 4,
-    MessageKind.FILE_DONE: 4,
-    MessageKind.FRAGMENT: 3,
-    # A batch inherits the band it was accumulated under; this entry is
-    # only the fallback for batches injected from outside the batcher.
-    MessageKind.BATCH: 1,
-}
-
-_NUM_BANDS = 5
 
 SendFn = Callable[[Destination, Frame], None]
 #: Overflow callback: (destination, band, shed frame).
@@ -133,7 +88,6 @@ class EgressShaper:
         send: SendFn,
         rate_bps: Optional[float] = None,
         burst_bytes: int = 1600,
-        bands: Optional[Dict[MessageKind, int]] = None,
         batching: bool = False,
         batch_mtu: int = BATCH_MTU_BYTES,
         batch_flush_interval: Optional[float] = None,
@@ -149,10 +103,9 @@ class EgressShaper:
         self._send = send
         self._rate_bps = rate_bps
         self._burst = float(burst_bytes)
-        self._bands = dict(DEFAULT_BANDS if bands is None else bands)
         #: Per band: (destination, frame, size, slot key), oldest first.
         self._queues: List[Deque[Tuple[Destination, Frame, int, _SlotKey]]] = [
-            deque() for _ in range(_NUM_BANDS)
+            deque() for _ in range(NUM_BANDS)
         ]
         self._tokens = self._burst
         self._last_refill = clock.now()
@@ -201,7 +154,7 @@ class EgressShaper:
     def send(self, destination: Destination, frame: Frame, slot=None) -> None:
         """Entry point: classify into a band, batch if enabled, then shape.
         ``slot`` is the peer a unicast ``destination`` belongs to."""
-        band = self._bands.get(frame.kind, _NUM_BANDS - 1)
+        band = BANDS.get(frame.kind, FALLBACK_BAND)
         if self._batcher is not None:
             self._batcher.add(destination, frame, band, slot)
             return
@@ -366,4 +319,4 @@ class EgressShaper:
             self._send(destination, frame)
 
 
-__all__ = ["EgressShaper", "DEFAULT_BANDS"]
+__all__ = ["EgressShaper"]

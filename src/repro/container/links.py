@@ -18,12 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.peers import Peer
-from repro.protocol.reliability import (
-    ReliabilityHardening,
-    ReliableReceiver,
-    ReliableSender,
-    RetransmitPolicy,
-)
+from repro.protocol.reliability import ReliableReceiver, ReliableSender, RetransmitPolicy
 from repro.protocol.tcp_like import TcpLikeReceiver, TcpLikeSender
 from repro.util.clock import Clock
 from repro.util.wakeup import Wakeup
@@ -87,7 +82,6 @@ class ReliableLinks:
         policy: Optional[RetransmitPolicy] = None,
         ack_delay: float = 0.0,
         on_peer_slow: PeerSlow = _ignore,
-        hardening: Optional[ReliabilityHardening] = None,
         on_peer_abuse: PeerAbuse = _ignore,
     ):
         self._clock = clock
@@ -99,18 +93,19 @@ class ReliableLinks:
         self._on_peer_slow = on_peer_slow
         self._policy = policy or RetransmitPolicy()
         self._ack_delay = ack_delay
-        self._hardening = hardening
+        self._hardened = False
         self._on_peer_abuse = on_peer_abuse
 
-    def set_hardening(self, hardening: ReliabilityHardening, peers: Iterable[Peer]) -> None:
-        """Arm (or swap) abuse defenses on every future stream and on the
+    def set_hardening(self, armed: bool, peers: Iterable[Peer]) -> None:
+        """Arm (or disarm) the abuse defenses of
+        :mod:`repro.protocol.reliability` on every future stream and on the
         open streams of ``peers`` — how ``SimRuntime.harden_reliability``
         retrofits a running fleet."""
-        self._hardening = hardening
+        self._hardened = armed
         for peer in peers:
             for stream in (peer.sender, peer.receiver):
                 if stream is not None:
-                    stream._hardening = hardening
+                    stream.hardened = armed
 
     # -- sending ---------------------------------------------------------------
     def send(self, peer: Peer, kind: MessageKind, payload: bytes) -> int:
@@ -160,7 +155,7 @@ class ReliableLinks:
             on_failure=lambda seq, frame, p=peer: self._on_peer_failure(p, frame),
             policy=self._policy,
             on_overflow=partial(self._on_peer_slow, peer),
-            hardening=self._hardening,
+            hardened=self._hardened,
             on_abuse=partial(self._on_peer_abuse, peer),
         )
         sender.wakeup = _stream_wakeup(self._clock, self._timers, sender)
@@ -177,7 +172,7 @@ class ReliableLinks:
             ack_delay=self._ack_delay,
             timers=self._timers,
             clock=self._clock,
-            hardening=self._hardening,
+            hardened=self._hardened,
             on_abuse=partial(self._on_peer_abuse, peer),
         )
         return receiver

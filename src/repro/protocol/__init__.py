@@ -4,6 +4,8 @@ Frames "the encoded data to denote the intent of the message" (§6) and is
 "responsible for frame retransmission and other low level bookkeeping":
 
 - :mod:`repro.protocol.frames` — the frame header and message kinds;
+- :mod:`repro.protocol.bands` — each kind's priority band, the one table
+  egress shaping, admission and ingress scheduling classify by;
 - :mod:`repro.protocol.reliability` — the application-layer ack/retransmit
   machinery the paper claims is "more efficient for event messages than the
   generic case provided by the TCP stack" (§4.2);

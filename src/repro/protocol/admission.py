@@ -3,9 +3,9 @@
 The container is the single network choke point for all four primitives
 (§3), which makes it the right — and only — place to decide whether a
 frame deserves any further work. This module is that decision, three
-mechanisms deep, all sans-io and all **off by default** (the wire and the
-dispatch path stay byte/behavior-identical to the seed until a policy is
-armed, the same bar batching meets):
+mechanisms deep and sans-io. It is **off by default**: the wire and the
+dispatch path stay byte/behavior-identical to the seed until a container
+is armed, and then all three apply at the fixed budgets below:
 
 1. **Token-bucket rate limiting**, per remote source and per (source,
    priority band). A flooding peer exhausts its own buckets and its frames
@@ -36,31 +36,51 @@ exists to keep it that way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
-
 from collections import deque
+from typing import Callable, Deque, Dict, List, Optional
 
+from repro.protocol.bands import NUM_BANDS
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.peers import Peer, Peers
 
-#: Default per-(source, band) admission rates in frames/second. Band 0
-#: (control plane: ANNOUNCE/HEARTBEAT/BYE/ACK) deliberately has no
-#: per-band bucket — failure detection must never be starved by its own
-#: defenses — but control frames still debit the per-source aggregate, so
-#: a heartbeat flood is caught there.
-DEFAULT_BAND_RATES: Dict[int, float] = {
+# The budgets of an armed controller. Fixed: no deployment tunes them, and
+# a test that needs a small budget patches the constant.
+
+#: Aggregate frames/second admitted per remote source (all bands), and the
+#: burst of that bucket.
+SOURCE_RATE = 2000.0
+SOURCE_BURST = 256.0
+#: Per-(source, band) frames/second. Band 0 (control plane:
+#: ANNOUNCE/HEARTBEAT/BYE/ACK) deliberately has no per-band bucket —
+#: failure detection must never be starved by its own defenses — but
+#: control frames still debit the per-source aggregate, so a heartbeat
+#: flood is caught there.
+BAND_RATES = {
     1: 500.0,  # events
     2: 1000.0,  # variables
     3: 500.0,  # invocations / streams
     4: 2000.0,  # bulk transfer (chunk trains are legitimately dense)
 }
-
+BAND_BURST = 64.0
+#: Misbehavior score that triggers quarantine, and its decay per second.
+QUARANTINE_THRESHOLD = 5.0
+QUARANTINE_DECAY = 1.0
+#: First quarantine window; each repeat offense multiplies it by the
+#: backoff, up to the cap.
+QUARANTINE_DURATION = 2.0
+QUARANTINE_BACKOFF = 2.0
+QUARANTINE_MAX_DURATION = 30.0
 #: Frames delivered per band per drain round of the ingress scheduler.
 #: Events and invocations outweigh variables; bulk gets the leftovers.
-DEFAULT_INGRESS_WEIGHTS: Dict[int, int] = {0: 16, 1: 8, 2: 2, 3: 6, 4: 1}
+INGRESS_WEIGHTS = (16, 8, 2, 6, 1)
+#: Bound on each band queue of the ingress scheduler.
+INGRESS_QUEUE_LIMIT = 512
 
-_NUM_BANDS = 5
+#: Armed: what ``SimRuntime.enable_admission()`` (and so ``repro.cli
+#: attack``) configures every :class:`AdmissionController` with. There is
+#: one armed configuration: every defense above, ingress scheduling
+#: included.
+HARDENED_ADMISSION = True
 
 
 class TokenBucket:
@@ -84,66 +104,6 @@ class TokenBucket:
             self.tokens -= amount
             return True
         return False
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Knobs of the ingress admission layer.
-
-    ``enabled=False`` (the default) keeps the whole layer inert: ``admit``
-    returns True without touching any state and the wire/dispatch behavior
-    is identical to the seed.
-    """
-
-    enabled: bool = False
-    #: Aggregate frames/second admitted per remote source (all bands);
-    #: ``None`` disables the aggregate bucket.
-    source_rate: Optional[float] = 2000.0
-    source_burst: float = 256.0
-    #: Per-(source, band) frames/second; ``None`` uses
-    #: :data:`DEFAULT_BAND_RATES`. A band absent from the mapping has no
-    #: band bucket. ``{}`` disables per-band limiting entirely.
-    band_rates: Optional[Mapping[int, float]] = None
-    band_burst: float = 64.0
-    #: Misbehavior score that triggers quarantine, and its decay/second.
-    quarantine_threshold: float = 5.0
-    quarantine_decay: float = 1.0
-    #: First quarantine window; repeat offenses multiply by ``backoff`` up
-    #: to ``max_duration``.
-    quarantine_duration: float = 2.0
-    quarantine_backoff: float = 2.0
-    quarantine_max_duration: float = 30.0
-    #: Band-weighted ingress dispatch (see :class:`IngressScheduler`).
-    ingress_scheduling: bool = False
-    ingress_weights: Optional[Mapping[int, int]] = None
-    ingress_queue_limit: int = 512
-
-    def __post_init__(self) -> None:
-        if self.source_rate is not None and self.source_rate <= 0:
-            raise ValueError("source_rate must be positive (or None)")
-        if self.source_burst < 1 or self.band_burst < 1:
-            raise ValueError("admission bursts must be >= 1")
-        for band, rate in (self.band_rates or {}).items():
-            if not (0 <= band < _NUM_BANDS) or rate <= 0:
-                raise ValueError(f"invalid band rate {band}={rate}")
-        if self.quarantine_threshold <= 0 or self.quarantine_decay < 0:
-            raise ValueError("invalid quarantine threshold/decay")
-        if (
-            self.quarantine_duration <= 0
-            or self.quarantine_backoff < 1.0
-            or self.quarantine_max_duration < self.quarantine_duration
-        ):
-            raise ValueError("invalid quarantine durations")
-        for band, weight in (self.ingress_weights or {}).items():
-            if not (0 <= band < _NUM_BANDS) or weight < 1:
-                raise ValueError(f"invalid ingress weight {band}={weight}")
-        if self.ingress_queue_limit < 1:
-            raise ValueError("ingress_queue_limit must be >= 1")
-
-
-#: A policy with every defense armed at its defaults — what
-#: ``SimRuntime.enable_admission()`` and ``repro.cli attack`` use.
-HARDENED_ADMISSION = AdmissionPolicy(enabled=True, ingress_scheduling=True)
 
 
 class _SourceState:
@@ -171,7 +131,8 @@ ClassifyFn = Callable[[MessageKind], int]
 
 
 class AdmissionController:
-    """Evaluates the :class:`AdmissionPolicy` at frame ingress.
+    """The admission decision at frame ingress: inert until armed, then
+    every defense at the budgets above.
 
     Owned by the container; consulted in ``_on_frames`` before any control
     handling, reliability processing or primitive dispatch. ``admit``
@@ -183,8 +144,11 @@ class AdmissionController:
     clock:
         Time source (virtual or wall).
     classify:
-        ``MessageKind -> priority band``; the container passes the egress
-        shaper's band map so ingress and egress agree on what a band is.
+        ``MessageKind -> priority band``; the container passes
+        :func:`~repro.protocol.bands.band_of`, the table egress shapes by.
+    policy:
+        True (:data:`HARDENED_ADMISSION`) arms the controller at
+        construction; the default leaves it inert until :meth:`configure`.
     metrics / recorder:
         Where drops, quarantines and malformed counts are surfaced.
 
@@ -198,7 +162,7 @@ class AdmissionController:
         self,
         clock,
         classify: ClassifyFn,
-        policy: Optional[AdmissionPolicy] = None,
+        policy: bool = False,
         metrics=None,
         recorder=None,
     ):
@@ -209,19 +173,18 @@ class AdmissionController:
         self.peers = Peers()
         self.admitted = 0
         self.dropped = 0
-        self.configure(policy or AdmissionPolicy())
+        self.configure(policy)
 
     # -- configuration ---------------------------------------------------------
-    def configure(self, policy: AdmissionPolicy) -> None:
-        """Swap the policy at runtime (``SimRuntime.enable_admission``).
+    def configure(self, armed: bool) -> None:
+        """Arm or disarm at runtime (``SimRuntime.enable_admission``).
 
         Source state is kept: an already-quarantined offender does not get
-        a clean slate just because the knobs moved."""
-        #: The live policy, and its ``enabled`` bit as a plain attribute: the
-        #: container reads it once per run of received frames and calls
-        #: :meth:`admit` per frame only while a policy is armed.
-        self.policy = policy
-        self.enabled = policy.enabled
+        a clean slate by a disarm and re-arm."""
+        #: Read by the container once per run of received frames: it calls
+        #: :meth:`admit` per frame only while armed, and queues admitted
+        #: data frames on its :class:`IngressScheduler`.
+        self.enabled = bool(armed)
 
     # -- the admission decision ------------------------------------------------
     def admit(self, frame: Frame, address=None) -> bool:
@@ -245,22 +208,17 @@ class AdmissionController:
                 return False
         if state is None:
             state = peer.admission = _SourceState()
-        policy = self.policy
-        if policy.source_rate is not None:
-            if state.bucket is None:
-                state.bucket = TokenBucket(policy.source_rate, policy.source_burst, now)
-            if not state.bucket.try_take(now):
-                self.dropped += 1
-                self._note_drop(peer, band, "source-rate", now)
-                return False
-        rates = DEFAULT_BAND_RATES if policy.band_rates is None else policy.band_rates
-        rate = rates.get(band)
+        if state.bucket is None:
+            state.bucket = TokenBucket(SOURCE_RATE, SOURCE_BURST, now)
+        if not state.bucket.try_take(now):
+            self.dropped += 1
+            self._note_drop(peer, band, "source-rate", now)
+            return False
+        rate = BAND_RATES.get(band)
         if rate is not None:
             bucket = state.band_buckets.get(band)
             if bucket is None:
-                bucket = state.band_buckets[band] = TokenBucket(
-                    rate, policy.band_burst, now
-                )
+                bucket = state.band_buckets[band] = TokenBucket(rate, BAND_BURST, now)
             if not bucket.try_take(now):
                 self.dropped += 1
                 self._note_drop(peer, band, "band-rate", now)
@@ -288,20 +246,18 @@ class AdmissionController:
             # Already serving a quarantine; don't stack new windows for
             # traffic the quarantine is there to absorb.
             return
-        policy = self.policy
         elapsed = now - state.score_stamp
         if elapsed > 0:
-            state.score = max(0.0, state.score - elapsed * policy.quarantine_decay)
+            state.score = max(0.0, state.score - elapsed * QUARANTINE_DECAY)
         state.score_stamp = now
         state.score += 1.0
-        if state.score < policy.quarantine_threshold:
+        if state.score < QUARANTINE_THRESHOLD:
             return
         state.score = 0.0
         state.quarantine_count += 1
         duration = min(
-            policy.quarantine_duration
-            * policy.quarantine_backoff ** (state.quarantine_count - 1),
-            policy.quarantine_max_duration,
+            QUARANTINE_DURATION * QUARANTINE_BACKOFF ** (state.quarantine_count - 1),
+            QUARANTINE_MAX_DURATION,
         )
         state.quarantined_until = now + duration
         if self._metrics is not None:
@@ -360,10 +316,11 @@ class IngressScheduler:
 
     The ingress twin of the egress shaper's per-band queues: frames are
     queued per priority band and drained in rounds of at most
-    ``weights[band]`` frames per band, highest-priority band first, one
+    ``INGRESS_WEIGHTS[band]`` frames per band, highest-priority band first, one
     round per zero-delay timer event. Within a band order is FIFO; across
     bands a backlog of low-priority frames can no longer dispatch ahead of
-    a fresh event or invocation. Each band queue is bounded; overflow
+    a fresh event or invocation. Each band queue holds at most
+    :data:`INGRESS_QUEUE_LIMIT` frames; overflow
     sheds the band's *oldest* frame (the flood is stale-first) and counts
     it under ``ingress_overflow{band}``.
 
@@ -371,22 +328,11 @@ class IngressScheduler:
     enter this stage.
     """
 
-    def __init__(
-        self,
-        timers,
-        deliver: DeliverFn,
-        weights: Optional[Mapping[int, int]] = None,
-        queue_limit: int = 512,
-        metrics=None,
-    ):
+    def __init__(self, timers, deliver: DeliverFn, metrics=None):
         self._timers = timers
         self._deliver = deliver
-        merged = dict(DEFAULT_INGRESS_WEIGHTS)
-        merged.update(weights or {})
-        self._weights = [merged.get(band, 1) for band in range(_NUM_BANDS)]
-        self._queue_limit = queue_limit
         self._metrics = metrics
-        self._queues: List[Deque[Frame]] = [deque() for _ in range(_NUM_BANDS)]
+        self._queues: List[Deque[Frame]] = [deque() for _ in range(NUM_BANDS)]
         self._drain_timer = None
         self.delivered = 0
         self.shed = 0
@@ -397,7 +343,7 @@ class IngressScheduler:
 
     def offer(self, frame: Frame, band: int) -> None:
         queue = self._queues[band]
-        if len(queue) >= self._queue_limit:
+        if len(queue) >= INGRESS_QUEUE_LIMIT:
             queue.popleft()
             self.shed += 1
             if self._metrics is not None:
@@ -411,8 +357,7 @@ class IngressScheduler:
 
     def _drain_round(self) -> None:
         self._drain_timer = None
-        for band, queue in enumerate(self._queues):
-            budget = self._weights[band]
+        for queue, budget in zip(self._queues, INGRESS_WEIGHTS):
             while queue and budget > 0:
                 frame = queue.popleft()
                 budget -= 1
@@ -424,10 +369,18 @@ class IngressScheduler:
 
 __all__ = [
     "TokenBucket",
-    "AdmissionPolicy",
     "AdmissionController",
     "IngressScheduler",
     "HARDENED_ADMISSION",
-    "DEFAULT_BAND_RATES",
-    "DEFAULT_INGRESS_WEIGHTS",
+    "SOURCE_RATE",
+    "SOURCE_BURST",
+    "BAND_RATES",
+    "BAND_BURST",
+    "QUARANTINE_THRESHOLD",
+    "QUARANTINE_DECAY",
+    "QUARANTINE_DURATION",
+    "QUARANTINE_BACKOFF",
+    "QUARANTINE_MAX_DURATION",
+    "INGRESS_WEIGHTS",
+    "INGRESS_QUEUE_LIMIT",
 ]

@@ -75,63 +75,45 @@ encode_nack = encode_ack
 decode_nack = decode_ack
 
 
-@dataclass
-class ReliabilityHardening:
-    """Abuse-tolerance knobs for the reliable streams.
+# Abuse defenses of a hardened stream (``ReliableLinks.set_hardening``),
+# per (peer, channel). Fixed: no deployment tunes them, and a test that
+# needs a small budget or window patches the constant.
+#
+# - NACK-storm suppression: a token-bucket NACK budget per peer; exhausting
+#   it opens an exponentially growing penalty window during which that
+#   peer's NACKs are ignored (a NACK is a *request for work* —
+#   retransmission — so it is the cheapest amplification lever).
+# - ACK-flood rejection: an ACK-frame budget per peer, plus rejection of
+#   ACKs for never-sent ("future") sequence numbers. Stale/duplicate ACKs
+#   are counted and ignored.
+# - Replay-window enforcement: data seqs further than REPLAY_WINDOW below
+#   the receiver's contiguous point are dropped *without
+#   re-acknowledgement* (re-ACKing ancient replays is the amplification an
+#   attacker wants), and seqs further than REPLAY_WINDOW above it are
+#   dropped instead of buffered, which bounds the out-of-order buffer an
+#   attacker could otherwise grow without limit.
 
-    ``enabled=False`` (the default) keeps the protocol byte- and
-    behavior-identical to the seed. The object is deliberately *mutable*
-    and shared by reference across every stream of a container, so
-    ``SimRuntime.harden_reliability`` can arm defenses on a running fleet.
-
-    Defenses, per (peer, channel) stream:
-
-    - **NACK-storm suppression**: a token-bucket NACK budget per peer;
-      exhausting it opens an exponentially growing penalty window during
-      which that peer's NACKs are ignored (a NACK is a *request for work*
-      — retransmission — so it is the cheapest amplification lever).
-    - **ACK-flood rejection**: an ACK-frame budget per peer, plus
-      rejection of ACKs for never-sent ("future") sequence numbers.
-      Stale/duplicate ACKs are counted and ignored.
-    - **Replay-window enforcement**: data seqs further than
-      ``replay_window`` below the receiver's contiguous point are dropped
-      *without re-acknowledgement* (re-ACKing ancient replays is the
-      amplification an attacker wants), and seqs further than
-      ``replay_window`` above it are dropped instead of buffered, which
-      bounds the out-of-order buffer an attacker could otherwise grow
-      without limit.
-    """
-
-    enabled: bool = False
-    ack_rate: float = 500.0
-    ack_burst: float = 128.0
-    nack_rate: float = 20.0
-    nack_burst: float = 8.0
-    nack_penalty: float = 0.5
-    nack_penalty_backoff: float = 2.0
-    nack_penalty_max: float = 10.0
-    #: Honest senders keep at most ``RetransmitPolicy.window`` (default 64)
-    #: frames outstanding, so 256 never touches legitimate traffic — while
-    #: every admitted-but-gap-stalled flood frame past it is dropped
-    #: *unACKed*, bounding both the out-of-order buffer and the band-0 ACK
-    #: amplification a seq-striding flood can mint on a shaped uplink.
-    replay_window: int = 256
-    #: Budget for re-ACKing in-window duplicates (lost-ACK recovery is
-    #: legitimate; a replay firehose is not).
-    dup_ack_rate: float = 50.0
-    dup_ack_burst: float = 16.0
-
-    def __post_init__(self) -> None:
-        if min(self.ack_rate, self.nack_rate, self.dup_ack_rate) <= 0:
-            raise ValueError("hardening rates must be positive")
-        if min(self.ack_burst, self.nack_burst, self.dup_ack_burst) < 1:
-            raise ValueError("hardening bursts must be >= 1")
-        if self.nack_penalty <= 0 or self.nack_penalty_backoff < 1.0:
-            raise ValueError("invalid nack penalty")
-        if self.nack_penalty_max < self.nack_penalty:
-            raise ValueError("invalid nack penalty cap")
-        if self.replay_window < 1:
-            raise ValueError("replay_window must be >= 1")
+#: ACK frames/second per peer, and the burst of that bucket.
+ACK_RATE = 500.0
+ACK_BURST = 128.0
+#: NACK frames/second per peer, and the burst of that bucket.
+NACK_RATE = 20.0
+NACK_BURST = 8.0
+#: First NACK penalty window; each repeat multiplies it by the backoff, up
+#: to the cap.
+NACK_PENALTY = 0.5
+NACK_PENALTY_BACKOFF = 2.0
+NACK_PENALTY_MAX = 10.0
+#: Honest senders keep at most ``RetransmitPolicy.window`` (default 64)
+#: frames outstanding, so 256 never touches legitimate traffic — while
+#: every admitted-but-gap-stalled flood frame past it is dropped *unACKed*,
+#: bounding both the out-of-order buffer and the band-0 ACK amplification
+#: a seq-striding flood can mint on a shaped uplink.
+REPLAY_WINDOW = 256
+#: Budget for re-ACKing in-window duplicates (lost-ACK recovery is
+#: legitimate; a replay firehose is not).
+DUP_ACK_RATE = 50.0
+DUP_ACK_BURST = 16.0
 
 
 class _Bucket:
@@ -213,9 +195,9 @@ class ReliableSender:
         Called with the *unsequenced* frame when ``policy.max_backlog`` is
         set and the backlog is full — the slow-subscriber backpressure
         signal. The frame was never admitted to the stream (seq 0).
-    hardening:
-        Shared :class:`ReliabilityHardening`; abuse defenses apply only
-        while ``hardening.enabled``.
+    hardened:
+        Apply the abuse defenses (the module constants above); the
+        owner may also set :attr:`hardened` on an open stream.
     on_abuse:
         Called with a reason string (``"ack-flood"``, ``"future-ack"``,
         ``"stale-ack"``, ``"nack-flood"``, ``"stale-nack"``) each time a
@@ -239,7 +221,7 @@ class ReliableSender:
         on_failure: Optional[Callable[[int, Frame], None]] = None,
         policy: Optional[RetransmitPolicy] = None,
         on_overflow: Optional[Callable[[Frame], None]] = None,
-        hardening: Optional[ReliabilityHardening] = None,
+        hardened: bool = False,
         on_abuse: Optional[Callable[[str], None]] = None,
     ):
         self._clock = clock
@@ -249,7 +231,7 @@ class ReliableSender:
         self._on_failure = on_failure
         self._on_overflow = on_overflow
         self._policy = policy or RetransmitPolicy()
-        self._hardening = hardening
+        self.hardened = hardened
         self._on_abuse = on_abuse
         self._ack_bucket: Optional[_Bucket] = None
         self._nack_bucket: Optional[_Bucket] = None
@@ -305,12 +287,9 @@ class ReliableSender:
         """Feed an ACK frame received for this stream."""
         if frame.kind != _ACK:
             raise ProtocolError(f"not an ack frame: {frame!r}")
-        hardening = self._hardening
-        if hardening is not None and hardening.enabled:
+        if self.hardened:
             if self._ack_bucket is None:
-                self._ack_bucket = _Bucket(
-                    hardening.ack_rate, hardening.ack_burst, self._clock.now()
-                )
+                self._ack_bucket = _Bucket(ACK_RATE, ACK_BURST, self._clock.now())
             if not self._ack_bucket.try_take(self._clock.now()):
                 self.suppressed_acks += 1
                 self._abuse("ack-flood")
@@ -319,8 +298,7 @@ class ReliableSender:
 
     def on_acked(self, seqs: Sequence[int]) -> None:
         in_flight = self._in_flight
-        hardening = self._hardening
-        if hardening is None or not hardening.enabled:
+        if not self.hardened:
             for seq in seqs:
                 in_flight.pop(seq, None)
         else:
@@ -343,29 +321,27 @@ class ReliableSender:
         Each listed in-flight seq is retransmitted immediately (with its
         backoff state reset, as for a timer-driven retransmit). Seqs not in
         flight — already acked, never sent, or shed — are counted as stale.
-        When hardening is enabled, a per-peer NACK budget applies; blowing
+        On a hardened stream a per-peer NACK budget applies; blowing
         it opens an exponentially growing penalty window during which every
         NACK from this peer is ignored outright.
         """
         if frame.kind != _NACK:
             raise ProtocolError(f"not a nack frame: {frame!r}")
         now = self._clock.now()
-        hardening = self._hardening
-        if hardening is not None and hardening.enabled:
+        hardened = self.hardened
+        if hardened:
             if now < self._nack_ignore_until:
                 self.suppressed_nacks += 1
                 self._abuse("nack-flood")
                 return
             if self._nack_bucket is None:
-                self._nack_bucket = _Bucket(
-                    hardening.nack_rate, hardening.nack_burst, now
-                )
+                self._nack_bucket = _Bucket(NACK_RATE, NACK_BURST, now)
             if not self._nack_bucket.try_take(now):
                 self._nack_penalty = min(
-                    hardening.nack_penalty
+                    NACK_PENALTY
                     if self._nack_penalty == 0.0
-                    else self._nack_penalty * hardening.nack_penalty_backoff,
-                    hardening.nack_penalty_max,
+                    else self._nack_penalty * NACK_PENALTY_BACKOFF,
+                    NACK_PENALTY_MAX,
                 )
                 self._nack_ignore_until = now + self._nack_penalty
                 self.suppressed_nacks += 1
@@ -377,7 +353,7 @@ class ReliableSender:
             state = in_flight.get(seq)
             if state is None:
                 self.stale_nacks += 1
-                if hardening is not None and hardening.enabled:
+                if hardened:
                     self._abuse("stale-nack")
                 continue
             resent, _, rto, retries = state
@@ -489,7 +465,7 @@ class ReliableReceiver:
         timers=None,
         max_pending_acks: int = ACK_COALESCE_MAX_PENDING,
         clock: Optional[Clock] = None,
-        hardening: Optional[ReliabilityHardening] = None,
+        hardened: bool = False,
         on_abuse: Optional[Callable[[str], None]] = None,
     ):
         if ack_delay > 0 and timers is None:
@@ -503,7 +479,9 @@ class ReliableReceiver:
         self._ack_delay = ack_delay
         self._max_pending_acks = max_pending_acks
         self._clock = clock
-        self._hardening = hardening
+        #: Apply the replay-window and re-ACK defenses (needs ``clock``);
+        #: the owner may set it on an open stream.
+        self.hardened = hardened
         self._on_abuse = on_abuse
         self._dup_ack_bucket: Optional[_Bucket] = None
         self._pending_acks: Set[int] = set()  # sorted into the ACK payload
@@ -534,13 +512,7 @@ class ReliableReceiver:
                 f"({self._source}, {self._channel})"
             )
         seq = frame.seq
-        hardening = self._hardening
-        if (
-            hardening is not None
-            and hardening.enabled
-            and self._clock is not None
-            and self._screened(seq, hardening)
-        ):
+        if self.hardened and self._screened(seq):
             return
         # Always ack, even duplicates.
         if self._ack_delay > 0:
@@ -571,11 +543,11 @@ class ReliableReceiver:
         self.delivered_frames += 1
         self._deliver(frame)
 
-    def _screened(self, seq: int, hardening: ReliabilityHardening) -> bool:
+    def _screened(self, seq: int) -> bool:
         """The hardened stream's gate, ahead of the ACK: True when ``seq``
         ends here. A duplicate within the re-ACK budget passes on, to be
         re-ACKed and counted like any other duplicate."""
-        window = hardening.replay_window
+        window = REPLAY_WINDOW
         if seq < self._expected - window:
             # Ancient replay: do NOT re-ack — the re-ACK is exactly the
             # amplification a replay flood is after.
@@ -592,9 +564,7 @@ class ReliableReceiver:
             # In-window duplicate: re-ACK (lost-ACK recovery), but on a
             # budget so a duplicate firehose cannot mint ACK traffic.
             if self._dup_ack_bucket is None:
-                self._dup_ack_bucket = _Bucket(
-                    hardening.dup_ack_rate, hardening.dup_ack_burst, self._clock.now()
-                )
+                self._dup_ack_bucket = _Bucket(DUP_ACK_RATE, DUP_ACK_BURST, self._clock.now())
             if self._dup_ack_bucket.try_take(self._clock.now()):
                 return False
             self.suppressed_dup_acks += 1
@@ -663,7 +633,16 @@ class ReliableReceiver:
 __all__ = [
     "ACK_COALESCE_MAX_PENDING",
     "RetransmitPolicy",
-    "ReliabilityHardening",
+    "ACK_RATE",
+    "ACK_BURST",
+    "NACK_RATE",
+    "NACK_BURST",
+    "NACK_PENALTY",
+    "NACK_PENALTY_BACKOFF",
+    "NACK_PENALTY_MAX",
+    "REPLAY_WINDOW",
+    "DUP_ACK_RATE",
+    "DUP_ACK_BURST",
     "ReliableSender",
     "ReliableReceiver",
     "encode_ack",

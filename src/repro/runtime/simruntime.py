@@ -149,25 +149,20 @@ class SimRuntime:
         for container in self.containers.values():
             container.tracer.enabled = True
 
-    def enable_admission(self, policy=None) -> None:
-        """Arm ingress admission control in every (current) container.
-
-        ``policy`` defaults to :data:`~repro.protocol.admission.HARDENED_ADMISSION`
-        (rate limits + quarantine + band-weighted ingress scheduling).
-        """
+    def enable_admission(self) -> None:
+        """Arm ingress admission control in every (current) container: rate
+        limits, quarantine and band-weighted ingress scheduling, at the
+        budgets of :mod:`repro.protocol.admission`."""
         from repro.protocol.admission import HARDENED_ADMISSION
 
         for container in self.containers.values():
-            container.admission.configure(policy or HARDENED_ADMISSION)
+            container.admission.configure(HARDENED_ADMISSION)
 
-    def harden_reliability(self, hardening=None) -> None:
+    def harden_reliability(self) -> None:
         """Arm the reliability abuse defenses (NACK budgets, ACK-flood
         rejection, replay windows) on every existing and future stream."""
-        from repro.protocol.reliability import ReliabilityHardening
-
-        armed = hardening or ReliabilityHardening(enabled=True)
         for container in self.containers.values():
-            container.links.set_hardening(armed, container.directory.peers())
+            container.links.set_hardening(True, container.directory.peers())
 
     def enable_verification(self, specs=None, tracing: bool = False):
         """Arm runtime-verification monitors over every current container.

@@ -181,7 +181,7 @@ class TestDefendedFleetUnderAttack:
         assert calls > 10
         assert len(publisher.results) / calls >= 0.99
         # The tail is bounded by the residual ACK burst the replay horizon
-        # allows (~replay_window frames on the shaped uplink, ~1s here);
+        # allows (~REPLAY_WINDOW frames on the shaped uplink, ~1s here);
         # undefended, these calls do not complete at all.
         assert checker.check_rpc_p99(1.5) == []
 

@@ -22,8 +22,10 @@ from helpers import ProbeService
 from repro import AsyncRuntime, SimRuntime
 from repro.encoding.types import FLOAT64, INT32, INT64, STRING, StructType
 from repro.primitives import wire
-from repro.protocol.frames import FrameFlags, MessageKind
+from repro.protocol.admission import HARDENED_ADMISSION, QUARANTINE_THRESHOLD
+from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.simnet.models import LinkModel
+from repro.transport.addressing import Address
 
 
 @pytest.fixture
@@ -286,6 +288,59 @@ class TestAsyncRuntime:
         runtime.start()
         late = runtime.add_container("late", **FAST)
         assert late.running
+
+
+class TestDefensesArmedOnRealSockets:
+    """Admission and reliability hardening have one arming path each, a
+    run-time call; on ``AsyncRuntime`` it runs on the loop thread."""
+
+    def test_spoofed_garbage_is_quarantined_and_honest_events_arrive_once(self, runtime):
+        a = runtime.add_container("a", **FAST)
+        b = runtime.add_container("b", **FAST)
+        pub = ProbeService("pub", lambda s: setattr(
+            s, "handle", s.ctx.provide_event("test.evt", INT64)
+        ))
+        sub = ProbeService("sub", lambda s: s.watch_event("test.evt"))
+        a.install_service(pub)
+        b.install_service(sub)
+        runtime.start()
+        assert runtime.run_until(lambda: "b" in pub.handle.subscribers, timeout=5.0)
+
+        def arm():
+            for container in runtime.containers.values():
+                container.admission.configure(HARDENED_ADMISSION)
+                container.links.set_hardening(True, container.directory.peers())
+
+        runtime.on_reactor(arm)
+        # An EVENT under an id nobody announced whose payload does not
+        # decode, from an address nobody registered: one malformed frame per
+        # loop turn, each admitted, queued on b's ingress scheduler and
+        # scored when it is dispatched.
+        forged = Frame(MessageKind.EVENT, "mallory", b"\xff" * 8)
+        attacker = Address("10.0.0.66", 47000)
+
+        def inject_until_quarantined():
+            if b.admission.is_quarantined("mallory"):
+                return True
+            b._on_frames([forged], attacker)
+            return False
+
+        assert runtime.run_until(inject_until_quarantined, timeout=5.0, poll=0.005)
+        metrics = b.metrics
+        # The score decays between loop turns, so it may take a few more.
+        assert metrics.counter_value("malformed_frames", source="mallory") >= QUARANTINE_THRESHOLD
+        assert metrics.counter_value("quarantines", source="mallory") == 1
+        runtime.on_reactor(lambda: b._on_frames([forged], attacker))
+        assert metrics.counter_value(
+            "admission_drops", source="mallory", band="1", reason="quarantine"
+        ) == 1
+
+        runtime.on_reactor(lambda: [pub.handle.raise_event(n) for n in range(20)])
+        assert runtime.run_until(lambda: len(sub.events) >= 20, timeout=5.0)
+        runtime.run_until(lambda: False, timeout=0.3)  # room for a duplicate
+        assert sub.events_of("test.evt") == list(range(20))
+        assert b.directory.peer("a").receiver.hardened
+        assert not b.admission.is_quarantined("a")
 
 
 _TAP_SCHEMAS = {

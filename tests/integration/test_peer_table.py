@@ -33,7 +33,6 @@ from repro import Service, SimRuntime
 from repro.container.links import RELIABLE_CHANNEL, TCP_CHANNEL
 from repro.encoding.types import INT64
 from repro.primitives import wire
-from repro.protocol.admission import HARDENED_ADMISSION
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import MAX_STRANGERS
 from repro.protocol.tcp_like import TCP_EXTRA_HEADER
@@ -81,7 +80,7 @@ class _Flood:
         self.runtime.start()
         self.runtime.settle()
         if admission:
-            self.runtime.enable_admission(HARDENED_ADMISSION)
+            self.runtime.enable_admission()
         self.events = publisher.ctx.provide_event("mark", INT64)
         self.got = []
         subscriber.ctx.subscribe_event("mark", lambda value, _t: self.got.append(value))

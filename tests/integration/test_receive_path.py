@@ -24,7 +24,6 @@ from repro import SimRuntime, Service
 from repro.encoding.codec import get_codec
 from repro.encoding.types import FLOAT64, INT32, INT64, StructType
 from repro.protocol import frames as frames_module
-from repro.protocol.admission import AdmissionPolicy
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.wire_registry import schema_for
 from repro.util.errors import EncodingError, ProtocolError
@@ -222,7 +221,7 @@ class TestPoliciesArmedOnARunningContainer:
         ) == 1
         # Disarming restores pass-through: the quarantine is still on the
         # books, but nothing consults it.
-        b.admission.configure(AdmissionPolicy(enabled=False))
+        b.admission.configure(False)
         pub.var.publish({"n": 2})
         runtime.run_for(0.1)
         assert sub.values_of("v") == [{"n": 0}, {"n": 2}]

@@ -17,6 +17,7 @@ reference), and the bound on streams opened by sources nobody announced.
 import struct
 import sys
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +27,9 @@ from repro import Service, SimRuntime
 from repro.container.links import RELIABLE_CHANNEL
 from repro.encoding.types import FLOAT64, INT64
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
+from repro.protocol import reliability
 from repro.protocol.peers import MAX_STRANGERS
-from repro.protocol.reliability import (
-    ReliabilityHardening,
-    ReliableReceiver,
-    _Bucket,
-    decode_ack,
-    encode_ack,
-)
+from repro.protocol.reliability import ReliableReceiver, _Bucket, decode_ack, encode_ack
 from repro.sim import Simulator
 from repro.transport.addressing import Address
 from repro.util.errors import ProtocolError
@@ -303,11 +299,11 @@ class _PerFrameReceiver:
     encoding), transcribed as the reference."""
 
     def __init__(self, emit_ack, deliver, ordered, ack_delay, timers, max_pending_acks,
-                 clock, hardening, on_abuse):
+                 clock, hardened, on_abuse):
         self._source, self._channel = "tx", RELIABLE_CHANNEL
         self._emit_ack, self._deliver, self._ordered = emit_ack, deliver, ordered
         self._ack_delay, self._max_pending_acks = ack_delay, max_pending_acks
-        self._clock, self._hardening, self._on_abuse = clock, hardening, on_abuse
+        self._clock, self._hardened, self._on_abuse = clock, hardened, on_abuse
         self._dup_ack_bucket = None
         self._pending_acks = set()
         self._ack_due = None
@@ -320,13 +316,10 @@ class _PerFrameReceiver:
         self.coalesced_acks = self.ack_frames_sent = 0
         self.replayed_frames = self.horizon_drops = self.suppressed_dup_acks = 0
 
-    def _hardened(self):
-        return self._hardening is not None and self._hardening.enabled
-
     def on_frame(self, frame):
         seq = frame.seq
-        if self._hardened():
-            window = self._hardening.replay_window
+        if self._hardened:
+            window = reliability.REPLAY_WINDOW
             if seq < self._expected - window:
                 self.replayed_frames += 1
                 self._on_abuse("replay")
@@ -338,7 +331,7 @@ class _PerFrameReceiver:
             if seq < self._expected or seq in self._seen:
                 if self._dup_ack_bucket is None:
                     self._dup_ack_bucket = _Bucket(
-                        self._hardening.dup_ack_rate, self._hardening.dup_ack_burst,
+                        reliability.DUP_ACK_RATE, reliability.DUP_ACK_BURST,
                         self._clock.now(),
                     )
                 if self._dup_ack_bucket.try_take(self._clock.now()):
@@ -430,20 +423,29 @@ STREAM_OPS = st.lists(
     ),
     max_size=120,
 )
+#: ``None``: an unhardened stream. Else a hardened one, under these values
+#: of the module's constants — small, so that the replay window, the
+#: horizon and the re-ACK budget are all reached by seqs 1..40.
 HARDENING = st.one_of(
     st.none(),
-    st.builds(
-        ReliabilityHardening,
-        enabled=st.booleans(),
-        replay_window=st.integers(1, 12),
-        dup_ack_rate=st.sampled_from([1.0, 50.0]),
-        dup_ack_burst=st.sampled_from([1.0, 2.0, 16.0]),
-    ),
+    st.fixed_dictionaries({
+        "REPLAY_WINDOW": st.integers(1, 12),
+        "DUP_ACK_RATE": st.sampled_from([1.0, 50.0]),
+        "DUP_ACK_BURST": st.sampled_from([1.0, 2.0, 16.0]),
+    }),
 )
 
 
 def _run_stream(make, ops, ordered, ack_delay, max_pending, hardening):
-    """Drive one receiver through ``ops``; -> (event log, counters)."""
+    """Drive one receiver through ``ops``, hardened under the constants
+    ``hardening`` names (unhardened when None); -> (event log, counters)."""
+    if hardening is None:
+        return _drive(make, ops, ordered, ack_delay, max_pending, False)
+    with patch.multiple(reliability, **hardening):
+        return _drive(make, ops, ordered, ack_delay, max_pending, True)
+
+
+def _drive(make, ops, ordered, ack_delay, max_pending, hardened):
     sim = Simulator()
     log = []
     receiver = make(
@@ -454,7 +456,7 @@ def _run_stream(make, ops, ordered, ack_delay, max_pending, hardening):
         timers=sim,
         max_pending_acks=max_pending,
         clock=sim,
-        hardening=hardening,
+        hardened=hardened,
         on_abuse=lambda reason: log.append(("abuse", reason)),
     )
     now = 0.0
@@ -489,27 +491,20 @@ class TestBoundReceiverAgainstThePerFrameOne:
     def test_same_deliveries_acks_abuse_and_counters(
         self, ops, ordered, ack_delay, max_pending, hardening
     ):
-        twin = None
-        if hardening is not None:  # each side owns its (mutable) hardening
-            twin = ReliabilityHardening(**vars(hardening))
-        args = (ops, ordered, ack_delay, max_pending)
-        assert _run_stream(_bound, *args, hardening) == _run_stream(
-            _PerFrameReceiver, *args, twin
-        )
+        args = (ops, ordered, ack_delay, max_pending, hardening)
+        assert _run_stream(_bound, *args) == _run_stream(_PerFrameReceiver, *args)
 
     def test_out_of_order_duplicate_and_hardened_streams(self):
         """The three shapes named explicitly, with every defense firing."""
-        hardening = dict(enabled=True, replay_window=4, dup_ack_rate=1.0, dup_ack_burst=2.0)
+        hardening = dict(REPLAY_WINDOW=4, DUP_ACK_RATE=1.0, DUP_ACK_BURST=2.0)
         frames = [("frame", s) for s in (2, 3, 1, 5, 4, 4, 1, 9, 30, 6, 7, 8, 1, 1, 1)]
         ops = frames + [("wait", 5), ("drain",)] + frames
         for ordered in (True, False):
             for ack_delay in (0.0, 0.005):
-                args = (ops, ordered, ack_delay, 64)
-                for make_hardening in (lambda: None, lambda: ReliabilityHardening(**hardening)):
-                    bound = _run_stream(_bound, *args, make_hardening())
-                    reference = _run_stream(_PerFrameReceiver, *args, make_hardening())
-                    assert bound == reference
-        log, counters = _run_stream(_bound, ops, True, 0.0, 64, ReliabilityHardening(**hardening))
+                for constants in (None, hardening):
+                    args = (ops, ordered, ack_delay, 64, constants)
+                    assert _run_stream(_bound, *args) == _run_stream(_PerFrameReceiver, *args)
+        log, counters = _run_stream(_bound, ops, True, 0.0, 64, hardening)
         assert {"replay", "horizon", "dup-ack"} <= {e[1] for e in log if e[0] == "abuse"}
         assert [e[1] for e in log if e[0] == "deliver"] == list(range(1, 10))
 

@@ -7,26 +7,27 @@ reliability paths behind it) are built on:
   datagram entry point, and arbitrary well-formed frames carrying garbage
   payloads thrown at frame dispatch, are *counted and dropped* — never an
   unhandled exception, never a wedged container.
-- **Disabled means inert.** With ``enabled=False`` the admission policy
-  and the reliability hardening may carry any knob values whatsoever and
-  the wire traffic of a seeded run stays packet-for-packet identical to a
-  default-config run — the seed-parity guarantee (same bar the batching
-  stage meets).
+- **Disabled means inert.** An unarmed controller admits everything and
+  keeps no per-source state. That the unarmed plane's wire traffic is
+  unchanged is pinned by the recorded packet-trace digests
+  (``test_fleet.py``, ``test_wakeups.py``).
 - **Token buckets and quarantine behave as specified** for arbitrary
   schedules: conservation bounds, no negative tokens, decay forgiveness.
 """
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.observability.metrics import MetricsRegistry
+from repro.protocol import admission
 from repro.protocol.admission import (
+    HARDENED_ADMISSION,
     AdmissionController,
-    AdmissionPolicy,
     TokenBucket,
 )
 from repro.protocol.frames import Frame, MessageKind
-from repro.protocol.reliability import ReliabilityHardening
 from repro.runtime.simruntime import SimRuntime
 from repro.transport.addressing import Address
 from repro.util import ManualClock
@@ -113,78 +114,12 @@ class TestIngressNeverCrashes:
         runtime.stop()
 
 
-def packet_trace(admission=None, hardening=None, seed=17):
-    """Run a fixed seeded pub/sub workload; return the full packet trace."""
-    import tests.helpers as helpers
-    from repro.encoding.types import STRING
-
-    overrides = {}
-    if admission is not None:
-        overrides["admission"] = admission
-    if hardening is not None:
-        overrides["reliability_hardening"] = hardening
-    runtime = SimRuntime(seed=seed)
-    trace = runtime.network.enable_trace()
-    pub = runtime.add_container("pub", **overrides)
-    sub = runtime.add_container("sub", **overrides)
-    publisher = helpers.ProbeService(
-        "publisher",
-        lambda s: setattr(s, "handle", s.ctx.provide_event("parity.evt", STRING)),
-    )
-    subscriber = helpers.ProbeService(
-        "subscriber", lambda s: s.watch_event("parity.evt")
-    )
-    pub.install_service(publisher)
-    sub.install_service(subscriber)
-    helpers.settle(runtime)
-    for i in range(20):
-        publisher.handle.raise_event(f"evt-{i}")
-        runtime.run_for(0.05)
-    runtime.run_for(1.0)
-    runtime.stop()
-    assert subscriber.events_of("parity.evt") == [f"evt-{i}" for i in range(20)]
-    return [
-        (str(p.source), str(p.destination), p.sent_at, p.payload) for p in trace
-    ]
-
-
 class TestDisabledParity:
-    """enabled=False must be wire-inert no matter what the other knobs say."""
-
-    def test_disabled_admission_any_knobs_is_byte_identical(self):
-        baseline = packet_trace()
-        weird = AdmissionPolicy(
-            enabled=False,
-            source_rate=1.0,
-            source_burst=1.0,
-            band_rates={1: 1.0},
-            band_burst=1.0,
-            quarantine_threshold=1.0,
-            quarantine_duration=30.0,
-            ingress_scheduling=False,
-            ingress_queue_limit=1,
-        )
-        assert packet_trace(admission=weird) == baseline
-
-    def test_disabled_hardening_any_knobs_is_byte_identical(self):
-        baseline = packet_trace()
-        weird = ReliabilityHardening(
-            enabled=False,
-            ack_rate=1.0,
-            ack_burst=1.0,
-            nack_rate=1.0,
-            nack_burst=1.0,
-            replay_window=1,
-            dup_ack_rate=1.0,
-            dup_ack_burst=1.0,
-        )
-        assert packet_trace(hardening=weird) == baseline
-
     def test_disabled_controller_is_a_pure_no_op(self):
         ctl = AdmissionController(
             clock=ManualClock(),
             classify=lambda kind: 1,
-            policy=AdmissionPolicy(enabled=False, source_rate=1.0),
+            policy=False,
         )
         frame = Frame(kind=MessageKind.EVENT, source="s", payload=b"", channel=0)
         assert all(ctl.admit(frame) for _ in range(1000))
@@ -242,32 +177,28 @@ class TestQuarantineProperties:
     def test_arbitrary_malformed_schedules_never_crash_and_stay_consistent(
         self, schedule
     ):
-        clock = ManualClock()
-        metrics = MetricsRegistry()
-        ctl = AdmissionController(
-            clock=clock,
-            classify=lambda kind: 1,
-            policy=AdmissionPolicy(
-                enabled=True,
-                source_rate=None,
-                band_rates={},
-                quarantine_threshold=3.0,
-            ),
-            metrics=metrics,
-        )
-        for source, dt in schedule:
-            clock.advance(dt)
-            ctl.note_malformed(source)
-        # Every quarantined source has a quarantine counter and is dropped.
-        for source in ctl.quarantined_sources():
-            assert metrics.counter_value("quarantines", source=source) >= 1
-            frame = Frame(
-                kind=MessageKind.EVENT, source=source, payload=b"", channel=0
+        with patch.object(admission, "QUARANTINE_THRESHOLD", 3.0):
+            clock = ManualClock()
+            metrics = MetricsRegistry()
+            ctl = AdmissionController(
+                clock=clock,
+                classify=lambda kind: 1,
+                policy=HARDENED_ADMISSION,
+                metrics=metrics,
             )
-            assert not ctl.admit(frame)
-        # Scores decay to forgiveness: far in the future nobody is held.
-        clock.advance(10_000.0)
-        assert ctl.quarantined_sources() == []
+            for source, dt in schedule:
+                clock.advance(dt)
+                ctl.note_malformed(source)
+            # Every quarantined source has a quarantine counter and is dropped.
+            for source in ctl.quarantined_sources():
+                assert metrics.counter_value("quarantines", source=source) >= 1
+                frame = Frame(
+                    kind=MessageKind.EVENT, source=source, payload=b"", channel=0
+                )
+                assert not ctl.admit(frame)
+            # Scores decay to forgiveness: far in the future nobody is held.
+            clock.advance(10_000.0)
+            assert ctl.quarantined_sources() == []
 
 
 if __name__ == "__main__":

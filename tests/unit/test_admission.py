@@ -1,13 +1,17 @@
-"""Unit tests for ingress admission control (protocol/admission.py)."""
+"""Unit tests for ingress admission control (protocol/admission.py).
+
+The budgets are module constants; a test that needs a smaller one patches
+it for its own duration."""
 
 import pytest
 
 from repro.observability.metrics import MetricsRegistry
+from repro.protocol import admission
 from repro.protocol.admission import (
-    DEFAULT_BAND_RATES,
+    BAND_RATES,
     HARDENED_ADMISSION,
+    INGRESS_WEIGHTS,
     AdmissionController,
-    AdmissionPolicy,
     IngressScheduler,
     TokenBucket,
 )
@@ -28,13 +32,17 @@ def frame(kind=MessageKind.EVENT, source="peer", seq=0):
     return Frame(kind=kind, source=source, payload=b"x", channel=0, seq=seq)
 
 
-def controller(policy=None, clock=None, metrics=None):
+def controller(policy=False, clock=None, metrics=None):
     return AdmissionController(
         clock=clock or ManualClock(),
         classify=lambda kind: BANDS.get(kind, 4),
         policy=policy,
         metrics=metrics,
     )
+
+
+def armed(clock=None, metrics=None):
+    return controller(HARDENED_ADMISSION, clock=clock, metrics=metrics)
 
 
 class TestTokenBucket:
@@ -54,27 +62,12 @@ class TestTokenBucket:
 
 
 class TestPolicyValidation:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(source_rate=0.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(source_burst=0.5)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(band_rates={7: 10.0})
-        with pytest.raises(ValueError):
-            AdmissionPolicy(quarantine_threshold=0.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(quarantine_backoff=0.5)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(quarantine_max_duration=1.0, quarantine_duration=2.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(ingress_weights={1: 0})
-        with pytest.raises(ValueError):
-            AdmissionPolicy(ingress_queue_limit=0)
-
     def test_hardened_default_is_fully_armed(self):
-        assert HARDENED_ADMISSION.enabled
-        assert HARDENED_ADMISSION.ingress_scheduling
+        assert armed().enabled
+        ctl = controller()
+        assert not ctl.enabled
+        ctl.configure(HARDENED_ADMISSION)
+        assert ctl.enabled
 
 
 class TestDisabledIsInert:
@@ -95,12 +88,14 @@ class TestDisabledIsInert:
 
 
 class TestRateLimiting:
+    @pytest.fixture(autouse=True)
+    def small_source_budget(self, monkeypatch):
+        monkeypatch.setattr(admission, "SOURCE_RATE", 10.0)
+        monkeypatch.setattr(admission, "SOURCE_BURST", 4.0)
+
     def test_source_burst_then_drop(self):
         metrics = MetricsRegistry()
-        policy = AdmissionPolicy(
-            enabled=True, source_rate=10.0, source_burst=4.0, band_rates={}
-        )
-        ctl = controller(policy, metrics=metrics)
+        ctl = armed(metrics=metrics)
         verdicts = [ctl.admit(frame()) for _ in range(6)]
         assert verdicts == [True] * 4 + [False] * 2
         assert ctl.admitted == 4 and ctl.dropped == 2
@@ -112,35 +107,23 @@ class TestRateLimiting:
         )
 
     def test_sources_have_independent_budgets(self):
-        policy = AdmissionPolicy(
-            enabled=True, source_rate=10.0, source_burst=2.0, band_rates={}
-        )
-        ctl = controller(policy)
-        assert [ctl.admit(frame(source="a")) for _ in range(3)] == [True, True, False]
+        ctl = armed()
+        assert [ctl.admit(frame(source="a")) for _ in range(5)] == [True] * 4 + [False]
         # b's bucket is untouched by a's exhaustion.
         assert ctl.admit(frame(source="b"))
 
     def test_budget_refills_with_time(self):
         clock = ManualClock()
-        policy = AdmissionPolicy(
-            enabled=True, source_rate=10.0, source_burst=2.0, band_rates={}
-        )
-        ctl = controller(policy, clock=clock)
-        assert [ctl.admit(frame()) for _ in range(3)] == [True, True, False]
-        clock.advance(0.5)  # 5 tokens earned, capped at burst=2
-        assert ctl.admit(frame())
-        assert ctl.admit(frame())
-        assert not ctl.admit(frame())
+        ctl = armed(clock=clock)
+        assert [ctl.admit(frame()) for _ in range(5)] == [True] * 4 + [False]
+        clock.advance(1.0)  # 10 tokens earned, capped at burst=4
+        assert [ctl.admit(frame()) for _ in range(5)] == [True] * 4 + [False]
 
-    def test_band_bucket_isolated_per_band(self):
+    def test_band_bucket_isolated_per_band(self, monkeypatch):
+        monkeypatch.setattr(admission, "SOURCE_BURST", 100.0)
+        monkeypatch.setattr(admission, "BAND_BURST", 2.0)
         metrics = MetricsRegistry()
-        policy = AdmissionPolicy(
-            enabled=True,
-            source_rate=None,
-            band_rates={1: 10.0, 2: 10.0},
-            band_burst=2.0,
-        )
-        ctl = controller(policy, metrics=metrics)
+        ctl = armed(metrics=metrics)
         for _ in range(2):
             assert ctl.admit(frame(MessageKind.EVENT))
         assert not ctl.admit(frame(MessageKind.EVENT))
@@ -153,31 +136,27 @@ class TestRateLimiting:
             == 1
         )
 
-    def test_control_band_has_no_band_bucket_by_default(self):
-        # Band 0 is absent from DEFAULT_BAND_RATES: failure detection is
-        # never starved by its own defenses.
-        assert 0 not in DEFAULT_BAND_RATES
-        policy = AdmissionPolicy(enabled=True, source_rate=None)
-        ctl = controller(policy)
+    def test_control_band_has_no_band_bucket_by_default(self, monkeypatch):
+        # Band 0 is absent from BAND_RATES: failure detection is never
+        # starved by its own defenses, only by the per-source aggregate.
+        assert 0 not in BAND_RATES
+        monkeypatch.setattr(admission, "SOURCE_BURST", 5000.0)
+        monkeypatch.setattr(admission, "BAND_BURST", 1.0)
+        ctl = armed()
         assert all(ctl.admit(frame(MessageKind.HEARTBEAT)) for _ in range(5000))
+        assert not ctl.admit(frame(MessageKind.HEARTBEAT))
 
 
 class TestQuarantine:
-    POLICY = AdmissionPolicy(
-        enabled=True,
-        source_rate=None,
-        band_rates={},
-        quarantine_threshold=3.0,
-        quarantine_decay=1.0,
-        quarantine_duration=2.0,
-        quarantine_backoff=2.0,
-        quarantine_max_duration=5.0,
-    )
+    @pytest.fixture(autouse=True)
+    def short_quarantine(self, monkeypatch):
+        monkeypatch.setattr(admission, "QUARANTINE_THRESHOLD", 3.0)
+        monkeypatch.setattr(admission, "QUARANTINE_MAX_DURATION", 5.0)
 
     def test_threshold_triggers_window_then_expires(self):
         clock = ManualClock()
         metrics = MetricsRegistry()
-        ctl = controller(self.POLICY, clock=clock, metrics=metrics)
+        ctl = armed(clock=clock, metrics=metrics)
         for _ in range(3):
             ctl.note_malformed("peer")
         assert ctl.is_quarantined("peer")
@@ -196,7 +175,7 @@ class TestQuarantine:
 
     def test_score_decays_between_offenses(self):
         clock = ManualClock()
-        ctl = controller(self.POLICY, clock=clock)
+        ctl = armed(clock=clock)
         # One malformed frame every 2 s decays fully between offenses.
         for _ in range(6):
             ctl.note_malformed("peer")
@@ -205,7 +184,7 @@ class TestQuarantine:
 
     def test_repeat_offense_backoff_caps(self):
         clock = ManualClock()
-        ctl = controller(self.POLICY, clock=clock)
+        ctl = armed(clock=clock)
 
         def trip():
             for _ in range(3):
@@ -222,7 +201,7 @@ class TestQuarantine:
     def test_no_stacking_while_serving(self):
         clock = ManualClock()
         metrics = MetricsRegistry()
-        ctl = controller(self.POLICY, clock=clock, metrics=metrics)
+        ctl = armed(clock=clock, metrics=metrics)
         for _ in range(3):
             ctl.note_malformed("peer")
         until = ctl.peers.find("peer").admission.quarantined_until
@@ -233,7 +212,7 @@ class TestQuarantine:
         assert metrics.counter_value("quarantines", source="peer") == 1
 
     def test_address_keyed_quarantine_blocks_frames_from_address(self):
-        ctl = controller(self.POLICY)
+        ctl = armed()
         for _ in range(3):
             ctl.note_malformed_address("10.0.0.9:47666")
         assert ctl.is_quarantined("@10.0.0.9:47666")
@@ -243,7 +222,7 @@ class TestQuarantine:
         assert ctl.admit(frame(source="innocent"))
 
     def test_configure_keeps_offender_state(self):
-        ctl = controller(self.POLICY)
+        ctl = armed()
         for _ in range(3):
             ctl.note_malformed("peer")
         ctl.configure(HARDENED_ADMISSION)
@@ -270,42 +249,40 @@ class TestIngressScheduler:
     def test_weighted_priority_order(self):
         timers = FakeTimers()
         out = []
-        sched = IngressScheduler(
-            timers, out.append, weights={0: 2, 1: 2, 2: 1, 3: 1, 4: 1}
-        )
-        for seq in range(3):
+        sched = IngressScheduler(timers, out.append)
+        events, chunks = INGRESS_WEIGHTS[1], INGRESS_WEIGHTS[4]
+        for seq in range(3 * chunks):
             sched.offer(frame(MessageKind.FILE_CHUNK, seq=seq), band=4)
-        for seq in range(3):
+        for seq in range(events + 1):
             sched.offer(frame(MessageKind.EVENT, seq=seq), band=1)
         timers.fire()
-        # Round 1: two events, one chunk — events jump the earlier bulk.
+        # Round 1: a weight of events, then a weight of chunks — events
+        # jump the earlier bulk.
         assert [(f.kind, f.seq) for f in out] == [
-            (MessageKind.EVENT, 0),
-            (MessageKind.EVENT, 1),
-            (MessageKind.FILE_CHUNK, 0),
-        ]
-        timers.fire()  # round 2: last event + one chunk
-        timers.fire()  # round 3: final chunk
-        assert len(out) == 6
+            (MessageKind.EVENT, seq) for seq in range(events)
+        ] + [(MessageKind.FILE_CHUNK, seq) for seq in range(chunks)]
+        timers.fire()  # round 2: last event + a weight of chunks
+        assert out[events + chunks] == frame(MessageKind.EVENT, seq=events)
+        timers.fire()  # round 3: final chunks
+        assert len(out) == events + 1 + 3 * chunks
         assert sched.pending == 0
-        assert sched.delivered == 6
+        assert sched.delivered == len(out)
 
     def test_fifo_within_band(self):
         timers = FakeTimers()
         out = []
-        sched = IngressScheduler(timers, out.append, weights={1: 10})
+        sched = IngressScheduler(timers, out.append)
         for seq in range(5):
             sched.offer(frame(seq=seq), band=1)
         timers.fire()
         assert [f.seq for f in out] == [0, 1, 2, 3, 4]
 
-    def test_overflow_sheds_oldest_and_counts(self):
+    def test_overflow_sheds_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(admission, "INGRESS_QUEUE_LIMIT", 3)
         timers = FakeTimers()
         metrics = MetricsRegistry()
         out = []
-        sched = IngressScheduler(
-            timers, out.append, weights={1: 10}, queue_limit=3, metrics=metrics
-        )
+        sched = IngressScheduler(timers, out.append, metrics=metrics)
         for seq in range(5):
             sched.offer(frame(seq=seq), band=1)
         assert sched.shed == 2

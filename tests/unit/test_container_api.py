@@ -15,7 +15,6 @@ from repro.container.links import RELIABLE_CHANNEL
 from repro.container.records import encode_heartbeat
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import MAX_STRANGERS
-from repro.protocol.reliability import ReliabilityHardening
 from repro.transport.addressing import Address
 from repro.transport.sim import SimTransport
 from repro.util.errors import ConfigurationError, ServiceError
@@ -205,9 +204,8 @@ class TestAbuseLog:
     as bounded as the peer table."""
 
     def hardened(self):
-        runtime, a, _ = two_containers(
-            reliability_hardening=ReliabilityHardening(enabled=True)
-        )
+        runtime, a, _ = two_containers()
+        runtime.harden_reliability()
         runtime.start()
         runtime.run_for(0.1)
         return runtime, a

@@ -157,9 +157,6 @@ class TestConfig:
             monkeypatch.setenv(name, value)
         config = ContainerConfig("a", "n")
         assert config == clean
-        assert not config.admission.enabled
-        assert not config.reliability_hardening.enabled
-        assert config.verification == "off"
 
     def test_bad_event_mapping(self):
         with pytest.raises(ConfigurationError):
@@ -170,12 +167,15 @@ class TestConfig:
             self.base(heartbeat_interval=2.0, liveness_timeout=1.0)
 
     @pytest.mark.parametrize(
-        "name", ["announce_interval", "heartbeat_interval", "housekeeping_interval"]
+        "name",
+        ["announce_interval", "heartbeat_interval", "housekeeping_interval", "egress_rate_bps"],
     )
-    @pytest.mark.parametrize("value", [0.0, -0.1])
+    @pytest.mark.parametrize("value", [0.0, -0.1, -8000.0])
     def test_periodic_intervals_must_be_positive(self, name, value):
-        """Fails at the parent: a zero period rescheduled itself at the same
-        instant forever, a negative one failed only at ``start()``."""
+        """A zero period rescheduled itself at the same instant forever, a
+        negative one failed only at ``start()``. A zero egress rate divided
+        by zero once the shaper's burst was spent; a negative one re-armed
+        its drain timer every microsecond and never sent."""
         with pytest.raises(ConfigurationError, match=name):
             self.base(**{name: value})
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.container.egress import DEFAULT_BANDS, EgressShaper
+from repro.container.egress import EgressShaper
 from repro.protocol.batching import FrameBatcher, decode_batch_payload
+from repro.protocol.bands import BANDS, NUM_BANDS
 from repro.protocol.frames import Frame, MessageKind
 from repro.sim import Simulator
 
@@ -78,7 +79,7 @@ class TestPriorityBands:
 
     def test_all_kinds_have_bands(self):
         for kind in MessageKind:
-            assert kind in DEFAULT_BANDS
+            assert 0 <= BANDS[kind] < NUM_BANDS
 
     def test_queue_depth_telemetry(self):
         sim, shaper, sent = make_shaper(rate_bps=8000, burst=100)

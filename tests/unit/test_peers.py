@@ -2,7 +2,8 @@
 
 from repro.container.directory import Directory
 from repro.container.gossip import encode_zone_summary, peek_zone_summary
-from repro.protocol.admission import AdmissionController, AdmissionPolicy
+from repro.protocol import admission
+from repro.protocol.admission import HARDENED_ADMISSION, AdmissionController
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.peers import MAX_STRANGERS, Peers
 from repro.util import ManualClock
@@ -48,10 +49,10 @@ def test_a_stranger_routed_by_a_summary_since_is_promoted_not_dropped():
     assert "known-from-the-start" not in directory.known  # nobody routes it
 
 
-def test_an_evicted_address_takes_its_quarantine_with_it():
+def test_an_evicted_address_takes_its_quarantine_with_it(monkeypatch):
+    monkeypatch.setattr(admission, "QUARANTINE_THRESHOLD", 1.0)
     ctl = AdmissionController(
-        clock=ManualClock(), classify=lambda kind: 1,
-        policy=AdmissionPolicy(enabled=True, quarantine_threshold=1.0),
+        clock=ManualClock(), classify=lambda kind: 1, policy=HARDENED_ADMISSION
     )
     ctl.note_malformed_address("10.0.0.9:47666")
     assert ctl.is_quarantined("@10.0.0.9:47666")
@@ -61,10 +62,10 @@ def test_an_evicted_address_takes_its_quarantine_with_it():
     assert len(ctl.quarantined_sources()) == MAX_STRANGERS
 
 
-def test_rotating_ids_behind_a_quarantined_address_cannot_age_it_out():
+def test_rotating_ids_behind_a_quarantined_address_cannot_age_it_out(monkeypatch):
+    monkeypatch.setattr(admission, "QUARANTINE_THRESHOLD", 1.0)
     ctl = AdmissionController(
-        clock=ManualClock(), classify=lambda kind: 1,
-        policy=AdmissionPolicy(enabled=True, quarantine_threshold=1.0),
+        clock=ManualClock(), classify=lambda kind: 1, policy=HARDENED_ADMISSION
     )
     ctl.note_malformed_address("10.0.0.9:47666")
     for i in range(4 * MAX_STRANGERS):

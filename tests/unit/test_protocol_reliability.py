@@ -4,6 +4,7 @@ import pytest
 
 from repro.protocol import MessageKind, ReliableReceiver, ReliableSender, RetransmitPolicy
 from repro.protocol.frames import Frame
+from repro.protocol import reliability
 from repro.protocol.reliability import decode_ack, encode_ack
 from repro.util import ManualClock, SeededRng
 from repro.util.errors import ProtocolError
@@ -499,7 +500,7 @@ def _nack_frame(seqs, source="rx", channel=1):
 class TestNackRetransmit:
     """NACK handling works with or without hardening armed."""
 
-    def make_sender(self, hardening=None, abuse=None):
+    def make_sender(self, abuse=None):
         clock = ManualClock()
         wire = []
         sender = ReliableSender(
@@ -508,7 +509,6 @@ class TestNackRetransmit:
             channel=1,
             emit=wire.append,
             policy=RetransmitPolicy(initial_rto=1.0, window=8),
-            hardening=hardening,
             on_abuse=abuse,
         )
         return clock, sender, wire
@@ -542,14 +542,13 @@ class TestNackRetransmit:
 
 
 class TestNackStormSuppression:
-    def make(self, **kw):
-        from repro.protocol.reliability import ReliabilityHardening
+    @pytest.fixture(autouse=True)
+    def small_nack_budget(self, monkeypatch):
+        monkeypatch.setattr(reliability, "NACK_RATE", 10.0)
+        monkeypatch.setattr(reliability, "NACK_BURST", 2.0)
+        monkeypatch.setattr(reliability, "NACK_PENALTY_MAX", 4.0)
 
-        hardening = ReliabilityHardening(
-            enabled=True, nack_rate=10.0, nack_burst=2.0,
-            nack_penalty=0.5, nack_penalty_backoff=2.0, nack_penalty_max=4.0,
-            **kw,
-        )
+    def make(self, hardened=True):
         abuses = []
         clock = ManualClock()
         wire = []
@@ -559,7 +558,7 @@ class TestNackStormSuppression:
             channel=1,
             emit=wire.append,
             policy=RetransmitPolicy(initial_rto=10.0, window=64),
-            hardening=hardening,
+            hardened=hardened,
             on_abuse=abuses.append,
         )
         return clock, sender, wire, abuses
@@ -600,8 +599,7 @@ class TestNackStormSuppression:
         assert blow_budget() == pytest.approx(4.0)  # capped
 
     def test_disabled_hardening_never_suppresses(self):
-        clock, sender, wire, abuses = self.make()
-        sender._hardening.enabled = False
+        clock, sender, wire, abuses = self.make(hardened=False)
         sender.send(MessageKind.EVENT, b"a")
         del wire[:]
         for _ in range(50):
@@ -612,12 +610,12 @@ class TestNackStormSuppression:
 
 
 class TestAckAbuse:
-    def make(self):
-        from repro.protocol.reliability import ReliabilityHardening
+    @pytest.fixture(autouse=True)
+    def small_ack_budget(self, monkeypatch):
+        monkeypatch.setattr(reliability, "ACK_RATE", 10.0)
+        monkeypatch.setattr(reliability, "ACK_BURST", 3.0)
 
-        hardening = ReliabilityHardening(
-            enabled=True, ack_rate=10.0, ack_burst=3.0
-        )
+    def make(self):
         abuses = []
         clock = ManualClock()
         wire = []
@@ -627,7 +625,7 @@ class TestAckAbuse:
             channel=1,
             emit=wire.append,
             policy=RetransmitPolicy(initial_rto=10.0, window=64),
-            hardening=hardening,
+            hardened=True,
             on_abuse=abuses.append,
         )
         return clock, sender, wire, abuses
@@ -664,15 +662,14 @@ class TestAckAbuse:
 
 
 class TestReplayDefense:
-    def make(self, window=4, dup_rate=10.0, dup_burst=2.0):
-        from repro.protocol.reliability import ReliabilityHardening
+    @pytest.fixture(autouse=True)
+    def patcher(self, monkeypatch):
+        self.monkeypatch = monkeypatch
 
-        hardening = ReliabilityHardening(
-            enabled=True,
-            replay_window=window,
-            dup_ack_rate=dup_rate,
-            dup_ack_burst=dup_burst,
-        )
+    def make(self, window=4, dup_rate=10.0, dup_burst=2.0, hardened=True):
+        self.monkeypatch.setattr(reliability, "REPLAY_WINDOW", window)
+        self.monkeypatch.setattr(reliability, "DUP_ACK_RATE", dup_rate)
+        self.monkeypatch.setattr(reliability, "DUP_ACK_BURST", dup_burst)
         abuses = []
         clock = ManualClock()
         acks = []
@@ -685,7 +682,7 @@ class TestReplayDefense:
             ordered=True,
             ack_source="rx",
             clock=clock,
-            hardening=hardening,
+            hardened=hardened,
             on_abuse=abuses.append,
         )
         return clock, receiver, acks, delivered, abuses
@@ -728,8 +725,7 @@ class TestReplayDefense:
         assert delivered == [1, 2, 3, 4, 5]  # never re-delivered
 
     def test_disabled_hardening_keeps_seed_behavior(self):
-        clock, receiver, acks, delivered, abuses = self.make(window=4)
-        receiver._hardening.enabled = False
+        clock, receiver, acks, delivered, abuses = self.make(window=4, hardened=False)
         self.warm(receiver, 10)
         del acks[:]
         for _ in range(20):

@@ -321,18 +321,22 @@ class TestFleetMonitorLive:
         assert traced
         assert traced[-1].span_id == span.span_id
 
-    def test_container_self_arms_from_config(self):
+    def test_one_container_arms_through_attach(self):
         import sys
         from pathlib import Path
 
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
         from helpers import two_containers
 
-        runtime, a, b = two_containers(seed=6, verification="standard")
+        runtime, a, b = two_containers(seed=6)
+        monitor = FleetMonitor()
+        monitor.attach(a)
         runtime.start()
         runtime.run_for(1.0)
-        assert a.monitor is not None and b.monitor is not None
-        assert a.probes.enabled
+        assert a.probes.enabled and not b.probes.enabled
+        assert len(monitor.specs) == 5
+        assert monitor.engine.events_observed > 0
+        assert monitor.finish(runtime.sim.now()) == []
         runtime.stop()
 
     def test_verification_off_keeps_probes_dormant(self):
@@ -345,15 +349,8 @@ class TestFleetMonitorLive:
         runtime, a, b = two_containers(seed=6)
         runtime.start()
         runtime.run_for(1.0)
-        assert a.monitor is None
         assert not a.probes.enabled
         runtime.stop()
-
-    def test_config_rejects_unknown_verification_mode(self):
-        from repro.container.config import ContainerConfig
-
-        with pytest.raises(ConfigurationError):
-            ContainerConfig(container_id="c", node="n", verification="extreme")
 
 
 MISSION_DOC = {
