@@ -80,8 +80,12 @@ MAX_SCHEDULE_CALLS_PER_DELIVERY = 0.25
 #: at bind time, 28.7 after (both repeat exactly); the bound sits midway.
 #: 24-26 since the clock read became ``time.monotonic`` itself. 16.5 (it
 #: repeats exactly) once a BATCH crossed the container as runs of same-kind
-#: frames; the bound sits midway again, between 24.3 and 16.5.
-MAX_LOOP_CALLS_PER_DELIVERY = 20.4
+#: frames; the bound sat midway again, between 24.3 and 16.5. 9.7 (it
+#: repeats exactly) once a publisher's samples in a BATCH were read in place
+#: with one unpack each, against 16.5-18.2 (median 17.3) when each sample was
+#: a Frame whose envelope and value were decoded apart; the bound sits
+#: midway between 17.3 and 9.7.
+MAX_LOOP_CALLS_PER_DELIVERY = 13.5
 #: The same count per delivered reliable event and per completed call, over
 #: one extra burst / one extra round of calls: 69-71 and 189.6 before the
 #: acknowledged plane was bound when a stream opens, 46-49 and 120.0 after
@@ -205,6 +209,8 @@ def telemetry_fanout(samples=FANOUT_SAMPLES, burst=FANOUT_BURST):
             timeout=10.0,
         )
         time.sleep(SETTLE_SECONDS)
+        subscribers = [f"sub{i}" for i in range(SUBSCRIBERS)]
+        datagrams_before = _recv_datagrams(runtime, subscribers)
         t0 = time.perf_counter()
         sent = 0
         expected = 0  # deliveries still credited as in flight
@@ -232,6 +238,7 @@ def telemetry_fanout(samples=FANOUT_SAMPLES, burst=FANOUT_BURST):
             previous = total
         deliveries = [entry for per_sub in received for entry in per_sub]
         t_end = max(r for r, _ in deliveries)
+        datagrams = _recv_datagrams(runtime, subscribers) - datagrams_before
         # One more burst, untimed, with every call on the loop thread counted.
         with count_loop_calls(runtime) as loop_calls:
             runtime.on_reactor(
@@ -247,11 +254,18 @@ def telemetry_fanout(samples=FANOUT_SAMPLES, burst=FANOUT_BURST):
             "offered": samples * SUBSCRIBERS,
             "delivered": len(deliveries),
             "events_per_sec": round(len(deliveries) / (t_end - t0)),
+            "datagrams_per_sec": round(datagrams / (t_end - t0)),
+            "samples_per_datagram": round(len(deliveries) / max(datagrams, 1), 2),
             "loop_calls_per_delivery": round(loop_calls[0] / max(counted, 1), 1),
             **_stats([r - s for r, s in deliveries]),
         }
     finally:
         runtime.stop()
+
+
+def _recv_datagrams(runtime, names):
+    """Datagrams the named containers' sockets have received so far."""
+    return sum(runtime.container(n)._transport._raw.recv_datagrams for n in names)
 
 
 @contextlib.contextmanager
@@ -439,7 +453,10 @@ def run_suite(reps, samples, events, raw_n, calls):
     fanout's fraction of the ceiling is computed *within* a rep before
     taking the median: shared-host noise is strongly time-correlated, so
     paired measurements give a far more stable ratio than dividing two
-    independently-taken medians.
+    independently-taken medians. The fraction compares like with like:
+    datagrams the subscribers' sockets received per second over the raw
+    pair's datagrams per second. Batching moves samples per datagram, which
+    is reported beside it, not the fraction.
     """
     rep_data = [
         {
@@ -461,7 +478,7 @@ def run_suite(reps, samples, events, raw_n, calls):
     results["telemetry_fanout"]["ceiling_fraction"] = round(
         _median(
             [
-                r["telemetry_fanout"]["events_per_sec"]
+                r["telemetry_fanout"]["datagrams_per_sec"]
                 / r["raw_ceiling"]["events_per_sec"]
                 for r in rep_data
             ]
@@ -505,7 +522,11 @@ def main(argv=None):
         rows,
     )
     fraction = results["telemetry_fanout"]["ceiling_fraction"]
-    print(f"\ntelemetry_fanout ceiling_fraction (same run): {fraction}")
+    per_datagram = results["telemetry_fanout"]["async"]["samples_per_datagram"]
+    print(
+        f"\ntelemetry_fanout ceiling_fraction (subscriber datagrams/s over raw "
+        f"datagrams/s, same run): {fraction}, {per_datagram} samples per datagram"
+    )
     timers = results["reliable_events"]["async"]["schedule_calls_per_delivery"]
     print(f"reliable_events LoopDomain.schedule calls per delivered event: {timers}")
     loop_calls = results["telemetry_fanout"]["async"]["loop_calls_per_delivery"]

@@ -8,7 +8,7 @@ primitive managers; hosts and watches the services installed on this node.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.container.config import ContainerConfig
 from repro.container.directory import Directory
@@ -39,6 +39,7 @@ from repro.primitives.variables import VariableManager
 from repro.primitives import wire
 from repro.protocol.admission import AdmissionController, IngressScheduler
 from repro.protocol.bands import band_of
+from repro.protocol.batching import SampleRun
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol.peers import Peer
 from repro.sched.model import SimScheduler
@@ -70,6 +71,15 @@ _CONTROL_KINDS = {
     MessageKind.GOSSIP,
     MessageKind.ZONE_SUMMARY,
 }
+
+
+def _expanded(items: List[Union[Frame, SampleRun]]) -> List[Frame]:
+    """``items`` with every :class:`SampleRun` expanded into its frames."""
+    return [
+        frame
+        for item in items
+        for frame in (item.frames() if item.__class__ is SampleRun else (item,))
+    ]
 
 
 class ServiceContainer:
@@ -209,7 +219,8 @@ class ServiceContainer:
         #: Frame kind -> the primitive entry point that consumes it; bound on
         #: the first data frame (:meth:`_bind_handlers`), so a container that
         #: only ever talks control plane — most of a fleet — never builds it.
-        #: A run of VAR_SAMPLE frames goes to ``variables.on_sample_frames``.
+        #: A run of VAR_SAMPLE frames goes to ``variables.on_sample_frames``,
+        #: a :class:`SampleRun` to ``variables.on_sample_run``.
         self._handlers: Dict[MessageKind, Callable[[Frame], None]] = {}
         self._services: Dict[str, ServiceRecord] = {}
         self.supervisor = ServiceSupervisor(self, rng=rng)
@@ -552,7 +563,9 @@ class ServiceContainer:
         return _Handle()
 
     # -- inbound frame dispatch ----------------------------------------------------
-    def _on_frames(self, frames: List[Frame], source_address: Address) -> None:
+    def _on_frames(
+        self, frames: List[Union[Frame, SampleRun]], source_address: Address
+    ) -> None:
         """The one ingress path: the frames of one datagram, in wire order.
 
         Consecutive data frames that share a source, a kind and a channel
@@ -564,6 +577,13 @@ class ServiceContainer:
         its own, and so is every frame while admission is armed, so a drop
         or a quarantine binds from the very next frame; an admitted data
         frame then waits its band's turn on the ingress scheduler.
+
+        The batch decoder already hands over a publisher's samples inside a
+        BATCH as one :class:`SampleRun`, read in place. A run that is one
+        such item goes whole to the variable manager, counted and recorded
+        from its bounds. Anything else on the sample path — a run that also
+        holds frames, or any run while admission is armed or tracing is
+        on — is expanded into frames and takes the path above unchanged.
         """
         own = self._id
         admission = self.admission
@@ -577,6 +597,10 @@ class ServiceContainer:
             # ``enabled`` is read live: admission may be armed on a running
             # container and binds from the very next run.
             armed = admission.enabled
+            if armed and frame.__class__ is SampleRun:
+                frames = frames[:start] + frame.frames() + frames[stop:]
+                count = len(frames)
+                continue
             channel = frame.channel
             if not (armed or kind in _CONTROL_KINDS):
                 while stop < count:
@@ -600,6 +624,16 @@ class ServiceContainer:
             counter, kind_name = self._rx_counters.get(kind) or self._counted(
                 self._rx_counters, "frames_received", kind
             )
+            if kind is _VAR_SAMPLE and not (channel or armed):
+                if len(run) == 1 and frame.__class__ is SampleRun:
+                    if not self.tracer.enabled:
+                        counter.inc(len(frame.starts))
+                        self.recorder.record_rx_run(kind_name, frame)
+                        self.variables.on_sample_run(frame)
+                        continue
+                    run = frame.frames()
+                elif len(run) > 1:
+                    run = _expanded(run)
             counter.inc(len(run))
             self.recorder.record_rx(kind_name, run)
             if kind in _CONTROL_KINDS:

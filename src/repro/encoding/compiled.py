@@ -582,17 +582,47 @@ def _bind(datatype: DataType, encoder: Callable[[Any], bytes], decoder: _Decoder
 _CACHE_LIMIT = 4096
 
 
-class _Plan:
-    """One compiled schema: the generated pair and its three bound forms."""
+def _generate_reader(datatype: DataType, lead: str) -> Optional[Tuple[Callable, int]]:
+    """``(buf, off) -> (*lead fields, value)`` in one ``unpack_from`` and the
+    value's size in bytes, or None when ``datatype`` is variable-size.
+    ``lead`` holds one struct code per field. A primitive value is the
+    unpacked tuple's last item as it is, so its reader is the bound
+    ``unpack_from`` itself."""
+    codes = _flat_codes(datatype)
+    if codes is None:
+        return None
+    unpacker = struct.Struct("<" + lead + codes)
+    size = struct.calcsize("<" + codes)
+    if isinstance(datatype, PrimitiveType):
+        return unpacker.unpack_from, size
+    gen = _SourceGen("def _read(buf, off):")
+    gen.w(f"vals = {gen.bind('u', unpacker.unpack_from)}(buf, off)")
+    expr, _ = _flat_value_expr(datatype, "vals", len(lead))
+    fields = [f"vals[{i}]" for i in range(len(lead))]
+    gen.w(f"return {', '.join(fields + [expr])}")
+    return gen.build("_read", datatype), size
 
-    __slots__ = ("encoder", "decoder", "encode", "decode", "decode_prefix")
+
+class _Plan:
+    """One compiled schema: the generated pair and its three bound forms,
+    plus the fixed-record readers asked of it (by lead codes)."""
+
+    __slots__ = ("datatype", "encoder", "decoder", "encode", "decode",
+                 "decode_prefix", "readers")
 
     def __init__(self, datatype: DataType):
+        self.datatype = datatype
         self.encoder: Callable[[Any], bytes] = _generate_encoder(datatype)
         self.decoder: _Decoder = _generate_decoder(datatype)
         self.encode, self.decode, self.decode_prefix = _bind(
             datatype, self.encoder, self.decoder
         )
+        self.readers: Dict[str, Optional[Tuple[Callable, int]]] = {}
+
+    def reader(self, lead: str) -> Optional[Tuple[Callable, int]]:
+        if lead not in self.readers:
+            self.readers[lead] = _generate_reader(self.datatype, lead)
+        return self.readers[lead]
 
 
 _BY_ID: Dict[int, Tuple[DataType, _Plan]] = {}
@@ -621,6 +651,18 @@ def compile_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
     ``(buf, offset) -> (value, offset)`` decoder."""
     plan = _plan(datatype)
     return plan.encoder, plan.decoder
+
+
+def fixed_reader(datatype: DataType, lead: str) -> Optional[Tuple[Callable, int]]:
+    """A reader of a record made of fixed fields ``lead`` (one struct code
+    per field) followed by a value of ``datatype``, and the value's size in
+    bytes; None when ``datatype`` is variable-size. The reader is ``(buf,
+    off) -> (*lead fields, value)``, one ``unpack_from``.
+
+    It checks nothing but what ``unpack_from`` does: the caller has checked
+    the record's length and vouches for its lead fields. The value equals
+    what the plan's decoder gives for the same bytes."""
+    return _plan(datatype).reader(lead)
 
 
 # -- the codec -------------------------------------------------------------------
@@ -656,4 +698,4 @@ class CompiledCodec(Codec):
 
 register_codec(CompiledCodec())
 
-__all__ = ["CompiledCodec", "compile_plan"]
+__all__ = ["CompiledCodec", "compile_plan", "fixed_reader"]

@@ -64,6 +64,19 @@ class FlightRecorder:
             append((t, "rx", kind, frame.source, frame.seq, len(frame.payload)))
         self.recorded += len(frames)
 
+    def record_rx_run(self, kind: str, run) -> None:
+        """:meth:`record_rx` for a run of frames held in place (a
+        :class:`~repro.protocol.batching.SampleRun`): the same entries,
+        built from its shared header and its payload bounds."""
+        t = self._clock.now()
+        source = run.source
+        seq = run.seq
+        self._entries.extend([
+            (t, "rx", kind, source, seq, stop - start)
+            for start, stop in zip(run.starts, run.stops)
+        ])
+        self.recorded += len(run.starts)
+
     def record_tx(self, kind: str, seq: int, nbytes: int) -> None:
         """One sent frame (the container's per-frame egress entry)."""
         self.recorded += 1

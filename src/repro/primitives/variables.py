@@ -20,14 +20,17 @@ reproduced from the paper:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.encoding.compiled import fixed_reader
 from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
+from repro.protocol.batching import SampleRun
 from repro.protocol.frames import Frame, MessageKind
 from repro.transport.addressing import GroupName, variable_group
 from repro.util.errors import ConfigurationError, EncodingError, ProtocolError
@@ -37,6 +40,54 @@ OnTimeout = Callable[[str], None]  # (variable name)
 
 #: Subscriber warns after this many nominal periods without a sample.
 VARIABLE_TIMEOUT_PERIODS = 3.0
+
+#: Codecs whose value bytes are the binary wire format, which a bound
+#: sample reader decodes in place.
+_BINARY_WIRE_CODECS = frozenset({"binary", "compiled"})
+
+_LEN = struct.Struct("<I")
+
+#: A VarSample's fixed fields after the name, as the bound reader unpacks
+#: them: the timestamp and the value's length.
+_SAMPLE_LEAD = "dI"
+_SAMPLE_LEAD_SIZE = struct.calcsize("<" + _SAMPLE_LEAD)
+
+#: Bound decoders and sample bindings held at once, each. They are keyed by
+#: a source id that comes off the wire, so a full table is cleared
+#: wholesale rather than grown with forged ids.
+_BINDINGS_LIMIT = 1024
+
+
+class _SampleBinding:
+    """What an untraced sample of one (variable, provider) is on the wire,
+    bound at first sight.
+
+    ``prefix`` is the sample's constant start, the name as the VarSample
+    encodes it (u32 length, UTF-8 bytes). ``size`` is the exact length of
+    the whole untraced sample, and ``read(buf, start + skip)`` returns
+    ``(timestamp, value length, value)`` in one ``unpack_from``. A
+    variable-size type, or a codec whose values are not the binary wire
+    format, has no reader and a size of -1, which no sample has: its
+    samples take the per-frame path.
+    """
+
+    __slots__ = ("name", "prefix", "skip", "size", "value_size", "read")
+
+    def __init__(self, name: str, raw: bytes, reader) -> None:
+        self.name = name
+        self.prefix = _LEN.pack(len(raw)) + raw
+        self.skip = len(self.prefix)
+        if reader is None:
+            self.read = None
+            self.value_size = self.size = -1
+        else:
+            self.read, self.value_size = reader
+            self.size = self.skip + _SAMPLE_LEAD_SIZE + self.value_size
+
+
+#: The binding of no sample: an empty tuple of prefixes matches nowhere.
+_UNBOUND = _SampleBinding("", b"", None)
+_UNBOUND.prefix = ()
 
 
 def _changed_substantially(old: Any, new: Any, deadband: float) -> bool:
@@ -159,6 +210,11 @@ class VariableManager:
         # and no local publication has been (re)provided or withdrawn since.
         self._decoder_cache: Dict[tuple, Callable[[bytes], Any]] = {}
         self._decoder_cache_rev = -1
+        # (provider, encoded name) -> its _SampleBinding for the run path;
+        # dropped exactly when _decoder_cache is.
+        self._bindings: Dict[Tuple[str, bytes], _SampleBinding] = {}
+        # Bound readers need the binary wire format for values.
+        self._binary_values = self._codec.name in _BINARY_WIRE_CODECS
 
     # -- publisher side -----------------------------------------------------
     def provide(
@@ -183,20 +239,20 @@ class VariableManager:
             _group=variable_group(name),
         )
         self._publications[name] = publication
-        self._decoder_cache.clear()
+        self._drop_bindings()
         self._host.announce_soon()
         return publication
 
     def withdraw(self, name: str) -> None:
         if self._publications.pop(name, None) is not None:
-            self._decoder_cache.clear()
+            self._drop_bindings()
             self._host.announce_soon()
 
     def withdraw_service(self, service: str) -> None:
         """Drop every publication owned by a stopped/failed service."""
         for name in [n for n, p in self._publications.items() if p.service == service]:
             del self._publications[name]
-        self._decoder_cache.clear()
+        self._drop_bindings()
         self._host.announce_soon()
 
     def offers(self) -> List[dict]:
@@ -306,7 +362,7 @@ class VariableManager:
                 self.unsubscribe(sub)
 
     # -- frame input (called by the container dispatcher) ---------------------
-    def on_sample_frames(self, frames: List[Frame]) -> None:
+    def on_sample_frames(self, frames: Sequence[Frame]) -> None:
         """Deliver a run of VAR_SAMPLE frames, in order.
 
         The clock is read once per run, and the decoder cache (with the
@@ -314,11 +370,69 @@ class VariableManager:
         again only where the run switches variable or provider. Each frame
         has its own ``try``: a malformed sample is reported to the host and
         the rest of the run is still delivered."""
+        delivered = self._sample_frames(frames, self._clock.now())
+        if delivered:
+            self._deliveries_counter.inc(delivered)
+
+    def on_sample_frame(self, frame: Frame) -> None:
+        self.on_sample_frames([frame])
+
+    def on_sample_run(self, run: SampleRun) -> None:
+        """Deliver a run of samples held in place in their datagram, in
+        order: what :meth:`on_sample_frames` does for ``run.frames()``.
+
+        A sample that starts with a bound (variable, provider) prefix and
+        has that binding's exact length is decoded with one prefix compare
+        and one ``unpack_from``. Every other sample, and one whose value
+        length is not its type's, takes the per-frame path, which stays the
+        reference and the only path for traced samples, variable-size
+        types, non-binary codecs and malformed bytes. The subscription
+        lookup, the copy and the stale-timestamp check stay per sample, so a
+        callback that unsubscribes mid-run stops its own deliveries."""
+        revision = self._host.directory.revision
+        if revision != self._decoder_cache_rev:
+            self._drop_bindings()
+            self._decoder_cache_rev = revision
+        source = run.source
+        buf = run.buf
+        startswith = buf.startswith
+        subscriptions = self._subscriptions
+        deliver = self._deliver_local
+        now = self._clock.now()
+        binding = _UNBOUND
+        delivered = 0
+        unbound: List[Frame] = []  # consecutive samples for the per-frame path
+        for start, stop in zip(run.starts, run.stops):
+            if not startswith(binding.prefix, start):
+                binding = self._binding_at(source, buf, start, stop)
+            if stop - start == binding.size:
+                timestamp, length, value = binding.read(buf, start + binding.skip)
+                if length == binding.value_size:
+                    if unbound:
+                        delivered += self._sample_frames(unbound, now)
+                        unbound = []
+                    live = subscriptions.get(binding.name)
+                    if not live:
+                        continue
+                    for sub in live.copy():
+                        if timestamp < sub.last_timestamp:
+                            continue  # stale sample overtaken by a newer one
+                        deliver(sub, value, timestamp, now)
+                        delivered += 1
+                    continue
+            unbound.append(run.frame_at(start, stop))
+        if unbound:
+            delivered += self._sample_frames(unbound, now)
+        if delivered:
+            self._deliveries_counter.inc(delivered)
+
+    def _sample_frames(self, frames: Sequence[Frame], now: float) -> int:
+        """The per-frame path: each sample's envelope decoded, then its
+        value; returns the deliveries it did not count itself."""
         decode_sample = wire.decode_var_sample
         subscriptions = self._subscriptions
         tracer = self._tracer
         deliver = self._deliver_local
-        now = self._clock.now()
         key = decode = None
         delivered = 0
         for frame in frames:
@@ -348,11 +462,36 @@ class VariableManager:
                     continue  # stale sample overtaken by a newer one
                 deliver(sub, value, timestamp, now)
                 delivered += 1
-        if delivered:
-            self._deliveries_counter.inc(delivered)
+        return delivered
 
-    def on_sample_frame(self, frame: Frame) -> None:
-        self.on_sample_frames([frame])
+    def _binding_at(self, source: str, buf: bytes, start: int, stop: int) -> _SampleBinding:
+        """The binding of the sample in ``buf[start:stop]``, found by its
+        name bytes or bound now, or :data:`_UNBOUND` when it has none."""
+        body = start + _LEN.size
+        if body > stop:
+            return _UNBOUND
+        end = body + _LEN.unpack_from(buf, start)[0]
+        if end > stop:
+            return _UNBOUND
+        raw = buf[body:end]
+        binding = self._bindings.get((source, raw))
+        if binding is not None:
+            return binding
+        # Bound only for a subscribed name whose bytes are its exact UTF-8
+        # encoding; "replace" never raises and never yields a lone
+        # surrogate, so the round trip below is the validity check. Any
+        # other sample is the per-frame path's to decode or report.
+        name = raw.decode("utf-8", "replace")
+        if not self._subscriptions.get(name) or name.encode("utf-8") != raw:
+            return _UNBOUND
+        datatype = self._datatype_of(name, source)
+        if datatype is None:
+            return _UNBOUND
+        reader = fixed_reader(datatype, _SAMPLE_LEAD) if self._binary_values else None
+        if len(self._bindings) >= _BINDINGS_LIMIT:
+            self._bindings.clear()
+        binding = self._bindings[(source, raw)] = _SampleBinding(name, raw, reader)
+        return binding
 
     def on_initial_request(self, frame: Frame) -> None:
         doc = wire.decode(wire.VAR_INITIAL_REQUEST_SCHEMA, frame.payload)
@@ -400,15 +539,23 @@ class VariableManager:
         no datatype is known."""
         revision = self._host.directory.revision
         if revision != self._decoder_cache_rev:
-            self._decoder_cache.clear()
+            self._drop_bindings()
             self._decoder_cache_rev = revision
         decode = self._decoder_cache.get(key)
         if decode is None:
             datatype = self._datatype_of(*key)
             if datatype is None:
                 return None
+            if len(self._decoder_cache) >= _BINDINGS_LIMIT:
+                self._decoder_cache.clear()
             decode = self._decoder_cache[key] = self._codec.decoder(datatype)
         return decode
+
+    def _drop_bindings(self) -> None:
+        """Forget every bound decoder and sample binding: on a directory
+        revision change, a provide or a withdraw."""
+        self._decoder_cache.clear()
+        self._bindings.clear()
 
     def _deliver_sample(
         self,

@@ -17,7 +17,14 @@ Wire format of a ``BATCH`` payload::
 
 Inner frames are ordinary frames (header included), so the receive side
 unbatches with :func:`Frame.decode`, in place, and hands the inner frames to
-the container's one ingress path together, in wire order.
+the container's one ingress path together, in wire order. Best-effort
+``VAR_SAMPLE`` frames from one publisher repeat the same header bytes
+(magic through source id); :func:`decode_batch` validates the first of them
+with :func:`Frame.decode` and passes it and the identical ones after it on
+as one :class:`SampleRun` — the header once, the payload bounds of each
+sample — so a sample is never copied out of the datagram before it is
+read. :func:`decode_batch_payload` is the same parser with every run
+expanded into :class:`Frame` objects.
 Nested batches and fragments inside a batch are illegal; the decoder
 rejects them (a fragment is produced *below* the batching stage, a batch
 never nests by construction).
@@ -40,7 +47,7 @@ pins down:
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.protocol.frames import Frame, MessageKind
 from repro.transport.addressing import Destination
@@ -60,6 +67,8 @@ BATCH_MTU_BYTES = 1200
 #: Inner kinds the decoder rejects: batches never nest, and fragmentation
 #: happens below the batching stage.
 _FORBIDDEN_INNER = (MessageKind.BATCH, MessageKind.FRAGMENT)
+
+_VAR_SAMPLE = MessageKind.VAR_SAMPLE
 
 
 def batch_header_size(source: str) -> int:
@@ -81,8 +90,51 @@ def encode_batch_payload(encoded_frames: List[bytes]) -> bytes:
     return b"".join(out)
 
 
-def decode_batch_payload(payload: bytes) -> List[Frame]:
-    """Unpack a BATCH payload into its inner frames.
+class SampleRun:
+    """Consecutive best-effort (channel 0) ``VAR_SAMPLE`` frames of one
+    BATCH with byte-identical headers, held in place.
+
+    The first frame of the run passed :func:`Frame.decode`; the others
+    repeat its header bytes exactly, so they pass every check it makes and
+    share its decoded fields. Sample ``i``'s payload is
+    ``buf[starts[i]:stops[i]]``; nothing is sliced until a consumer asks.
+    """
+
+    __slots__ = ("kind", "source", "channel", "seq", "flags", "version",
+                 "buf", "starts", "stops")
+
+    def __init__(self, head: Frame, buf: bytes, start: int, stop: int) -> None:
+        self.kind = head.kind
+        self.source = head.source
+        self.channel = head.channel
+        self.seq = head.seq
+        self.flags = head.flags
+        self.version = head.version
+        self.buf = buf
+        self.starts = [start]
+        self.stops = [stop]
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def frame_at(self, start: int, stop: int) -> Frame:
+        """The frame whose payload is ``buf[start:stop]``."""
+        return Frame(self.kind, self.source, self.buf[start:stop], self.channel,
+                     self.seq, self.flags, self.version)
+
+    def frames(self) -> List[Frame]:
+        """The run as the frames :func:`Frame.decode` gives for it."""
+        return [self.frame_at(start, stop)
+                for start, stop in zip(self.starts, self.stops)]
+
+    def __repr__(self) -> str:
+        return f"<SampleRun src={self.source} frames={len(self.starts)}>"
+
+
+def decode_batch(payload: bytes) -> Tuple[List[Union[Frame, SampleRun]], int]:
+    """Unpack a BATCH payload into its inner frames, in wire order, and
+    their count: a run of best-effort samples as one :class:`SampleRun`,
+    every other inner frame as a :class:`Frame`.
 
     Every malformation — truncated count, inner length overrunning the
     payload, trailing garbage, zero frames, nested batch/fragment, or an
@@ -97,7 +149,9 @@ def decode_batch_payload(payload: bytes) -> List[Frame]:
     (count,) = _COUNT.unpack_from(payload)
     if count == 0:
         raise EncodingError("zero-frame batch")
-    frames: List[Frame] = []
+    items: List[Union[Frame, SampleRun]] = []
+    run: Optional[SampleRun] = None
+    head = b""  # the open run's header bytes
     offset = _COUNT.size
     for index in range(count):
         if len(payload) < offset + _LEN.size:
@@ -106,25 +160,50 @@ def decode_batch_payload(payload: bytes) -> List[Frame]:
             )
         (length,) = _LEN.unpack_from(payload, offset)
         offset += _LEN.size
-        if len(payload) < offset + length:
+        stop = offset + length
+        if len(payload) < stop:
             raise EncodingError(
                 f"inner frame {index} overruns batch payload "
                 f"({length} bytes declared, {len(payload) - offset} left)"
             )
+        if run is not None and length >= len(head) and payload.startswith(head, offset):
+            run.starts.append(offset + len(head))
+            run.stops.append(stop)
+            offset = stop
+            continue
         try:
-            frame = Frame.decode(payload, offset, offset + length)
+            frame = Frame.decode(payload, offset, stop)
         except ProtocolError as exc:
             raise EncodingError(f"inner frame {index} malformed: {exc}") from exc
         if frame.kind in _FORBIDDEN_INNER:
             raise EncodingError(
                 f"inner frame {index} has illegal kind {frame.kind.name}"
             )
-        frames.append(frame)
-        offset += length
+        if frame.kind is _VAR_SAMPLE and not frame.channel:
+            body = stop - len(frame.payload)
+            head = payload[offset:body]
+            run = SampleRun(frame, payload, body, stop)
+            items.append(run)
+        else:
+            run = None
+            items.append(frame)
+        offset = stop
     if offset != len(payload):
         raise EncodingError(
             f"{len(payload) - offset} trailing bytes after batch frames"
         )
+    return items, count
+
+
+def decode_batch_payload(payload: bytes) -> List[Frame]:
+    """Unpack a BATCH payload into its inner frames, each a :class:`Frame`:
+    :func:`decode_batch` with every run expanded. Raises what it raises."""
+    frames: List[Frame] = []
+    for item in decode_batch(payload)[0]:
+        if item.__class__ is SampleRun:
+            frames.extend(item.frames())
+        else:
+            frames.append(item)
     return frames
 
 
@@ -391,9 +470,11 @@ class FrameBatcher:
 
 __all__ = [
     "FrameBatcher",
+    "SampleRun",
     "WireDatagram",
     "encode_batch_payload",
     "encode_batch_views",
+    "decode_batch",
     "decode_batch_payload",
     "make_batch_frame",
     "make_wire_datagram",

@@ -24,6 +24,18 @@ _FRAG_HEADER = struct.Struct("<IHH")
 #: Reassembly buffers older than this many seconds are discarded.
 REASSEMBLY_TIMEOUT = 5.0
 
+#: Bytes of partial messages held for one source id, and for all sources
+#: together. The largest fragmented message any test, example or benchmark
+#: sends is 64 KiB (an RPC argument, the reassembly probe); one source may
+#: hold sixteen of those at once. Reassembly runs before admission, so
+#: these bounds are what stands between a fragment flood and the heap.
+MAX_REASSEMBLY_BYTES_PER_SOURCE = 1 << 20
+MAX_REASSEMBLY_BYTES = 8 << 20
+
+#: What holding one chunk costs besides its bytes (its dict slot and bytes
+#: object), charged so that a flood of empty chunks is bounded too.
+_CHUNK_COST = 96
+
 
 class Fragmenter:
     """Splits oversized encoded frames into FRAGMENT frames."""
@@ -74,6 +86,7 @@ class _PartialMessage:
     total: int
     chunks: Dict[int, bytes] = field(default_factory=dict)
     first_seen: float = 0.0
+    held: int = 0  # bytes charged for the chunks, _CHUNK_COST each included
 
 
 class Reassembler:
@@ -81,13 +94,25 @@ class Reassembler:
 
     Keyed by (source, message_id); incomplete messages expire after
     :data:`REASSEMBLY_TIMEOUT` (fragments ride best-effort transports, so a
-    lost fragment must not leak a buffer forever).
+    lost fragment must not leak a buffer forever). What is held is bounded
+    by bytes, per source and in total: a fragment whose declared total
+    cannot fit the per-source bound is rejected, a source over its bound
+    loses its oldest partial messages to make room, and a fragment that
+    still does not fit is rejected. A rejection raises
+    :class:`ProtocolError`; an eviction is counted in ``evicted_messages``.
     """
 
     def __init__(self, timeout: float = REASSEMBLY_TIMEOUT):
         self._timeout = timeout
-        self._partial: Dict[Tuple[str, int], _PartialMessage] = {}
+        self._max_source_bytes = MAX_REASSEMBLY_BYTES_PER_SOURCE
+        self._max_bytes = MAX_REASSEMBLY_BYTES
+        # source -> message id -> partial, oldest first.
+        self._partial: Dict[str, Dict[int, _PartialMessage]] = {}
+        self._held: Dict[str, int] = {}
+        self.held_bytes = 0
         self.expired_messages = 0
+        self.evicted_messages = 0
+        self.rejected_fragments = 0
 
     def on_fragment(self, frame: Frame, now: float) -> Optional[bytes]:
         """Feed one FRAGMENT frame; returns the full encoded frame when the
@@ -100,36 +125,86 @@ class Reassembler:
         if total == 0 or index >= total:
             raise ProtocolError(f"bad fragment index {index}/{total}")
         chunk = frame.payload[_FRAG_HEADER.size :]
-        key = (frame.source, message_id)
-        partial = self._partial.get(key)
-        if partial is None:
-            partial = _PartialMessage(total=total, first_seen=now)
-            self._partial[key] = partial
-        elif partial.total != total:
+        cost = len(chunk) + _CHUNK_COST
+        # Every fragment but the last carries a full chunk, so it tells how
+        # large the whole message is.
+        if index < total - 1 and total * cost > self._max_source_bytes:
+            self.rejected_fragments += 1
             raise ProtocolError(
-                f"fragment {key} disagrees on total ({total} != {partial.total})"
+                f"fragment declares {total} chunks of {len(chunk)} bytes, "
+                f"over the {self._max_source_bytes}-byte reassembly bound"
             )
+        source = frame.source
+        messages = self._partial.setdefault(source, {})
+        partial = messages.get(message_id)
+        if partial is not None and partial.total != total:
+            raise ProtocolError(
+                f"fragment {(source, message_id)} disagrees on total "
+                f"({total} != {partial.total})"
+            )
+        old = partial.chunks.get(index) if partial is not None else None
+        delta = cost if old is None else len(chunk) - len(old)
+        while self._held.get(source, 0) + delta > self._max_source_bytes:
+            victim = next((mid for mid in messages if mid != message_id), None)
+            if victim is None:
+                break
+            self._drop(source, victim)
+            self.evicted_messages += 1
+        if (
+            self._held.get(source, 0) + delta > self._max_source_bytes
+            or self.held_bytes + delta > self._max_bytes
+        ):
+            if not messages:
+                del self._partial[source]
+            self.rejected_fragments += 1
+            raise ProtocolError(
+                f"fragment of {len(chunk)} bytes from {source!r} does not fit "
+                f"the reassembly bounds"
+            )
+        if partial is None:
+            partial = messages[message_id] = _PartialMessage(total=total, first_seen=now)
         partial.chunks[index] = chunk
+        partial.held += delta
+        self._held[source] = self._held.get(source, 0) + delta
+        self.held_bytes += delta
         if len(partial.chunks) == total:
-            del self._partial[key]
+            self._drop(source, message_id)
             return b"".join(partial.chunks[i] for i in range(total))
         return None
+
+    def _drop(self, source: str, message_id: int) -> None:
+        messages = self._partial[source]
+        partial = messages.pop(message_id)
+        self.held_bytes -= partial.held
+        held = self._held[source] - partial.held
+        if messages:
+            self._held[source] = held
+        else:
+            del self._partial[source]
+            del self._held[source]
 
     def expire(self, now: float) -> int:
         """Drop incomplete messages older than the timeout; returns count."""
         stale = [
-            key
-            for key, partial in self._partial.items()
+            (source, message_id)
+            for source, messages in self._partial.items()
+            for message_id, partial in messages.items()
             if now - partial.first_seen > self._timeout
         ]
-        for key in stale:
-            del self._partial[key]
+        for source, message_id in stale:
+            self._drop(source, message_id)
         self.expired_messages += len(stale)
         return len(stale)
 
     @property
     def pending(self) -> int:
-        return len(self._partial)
+        return sum(len(messages) for messages in self._partial.values())
 
 
-__all__ = ["Fragmenter", "Reassembler", "REASSEMBLY_TIMEOUT"]
+__all__ = [
+    "Fragmenter",
+    "Reassembler",
+    "REASSEMBLY_TIMEOUT",
+    "MAX_REASSEMBLY_BYTES_PER_SOURCE",
+    "MAX_REASSEMBLY_BYTES",
+]

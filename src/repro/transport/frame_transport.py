@@ -2,16 +2,18 @@
 
 Encodes outbound :class:`Frame` objects, transparently fragmenting any that
 exceed the transport MTU; decodes and reassembles inbound datagrams and hands
-the receiver each datagram's frames as one list, in wire order. This is
+the receiver each datagram's frames as one list, in wire order — a run of
+best-effort samples inside a BATCH as one
+:class:`~repro.protocol.batching.SampleRun`. This is
 the seam between the PEPt Protocol and Transport subsystems, so swapping the
 transport (sim / in-proc / UDP) never touches protocol code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
-from repro.protocol.batching import decode_batch_payload
+from repro.protocol.batching import SampleRun, decode_batch
 from repro.protocol.fragmentation import Fragmenter, Reassembler
 from repro.protocol.frames import Frame, MessageKind
 from repro.transport.addressing import Address, Destination
@@ -20,8 +22,9 @@ from repro.util.clock import Clock
 from repro.util.errors import EncodingError, ProtocolError
 
 #: Callback invoked with (frames, source_address) for each inbound datagram:
-#: the inner frames of a BATCH in wire order, or a list of one.
-FrameReceiver = Callable[[List[Frame], Address], None]
+#: the inner frames of a BATCH in wire order (a run of best-effort samples
+#: as one :class:`SampleRun`), or a list of one.
+FrameReceiver = Callable[[List[Union[Frame, SampleRun]], Address], None]
 
 
 class FrameTransport:
@@ -112,25 +115,39 @@ class FrameTransport:
         try:
             frame = Frame.decode(payload)
             if frame.kind == MessageKind.FRAGMENT:
-                complete = self._reassembler.on_fragment(frame, self._clock.now())
+                reassembler = self._reassembler
+                evicted = reassembler.evicted_messages
+                try:
+                    complete = reassembler.on_fragment(frame, self._clock.now())
+                finally:
+                    # Each partial this fragment pushed out of its source's
+                    # bound counts against the sender, kept fragment or not.
+                    for _ in range(reassembler.evicted_messages - evicted):
+                        self._malformed(
+                            ProtocolError(f"partial message of {frame.source!r} evicted"),
+                            source,
+                        )
                 if complete is None:
                     return
                 frame = Frame.decode(complete)
             if frame.kind == MessageKind.BATCH:
                 # Transparent unbatching: the inner frames reach the
                 # receiver together, as they arrived.
-                frames = decode_batch_payload(frame.payload)
+                frames, count = decode_batch(frame.payload)
                 self.batched_datagrams += 1
-                self.unbatched_frames += len(frames)
+                self.unbatched_frames += count
             else:
                 frames = [frame]
         except (ProtocolError, EncodingError) as exc:
-            self.malformed_datagrams += 1
-            if self._on_protocol_error is not None:
-                self._on_protocol_error(exc, source)
+            self._malformed(exc, source)
             return
         if self._receiver is not None:
             self._receiver(frames, source)
+
+    def _malformed(self, exc: Exception, source: Address) -> None:
+        self.malformed_datagrams += 1
+        if self._on_protocol_error is not None:
+            self._on_protocol_error(exc, source)
 
 
 __all__ = ["FrameTransport", "FrameReceiver"]

@@ -23,6 +23,7 @@ from repro import AsyncRuntime, SimRuntime
 from repro.encoding.types import FLOAT64, INT32, INT64, STRING, StructType
 from repro.primitives import wire
 from repro.protocol.admission import HARDENED_ADMISSION, QUARANTINE_THRESHOLD
+from repro.protocol.batching import SampleRun
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.simnet.models import LinkModel
 from repro.transport.addressing import Address
@@ -354,11 +355,17 @@ def _tap_frames(container, log):
     reliable frames on first delivery only. The two timing artifacts the
     wire legitimately carries — retransmission flags and the publisher's
     clock timestamp — are normalized out; every other bit must match
-    across runtimes."""
+    across runtimes. A run of samples held in place is expanded into its
+    frames."""
     seen = set()
     orig = container._on_frames
 
-    def wrapped(frames, source):
+    def wrapped(items, source):
+        frames = [
+            frame
+            for item in items
+            for frame in (item.frames() if isinstance(item, SampleRun) else (item,))
+        ]
         for frame in frames:
             schema = _TAP_SCHEMAS.get(frame.kind)
             if schema is None:
@@ -378,7 +385,7 @@ def _tap_frames(container, log):
                     int(frame.flags) & ~int(FrameFlags.RETRANSMIT),
                     wire.encode(schema, doc),
                 ))
-        orig(frames, source)
+        orig(items, source)
 
     container._on_frames = wrapped
 

@@ -41,8 +41,10 @@ SUBSCRIBERS = 4
 BURST = 1000
 #: Python-level calls from publish to last delivery, per delivered sample.
 #: 49.1 before the receive path was bound early, 32.7 after; 32.0 before a
-#: BATCH crossed the container as runs of same-kind frames, 22.6 after.
-MAX_CALLS_PER_SAMPLE = 24
+#: BATCH crossed the container as runs of same-kind frames, 22.6 after;
+#: 17.0 once a publisher's samples in a BATCH were read in place, one
+#: unpack per sample.
+MAX_CALLS_PER_SAMPLE = 19
 
 
 def _sample(seq):

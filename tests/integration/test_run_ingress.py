@@ -182,3 +182,25 @@ class TestRunGates:
         assert not handle.active
         # The subscription that stayed got the whole run.
         assert pair.log == [("v", n) for n in range(1, 6)]
+
+    def test_forged_source_ids_keep_the_decoder_tables_bounded(self):
+        """A sample's source id comes off the wire: samples of a subscribed
+        variable under ever new ids are still delivered (best effort), but
+        the per-(variable, provider) decoders and sample bindings they
+        create are cleared when full instead of growing with the ids."""
+        from repro.primitives.variables import _BINDINGS_LIMIT
+
+        pair = _Pair()
+        total = 3 * _BINDINGS_LIMIT
+        for first in range(0, total, 24):
+            pair.send_batch([
+                pair.sample(n, source=f"forged{n}")
+                for n in range(first, min(first + 24, total))
+            ])
+        # The same through the per-frame path: one frame per datagram.
+        for n in range(total, 2 * total):
+            pair.b._on_frame(pair.sample(n, source=f"forged{n}"), Address("a", 1))
+        assert pair.log == [("v", n) for n in range(2 * total)]
+        variables = pair.b.variables
+        assert 0 < len(variables._bindings) <= _BINDINGS_LIMIT
+        assert 0 < len(variables._decoder_cache) <= _BINDINGS_LIMIT

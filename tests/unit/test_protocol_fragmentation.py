@@ -130,3 +130,114 @@ class TestReassembler:
                 Frame(kind=MessageKind.FRAGMENT, source="c1", payload=header_b + b"b"),
                 now=0.0,
             )
+
+
+class TestReassemblyBounds:
+    """Reassembly runs before admission, so its own bounds are all that
+    limits a fragment flood: bytes held per source and in total, a declared
+    total that cannot fit rejected outright, a source over its bound losing
+    its oldest partial. Rejections and evictions count as malformed."""
+
+    FLOOD = 20_000
+    CHUNK = b"x" * 1_100
+
+    @staticmethod
+    def forged(message_id, index, total, chunk, source="evil"):
+        import struct
+
+        return Frame(
+            kind=MessageKind.FRAGMENT,
+            source=source,
+            payload=struct.pack("<IHH", message_id, index, total) + chunk,
+        )
+
+    def flood(self, reasm, frames):
+        import tracemalloc
+
+        rejected = 0
+        tracemalloc.start()
+        try:
+            for frame in frames:
+                try:
+                    assert reasm.on_fragment(frame, now=0.0) is None
+                except ProtocolError:
+                    rejected += 1
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return rejected, held
+
+    def test_distinct_ids_flood_is_bounded_by_evicting_the_oldest(self):
+        from repro.protocol.fragmentation import MAX_REASSEMBLY_BYTES_PER_SOURCE
+
+        reasm = Reassembler()
+        frames = (self.forged(i, 0, 2, self.CHUNK) for i in range(self.FLOOD))
+        rejected, held = self.flood(reasm, frames)
+        assert rejected == 0
+        assert reasm.held_bytes <= MAX_REASSEMBLY_BYTES_PER_SOURCE
+        # Unbounded, these pinned 29.9 MB until they expired.
+        assert held < 2 * MAX_REASSEMBLY_BYTES_PER_SOURCE
+        assert reasm.evicted_messages == self.FLOOD - reasm.pending
+        assert reasm.pending > 0  # the newest partials are the ones kept
+
+    def test_one_id_declaring_65535_fragments_is_rejected(self):
+        reasm = Reassembler()
+        frames = (self.forged(7, i, 0xFFFF, self.CHUNK) for i in range(self.FLOOD))
+        rejected, held = self.flood(reasm, frames)
+        # Unbounded, these pinned 22.8 MB, and that one id could hold 72 MB.
+        assert rejected == self.FLOOD
+        assert reasm.pending == 0 and reasm.held_bytes == 0
+        assert held < 1 << 20
+
+    def test_sources_share_a_total_bound(self, monkeypatch):
+        from repro.protocol import fragmentation
+
+        monkeypatch.setattr(fragmentation, "MAX_REASSEMBLY_BYTES_PER_SOURCE", 4_000)
+        monkeypatch.setattr(fragmentation, "MAX_REASSEMBLY_BYTES", 4_000)
+        reasm = Reassembler()
+        reasm.on_fragment(self.forged(1, 0, 2, self.CHUNK, source="a"), now=0.0)
+        reasm.on_fragment(self.forged(1, 0, 2, self.CHUNK, source="b"), now=0.0)
+        reasm.on_fragment(self.forged(2, 0, 2, self.CHUNK, source="a"), now=0.0)
+        with pytest.raises(ProtocolError, match="bounds"):
+            reasm.on_fragment(self.forged(1, 0, 2, self.CHUNK, source="c"), now=0.0)
+        assert reasm.pending == 3 and reasm.rejected_fragments == 1
+
+    def test_an_honest_message_completes_beside_a_flood(self):
+        encoded = big_frame(64 << 10)
+        honest = Fragmenter("c1", mtu=1200).fragment(encoded)
+        reasm = Reassembler()
+        done = []
+        for i, fragment in enumerate(honest):
+            for j in range(20):
+                reasm.on_fragment(self.forged(i * 20 + j, 0, 2, self.CHUNK), now=0.0)
+            done.append(reasm.on_fragment(fragment, now=0.0))
+        assert [d for d in done if d is not None] == [encoded]
+        assert reasm.evicted_messages > 0
+
+    def test_frame_transport_counts_rejections_and_evictions_as_malformed(self):
+        from repro.sim import Simulator
+        from repro.simnet import LinkModel, SimNetwork
+        from repro.transport import FrameTransport
+        from repro.transport.addressing import Address
+        from repro.transport.sim import SimTransport
+        from repro.util import SeededRng
+
+        sim = Simulator()
+        net = SimNetwork(sim, SeededRng(1), default_link=LinkModel(
+            latency=0.001, jitter=0.0, loss=0.0, bandwidth_bps=0.0, mtu=1472))
+        attacker = SimTransport(net, "a")
+        target = FrameTransport(SimTransport(net, "b"), clock=sim, source="cb")
+        errors = []
+        target.set_protocol_error_handler(lambda exc, src: errors.append(src))
+        target.open(5000, lambda frames, src: None)
+        attacker.open(5000, lambda data, src: None)
+        forged = [self.forged(i, 0, 2, self.CHUNK) for i in range(1_000)]
+        forged += [self.forged(5_000, i, 0xFFFF, self.CHUNK) for i in range(10)]
+        for frame in forged:
+            attacker.send_bytes(Address("b", 5000), frame.encode())
+        sim.run()
+        reasm = target._reassembler
+        assert reasm.rejected_fragments == 10
+        assert reasm.evicted_messages > 0
+        assert target.malformed_datagrams == 10 + reasm.evicted_messages
+        assert errors and set(errors) == {Address("a", 5000)}

@@ -318,3 +318,52 @@ class TestTransportDelivery:
         # The bound is on the whole datagram, however it is split up.
         with pytest.raises(TransportError):
             lan.call(t.send_buffers, addr("n"), (b"x" * UDP_MTU, b"y"))
+
+
+class TestFullSendBuffer:
+    def test_blocked_send_waits_for_writability_then_drains_in_order(self, lan):
+        """A full socket send buffer (``BlockingIOError``) parks the queue
+        and arms one writer; once the socket is writable the queued
+        datagrams leave in order and nothing stays armed."""
+        net = UdpNetwork()
+        received = []
+        done = threading.Event()
+        payloads = [b"d%d" % i for i in range(8)]
+
+        def on_rx(payload, source):
+            received.append(bytes(payload))
+            if len(received) == len(payloads):
+                done.set()
+
+        lan.open(net, "rx", on_rx)
+        tx = lan.open(net, "tx")
+        real_sendmsg = tx._sendmsg
+        calls = []
+
+        def sendmsg(sock, views, sockaddr):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise BlockingIOError
+            real_sendmsg(sock, views, sockaddr)
+
+        drain = tx._drain_egress
+        after_drain = []  # (send_blocked, writer armed, queued) per drain
+
+        def observed_drain():
+            drain()
+            after_drain.append((tx.send_blocked, tx._writer_armed, len(tx._egress)))
+
+        def blast():
+            tx._sendmsg = sendmsg
+            tx._drain_egress = observed_drain
+            for payload in payloads:
+                tx.send_bytes(addr("rx"), payload)
+
+        lan.call(blast)
+        assert done.wait(2.0)
+        assert after_drain[0] == (1, True, len(payloads))
+        assert after_drain[-1] == (1, False, 0)
+        assert received == payloads
+        assert lan.call(lambda: (tx._drain_armed, tx._writer_armed)) == (False, False)
+        assert tx.sent_datagrams == len(payloads)
+        assert len(calls) == len(payloads) + 1
