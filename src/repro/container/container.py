@@ -15,7 +15,7 @@ from repro.container.directory import Directory
 from repro.container.egress import EgressShaper
 from repro.container.gossip import FleetCoordinator
 from repro.container.lifecycle import ServiceRecord, ServiceState
-from repro.container.links import ReliableLinks, TcpLinks
+from repro.container.links import RELIABLE_CHANNEL, ReliableLinks, TcpLinks
 from repro.container.records import (
     ContainerRecord,
     decode_announce,
@@ -57,6 +57,8 @@ from repro.util.rng import SeededRng
 
 _RETRANSMIT = int(FrameFlags.RETRANSMIT)
 _VAR_SAMPLE = MessageKind.VAR_SAMPLE
+#: The reliable channel's own frames, taken by the send side.
+_ACK_KINDS = (MessageKind.ACK, MessageKind.NACK)
 
 #: The flight recorder takes one reliability-abuse entry per (peer, reason)
 #: per this many seconds.
@@ -330,6 +332,13 @@ class ServiceContainer:
         if self._running:
             raise ConfigurationError(f"container {self.id} already started")
         self._incarnation += 1
+        if self._incarnation > 1:
+            # A restart: the last incarnation's streams end with it, as they
+            # would with its process. Each peer starts its side over when
+            # it sees the new incarnation (_on_container_restart), so both
+            # sides count from seq 1 again.
+            for peer in self.directory.peers():
+                peer.close()
         self._transport.open(self._config.port, self._on_frames)
         self._transport.join(self._control_group)
         if self._config.fleet.backbone_member:
@@ -479,9 +488,12 @@ class ServiceContainer:
         self._timers.schedule(0.0, self._flush_announce)
 
     def _flush_announce(self) -> None:
-        if self._announce_pending and self._running:
+        # The flag drops even when stopped in between, or a restarted
+        # container would never announce an offer change again.
+        if self._announce_pending:
             self._announce_pending = False
-            self._send_announce()
+            if self._running:
+                self._send_announce()
 
     def _announce_doc(self) -> dict:
         return {
@@ -572,8 +584,10 @@ class ServiceContainer:
         form a run, and what depends only on those is done once per run:
         the own-loopback check, the admission switch, the receive counter
         and the clock read for the run's flight-recorder entries. A
-        best-effort VAR_SAMPLE run goes whole to the variable manager; any
-        other run is taken one frame at a time. A control frame is a run of
+        best-effort VAR_SAMPLE run goes whole to the variable manager, and a
+        run of reliable-channel data frames to its peer's receiver, which
+        acknowledges it and hands each fresh frame to its kind's handler;
+        any other run is taken one frame at a time. A control frame is a run of
         its own, and so is every frame while admission is armed, so a drop
         or a quarantine binds from the very next frame; an admitted data
         frame then waits its band's turn on the ingress scheduler.
@@ -645,6 +659,11 @@ class ServiceContainer:
                 self._ingress_scheduler().offer(frame, band_of(kind))
             elif kind is _VAR_SAMPLE and not channel:
                 self.variables.on_sample_frames(run)
+            elif channel == RELIABLE_CHANNEL and kind not in _ACK_KINDS:
+                peer = self._peers.get(source) or self.directory.peer(source)
+                # The probe switch is read live, once per run.
+                deliver = self._dispatch_reliable if self.probes.enabled else self._dispatch
+                self.links.on_run(run, peer, deliver)
             else:
                 for each in run:
                     self._ingest_data(each)
@@ -663,10 +682,10 @@ class ServiceContainer:
     def _ingest_data(self, frame: Frame) -> None:
         """Admitted data frame → reliability layers or direct dispatch.
 
-        Malformed payloads inside well-formed frames (the frame header
-        parsed; the payload does not) surface here as ProtocolError or
-        EncodingError from the primitive decoders. They are counted and fed
-        to admission quarantine scoring — never allowed to crash ingress,
+        A frame the reliability layers reject (an ACK that does not decode)
+        raises ProtocolError here; a payload the primitive decoders reject
+        is caught by :meth:`_dispatch`. Either is counted and fed to
+        admission quarantine scoring — never allowed to crash ingress,
         never silently swallowed (REP005).
         """
         try:
@@ -726,8 +745,9 @@ class ServiceContainer:
                 self.fleet.on_zone_summary(frame)
 
     def _dispatch_reliable(self, frame: Frame) -> None:
-        """Ordered reliable frames, already deduplicated by the link layer;
-        the handler lookup is :meth:`_dispatch`'s, without the extra hop."""
+        """An ordered reliable frame, already deduplicated by the link
+        layer, while probes are armed: the ``reliable.deliver`` probe, then
+        :meth:`_dispatch`."""
         if self.probes.enabled and frame.seq > 0:
             # seq 0 marks the local-loopback path, which never crosses the
             # dedup window — probing it would false-fire exactly-once specs.
@@ -744,14 +764,18 @@ class ServiceContainer:
                     "epoch": epoch,
                 },
             )
-        handler = (self._handlers or self._bind_handlers()).get(frame.kind)
-        if handler is not None:
-            handler(frame)
+        self._dispatch(frame)
 
     def _dispatch(self, frame: Frame) -> None:
+        """``frame`` to its own kind's handler. A payload the handler cannot
+        decode is reported here, once, so a reliable stream goes on past
+        the seq it arrived on."""
         handler = (self._handlers or self._bind_handlers()).get(frame.kind)
         if handler is not None:
-            handler(frame)
+            try:
+                handler(frame)
+            except (ProtocolError, EncodingError) as exc:
+                self.note_malformed(frame, exc)
 
     def _bind_handlers(self) -> Dict[MessageKind, Callable[[Frame], None]]:
         """Kinds absent here (and not consumed by the control plane or the
@@ -844,8 +868,11 @@ class ServiceContainer:
         """A reliable frame exhausted its retries: the peer is unreachable.
 
         Declare it dead locally (faster than the heartbeat timeout) so the
-        primitives rebind.
+        primitives rebind. A stopped container's failures say nothing about
+        the peer: its own transport is closed.
         """
+        if not self._running:
+            return
         record = self.directory.record(peer.id)
         if record is not None and record.alive:
             self.directory.handle_bye(peer.id)

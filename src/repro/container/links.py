@@ -14,7 +14,7 @@ deadline (:class:`~repro.util.wakeup.Wakeup`), on the runtime's timer service.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.peers import Peer
@@ -144,6 +144,17 @@ class ReliableLinks:
             receiver = self._open_receiver(peer)
         receiver.on_frame(frame)
         return True
+
+    def on_run(
+        self, frames: Sequence[Frame], peer: Peer, deliver: Callable[[Frame], None]
+    ) -> None:
+        """Feed a run of reliable-channel data frames (no ACK or NACK) from
+        ``peer`` to its receiver in one call; ``deliver`` gets each fresh
+        frame (:meth:`ReliableReceiver.on_run`)."""
+        receiver = peer.receiver
+        if receiver is None:
+            receiver = self._open_receiver(peer)
+        receiver.on_run(frames, deliver)
 
     # -- internals -----------------------------------------------------------
     def _open_sender(self, peer: Peer) -> ReliableSender:

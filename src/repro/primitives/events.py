@@ -13,17 +13,22 @@ application priority in the pluggable scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType
+from repro.observability.metrics import Counter
 from repro.primitives import wire
+from repro.primitives.binding import UNBOUND, PayloadBindings
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
 from repro.util.errors import ConfigurationError
 
 OnEvent = Callable[[Any, float], None]  # (value, publisher timestamp)
+
+#: A (name, provider) the decoder cache holds nothing for yet.
+_UNRESOLVED = object()
 
 
 @dataclass
@@ -89,10 +94,25 @@ class EventManager:
         self._publishes_counter = host.metrics.counter("event_publishes")
         self._deliveries_counter = host.metrics.counter("event_deliveries")
         # (name, provider) -> the provider's datatype as a bound decoder for
-        # the rx path; valid only while the directory revision is unchanged
-        # and no local publication has been (re)provided or withdrawn since.
-        self._decoder_cache: Dict[tuple, Callable[[bytes], Any]] = {}
+        # the rx path (None for a signal without a payload); valid only
+        # while the directory revision is unchanged and no local publication
+        # has been (re)provided or withdrawn since.
+        self._decoder_cache: Dict[tuple, Optional[Callable[[bytes], Any]]] = {}
         self._decoder_cache_rev = -1
+        # (provider, encoded name) -> its binding, dropped exactly when
+        # _decoder_cache is; the last one found, and its provider, are
+        # tried first.
+        self._bindings = PayloadBindings(
+            self._subscriptions, self._datatype_of, self._codec.name
+        )
+        self._last_binding = UNBOUND
+        self._last_provider = ""
+
+    @cached_property
+    def _unoffered_counter(self) -> Counter:
+        """Resolved at the first unoffered event: a container that never
+        receives one, nearly every container, registers none."""
+        return self._host.metrics.counter("unoffered_events")
 
     # -- publisher side -----------------------------------------------------
     def provide(
@@ -112,19 +132,19 @@ class EventManager:
         if self._subscriptions.get(name):
             publication.subscribers.add(self._host.id)
         self._publications[name] = publication
-        self._decoder_cache.clear()
+        self._drop_bindings()
         self._host.announce_soon()
         return publication
 
     def withdraw(self, name: str) -> None:
         if self._publications.pop(name, None) is not None:
-            self._decoder_cache.clear()
+            self._drop_bindings()
             self._host.announce_soon()
 
     def withdraw_service(self, service: str) -> None:
         for name in [n for n, p in self._publications.items() if p.service == service]:
             del self._publications[name]
-        self._decoder_cache.clear()
+        self._drop_bindings()
         self._host.announce_soon()
 
     def offers(self) -> List[dict]:
@@ -253,21 +273,52 @@ class EventManager:
 
     # -- frame input -----------------------------------------------------------
     def on_event_frame(self, frame: Frame) -> None:
-        doc, trace = wire.decode_event_message(frame.payload)
-        self.on_event_payload(frame.source, doc, trace)
+        """One EVENT. An untraced payload that starts with a bound
+        (provider, name) prefix and has that binding's exact length is
+        decoded with one prefix compare and one ``unpack_from``; every other
+        payload, and one whose value length is not its type's, is decoded
+        whole by :func:`wire.decode_event_message`, the reference and the
+        only path for traced payloads, variable-size types, the JSON codec
+        and malformed bytes."""
+        payload = frame.payload
+        provider = frame.source
+        revision = self._host.directory.revision
+        if revision != self._decoder_cache_rev:
+            self._drop_bindings()
+            self._decoder_cache_rev = revision
+        binding = self._last_binding
+        if provider != self._last_provider or not payload.startswith(binding.prefix):
+            binding = self._bindings.at(provider, payload, 0, len(payload))
+            self._last_binding = binding
+            self._last_provider = provider
+        if len(payload) == binding.size and not self._tracer.enabled:
+            timestamp, length, value = binding.read(payload, binding.skip)
+            # An empty value is None whatever the type (on_event_payload).
+            if length == binding.value_size and length:
+                self._dispatch_local(binding.name, value, timestamp)
+                return
+        doc, trace = wire.decode_event_message(payload)
+        self.on_event_payload(provider, doc, trace)
 
     def on_event_payload(self, provider: str, doc: dict, trace=None) -> None:
+        """A decoded EVENT from ``provider``. An event whose provider does
+        not offer it is dropped and counted (``unoffered_events``): its
+        value would be decoded with a type the sender never declared."""
         name = doc["name"]
         revision = self._host.directory.revision
         if revision != self._decoder_cache_rev:
-            self._decoder_cache.clear()
+            self._drop_bindings()
             self._decoder_cache_rev = revision
         key = (name, provider)
-        decode = self._decoder_cache.get(key)
-        if decode is None:
+        decode = self._decoder_cache.get(key, _UNRESOLVED)
+        if decode is _UNRESOLVED:
+            if not self._offers(name, provider):
+                self._unoffered_counter.inc()
+                return
             datatype = self._datatype_of(name, provider)
-            if datatype is not None:
-                decode = self._decoder_cache[key] = self._codec.decoder(datatype)
+            decode = self._decoder_cache[key] = (
+                self._codec.decoder(datatype) if datatype is not None else None
+            )
         value = None
         if decode is not None and doc["value"]:
             value = decode(doc["value"])
@@ -321,20 +372,35 @@ class EventManager:
             sub.received_events += 1
             submit("event", partial(sub.on_event, value, timestamp))
 
-    def _datatype_of(self, name: str, provider: str) -> Optional[DataType]:
-        local = self._publications.get(name)
-        if local is not None:
-            return local.datatype
+    def _offers(self, name: str, provider: str) -> bool:
+        """Whether ``provider`` itself offers event ``name``: this
+        container's own publication, or the provider's directory record."""
+        if provider == self._id:
+            return name in self._publications
         record = self._host.directory.record(provider)
-        offer = record.events.get(name) if record else None
-        if offer is None:
-            for candidate in self._host.directory.providers_of_event(name):
-                offer = candidate.events.get(name)
-                if offer:
-                    break
+        return record is not None and name in record.events
+
+    def _datatype_of(self, name: str, provider: str) -> Optional[DataType]:
+        """The type ``provider`` itself offers for ``name``; None for a
+        signal without a payload or when it offers no such event. An event
+        is decoded only with its sender's type, never with another
+        provider's."""
+        if provider == self._id:
+            local = self._publications.get(name)
+            return local.datatype if local is not None else None
+        record = self._host.directory.record(provider)
+        offer = record.events.get(name) if record is not None else None
         if offer is None or not offer["datatype"]:
             return None
         return parse_type(offer["datatype"])
+
+    def _drop_bindings(self) -> None:
+        """Forget every bound decoder and payload binding: on a directory
+        revision change, a provide or a withdraw."""
+        self._decoder_cache.clear()
+        self._bindings.clear()
+        self._last_binding = UNBOUND
+        self._last_provider = ""
 
     def _sync_remote_subscription(self, name: str) -> None:
         providers = self._host.directory.providers_of_event(name)

@@ -20,15 +20,14 @@ reproduced from the paper:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.encoding.compiled import fixed_reader
 from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType
 from repro.primitives import wire
+from repro.primitives.binding import BINDINGS_LIMIT, UNBOUND, PayloadBindings
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.batching import SampleRun
 from repro.protocol.frames import Frame, MessageKind
@@ -40,55 +39,6 @@ OnTimeout = Callable[[str], None]  # (variable name)
 
 #: Subscriber warns after this many nominal periods without a sample.
 VARIABLE_TIMEOUT_PERIODS = 3.0
-
-#: Codecs whose value bytes are the binary wire format, which a bound
-#: sample reader decodes in place.
-_BINARY_WIRE_CODECS = frozenset({"binary", "compiled"})
-
-_LEN = struct.Struct("<I")
-
-#: A VarSample's fixed fields after the name, as the bound reader unpacks
-#: them: the timestamp and the value's length.
-_SAMPLE_LEAD = "dI"
-_SAMPLE_LEAD_SIZE = struct.calcsize("<" + _SAMPLE_LEAD)
-
-#: Bound decoders and sample bindings held at once, each. They are keyed by
-#: a source id that comes off the wire, so a full table is cleared
-#: wholesale rather than grown with forged ids.
-_BINDINGS_LIMIT = 1024
-
-
-class _SampleBinding:
-    """What an untraced sample of one (variable, provider) is on the wire,
-    bound at first sight.
-
-    ``prefix`` is the sample's constant start, the name as the VarSample
-    encodes it (u32 length, UTF-8 bytes). ``size`` is the exact length of
-    the whole untraced sample, and ``read(buf, start + skip)`` returns
-    ``(timestamp, value length, value)`` in one ``unpack_from``. A
-    variable-size type, or a codec whose values are not the binary wire
-    format, has no reader and a size of -1, which no sample has: its
-    samples take the per-frame path.
-    """
-
-    __slots__ = ("name", "prefix", "skip", "size", "value_size", "read")
-
-    def __init__(self, name: str, raw: bytes, reader) -> None:
-        self.name = name
-        self.prefix = _LEN.pack(len(raw)) + raw
-        self.skip = len(self.prefix)
-        if reader is None:
-            self.read = None
-            self.value_size = self.size = -1
-        else:
-            self.read, self.value_size = reader
-            self.size = self.skip + _SAMPLE_LEAD_SIZE + self.value_size
-
-
-#: The binding of no sample: an empty tuple of prefixes matches nowhere.
-_UNBOUND = _SampleBinding("", b"", None)
-_UNBOUND.prefix = ()
-
 
 def _changed_substantially(old: Any, new: Any, deadband: float) -> bool:
     """True when ``new`` differs from ``old`` beyond the numeric deadband.
@@ -210,11 +160,11 @@ class VariableManager:
         # and no local publication has been (re)provided or withdrawn since.
         self._decoder_cache: Dict[tuple, Callable[[bytes], Any]] = {}
         self._decoder_cache_rev = -1
-        # (provider, encoded name) -> its _SampleBinding for the run path;
-        # dropped exactly when _decoder_cache is.
-        self._bindings: Dict[Tuple[str, bytes], _SampleBinding] = {}
-        # Bound readers need the binary wire format for values.
-        self._binary_values = self._codec.name in _BINARY_WIRE_CODECS
+        # (provider, encoded name) -> its binding for the run path; dropped
+        # exactly when _decoder_cache is.
+        self._bindings = PayloadBindings(
+            self._subscriptions, self._datatype_of, self._codec.name
+        )
 
     # -- publisher side -----------------------------------------------------
     def provide(
@@ -399,12 +349,13 @@ class VariableManager:
         subscriptions = self._subscriptions
         deliver = self._deliver_local
         now = self._clock.now()
-        binding = _UNBOUND
+        binding = UNBOUND
+        bind = self._bindings.at
         delivered = 0
         unbound: List[Frame] = []  # consecutive samples for the per-frame path
         for start, stop in zip(run.starts, run.stops):
             if not startswith(binding.prefix, start):
-                binding = self._binding_at(source, buf, start, stop)
+                binding = bind(source, buf, start, stop)
             if stop - start == binding.size:
                 timestamp, length, value = binding.read(buf, start + binding.skip)
                 if length == binding.value_size:
@@ -464,35 +415,6 @@ class VariableManager:
                 delivered += 1
         return delivered
 
-    def _binding_at(self, source: str, buf: bytes, start: int, stop: int) -> _SampleBinding:
-        """The binding of the sample in ``buf[start:stop]``, found by its
-        name bytes or bound now, or :data:`_UNBOUND` when it has none."""
-        body = start + _LEN.size
-        if body > stop:
-            return _UNBOUND
-        end = body + _LEN.unpack_from(buf, start)[0]
-        if end > stop:
-            return _UNBOUND
-        raw = buf[body:end]
-        binding = self._bindings.get((source, raw))
-        if binding is not None:
-            return binding
-        # Bound only for a subscribed name whose bytes are its exact UTF-8
-        # encoding; "replace" never raises and never yields a lone
-        # surrogate, so the round trip below is the validity check. Any
-        # other sample is the per-frame path's to decode or report.
-        name = raw.decode("utf-8", "replace")
-        if not self._subscriptions.get(name) or name.encode("utf-8") != raw:
-            return _UNBOUND
-        datatype = self._datatype_of(name, source)
-        if datatype is None:
-            return _UNBOUND
-        reader = fixed_reader(datatype, _SAMPLE_LEAD) if self._binary_values else None
-        if len(self._bindings) >= _BINDINGS_LIMIT:
-            self._bindings.clear()
-        binding = self._bindings[(source, raw)] = _SampleBinding(name, raw, reader)
-        return binding
-
     def on_initial_request(self, frame: Frame) -> None:
         doc = wire.decode(wire.VAR_INITIAL_REQUEST_SCHEMA, frame.payload)
         publication = self._publications.get(doc["name"])
@@ -546,7 +468,7 @@ class VariableManager:
             datatype = self._datatype_of(*key)
             if datatype is None:
                 return None
-            if len(self._decoder_cache) >= _BINDINGS_LIMIT:
+            if len(self._decoder_cache) >= BINDINGS_LIMIT:
                 self._decoder_cache.clear()
             decode = self._decoder_cache[key] = self._codec.decoder(datatype)
         return decode
@@ -628,17 +550,16 @@ class VariableManager:
         validity of 0 means never-expiring."""
         return validity <= 0 or age <= validity
 
-    def _datatype_of(self, name: str, provider: str = "") -> Optional[DataType]:
-        local = self._publications.get(name)
-        if local is not None:
-            return local.datatype
-        record = self._host.directory.record(provider) if provider else None
-        offer = record.variables.get(name) if record else None
-        if offer is None:
-            for candidate in self._host.directory.providers_of_variable(name):
-                offer = candidate.variables.get(name)
-                if offer:
-                    break
+    def _datatype_of(self, name: str, provider: str) -> Optional[DataType]:
+        """The type ``provider`` itself offers for ``name`` — this
+        container's own publication, or the offer in the provider's
+        directory record — or None. A sample is decoded only with its
+        sender's type, never with another provider's."""
+        if provider == self._id:
+            local = self._publications.get(name)
+            return local.datatype if local is not None else None
+        record = self._host.directory.record(provider)
+        offer = record.variables.get(name) if record is not None else None
         if offer is None:
             return None
         return parse_type(offer["datatype"])

@@ -506,42 +506,67 @@ class ReliableReceiver:
         self.suppressed_dup_acks = 0
 
     def on_frame(self, frame: Frame) -> None:
-        if frame.source != self._source or frame.channel != self._channel:
-            raise ProtocolError(
-                f"frame {frame!r} does not belong to stream "
-                f"({self._source}, {self._channel})"
-            )
-        seq = frame.seq
-        if self.hardened and self._screened(seq):
-            return
-        # Always ack, even duplicates.
-        if self._ack_delay > 0:
-            pending_acks = self._pending_acks
-            pending_acks.add(seq)
-            self.coalesced_acks += 1
-            if len(pending_acks) >= self._max_pending_acks:
-                self.flush_acks()
-            elif self._ack_due is None:
-                self._ack_due = due = self._ack_clock.now() + self._ack_delay
-                self._ack_wakeup.need(due)
-        else:
-            self._emit_ack(self._make_ack((seq,)))
-        if seq == self._expected:
+        """One frame: a run of one, delivered to the stream's ``deliver``."""
+        self.on_run((frame,), self._deliver)
+
+    def on_run(self, frames: Sequence[Frame], deliver: Callable[[Frame], None]) -> None:
+        """Accept, acknowledge and deliver ``frames``, in order, as
+        :meth:`on_frame` would one at a time: each seq is screened (when
+        hardened), pended for the ACK (or ACKed at once), flushed at
+        ``max_pending_acks`` and then delivered, so the ACK frames and their
+        places among the deliveries are the same however the frames are
+        cut into runs.
+
+        ``deliver`` gets every fresh frame, including those a frame releases
+        from the reorder buffer, which may be of any kind. A seq is consumed
+        before its frame is delivered, so a ``deliver`` that raises leaves
+        no gap behind: the exception propagates, the frames after it in the
+        run are left unacknowledged for the sender to resend, and successors
+        still buffered are released by the next frame that arrives. The
+        stream's ``hardened`` switch is read once per run."""
+        source, channel = self._source, self._channel
+        hardened = self.hardened
+        coalesce = self._ack_delay > 0
+        pending_acks = self._pending_acks
+        held = self._held
+        if self._expected in held:
+            self._advance(deliver)  # what a raising ``deliver`` left buffered
+        for frame in frames:
+            if frame.source != source or frame.channel != channel:
+                raise ProtocolError(
+                    f"frame {frame!r} does not belong to stream ({source}, {channel})"
+                )
+            seq = frame.seq
+            if hardened and self._screened(seq):
+                continue
+            # Always ack, even duplicates.
+            if coalesce:
+                pending_acks.add(seq)
+                self.coalesced_acks += 1
+                if len(pending_acks) >= self._max_pending_acks:
+                    self.flush_acks()
+                elif self._ack_due is None:
+                    self._ack_due = due = self._ack_clock.now() + self._ack_delay
+                    self._ack_wakeup.need(due)
+            else:
+                self._emit_ack(self._make_ack((seq,)))
+            expected = self._expected
+            if seq == expected:
+                self._expected = seq + 1
+                self.delivered_frames += 1
+                deliver(frame)
+                if held:
+                    self._advance(deliver)
+                continue
+            if seq < expected or seq in held:
+                self.duplicate_frames += 1
+                continue
+            if self._ordered:
+                held[seq] = frame
+                continue
+            held.add(seq)
             self.delivered_frames += 1
-            self._deliver(frame)
-            self._expected = seq + 1
-            if self._held:
-                self._advance()
-            return
-        if seq < self._expected or seq in self._held:
-            self.duplicate_frames += 1
-            return
-        if self._ordered:
-            self._pending[seq] = frame
-            return
-        self._held.add(seq)
-        self.delivered_frames += 1
-        self._deliver(frame)
+            deliver(frame)
 
     def _screened(self, seq: int) -> bool:
         """The hardened stream's gate, ahead of the ACK: True when ``seq``
@@ -573,16 +598,17 @@ class ReliableReceiver:
             return True
         return False
 
-    def _advance(self) -> None:
+    def _advance(self, deliver: Callable[[Frame], None]) -> None:
         """``_expected`` just moved: deliver the buffered successors it
-        reaches (ordered), or step past the seqs delivered early (not)."""
+        reaches (ordered), each seq consumed before its frame is delivered,
+        or step past the seqs delivered early (not)."""
         if self._ordered:
             pending = self._pending
             while self._expected in pending:
                 frame = pending.pop(self._expected)
-                self.delivered_frames += 1
-                self._deliver(frame)
                 self._expected = frame.seq + 1
+                self.delivered_frames += 1
+                deliver(frame)
             return
         held = self._held
         while self._expected in held:

@@ -34,6 +34,7 @@ from repro.sim import Simulator
 from repro.transport.addressing import Address
 from repro.util.errors import ProtocolError
 from repro.util.wakeup import Wakeup
+from tests.helpers import ProbeService
 
 #: The suite's one configuration (benchmarks/suite/conditions.py FAST_PLANE).
 FAST_PLANE = dict(
@@ -96,9 +97,10 @@ def _busiest(calls, ops):
     )
 
 
-def _event_fanout():
-    """1 publisher -> 4 subscriber containers on the fast plane, subscribed,
-    the path warm."""
+def _event_fanout(datatype=FLOAT64, value=float):
+    """1 publisher -> 4 subscriber containers on the fast plane, subscribed
+    to one event of ``datatype`` whose ``i``-th value is ``value(i)``, the
+    path warm. -> (runtime, publication, the values delivered since)."""
     runtime = SimRuntime(seed=1)
     services = {}
     for name in ["pub"] + [f"sub{i}" for i in range(SUBSCRIBERS)]:
@@ -107,7 +109,7 @@ def _event_fanout():
         container.install_service(services[name])
     runtime.start()
     runtime.settle()
-    publication = services["pub"].ctx.provide_event("bench.event", FLOAT64)
+    publication = services["pub"].ctx.provide_event("bench.event", datatype)
     delivered = []
     for i in range(SUBSCRIBERS):
         services[f"sub{i}"].ctx.subscribe_event(
@@ -115,7 +117,7 @@ def _event_fanout():
         )
     assert runtime.run_until(lambda: len(publication.subscribers) == SUBSCRIBERS, timeout=5.0)
     for i in range(10):
-        publication.raise_event(float(i))
+        publication.raise_event(value(i))
     runtime.run_for(0.5)
     assert len(delivered) == 10 * SUBSCRIBERS
     del delivered[:]
@@ -580,3 +582,60 @@ class TestStreamsFromUnknownSources:
         assert directory.known["late"].receiver is late
         assert late._ack_wakeup._at != float("-inf")
         assert directory.find("x0") is None and directory.find("x5") is not None
+
+
+# -- a peer that restarts before it is missed ----------------------------------------
+
+
+class TestPeerRestartInsideLivenessTimeout:
+    def test_events_after_the_restart_arrive_exactly_once_in_order(self):
+        """The publisher goes silent, stops without a BYE reaching anyone
+        and starts again — a new incarnation — before the subscriber's
+        ``liveness_timeout`` could mark it dead. The subscriber learns of
+        the new incarnation from its announce and starts the stream over
+        (``_on_container_restart``); the publisher's streams started over
+        with it. Events raised after the restart arrive exactly once, in
+        order, over batched datagrams, so through the run path."""
+        runtime = SimRuntime(seed=6)
+        pub_container = runtime.add_container("pub", **FAST_PLANE)
+        sub_container = runtime.add_container("sub", **FAST_PLANE)
+        publisher = ProbeService(
+            "pub", lambda s: setattr(s, "mark", s.ctx.provide_event("mark", INT64))
+        )
+        subscriber = ProbeService("sub", lambda s: s.watch_event("mark"))
+        pub_container.install_service(publisher)
+        sub_container.install_service(subscriber)
+        runtime.start()
+        runtime.settle()
+        assert runtime.run_until(lambda: publisher.mark.subscribers == {"sub"}, timeout=5.0)
+        for n in range(5):
+            publisher.mark.raise_event(n)
+        runtime.run_for(0.2)
+        assert [value for _, value, _ in subscriber.events] == list(range(5))
+
+        peer = sub_container.directory.peer("pub")
+        epoch = peer.epoch
+        downs = []
+        sub_container.directory.on_container_down(lambda record: downs.append(record))
+        stopped_at = runtime.sim.now()
+        runtime.network.set_node_up("pub", False)  # the BYE never leaves
+        pub_container.stop()
+        runtime.run_for(0.1)
+        runtime.network.set_node_up("pub", True)
+        pub_container.start()
+        pub_container.start_service("pub")  # provides "mark" again
+        assert runtime.run_until(lambda: peer.epoch == epoch + 1, timeout=0.5)
+        assert runtime.sim.now() - stopped_at < sub_container.config.liveness_timeout
+        # An event is decoded only with the type its sender offers: raise
+        # once the subscriber has the new incarnation's offer.
+        record = sub_container.directory.record("pub")
+        assert runtime.run_until(lambda: "mark" in record.events, timeout=0.1)
+        assert publisher.mark.subscribers == {"sub"}
+        for n in range(5, 25):
+            publisher.mark.raise_event(n)
+        runtime.run_for(1.0)
+
+        assert [value for _, value, _ in subscriber.events] == list(range(25))
+        assert downs == []  # never missed: the restart hook, not liveness
+        assert peer.epoch == epoch + 1
+        assert sub_container.directory.record("pub").alive

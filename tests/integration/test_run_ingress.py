@@ -5,6 +5,8 @@ handling, the own-loopback check, admission per frame, and subscriptions
 cancelled from inside a callback — on ``SimRuntime``, with the datagram
 sent over the simulated network like any other."""
 
+import struct
+
 from repro import SimRuntime
 from repro.container.records import encode_announce
 from repro.encoding.types import INT32, StructType
@@ -67,6 +69,15 @@ class _Pair:
     def held_reliable_events(self, *values):
         """The reliable EVENT frames 'a' sends for ``values``, kept from 'b'
         so a test can put them inside a datagram of its own."""
+        held = self.held_reliable(
+            lambda: [self.publisher.mark.raise_event(value) for value in values]
+        )
+        assert len(held) == len(values)
+        return held
+
+    def held_reliable(self, send):
+        """The reliable EVENT frames 'a' sends while ``send()`` runs, kept
+        from 'b'."""
         held = []
         transport = self.b._transport
         deliver = transport._receiver
@@ -79,12 +90,10 @@ class _Pair:
 
         transport._receiver = hold
         try:
-            for value in values:
-                self.publisher.mark.raise_event(value)
+            send()
             self.runtime.run_for(0.01)
         finally:
             transport._receiver = deliver
-        assert len(held) == len(values)
         assert all(frame.channel != 0 for frame in held)
         return held
 
@@ -185,13 +194,15 @@ class TestRunGates:
 
     def test_forged_source_ids_keep_the_decoder_tables_bounded(self):
         """A sample's source id comes off the wire: samples of a subscribed
-        variable under ever new ids are still delivered (best effort), but
-        the per-(variable, provider) decoders and sample bindings they
-        create are cleared when full instead of growing with the ids."""
-        from repro.primitives.variables import _BINDINGS_LIMIT
+        variable under ids that no directory record names are not decoded
+        (no such provider offers the variable a type) and not delivered,
+        and they leave no entry in the per-(variable, provider) decoder and
+        binding tables, which stay bounded; the real provider's samples
+        still arrive."""
+        from repro.primitives.binding import BINDINGS_LIMIT
 
         pair = _Pair()
-        total = 3 * _BINDINGS_LIMIT
+        total = 3 * BINDINGS_LIMIT
         for first in range(0, total, 24):
             pair.send_batch([
                 pair.sample(n, source=f"forged{n}")
@@ -200,7 +211,58 @@ class TestRunGates:
         # The same through the per-frame path: one frame per datagram.
         for n in range(total, 2 * total):
             pair.b._on_frame(pair.sample(n, source=f"forged{n}"), Address("a", 1))
-        assert pair.log == [("v", n) for n in range(2 * total)]
+        assert pair.log == []
+        pair.send_batch([pair.sample(1)])
+        pair.b._on_frame(pair.sample(2), Address("a", 1))
+        assert pair.log == [("v", 1), ("v", 2)]
         variables = pair.b.variables
-        assert 0 < len(variables._bindings) <= _BINDINGS_LIMIT
-        assert 0 < len(variables._decoder_cache) <= _BINDINGS_LIMIT
+        assert 0 < len(variables._bindings) <= BINDINGS_LIMIT
+        assert 0 < len(variables._decoder_cache) <= BINDINGS_LIMIT
+        assert not any(src.startswith("forged") for src, _ in variables._bindings._table)
+        assert not any(src.startswith("forged") for _, src in variables._decoder_cache)
+
+
+#: An EVENT payload whose name claims 10 bytes and carries 2.
+TRUNCATED_EVENT = struct.pack("<I", 10) + b"ma"
+
+
+class TestMalformedReliablePayload:
+    """A reliable payload its handler cannot decode is reported once, and
+    its seq counts as consumed: it was ACKed, so the sender never resends
+    it, and every later frame of the stream would otherwise wait for it in
+    the reorder buffer."""
+
+    def test_later_events_still_arrive(self):
+        pair = _Pair()
+        for n in (1, 2, 3):
+            pair.publisher.mark.raise_event(n)
+        pair.a.send_reliable("b", MessageKind.EVENT, TRUNCATED_EVENT)
+        for n in (4, 5, 6):
+            pair.publisher.mark.raise_event(n)
+        pair.runtime.run_for(5.0)
+        assert pair.log == [("mark", n) for n in range(1, 7)]
+        assert pair.b.metrics.counter_value("malformed_frames", source="a") == 1
+        assert pair.b.directory.peer("a").receiver._pending == {}
+
+    def test_released_from_the_reorder_buffer(self):
+        pair = _Pair()
+
+        def send():
+            pair.publisher.mark.raise_event(1)
+            pair.a.send_reliable("b", MessageKind.EVENT, TRUNCATED_EVENT)
+            pair.publisher.mark.raise_event(2)
+            pair.publisher.mark.raise_event(3)
+
+        held = sorted(pair.held_reliable(send), key=lambda frame: frame.seq)
+        first, malformed, *rest = held
+        assert malformed.payload == TRUNCATED_EVENT
+        pair.send_batch([malformed, *rest])  # held: the first is missing
+        assert pair.log == []
+        pair.send_batch([first])
+        assert pair.log == [("mark", 1), ("mark", 2), ("mark", 3)]
+        pair.publisher.mark.raise_event(4)
+        pair.runtime.run_for(1.0)  # and the retransmissions of the held ones
+        assert pair.log == [("mark", n) for n in range(1, 5)]
+        assert pair.b.metrics.counter_value("malformed_frames", source="a") == 1
+        errors = [e for e in pair.b.recorder.dump() if e["category"] == "protocol-error"]
+        assert [(e["kind"], e["error"]) for e in errors] == [("EVENT", "EncodingError")]

@@ -225,6 +225,56 @@ class TestOrdering:
         assert acks == [[1], [1]]
 
 
+class TestRaisingDeliver:
+    """A ``deliver`` that raises consumes its frame's seq all the same: the
+    frame was ACKed, so the sender never resends it, and a seq left
+    unconsumed would hold every later frame in the reorder buffer."""
+
+    def _receiver(self, bad_seq, ordered=True):
+        attempts = []
+
+        def deliver(frame):
+            attempts.append(frame.seq)
+            if frame.seq == bad_seq:
+                raise ProtocolError("undecodable payload")
+
+        rx = ReliableReceiver(
+            "tx", 1, emit_ack=lambda f: None, deliver=deliver, ordered=ordered
+        )
+        return rx, attempts
+
+    def _frame(self, seq):
+        return Frame(kind=MessageKind.EVENT, source="tx", channel=1, seq=seq)
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_in_order(self, ordered):
+        rx, attempts = self._receiver(bad_seq=2, ordered=ordered)
+        rx.on_frame(self._frame(1))
+        with pytest.raises(ProtocolError):
+            rx.on_frame(self._frame(2))
+        for seq in (3, 2, 4, 5):  # 2 again: a retransmission, a duplicate
+            rx.on_frame(self._frame(seq))
+        assert attempts == [1, 2, 3, 4, 5]
+        assert (rx.delivered_frames, rx.duplicate_frames) == (5, 1)
+        assert rx._pending == {}
+
+    def test_from_the_reorder_buffer(self):
+        rx, attempts = self._receiver(bad_seq=3)
+        for seq in (2, 3, 4):
+            rx.on_frame(self._frame(seq))
+        assert attempts == []
+        with pytest.raises(ProtocolError):
+            rx.on_frame(self._frame(1))  # releases 2, then 3 raises
+        assert attempts == [1, 2, 3]
+        # 4 waited behind the raise; the next frame that arrives, whatever
+        # it is, releases it first.
+        for seq in (3, 5, 6):
+            rx.on_frame(self._frame(seq))
+        assert attempts == [1, 2, 3, 4, 5, 6]
+        assert (rx.delivered_frames, rx.duplicate_frames) == (6, 1)
+        assert rx._pending == {}
+
+
 class TestPolicyValidation:
     def test_bad_policies_rejected(self):
         with pytest.raises(ValueError):
