@@ -44,8 +44,8 @@ class ContainerConfig:
     housekeeping_interval: float = 0.5
 
     # Fleet-scale discovery (repro.container.fleet). The default is inert:
-    # flat control group, no gossip, no zone summaries — control traffic
-    # stays packet-identical to the seed.
+    # flat control group, no zone summaries — control traffic stays
+    # packet-identical to the seed.
     fleet: FleetConfig = field(default_factory=FleetConfig)
 
     # Reliability.

@@ -57,8 +57,10 @@ from repro.util.rng import SeededRng
 
 _RETRANSMIT = int(FrameFlags.RETRANSMIT)
 _VAR_SAMPLE = MessageKind.VAR_SAMPLE
-#: The reliable channel's own frames, taken by the send side.
-_ACK_KINDS = (MessageKind.ACK, MessageKind.NACK)
+_NACK = MessageKind.NACK
+#: The reliable channel's own frames: an ACK is taken by the send side, and
+#: a NACK, which no container sends, is counted on receipt and ignored.
+_ACK_KINDS = (MessageKind.ACK, _NACK)
 
 #: The flight recorder takes one reliability-abuse entry per (peer, reason)
 #: per this many seconds.
@@ -70,7 +72,6 @@ _CONTROL_KINDS = {
     MessageKind.ANNOUNCE,
     MessageKind.HEARTBEAT,
     MessageKind.BYE,
-    MessageKind.GOSSIP,
     MessageKind.ZONE_SUMMARY,
 }
 
@@ -154,14 +155,8 @@ class ServiceContainer:
         #: The control group we announce on: domain-wide by default, the
         #: zone's group in a federated fleet.
         self._control_group = config.fleet.control_group()
-        #: Gossip/federation driver; None on the (default) seed path.
-        self.fleet = (
-            FleetCoordinator(
-                self, rng=rng.fork("gossip") if rng is not None else None
-            )
-            if config.fleet.enabled
-            else None
-        )
+        #: Zone federation driver; None on the (default) seed path.
+        self.fleet = FleetCoordinator(self) if config.fleet.enabled else None
         self.scheduler = SimScheduler(
             timers=timers,
             clock=clock,
@@ -346,7 +341,7 @@ class ServiceContainer:
         self._running = True
         self._send_announce()
         self._periodic_handles = [
-            self._every(self._config.announce_interval, self._periodic_announce),
+            self._every(self._config.announce_interval, self._send_announce),
             self._every(self._config.heartbeat_interval, self._send_heartbeat),
             self._every(self._config.housekeeping_interval, self._housekeeping),
         ]
@@ -370,16 +365,10 @@ class ServiceContainer:
         for record in list(self._services.values()):
             if record.is_running:
                 self._stop_service(record)
-        bye_payload = encode_bye(self.id)
         self.send_group(
             self._control_group,
-            Frame(kind=MessageKind.BYE, source=self.id, payload=bye_payload),
+            Frame(kind=MessageKind.BYE, source=self.id, payload=encode_bye(self.id)),
         )
-        if self.fleet is not None and self._config.fleet.gossip_enabled:
-            # The zone hears the multicast BYE; gossip carries it to the
-            # rest of the fleet before the transport goes away.
-            self.fleet.emit_bye(bye_payload)
-            self.fleet.flush()
         # The BYE (and anything else batched) must leave before the
         # transport closes underneath the egress stage.
         self.egress.flush()
@@ -512,24 +501,16 @@ class ServiceContainer:
         }
 
     def _send_announce(self) -> None:
-        """Event-driven announce (start, offer change): always multicast to
-        the control group; in gossip mode also seeded as a rumor so it
-        reaches beyond the multicast horizon."""
-        payload = encode_announce(self._announce_doc())
+        """Multicast this container's offers to the control group (start,
+        offer change, and every ``announce_interval``)."""
         self.send_group(
             self._control_group,
-            Frame(kind=MessageKind.ANNOUNCE, source=self.id, payload=payload),
+            Frame(
+                kind=MessageKind.ANNOUNCE,
+                source=self.id,
+                payload=encode_announce(self._announce_doc()),
+            ),
         )
-        if self.fleet is not None and self._config.fleet.gossip_enabled:
-            self.fleet.emit_announce(payload)
-
-    def _periodic_announce(self) -> None:
-        """The steady-state announce refresh. In gossip mode it rides the
-        rumor mill instead of multicast — that is the fan-out being replaced."""
-        if self.fleet is not None and self._config.fleet.gossip_enabled:
-            self.fleet.emit_announce(encode_announce(self._announce_doc()))
-            return
-        self._send_announce()
 
     def _send_heartbeat(self) -> None:
         doc = {
@@ -540,13 +521,9 @@ class ServiceContainer:
             "load": min(self.scheduler.load, 0xFFFFFFFF),
             "restarts": min(self.supervisor.restarts_attempted, 0xFFFFFFFF),
         }
-        payload = encode_heartbeat(doc)
-        if self.fleet is not None and self._config.fleet.gossip_enabled:
-            self.fleet.emit_heartbeat(payload)
-            return
         self.send_group(
             self._control_group,
-            Frame(kind=MessageKind.HEARTBEAT, source=self.id, payload=payload),
+            Frame(kind=MessageKind.HEARTBEAT, source=self.id, payload=encode_heartbeat(doc)),
         )
 
     def _housekeeping(self) -> None:
@@ -688,6 +665,8 @@ class ServiceContainer:
         admission quarantine scoring — never allowed to crash ingress,
         never silently swallowed (REP005).
         """
+        if frame.kind is _NACK:
+            return  # no stream state, no peer entry, no retransmission
         try:
             # Channel 0, the best-effort data plane, skips the peer and the
             # reliability layers outright.
@@ -737,9 +716,6 @@ class ServiceContainer:
             self.directory.handle_heartbeat(decode_heartbeat(frame.payload))
         elif frame.kind == MessageKind.BYE:
             self.directory.handle_bye(decode_bye(frame.payload))
-        elif frame.kind == MessageKind.GOSSIP:
-            if self.fleet is not None:
-                self.fleet.on_gossip(frame)
         elif frame.kind == MessageKind.ZONE_SUMMARY:
             if self.fleet is not None:
                 self.fleet.on_zone_summary(frame)

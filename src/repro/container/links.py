@@ -34,7 +34,6 @@ PeerSlow = Callable[[Peer, Frame], None]  # (peer, frame shed by bounded backlog
 PeerAbuse = Callable[[Peer, str], None]  # (peer, defense that fired)
 
 _ACK = MessageKind.ACK
-_NACK = MessageKind.NACK
 
 
 def _ignore(*_args) -> None:
@@ -53,7 +52,7 @@ def _stream_wakeup(clock: Clock, timers, sender) -> Wakeup:
 
 
 def _reread(wakeup: Wakeup, sender) -> None:
-    """Off the hot path (a NACK, the E5 TCP baseline): hold the wake-up to
+    """Off the hot path (the E5 TCP baseline): hold the wake-up to
     the sender's earliest deadline, wherever the operation moved it."""
     deadline = sender.next_wakeup()
     if deadline is not None:
@@ -130,15 +129,6 @@ class ReliableLinks:
             if sender is not None:
                 sender.on_ack_frame(frame)
             return True
-        if kind == _NACK:
-            # A NACK names *our* stream to the peer: it is an explicit
-            # retransmit request, handled by the send side. Rare, and an RTO
-            # capped below the first one moves a deadline earlier: re-read.
-            sender = peer.sender
-            if sender is not None:
-                sender.on_nack_frame(frame)
-                _reread(sender.wakeup, sender)
-            return True
         receiver = peer.receiver
         if receiver is None:
             receiver = self._open_receiver(peer)
@@ -148,7 +138,7 @@ class ReliableLinks:
     def on_run(
         self, frames: Sequence[Frame], peer: Peer, deliver: Callable[[Frame], None]
     ) -> None:
-        """Feed a run of reliable-channel data frames (no ACK or NACK) from
+        """Feed a run of reliable-channel data frames (no ACK) from
         ``peer`` to its receiver in one call; ``deliver`` gets each fresh
         frame (:meth:`ReliableReceiver.on_run`)."""
         receiver = peer.receiver

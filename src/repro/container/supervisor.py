@@ -178,12 +178,6 @@ class ServiceSupervisor:
         self._schedule(record, plan)
 
     # -- introspection --------------------------------------------------------
-    def pending_restarts(self) -> List[str]:
-        return sorted(n for n, p in self._plans.items() if p.timer is not None)
-
-    def snapshot(self) -> Dict[str, object]:
-        return self.stats.snapshot()
-
     @property
     def restarts_attempted(self) -> int:
         return self.stats.count("restarts_attempted")

@@ -13,8 +13,8 @@ format to abuse a victim:
   token buckets exist to deny.
 - :class:`MaliciousNacker` forges NACKs that *claim to come from a
   legitimate peer*, asking the victim to retransmit its in-flight frames.
-  One small NACK can trigger a window's worth of retransmissions — the
-  NACK budget + exponential penalty exists to cap exactly this.
+  No container sends a NACK, so the victim counts each one on receipt and
+  ignores it: the request for work that would amplify has no handler.
 - :class:`ReplayInjector` re-sends ancient sequence numbers under a
   legitimate peer's identity. An unhardened receiver re-ACKs every
   duplicate; the replay window drops them unacknowledged.
@@ -35,7 +35,7 @@ from typing import List, Optional
 
 from repro.container.records import encode_announce, encode_heartbeat
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
-from repro.protocol.reliability import encode_nack
+from repro.protocol.reliability import encode_ack
 from repro.runtime.simruntime import SimRuntime
 from repro.transport.addressing import Address
 from repro.transport.sim import SimTransport
@@ -225,8 +225,8 @@ class MaliciousNacker(AttackerPersona):
 
     ``spoof`` is the peer whose reliable stream *from the victim* gets
     poked: each NACK asks the victim to retransmit a random slice of its
-    in-flight window to that peer. ~20 bytes in, up to a full window of
-    retransmissions out — unless the NACK budget slams shut.
+    in-flight window to that peer, in the selective-ack payload. The
+    victim counts it and retransmits nothing.
     """
 
     name = "nacker"
@@ -246,7 +246,7 @@ class MaliciousNacker(AttackerPersona):
                 Frame(
                     kind=MessageKind.NACK,
                     source=self.spoof,
-                    payload=encode_nack(seqs),
+                    payload=encode_ack(seqs),
                     channel=RELIABLE_CHANNEL,
                 )
             )

@@ -75,10 +75,6 @@ class KinematicUav:
         return self._state
 
     @property
-    def target_index(self) -> int:
-        return self._target_index
-
-    @property
     def current_target(self) -> Optional[Waypoint]:
         if self.completed:
             return None

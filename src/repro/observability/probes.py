@@ -98,11 +98,6 @@ class ProbeBus:
         self.enabled = True
         return listener
 
-    def unsubscribe(self, listener: ProbeListener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-        self.enabled = bool(self._listeners)
-
     def emit(
         self,
         kind: str,

@@ -121,10 +121,6 @@ class Tracer:
         self._listeners.append(listener)
         return listener
 
-    def unsubscribe(self, listener: SpanListener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     # -- span lifecycle -----------------------------------------------------
     def start_span(
         self,

@@ -129,11 +129,6 @@ FILE_NACK_SCHEMA = StructType(
     ],
 )
 
-FILE_DONE_SCHEMA = StructType(
-    "FileDone",
-    [("name", STRING), ("revision", UINT32)],
-)
-
 
 # -- trace-context tail ---------------------------------------------------------
 
@@ -265,7 +260,6 @@ __all__ = [
     "FILE_STATUS_REQUEST_SCHEMA",
     "FILE_ACK_SCHEMA",
     "FILE_NACK_SCHEMA",
-    "FILE_DONE_SCHEMA",
     "CHUNK_RANGE_SCHEMA",
     "TRACE_CONTEXT_SCHEMA",
     "TRACE_TAIL_TAG",

@@ -18,18 +18,15 @@ BANDS: Dict[MessageKind, int] = {
     MessageKind.ANNOUNCE: 0,
     MessageKind.HEARTBEAT: 0,
     MessageKind.BYE: 0,
-    # Gossip rumors and zone summaries *are* the control plane at fleet
-    # scale — they carry the liveness everyone else times out against.
-    MessageKind.GOSSIP: 0,
+    # Zone summaries *are* the control plane at fleet scale — they carry
+    # the liveness everyone else times out against.
     MessageKind.ZONE_SUMMARY: 0,
     MessageKind.ACK: 0,
-    # A NACK is a retransmit request: it repairs the reliable stream, so it
-    # rides the control band with the ACKs it complements.
+    # No container sends a NACK; an old peer's rides the band of the ACKs.
     MessageKind.NACK: 0,
     # Events are the latency-critical class (§4.2).
     MessageKind.EVENT: 1,
     MessageKind.EVENT_SUBSCRIBE: 1,
-    MessageKind.EVENT_UNSUBSCRIBE: 1,
     # Variables are fresh-or-worthless.
     MessageKind.VAR_SAMPLE: 2,
     MessageKind.VAR_INITIAL_REQUEST: 2,
@@ -48,7 +45,6 @@ BANDS: Dict[MessageKind, int] = {
     MessageKind.FILE_STATUS_REQUEST: 4,
     MessageKind.FILE_COMPLETION_ACK: 4,
     MessageKind.FILE_COMPLETION_NACK: 4,
-    MessageKind.FILE_DONE: 4,
     MessageKind.FRAGMENT: 3,
     # A batch inherits the band it was accumulated under; this entry is
     # only the fallback for batches injected from outside the batcher.

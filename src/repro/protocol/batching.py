@@ -267,10 +267,6 @@ class WireDatagram:
         return self.views
 
     @property
-    def header_size(self) -> int:
-        return len(self.views[0])
-
-    @property
     def payload(self) -> bytes:
         """The joined BATCH payload — normative fallback, rarely taken."""
         return b"".join(self.views[1:])

@@ -54,9 +54,6 @@ class Fragmenter:
     def chunk_size(self) -> int:
         return self._chunk_size
 
-    def needs_fragmentation(self, encoded_frame: bytes, mtu: int) -> bool:
-        return len(encoded_frame) > mtu
-
     def fragment(self, encoded_frame: bytes) -> list:
         """Wrap an encoded frame into a list of FRAGMENT frames."""
         message_id = self._next_message_id

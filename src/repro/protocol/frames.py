@@ -55,7 +55,12 @@ _SRC_DECODED: dict = {}
 
 
 class MessageKind(enum.IntEnum):
-    """Intent of a frame. Grouped by subsystem."""
+    """Intent of a frame. Grouped by subsystem.
+
+    Values 22, 46 and 54 are retired (an event unsubscribe, a file-done
+    notice and gossip rumors, none of which any container sent) and must
+    not be reused: an old peer may still put them on the wire.
+    """
 
     # Container control plane (announce/discovery, §3 "Name management").
     ANNOUNCE = 1
@@ -68,7 +73,6 @@ class MessageKind(enum.IntEnum):
     # Events (§4.2).
     EVENT = 20
     EVENT_SUBSCRIBE = 21
-    EVENT_UNSUBSCRIBE = 22
     # Remote invocation (§4.3).
     RPC_REQUEST = 30
     RPC_RESPONSE = 31
@@ -79,18 +83,15 @@ class MessageKind(enum.IntEnum):
     FILE_STATUS_REQUEST = 43
     FILE_COMPLETION_ACK = 44
     FILE_COMPLETION_NACK = 45
-    FILE_DONE = 46
     # Generic reliability and fragmentation support.
     ACK = 50
     FRAGMENT = 51
     #: Several small frames to the same destination packed in one datagram.
     BATCH = 52
-    #: Negative ack: explicit retransmit request for the listed seqs.
+    #: Negative ack: a retransmit request for the listed seqs. No container
+    #: sends one; a receiver counts it and ignores it.
     NACK = 53
-    # Fleet-scale discovery (gossip dissemination + hierarchical federation).
-    #: A batch of control-plane rumors (announce/heartbeat/bye payloads with
-    #: per-origin versions) forwarded peer-to-peer instead of multicast.
-    GOSSIP = 54
+    # Fleet-scale discovery (hierarchical federation).
     #: A relay's aggregate view of its zone, published on the backbone.
     ZONE_SUMMARY = 55
     # TCP-like baseline stream (experiment E5 only).

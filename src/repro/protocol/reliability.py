@@ -32,7 +32,6 @@ _ACK_MAX_SEQS = 0xFFFF
 _RELIABLE = int(FrameFlags.RELIABLE)
 _RETRANSMIT = int(FrameFlags.RETRANSMIT)
 _ACK = MessageKind.ACK
-_NACK = MessageKind.NACK
 
 #: Pending seqs that force a coalescing receiver to flush its ACK early.
 ACK_COALESCE_MAX_PENDING = 64
@@ -70,19 +69,10 @@ def decode_ack(payload: bytes) -> List[int]:
     )
 
 
-#: NACKs carry the same seq-list payload as selective ACKs.
-encode_nack = encode_ack
-decode_nack = decode_ack
-
-
 # Abuse defenses of a hardened stream (``ReliableLinks.set_hardening``),
 # per (peer, channel). Fixed: no deployment tunes them, and a test that
 # needs a small budget or window patches the constant.
 #
-# - NACK-storm suppression: a token-bucket NACK budget per peer; exhausting
-#   it opens an exponentially growing penalty window during which that
-#   peer's NACKs are ignored (a NACK is a *request for work* —
-#   retransmission — so it is the cheapest amplification lever).
 # - ACK-flood rejection: an ACK-frame budget per peer, plus rejection of
 #   ACKs for never-sent ("future") sequence numbers. Stale/duplicate ACKs
 #   are counted and ignored.
@@ -96,14 +86,6 @@ decode_nack = decode_ack
 #: ACK frames/second per peer, and the burst of that bucket.
 ACK_RATE = 500.0
 ACK_BURST = 128.0
-#: NACK frames/second per peer, and the burst of that bucket.
-NACK_RATE = 20.0
-NACK_BURST = 8.0
-#: First NACK penalty window; each repeat multiplies it by the backoff, up
-#: to the cap.
-NACK_PENALTY = 0.5
-NACK_PENALTY_BACKOFF = 2.0
-NACK_PENALTY_MAX = 10.0
 #: Honest senders keep at most ``RetransmitPolicy.window`` (default 64)
 #: frames outstanding, so 256 never touches legitimate traffic — while
 #: every admitted-but-gap-stalled flood frame past it is dropped *unACKed*,
@@ -200,8 +182,7 @@ class ReliableSender:
         owner may also set :attr:`hardened` on an open stream.
     on_abuse:
         Called with a reason string (``"ack-flood"``, ``"future-ack"``,
-        ``"stale-ack"``, ``"nack-flood"``, ``"stale-nack"``) each time a
-        defense fires, so the owner can attribute abuse to the peer.
+        ``"stale-ack"``) each time a defense fires, so the owner can attribute abuse to the peer.
 
     An owner that drives the stream by wake-up rather than by polling sets
     :attr:`wakeup` to it: a send, or a backlog drain, then holds the wake-up
@@ -234,9 +215,6 @@ class ReliableSender:
         self.hardened = hardened
         self._on_abuse = on_abuse
         self._ack_bucket: Optional[_Bucket] = None
-        self._nack_bucket: Optional[_Bucket] = None
-        self._nack_ignore_until = 0.0
-        self._nack_penalty = 0.0
         self._next_seq = 1
         #: seq -> in-flight state, in transmission order
         self._in_flight: Dict[int, _InFlight] = {}
@@ -251,9 +229,6 @@ class ReliableSender:
         self.suppressed_acks = 0
         self.future_acks = 0
         self.stale_acks = 0
-        self.suppressed_nacks = 0
-        self.stale_nacks = 0
-        self.nack_retransmits = 0
 
     # -- API ------------------------------------------------------------------
     def send(self, kind: MessageKind, payload: bytes) -> int:
@@ -314,56 +289,6 @@ class ReliableSender:
                     self._abuse("stale-ack")
         if self._backlog:
             self._drain_backlog()
-
-    def on_nack_frame(self, frame: Frame) -> None:
-        """Feed a NACK frame: an explicit retransmit request from the peer.
-
-        Each listed in-flight seq is retransmitted immediately (with its
-        backoff state reset, as for a timer-driven retransmit). Seqs not in
-        flight — already acked, never sent, or shed — are counted as stale.
-        On a hardened stream a per-peer NACK budget applies; blowing
-        it opens an exponentially growing penalty window during which every
-        NACK from this peer is ignored outright.
-        """
-        if frame.kind != _NACK:
-            raise ProtocolError(f"not a nack frame: {frame!r}")
-        now = self._clock.now()
-        hardened = self.hardened
-        if hardened:
-            if now < self._nack_ignore_until:
-                self.suppressed_nacks += 1
-                self._abuse("nack-flood")
-                return
-            if self._nack_bucket is None:
-                self._nack_bucket = _Bucket(NACK_RATE, NACK_BURST, now)
-            if not self._nack_bucket.try_take(now):
-                self._nack_penalty = min(
-                    NACK_PENALTY
-                    if self._nack_penalty == 0.0
-                    else self._nack_penalty * NACK_PENALTY_BACKOFF,
-                    NACK_PENALTY_MAX,
-                )
-                self._nack_ignore_until = now + self._nack_penalty
-                self.suppressed_nacks += 1
-                self._abuse("nack-flood")
-                return
-        in_flight = self._in_flight
-        policy = self._policy
-        for seq in decode_nack(frame.payload):
-            state = in_flight.get(seq)
-            if state is None:
-                self.stale_nacks += 1
-                if hardened:
-                    self._abuse("stale-nack")
-                continue
-            resent, _, rto, retries = state
-            rto = min(rto * policy.backoff, policy.max_rto)
-            in_flight[seq] = (resent, now + rto, rto, retries)
-            resent.flags |= _RETRANSMIT
-            self.nack_retransmits += 1
-            self.retransmitted_frames += 1
-            self.retransmitted_bytes += len(resent.payload)
-            self._emit(resent)
 
     def _abuse(self, reason: str) -> None:
         if self._on_abuse is not None:
@@ -661,11 +586,6 @@ __all__ = [
     "RetransmitPolicy",
     "ACK_RATE",
     "ACK_BURST",
-    "NACK_RATE",
-    "NACK_BURST",
-    "NACK_PENALTY",
-    "NACK_PENALTY_BACKOFF",
-    "NACK_PENALTY_MAX",
     "REPLAY_WINDOW",
     "DUP_ACK_RATE",
     "DUP_ACK_BURST",
@@ -673,6 +593,4 @@ __all__ = [
     "ReliableReceiver",
     "encode_ack",
     "decode_ack",
-    "encode_nack",
-    "decode_nack",
 ]

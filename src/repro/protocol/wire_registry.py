@@ -35,11 +35,9 @@ KIND_SCHEMA_REFS: Dict[str, str] = {
     "VAR_SAMPLE": "repro/primitives/wire.py::VAR_SAMPLE_SCHEMA",
     "VAR_INITIAL_REQUEST": "repro/primitives/wire.py::VAR_INITIAL_REQUEST_SCHEMA",
     "VAR_INITIAL_RESPONSE": "repro/primitives/wire.py::VAR_INITIAL_RESPONSE_SCHEMA",
-    # Events. Subscribe and unsubscribe share one payload shape; the kind
-    # byte carries the polarity.
+    # Events.
     "EVENT": "repro/primitives/wire.py::EVENT_MESSAGE_SCHEMA",
     "EVENT_SUBSCRIBE": "repro/primitives/wire.py::EVENT_SUBSCRIBE_SCHEMA",
-    "EVENT_UNSUBSCRIBE": "repro/primitives/wire.py::EVENT_SUBSCRIBE_SCHEMA",
     # Remote invocation.
     "RPC_REQUEST": "repro/primitives/wire.py::RPC_REQUEST_SCHEMA",
     "RPC_RESPONSE": "repro/primitives/wire.py::RPC_RESPONSE_SCHEMA",
@@ -50,14 +48,12 @@ KIND_SCHEMA_REFS: Dict[str, str] = {
     "FILE_STATUS_REQUEST": "repro/primitives/wire.py::FILE_STATUS_REQUEST_SCHEMA",
     "FILE_COMPLETION_ACK": "repro/primitives/wire.py::FILE_ACK_SCHEMA",
     "FILE_COMPLETION_NACK": "repro/primitives/wire.py::FILE_NACK_SCHEMA",
-    "FILE_DONE": "repro/primitives/wire.py::FILE_DONE_SCHEMA",
     # Reliability, fragmentation, batching: hand-packed layouts.
     "ACK": "manual:repro/protocol/reliability.py",
     "NACK": "manual:repro/protocol/reliability.py",
     "FRAGMENT": "manual:repro/protocol/fragmentation.py",
     "BATCH": "manual:repro/protocol/batching.py",
     # Fleet-scale discovery.
-    "GOSSIP": "repro/container/gossip.py::GOSSIP_SCHEMA",
     "ZONE_SUMMARY": "repro/container/gossip.py::ZONE_SUMMARY_SCHEMA",
     # TCP-like baseline stream (experiment E5).
     "STREAM_SYN": "manual:repro/protocol/tcp_like.py",

@@ -159,8 +159,8 @@ class SimRuntime:
             container.admission.configure(HARDENED_ADMISSION)
 
     def harden_reliability(self) -> None:
-        """Arm the reliability abuse defenses (NACK budgets, ACK-flood
-        rejection, replay windows) on every existing and future stream."""
+        """Arm the reliability abuse defenses (ACK-flood rejection, replay
+        windows) on every existing and future stream."""
         for container in self.containers.values():
             container.links.set_hardening(True, container.directory.peers())
 

@@ -9,8 +9,8 @@ The standard services implement the §5 image-processing scenario, one
 module each: :mod:`~repro.services.gps`, :mod:`~repro.services.camera`,
 :mod:`~repro.services.storage`, :mod:`~repro.services.videoproc`,
 :mod:`~repro.services.mission` and :mod:`~repro.services.ground`, plus
-:mod:`~repro.services.ahrs` and :mod:`~repro.services.deploy`. Import a
-service from its module; this package loads none of them.
+:mod:`~repro.services.deploy`. Import a service from its module; this
+package loads none of them.
 """
 
 from repro.services.base import Service, ServiceContext

@@ -128,18 +128,11 @@ class SimNetwork:
             self._nics[node] = SimNic(self, node)
         return self._nics[node]
 
-    def nodes(self) -> List[str]:
-        return sorted(self._nics)
-
     def set_link(self, src: str, dst: str, model: LinkModel, symmetric: bool = True) -> None:
         """Override the link model between two nodes."""
         self._links[(src, dst)] = model
         if symmetric:
             self._links[(dst, src)] = model
-        self._pair_cache.clear()
-
-    def set_default_link(self, model: LinkModel) -> None:
-        self._default_link = model
         self._pair_cache.clear()
 
     def link_for(self, src: str, dst: str) -> LinkModel:

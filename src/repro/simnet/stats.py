@@ -32,10 +32,6 @@ class Counter:
         amortizes (each packet pays :data:`WIRE_OVERHEAD_BYTES` once)."""
         return self.packets * WIRE_OVERHEAD_BYTES
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.bytes - self.overhead_bytes
-
 
 @dataclass
 class NetworkStats:

@@ -8,7 +8,7 @@ so that every run is reproducible packet-for-packet.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -25,10 +25,6 @@ class SeededRng:
         self._seed = int(seed)
         self._rng = random.Random(self._seed)
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def fork(self, label: str) -> "SeededRng":
         """Derive an independent stream keyed by ``label``.
 
@@ -42,12 +38,6 @@ class SeededRng:
 
     def uniform(self, lo: float, hi: float) -> float:
         return self._rng.uniform(lo, hi)
-
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
 
     def random(self) -> float:
         return self._rng.random()
@@ -78,9 +68,6 @@ class SeededRng:
     def jittered(self, base: float, jitter: float, floor: float = 0.0) -> float:
         """``base`` plus symmetric uniform jitter, clamped below at ``floor``."""
         return max(floor, base + self._rng.uniform(-jitter, jitter))
-
-    def maybe(self, probability: float, value: Optional[T], default: Optional[T] = None):
-        return value if self.chance(probability) else default
 
 
 __all__ = ["SeededRng"]

@@ -109,22 +109,13 @@ class ContainerTap:
     def __init__(self, container, engine: MonitorEngine, tracing: bool = False):
         self.container = container
         self._engine = engine
-        self._probe_listener = container.probes.subscribe(engine.observe)
-        self._span_listener = (
-            container.tracer.subscribe(self._on_span) if tracing else None
-        )
+        container.probes.subscribe(engine.observe)
+        if tracing:
+            container.tracer.subscribe(self._on_span)
         for record in container.services():
             self._watch(record)
         container.directory.on_container_up(self._on_peer_up)
         container.directory.on_container_down(self._on_peer_down)
-
-    def detach(self) -> None:
-        """Disarm the probe path. The lifecycle/directory hooks stay chained
-        but emit through the bus, which goes inert once unsubscribed."""
-        self.container.probes.unsubscribe(self._probe_listener)
-        if self._span_listener is not None:
-            self.container.tracer.unsubscribe(self._span_listener)
-            self._span_listener = None
 
     # -- synthesized streams -------------------------------------------------
     def _on_span(self, span, phase: str) -> None:
@@ -209,11 +200,6 @@ class FleetMonitor:
         for container_id in sorted(runtime.containers):
             self.attach(runtime.containers[container_id])
         return self
-
-    def detach_all(self) -> None:
-        for tap in self._taps:
-            tap.detach()
-        self._taps.clear()
 
     # -- verdicts ------------------------------------------------------------
     @property

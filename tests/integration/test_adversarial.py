@@ -195,7 +195,7 @@ class TestDefendedFleetUnderAttack:
         assert snapshot["delivered"] / snapshot["published"] >= 0.90
 
         # The defenses, not luck: admission shed flood volume at the door,
-        # and the NACK-storm suppressor throttled the forged NACKs.
+        # and the replay horizon dropped the flood's far-future seqs.
         victim = runtime.container("victim")
         assert victim.admission.dropped > 1000
         drops = victim.metrics.counter_value(
@@ -208,6 +208,10 @@ class TestDefendedFleetUnderAttack:
             if kind == "counter" and name == "reliability_abuse"
         )
         assert abuse > 0
+        # The forged NACKs arrived and were ignored: no container sends a
+        # NACK, so none asks the victim for a retransmission.
+        assert victim.metrics.counter_value("frames_received", kind="NACK") > 0
+        assert victim.metrics.counter_value("retransmits") == 0
 
     def test_violations_carry_attacker_attribution(self):
         runtime, campaign, checker, publisher, *_, personas = self.run_campaign()

@@ -139,3 +139,31 @@ class TestPartition:
         runtime.run_for(5.0)
         assert "into the void" not in sub.events_of("p.evt")
         assert "b" not in pub.handle.subscribers
+
+
+class TestPositionTimeout:
+    def test_silent_gps_raises_one_timeout_warning(self):
+        """The GPS receiver loses its fix: its offer stands but no sample
+        arrives. The mission service's ``_on_position_timeout`` fires once
+        the subscription has heard nothing for three publication periods,
+        which is inside the validity window GPS declares for the position:
+        by the end of that window ``position_timeouts`` is 1 and a warning
+        is logged."""
+        runtime = SimRuntime(seed=8)
+        plan = plan_with_photo_at_start()
+        fcs = runtime.add_container("fcs")
+        gps = GpsService(KinematicUav(plan))
+        mission = MissionControlService(plan)
+        fcs.install_service(gps)
+        fcs.install_service(mission)
+        runtime.start()
+        runtime.run_for(2.0)
+        assert mission.position_timeouts == 0
+        gps._ticker.cancel()  # the offer stands; the samples stop
+        runtime.run_for(2.5 / gps.rate_hz)  # quiet for less than three periods
+        assert mission.position_timeouts == 0
+        runtime.run_for(gps.validity - 2.5 / gps.rate_hz)
+        assert mission.position_timeouts == 1
+        warnings = [line for _, line in mission.ctx.log_lines if line.startswith("WARNING")]
+        assert warnings == ["WARNING: gps.position samples stopped arriving"]
+        assert fcs.service_state("mission").name == "RUNNING"

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro import Service, SimRuntime
 from repro.container.links import RELIABLE_CHANNEL
 from repro.encoding.types import FLOAT64, INT64
+from repro.primitives import wire
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.protocol import reliability
 from repro.protocol.peers import MAX_STRANGERS
@@ -513,6 +514,13 @@ class TestBoundReceiverAgainstThePerFrameOne:
 
 # -- streams opened by sources nobody announced ------------------------------------
 
+#: A well-formed EVENT for a name its (forged) source does not offer: the
+#: stream is opened and ACKed, and the event is dropped and counted once in
+#: ``unoffered_events``.
+_UNOFFERED_EVENT = wire.encode(
+    wire.EVENT_MESSAGE_SCHEMA, {"name": "mark", "timestamp": 0.0, "value": bytes(8)}
+)
+
 
 class TestStreamsFromUnknownSources:
     def test_ten_thousand_forged_ids_keep_the_table_bounded_and_a_peer_exact(self):
@@ -539,10 +547,10 @@ class TestStreamsFromUnknownSources:
         peer_stream = b.directory.peer("a").receiver
         forged_at = Address("nowhere", 1)
         for i in range(10_000):
-            # EVENT_UNSUBSCRIBE has no handler: the frame is ACKed (to no
-            # one — the directory has no address) and dropped.
+            # The frame is ACKed (to no one — the directory has no
+            # address) and its unoffered event dropped.
             b._on_frame(
-                Frame(MessageKind.EVENT_UNSUBSCRIBE, f"forged-{i}", b"", RELIABLE_CHANNEL, 1,
+                Frame(MessageKind.EVENT, f"forged-{i}", _UNOFFERED_EVENT, RELIABLE_CHANNEL, 1,
                       int(FrameFlags.RELIABLE)),
                 forged_at,
             )
@@ -569,8 +577,10 @@ class TestStreamsFromUnknownSources:
         runtime.start()
         runtime.settle()
         directory = b.directory
-        frame = dict(channel=RELIABLE_CHANNEL, seq=1, flags=int(FrameFlags.RELIABLE))
-        b._on_frame(Frame(MessageKind.EVENT_UNSUBSCRIBE, "late", **frame), Address("n", 1))
+        frame = dict(
+            payload=_UNOFFERED_EVENT, channel=RELIABLE_CHANNEL, seq=1, flags=int(FrameFlags.RELIABLE)
+        )
+        b._on_frame(Frame(MessageKind.EVENT, "late", **frame), Address("n", 1))
         late = directory.peer("late").receiver
         assert "late" not in directory.known
         b.directory.handle_heartbeat({
@@ -578,7 +588,7 @@ class TestStreamsFromUnknownSources:
             "load": 0, "restarts": 0,
         })
         for i in range(MAX_STRANGERS + 5):
-            b._on_frame(Frame(MessageKind.EVENT_UNSUBSCRIBE, f"x{i}", **frame), Address("n", 1))
+            b._on_frame(Frame(MessageKind.EVENT, f"x{i}", **frame), Address("n", 1))
         assert directory.known["late"].receiver is late
         assert late._ack_wakeup._at != float("-inf")
         assert directory.find("x0") is None and directory.find("x5") is not None
@@ -639,3 +649,47 @@ class TestPeerRestartInsideLivenessTimeout:
         assert downs == []  # never missed: the restart hook, not liveness
         assert peer.epoch == epoch + 1
         assert sub_container.directory.record("pub").alive
+
+
+# -- a NACK, which no container sends ------------------------------------------------
+
+
+@pytest.mark.parametrize("hardened", [False, True], ids=["unhardened", "hardened"])
+@pytest.mark.parametrize("source", ["b", "stranger"], ids=["known-peer", "stranger"])
+def test_a_nack_is_counted_and_ignored(hardened, source):
+    """A reliable-channel NACK naming every frame in flight reaches no
+    receiver, is not ACKed, consumes no seq, moves no deadline, makes no
+    peer entry, reports no abuse and retransmits nothing: its one trace is
+    ``frames_received{kind=NACK}``."""
+    runtime = SimRuntime(seed=4)
+    a = runtime.add_container("a", **FAST_PLANE)
+    runtime.add_container("b", **FAST_PLANE)
+    if hardened:
+        runtime.harden_reliability()
+    runtime.start()
+    runtime.settle()
+    for payload in (b"x", b"y"):
+        a.send_reliable("b", MessageKind.EVENT, payload)
+    peer = a.directory.peer("b")
+    sender = peer.sender
+    assert sender.hardened is hardened and sorted(sender._in_flight) == [1, 2]
+
+    def state():
+        return (
+            dict(sender._in_flight),
+            sender._next_seq,
+            sender.wakeup._at,
+            peer.receiver,
+            sorted(p.id for p in a.directory.peers()),
+            sorted(a.directory.known),
+        )
+
+    before, metrics = state(), a.metrics.snapshot()
+    a._on_frame(
+        Frame(MessageKind.NACK, source, encode_ack([1, 2]), RELIABLE_CHANNEL),
+        Address("nowhere", 1),
+    )
+    assert state() == before
+    assert peer.receiver is None and a.directory.find("stranger") is None
+    assert sender.retransmitted_frames == 0
+    assert a.metrics.snapshot() == {**metrics, "frames_received{kind=NACK}": 1}

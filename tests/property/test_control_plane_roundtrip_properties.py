@@ -2,12 +2,12 @@
 
 ``primitives/wire.py`` schemas got a differential round-trip suite in the
 seed; the control-plane records (ANNOUNCE / HEARTBEAT / BYE) and the
-fleet-scale gossip payloads (GOSSIP / ZONE_SUMMARY) are just as much wire
-surface — every peer on the segment decodes them — so they get the same
-contract: the compiled codec and the interpreted :class:`BinaryCodec`
-must agree byte-for-byte on encode and document-for-document on decode.
-The nested offer schemas (``VAR_OFFER_SCHEMA`` …) and ``RUMOR_SCHEMA``
-are covered by composition through their parents.
+fleet-scale ZONE_SUMMARY are just as much wire surface — every peer on the
+segment decodes them — so they get the same contract: the compiled codec
+and the interpreted :class:`BinaryCodec` must agree byte-for-byte on encode
+and document-for-document on decode.
+The nested offer schemas (``VAR_OFFER_SCHEMA`` …) and
+``SUMMARY_MEMBER_SCHEMA`` are covered by composition through their parents.
 
 These schemas are also pinned by the wire-schema lockfile
 (``tests/unit/test_schema_lock.py``); this suite is the behavioral half
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.container.gossip import GOSSIP_SCHEMA, ZONE_SUMMARY_SCHEMA
+from repro.container.gossip import ZONE_SUMMARY_SCHEMA
 from repro.container.records import ANNOUNCE_SCHEMA, BYE_SCHEMA, HEARTBEAT_SCHEMA
 from repro.encoding.binary import BinaryCodec
 from repro.encoding.compiled import CompiledCodec
@@ -31,7 +31,6 @@ CONTROL_PLANE_SCHEMAS = [
     ANNOUNCE_SCHEMA,
     HEARTBEAT_SCHEMA,
     BYE_SCHEMA,
-    GOSSIP_SCHEMA,
     ZONE_SUMMARY_SCHEMA,
 ]
 

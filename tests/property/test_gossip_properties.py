@@ -2,9 +2,7 @@
 
 Three contracts, each driven by hypothesis:
 
-1. **Convergence** — from arbitrary announce/heartbeat/bye interleavings
-   (containers stopping at arbitrary drawn instants), gossip drives every
-   live directory to the same record set, deterministically per seed.
+1. **Zone summaries round-trip** through their wire schema.
 2. **Strict liveness reads** — a strict directory never serves a record
    whose last heartbeat is older than the liveness timeout, no matter the
    input sequence (the L1 cache must not change that).
@@ -19,39 +17,12 @@ from hypothesis import strategies as st
 
 from repro.container.directory import Directory
 from repro.container.fleet import FleetConfig
-from repro.container.gossip import (
-    decode_gossip,
-    decode_zone_summary,
-    encode_gossip,
-    encode_zone_summary,
-)
+from repro.container.gossip import decode_zone_summary, encode_zone_summary
 from repro.runtime.simruntime import SimRuntime
 from repro.util import ManualClock
 from repro.util.ids import reset_uid_counter
 
 # -- wire schema roundtrips ---------------------------------------------------
-
-_rumors = st.lists(
-    st.fixed_dictionaries(
-        {
-            "kind": st.sampled_from([1, 2, 3]),
-            "origin": st.text(
-                alphabet="abcdefghij-0123456789", min_size=1, max_size=12
-            ),
-            "version": st.integers(1, 2**32 - 1),
-            "payload": st.binary(max_size=64),
-        }
-    ),
-    max_size=8,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(rumors=_rumors)
-def test_gossip_payload_roundtrip(rumors):
-    doc = {"rumors": rumors}
-    assert decode_gossip(encode_gossip(doc)) == doc
-
 
 _members = st.lists(
     st.fixed_dictionaries(
@@ -77,77 +48,6 @@ _members = st.lists(
 def test_zone_summary_roundtrip(zone, origin, version, members):
     doc = {"zone": zone, "origin": origin, "version": version, "members": members}
     assert decode_zone_summary(encode_zone_summary(doc)) == doc
-
-
-# -- convergence --------------------------------------------------------------
-
-_N = 5
-_IDS = [f"g{i}" for i in range(_N)]
-
-
-def _run_gossip_fleet(seed, stops):
-    """A small gossip fleet; ``stops`` maps container index -> stop time.
-    Returns (directory views of live containers, metrics snapshot)."""
-    reset_uid_counter()
-    runtime = SimRuntime(seed=seed)
-    fleet = FleetConfig(gossip_enabled=True, gossip_fanout=2)
-    for cid in _IDS:
-        runtime.add_container(cid, fleet=fleet)
-    runtime.start()
-    events = sorted(stops.items(), key=lambda kv: kv[1])
-    now = 0.0
-    for index, at in events:
-        runtime.run_for(at - now)
-        now = at
-        runtime.containers[_IDS[index]].stop()
-    # Long enough after the last bye for rumors to spread and liveness
-    # timeouts (1s) to expire for anything silenced.
-    runtime.run_for(6.0 - now)
-    alive = [cid for cid in _IDS if runtime.containers[cid].running]
-    views = {}
-    for cid in alive:
-        directory = runtime.containers[cid].directory
-        views[cid] = {
-            (r.container, r.incarnation, r.alive)
-            for r in directory.all_records()
-        }
-    return alive, views, runtime.metrics_snapshot()
-
-
-_stops = st.dictionaries(
-    keys=st.integers(0, _N - 1),
-    values=st.floats(1.0, 3.0),
-    max_size=2,
-)
-
-
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 10_000), stops=_stops)
-def test_gossip_converges_live_directories(seed, stops):
-    alive, views, _ = _run_gossip_fleet(seed, stops)
-    alive_set = set(alive)
-    for observer, view in views.items():
-        seen_alive = {c for (c, _inc, is_alive) in view if is_alive}
-        # Every live peer is seen alive; nothing dead is seen alive.
-        assert seen_alive == alive_set - {observer}, (
-            f"{observer} sees {sorted(seen_alive)}, "
-            f"fleet live set is {sorted(alive_set)}"
-        )
-    # All views agree on every third container (same record set modulo the
-    # observer's self-exclusion).
-    for a in views:
-        for b in views:
-            third_a = {t for t in views[a] if t[0] not in (a, b)}
-            third_b = {t for t in views[b] if t[0] not in (a, b)}
-            assert third_a == third_b
-
-
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(0, 10_000), stops=_stops)
-def test_gossip_fleet_is_deterministic_per_seed(seed, stops):
-    first = _run_gossip_fleet(seed, stops)
-    second = _run_gossip_fleet(seed, stops)
-    assert first == second
 
 
 # -- strict liveness reads ----------------------------------------------------

@@ -4,7 +4,7 @@
 polled at every ``next_wakeup()`` says when each retransmission and each
 give-up happens. ``ReliableLinks`` arms one wake-up per stream and touches it
 only when a deadline appears before the armed instant; for *any*
-interleaving of sends, ACKs, NACKs, waits and peer resets it must put the
+interleaving of sends, ACKs, waits and peer resets it must put the
 same frames on the wire at the same instants. Passes at the parent, which
 re-read every deadline on every operation.
 """
@@ -23,7 +23,8 @@ from repro.util import ManualClock
 TICK = 1 / 256  # every instant is a dyadic rational: float sums are exact
 POLICIES = (
     RetransmitPolicy(initial_rto=16 * TICK, max_rto=128 * TICK, max_retries=3, window=4),
-    # An RTO capped below the first one: a NACK moves a deadline *earlier*.
+    # An RTO capped below the first one: a retransmission's deadline comes
+    # sooner than the first transmission's.
     RetransmitPolicy(initial_rto=32 * TICK, max_rto=8 * TICK, max_retries=3, window=4),
 )
 
@@ -34,7 +35,6 @@ OPS = st.lists(
         st.tuples(st.just("wait"), st.integers(1, 48)),
         st.tuples(st.just("wait"), st.integers(1, 48)),
         st.tuples(st.just("ack"), st.integers(1, 15)),
-        st.tuples(st.just("nack"), st.integers(1, 15)),
         st.just(("reset",)),
     ),
     max_size=60,
@@ -65,8 +65,7 @@ class Oracle:
 
     def feed(self, frame):
         if self.sender is not None:
-            feed = self.sender.on_ack_frame if frame.kind == MessageKind.ACK else self.sender.on_nack_frame
-            feed(frame)
+            self.sender.on_ack_frame(frame)
 
     def wait(self, until):
         while self.sender is not None:
@@ -119,17 +118,18 @@ def test_links_emit_exactly_what_the_polled_sender_emits(policy, ops):
     for op in ops:
         if op[0] == "wait":
             now += op[1] * TICK
-        elif op[0] in ("ack", "nack"):
+        elif op[0] == "ack":
             in_flight = sorted(oracle.sender._in_flight) if oracle.sender else []
             seqs = [seq for bit, seq in enumerate(in_flight) if op[1] >> bit & 1]
             if not seqs:
                 continue
-            kind = MessageKind.ACK if op[0] == "ack" else MessageKind.NACK
-            frame = dict(kind=kind, source="b", payload=encode_ack(seqs), channel=RELIABLE_CHANNEL)
+            frame = dict(
+                kind=MessageKind.ACK, source="b", payload=encode_ack(seqs), channel=RELIABLE_CHANNEL
+            )
         for side in (oracle, links):
             if op[0] == "wait":
                 side.wait(now)
-            elif op[0] in ("ack", "nack"):
+            elif op[0] == "ack":
                 side.feed(Frame(**frame))
             else:
                 getattr(side, op[0])()

@@ -42,7 +42,6 @@ ALL_SCHEMAS = [
     wire.FILE_STATUS_REQUEST_SCHEMA,
     wire.FILE_ACK_SCHEMA,
     wire.FILE_NACK_SCHEMA,
-    wire.FILE_DONE_SCHEMA,
     wire.TRACE_CONTEXT_SCHEMA,
 ]
 

@@ -5,8 +5,7 @@ Tier-1 proves the fleet mechanisms correct; this tier pins their *shape*:
 - kernel work grows near-linearly with container count in a federated
   fleet (doubling the fleet must not super-linearly inflate the event
   count);
-- per-container control traffic is bounded by zone size and gossip fanout,
-  not fleet size — the O(N²) flat control plane must not creep back in;
+- per-container control traffic is bounded by zone size, not fleet size — the O(N²) flat control plane must not creep back in;
 - what a container holds and decodes per *foreign zone* stays small: a few
   KB of heap (summaries are kept in wire form), one full summary decode on
   first sight and none for the periodic refreshes. Host time is not
@@ -60,14 +59,6 @@ def build_federated(zones, seed=9):
             runtime.add_container(
                 f"uav-{zone}-{i:02d}", fleet=FleetConfig(zone=zone), **TIMING
             )
-    return runtime
-
-
-def build_gossip_flat(containers, seed=9):
-    runtime = SimRuntime(seed=seed)
-    fleet = FleetConfig(gossip_enabled=True, gossip_fanout=3)
-    for i in range(containers):
-        runtime.add_container(f"c{i:03d}", fleet=fleet, **TIMING)
     return runtime
 
 
@@ -131,28 +122,6 @@ class TestBoundedControlTraffic:
         )
         # Zone bound in absolute terms: a container hears at most its zone.
         assert max(rx_large.values()) <= expected * ZONE_SIZE
-
-    def test_per_container_gossip_traffic_is_fanout_bounded(self):
-        n_small = max(10, (ZONES // 2) * 5)
-        n_large = n_small * 2
-        small, _ = run_mission(build_gossip_flat(n_small))
-        large, _ = run_mission(build_gossip_flat(n_large))
-        tx_small = per_container_counts(small, "frames_sent", "GOSSIP")
-        tx_large = per_container_counts(large, "frames_sent", "GOSSIP")
-        assert any(tx_small.values()) and any(tx_large.values())
-        # Each round sends at most `fanout` frames, regardless of N.
-        rounds = (SETTLE + MISSION) / FleetConfig(
-            gossip_enabled=True
-        ).gossip_interval
-        bound = 3 * rounds + 3
-        assert max(tx_small.values()) <= bound
-        assert max(tx_large.values()) <= bound
-        avg_small = sum(tx_small.values()) / len(tx_small)
-        avg_large = sum(tx_large.values()) / len(tx_large)
-        assert avg_large <= avg_small * 1.25, (
-            f"per-container gossip egress grew with fleet size: "
-            f"{avg_small:.1f} -> {avg_large:.1f}"
-        )
 
 
 class TestForeignZoneCostIsFlat:

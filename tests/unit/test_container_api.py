@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from helpers import ProbeService, two_containers
+from helpers import ProbeService, settle, two_containers
 
 from repro import Service
 from repro.container import ServiceState
@@ -157,6 +157,28 @@ class TestEmergency:
         runtime.run_for(0.1)
         a.emergency("engine out")
         assert svc.results == ["engine out"]
+
+
+    def test_a_task_that_raises_is_one_emergency_and_the_container_serves_on(self):
+        """A scheduler task with no service guard raises: one emergency
+        names its label, and the container goes on delivering events."""
+        runtime, a, b = two_containers()
+        publisher = ProbeService("pub", lambda s: s.results.append(s.ctx.provide_event("tick")))
+        subscriber = ProbeService("sub", lambda s: s.watch_event("tick"))
+        a.install_service(publisher)
+        b.install_service(subscriber)
+        settle(runtime)
+
+        def orphan():
+            raise RuntimeError("no guard")
+
+        a.submit("orphan", orphan)
+        assert len(a.emergencies) == 1 and "orphan task" in a.emergencies[0]
+        publisher.results[0].raise_event(None)
+        runtime.run_for(0.5)
+        assert [name for name, _, _ in subscriber.events] == ["tick"]
+        assert a.running and a.service_state("pub") == ServiceState.RUNNING
+        assert len(a.emergencies) == 1
 
 
 class TestServiceContextResources:

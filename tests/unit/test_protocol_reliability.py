@@ -536,129 +536,6 @@ def _data_frame(seq, source="tx", channel=1, payload=b"d"):
     )
 
 
-def _nack_frame(seqs, source="rx", channel=1):
-    from repro.protocol.reliability import encode_nack
-
-    return Frame(
-        kind=MessageKind.NACK,
-        source=source,
-        payload=encode_nack(seqs),
-        channel=channel,
-    )
-
-
-class TestNackRetransmit:
-    """NACK handling works with or without hardening armed."""
-
-    def make_sender(self, abuse=None):
-        clock = ManualClock()
-        wire = []
-        sender = ReliableSender(
-            clock=clock,
-            source="tx",
-            channel=1,
-            emit=wire.append,
-            policy=RetransmitPolicy(initial_rto=1.0, window=8),
-            on_abuse=abuse,
-        )
-        return clock, sender, wire
-
-    def test_nack_triggers_immediate_retransmit(self):
-        clock, sender, wire = self.make_sender()
-        sender.send(MessageKind.EVENT, b"a")
-        sender.send(MessageKind.EVENT, b"b")
-        del wire[:]
-        sender.on_nack_frame(_nack_frame([1, 2]))
-        assert [f.seq for f in wire] == [1, 2]
-        from repro.protocol.frames import FrameFlags
-
-        assert all(f.flags & int(FrameFlags.RETRANSMIT) for f in wire)
-        assert sender.nack_retransmits == 2
-        assert sender.retransmitted_frames == 2
-
-    def test_stale_and_unknown_seqs_are_ignored(self):
-        clock, sender, wire = self.make_sender()
-        sender.send(MessageKind.EVENT, b"a")
-        sender.on_acked([1])
-        del wire[:]
-        sender.on_nack_frame(_nack_frame([1, 99]))
-        assert wire == []
-        assert sender.stale_nacks == 2
-
-    def test_non_nack_frame_rejected(self):
-        clock, sender, wire = self.make_sender()
-        with pytest.raises(ProtocolError):
-            sender.on_nack_frame(_data_frame(1))
-
-
-class TestNackStormSuppression:
-    @pytest.fixture(autouse=True)
-    def small_nack_budget(self, monkeypatch):
-        monkeypatch.setattr(reliability, "NACK_RATE", 10.0)
-        monkeypatch.setattr(reliability, "NACK_BURST", 2.0)
-        monkeypatch.setattr(reliability, "NACK_PENALTY_MAX", 4.0)
-
-    def make(self, hardened=True):
-        abuses = []
-        clock = ManualClock()
-        wire = []
-        sender = ReliableSender(
-            clock=clock,
-            source="tx",
-            channel=1,
-            emit=wire.append,
-            policy=RetransmitPolicy(initial_rto=10.0, window=64),
-            hardened=hardened,
-            on_abuse=abuses.append,
-        )
-        return clock, sender, wire, abuses
-
-    def test_budget_exhaustion_opens_penalty_window(self):
-        clock, sender, wire, abuses = self.make()
-        sender.send(MessageKind.EVENT, b"a")
-        del wire[:]
-        # burst=2 NACKs honored, the third blows the budget.
-        for _ in range(3):
-            sender.on_nack_frame(_nack_frame([1]))
-        assert sender.nack_retransmits == 2
-        assert sender.suppressed_nacks == 1
-        assert abuses.count("nack-flood") == 1
-        # Inside the penalty window every NACK is ignored outright.
-        for _ in range(10):
-            sender.on_nack_frame(_nack_frame([1]))
-        assert sender.nack_retransmits == 2
-        assert sender.suppressed_nacks == 11
-
-    def test_penalty_escalates_and_caps(self):
-        clock, sender, wire, abuses = self.make()
-        sender.send(MessageKind.EVENT, b"a")
-
-        def blow_budget():
-            while sender._nack_ignore_until <= clock.now():
-                sender.on_nack_frame(_nack_frame([1]))
-            return sender._nack_ignore_until - clock.now()
-
-        assert blow_budget() == pytest.approx(0.5)
-        clock.advance(1.0)
-        assert blow_budget() == pytest.approx(1.0)
-        clock.advance(2.0)
-        assert blow_budget() == pytest.approx(2.0)
-        clock.advance(3.0)
-        assert blow_budget() == pytest.approx(4.0)
-        clock.advance(5.0)
-        assert blow_budget() == pytest.approx(4.0)  # capped
-
-    def test_disabled_hardening_never_suppresses(self):
-        clock, sender, wire, abuses = self.make(hardened=False)
-        sender.send(MessageKind.EVENT, b"a")
-        del wire[:]
-        for _ in range(50):
-            sender.on_nack_frame(_nack_frame([1]))
-        assert sender.suppressed_nacks == 0
-        assert sender.nack_retransmits == 50
-        assert abuses == []
-
-
 class TestAckAbuse:
     @pytest.fixture(autouse=True)
     def small_ack_budget(self, monkeypatch):

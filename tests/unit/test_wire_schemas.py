@@ -34,7 +34,6 @@ CASES = [
     (wire.FILE_NACK_SCHEMA,
      {"name": "photo.1", "subscriber": "storage-node", "revision": 3,
       "missing": [{"start": 0, "end": 4}, {"start": 9, "end": 9}]}),
-    (wire.FILE_DONE_SCHEMA, {"name": "photo.1", "revision": 3}),
 ]
 
 
