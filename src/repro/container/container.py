@@ -8,7 +8,7 @@ primitive managers; hosts and watches the services installed on this node.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.container.config import ContainerConfig
 from repro.container.directory import Directory
@@ -194,7 +194,7 @@ class ServiceContainer:
             clock=clock,
             timers=timers,
             local=config.container_id,
-            send_to_peer=self._send_frame_to_peer,
+            send_to_peer=self._send_frames_to_peer,
             deliver=self._dispatch_reliable,
             on_peer_failure=self._on_link_failure,
             policy=config.retransmit,
@@ -206,7 +206,7 @@ class ServiceContainer:
             clock=clock,
             timers=timers,
             local=config.container_id,
-            send_to_peer=self._send_frame_to_peer,
+            send_to_peer=self._send_frames_to_peer,
             deliver=self._on_tcp_event_payload,
         )
         self.variables = VariableManager(self)
@@ -292,8 +292,8 @@ class ServiceContainer:
         if peer == self._id:
             self._dispatch(frame)
             return True
-        return self._send_frame_to_peer(
-            self._peers.get(peer) or self.directory.peer(peer), frame
+        return self._send_frames_to_peer(
+            self._peers.get(peer) or self.directory.peer(peer), (frame,)
         )
 
     def send_reliable(self, peer: str, kind: MessageKind, payload: bytes) -> None:
@@ -794,15 +794,47 @@ class ServiceContainer:
         self.files.on_provider_up(record.container)
 
     # -- internals -----------------------------------------------------------
-    def _send_frame_to_peer(self, peer: Peer, frame: Frame) -> bool:
+    def _send_frames_to_peer(self, peer: Peer, frames: Sequence[Frame]) -> bool:
+        """The one unicast egress path: ``frames`` to ``peer``, in order.
+
+        The running check and the route are read once. A single frame is
+        then counted and recorded by :meth:`_note_tx` and handed to
+        ``egress.send``; a longer run is cut into runs of one kind, each
+        counted with one ``inc`` per counter, recorded with one clock read
+        and handed to ``egress.send_run`` in one call."""
         if not self._running:
             return False  # late timer after stop(); nothing to send on
         directory = self.directory
         address = peer.address if peer.routed == directory.revision else directory.route(peer)
         if address is None:
             return False  # unknown/dead; retransmission or failure will handle it
-        self._note_tx(frame)
-        self.egress.send(address, frame, peer)
+        if len(frames) == 1:
+            frame = frames[0]
+            self._note_tx(frame)
+            self.egress.send(address, frame, peer)
+            return True
+        egress = self.egress
+        count = len(frames)
+        start = 0
+        while start < count:
+            kind = frames[start].kind
+            stop = start + 1
+            while stop < count and frames[stop].kind is kind:
+                stop += 1
+            run = frames if stop - start == count else frames[start:stop]
+            start = stop
+            counter, kind_name = self._tx_counters.get(kind) or self._counted(
+                self._tx_counters, "frames_sent", kind
+            )
+            counter.inc(len(run))
+            retransmitted = 0
+            for frame in run:
+                if frame.flags & _RETRANSMIT:
+                    retransmitted += 1
+            if retransmitted:
+                self._retransmit_counter.inc(retransmitted)
+            self.recorder.record_tx_run(kind_name, run)
+            egress.send_run(address, run, peer)
         return True
 
     def _piggyback_acks(self, slot) -> List[Frame]:

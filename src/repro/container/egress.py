@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.metrics import Gauge
 from repro.protocol.batching import BATCH_MTU_BYTES, FrameBatcher, PiggybackFn
@@ -159,6 +159,17 @@ class EgressShaper:
             self._batcher.add(destination, frame, band, slot)
             return
         self._submit(destination, frame, band, slot)
+
+    def send_run(self, destination: Destination, frames: Sequence[Frame], slot=None) -> None:
+        """:meth:`send` for each of ``frames``, all of one kind, in order:
+        the band is looked up once and the batcher takes the run in one
+        call. Shaping and the queue limit still apply frame by frame."""
+        band = BANDS.get(frames[0].kind, FALLBACK_BAND)
+        if self._batcher is not None:
+            self._batcher.add_run(destination, frames, band, slot)
+            return
+        for frame in frames:
+            self._submit(destination, frame, band, slot)
 
     def flush(self) -> None:
         """Flush any pending batches (e.g. just before container stop)."""

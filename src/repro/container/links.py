@@ -28,7 +28,7 @@ RELIABLE_CHANNEL = 1
 #: Channel carrying the TCP-modelled stream (experiment E5 only).
 TCP_CHANNEL = 2
 
-SendToPeer = Callable[[Peer, Frame], None]  # (destination peer, frame)
+SendRunToPeer = Callable[[Peer, Sequence[Frame]], None]  # (destination peer, frames in order)
 PeerFailure = Callable[[Peer, Frame], None]  # (peer, frame that gave up)
 PeerSlow = Callable[[Peer, Frame], None]  # (peer, frame shed by bounded backlog)
 PeerAbuse = Callable[[Peer, str], None]  # (peer, defense that fired)
@@ -38,6 +38,12 @@ _ACK = MessageKind.ACK
 
 def _ignore(*_args) -> None:
     """A callback nobody asked for."""
+
+
+def _run_of_one(send_to_peer: SendRunToPeer, peer: Peer, frame: Frame) -> None:
+    """One frame (an ACK, a TCP-modelled segment) to ``peer`` as a run of
+    one."""
+    send_to_peer(peer, (frame,))
 
 
 def _stream_wakeup(clock: Clock, timers, sender) -> Wakeup:
@@ -64,7 +70,8 @@ class ReliableLinks:
     pair of each remote container, held on its :class:`Peer`.
 
     Everything a stream needs is bound when it opens — its emit callables
-    (``partial(send_to_peer, peer)``), its wake-up, which the sender holds
+    (``send_to_peer`` bound to the peer; it takes a run of frames, and the
+    receiver's ACKs go as runs of one), its wake-up, which the sender holds
     to every first transmission's deadline — so a send is one attribute
     read and the sender's own work, and a received frame one attribute read
     and the receiver's. Every callback is handed the :class:`Peer`.
@@ -75,7 +82,7 @@ class ReliableLinks:
         clock: Clock,
         timers,
         local: str,
-        send_to_peer: SendToPeer,
+        send_to_peer: SendRunToPeer,
         deliver: Callable[[Frame], None],  # a reliable frame ready for dispatch
         on_peer_failure: PeerFailure = _ignore,
         policy: Optional[RetransmitPolicy] = None,
@@ -166,7 +173,7 @@ class ReliableLinks:
         receiver = peer.receiver = ReliableReceiver(
             source=peer.id,
             channel=RELIABLE_CHANNEL,
-            emit_ack=partial(self._send_to_peer, peer),
+            emit_ack=partial(_run_of_one, self._send_to_peer, peer),
             deliver=self._deliver,
             ordered=True,
             ack_source=self._local,
@@ -188,7 +195,7 @@ class TcpLinks:
         clock: Clock,
         timers,
         local: str,
-        send_to_peer: SendToPeer,
+        send_to_peer: SendRunToPeer,
         deliver: Callable[[str, bytes], None],  # (peer id, message payload)
     ):
         self._clock = clock
@@ -204,7 +211,7 @@ class TcpLinks:
                 clock=self._clock,
                 source=self._local,
                 channel=TCP_CHANNEL,
-                emit=partial(self._send_to_peer, peer),
+                emit=partial(_run_of_one, self._send_to_peer, peer),
             )
             sender.wakeup = _stream_wakeup(self._clock, self._timers, sender)
         sender.send(payload)
@@ -225,7 +232,7 @@ class TcpLinks:
                 receiver = peer.tcp_receiver = TcpLikeReceiver(
                     source=self._local,
                     channel=TCP_CHANNEL,
-                    emit=partial(self._send_to_peer, peer),
+                    emit=partial(_run_of_one, self._send_to_peer, peer),
                     deliver=partial(self._deliver, peer.id),
                 )
             receiver.on_frame(frame)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Sequence
 
 from repro.util.clock import Clock
 
@@ -81,6 +81,15 @@ class FlightRecorder:
         """One sent frame (the container's per-frame egress entry)."""
         self.recorded += 1
         self._entries.append((self._clock.now(), "tx", kind, seq, nbytes))
+
+    def record_tx_run(self, kind: str, frames: Sequence) -> None:
+        """:meth:`record_tx` for each frame of a sent run of ``kind``, all
+        stamped with one clock read."""
+        t = self._clock.now()
+        append = self._entries.append
+        for frame in frames:
+            append((t, "tx", kind, frame.seq, len(frame.payload)))
+        self.recorded += len(frames)
 
     def dump(self) -> List[Dict[str, object]]:
         """The retained entries, oldest first."""

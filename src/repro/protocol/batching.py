@@ -47,7 +47,7 @@ pins down:
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.protocol.frames import Frame, MessageKind
 from repro.transport.addressing import Destination
@@ -408,6 +408,45 @@ class FrameBatcher:
         batch.encoded.append(raw)
         batch.size += entry
         self._arm_flush()
+
+    def add_run(
+        self, destination: Destination, frames: Sequence[Frame], band: int = 0, slot=None
+    ) -> None:
+        """:meth:`add` for each of ``frames`` in order, with the (slot,
+        band) batch looked up once: the same flushes at the same frames
+        (the MTU budget, an oversize bypass, another destination's batch),
+        so the same datagrams with the same piggybacked ACKs."""
+        key = (destination if slot is None else slot, band)
+        pending = self._pending
+        mtu, base = self._mtu, self._base
+        batch = pending.get(key)
+        if batch is not None and (
+            batch.destination is not destination and batch.destination != destination
+        ):
+            self._flush_key(key)
+            batch = None
+        for frame in frames:
+            raw = frame.encode()
+            entry = ENTRY_OVERHEAD + len(raw)
+            if base + entry > mtu:
+                # Too big to share a datagram: what this key holds goes
+                # first (order!), then the frame raw.
+                if batch is not None:
+                    self._flush_key(key)
+                    batch = None
+                self.oversize_bypasses += 1
+                self._emit(destination, frame, band, key[0])
+                continue
+            if batch is not None and batch.size + entry > mtu:
+                self._flush_key(key)
+                batch = None
+            if batch is None:
+                batch = pending[key] = _PendingBatch(destination, base)
+            batch.frames.append(frame)
+            batch.encoded.append(raw)
+            batch.size += entry
+            if self._flush_timer is None:
+                self._arm_flush()
 
     # -- flushing ------------------------------------------------------------
     def flush(self) -> None:

@@ -168,8 +168,10 @@ class ReliableSender:
     channel:
         Stream id; receivers keep independent state per (source, channel).
     emit:
-        Called with each frame that must go on the wire (first sends and
-        retransmissions alike). The owner decides the destination address.
+        Called with each run of frames that must go on the wire, in order:
+        a first send is a run of one, a backlog drain one run, a poll's
+        due retransmissions another. The owner decides the destination
+        address.
     on_failure:
         Called with ``(seq, frame)`` when a frame exhausts its retries — the
         container uses this to declare a subscriber dead.
@@ -198,7 +200,7 @@ class ReliableSender:
         clock: Clock,
         source: str,
         channel: int,
-        emit: Callable[[Frame], None],
+        emit: Callable[[Sequence[Frame]], None],
         on_failure: Optional[Callable[[int, Frame], None]] = None,
         policy: Optional[RetransmitPolicy] = None,
         on_overflow: Optional[Callable[[Frame], None]] = None,
@@ -252,8 +254,12 @@ class ReliableSender:
             return seq
         seq = self._next_seq
         self._next_seq = seq + 1
-        deadline = self._clock.now() + policy.initial_rto
-        self._transmit(Frame(kind, self._source, payload, self._channel, seq, _RELIABLE), deadline)
+        rto = policy.initial_rto
+        deadline = self._clock.now() + rto
+        frame = Frame(kind, self._source, payload, self._channel, seq, _RELIABLE)
+        self._in_flight[seq] = (frame, deadline, rto, 0)
+        self.sent_frames += 1
+        self._emit((frame,))
         if self.wakeup is not None:
             self.wakeup.need(deadline)
         return seq
@@ -295,16 +301,23 @@ class ReliableSender:
             self._on_abuse(reason)
 
     def poll(self, now: Optional[float] = None) -> None:
-        """Retransmit every frame whose deadline has passed."""
+        """Retransmit every frame whose deadline has passed, as one run,
+        then drain the backlog. A frame out of retries ends the run: what
+        was retransmitted before it leaves before its failure is reported,
+        since the failure callback may reset the peer."""
         if now is None:
             now = self._clock.now()
         in_flight = self._in_flight
         policy = self._policy
         expired = [(seq, st) for seq, st in in_flight.items() if st[1] <= now]
+        run: List[Frame] = []
         for seq, (frame, _, rto, retries) in expired:
             if retries >= policy.max_retries:
                 self.failed_frames += 1
                 del in_flight[seq]
+                if run:
+                    self._emit(run)
+                    run = []
                 if self._on_failure is not None:
                     self._on_failure(seq, frame)
                 continue
@@ -313,7 +326,9 @@ class ReliableSender:
             frame.flags |= _RETRANSMIT
             self.retransmitted_frames += 1
             self.retransmitted_bytes += len(frame.payload)
-            self._emit(frame)
+            run.append(frame)
+        if run:
+            self._emit(run)
         self._drain_backlog()
 
     def next_wakeup(self) -> Optional[float]:
@@ -341,21 +356,21 @@ class ReliableSender:
         return not self._in_flight and not self._backlog
 
     # -- internals --------------------------------------------------------------
-    def _transmit(self, frame: Frame, deadline: float) -> None:
-        """First transmission, due for its first retransmit at ``deadline``
-        (the clock read once by the caller, for every frame it sends); the
-        caller then holds the wake-up, if any, to that deadline."""
-        self._in_flight[frame.seq] = (frame, deadline, self._policy.initial_rto, 0)
-        self.sent_frames += 1
-        self._emit(frame)
-
     def _drain_backlog(self) -> None:
-        backlog, in_flight, window = self._backlog, self._in_flight, self._policy.window
-        if not backlog or len(in_flight) >= window:
+        """Move as much of the backlog as the window has room for into
+        flight, all due at the deadline of one clock read, and emit it as
+        one run."""
+        backlog, in_flight = self._backlog, self._in_flight
+        room = self._policy.window - len(in_flight)
+        if not backlog or room <= 0:
             return
-        deadline = self._clock.now() + self._policy.initial_rto
-        while backlog and len(in_flight) < window:
-            self._transmit(backlog.popleft(), deadline)
+        rto = self._policy.initial_rto
+        deadline = self._clock.now() + rto
+        run = [backlog.popleft() for _ in range(min(room, len(backlog)))]
+        for frame in run:
+            in_flight[frame.seq] = (frame, deadline, rto, 0)
+        self.sent_frames += len(run)
+        self._emit(run)
         if self.wakeup is not None:
             self.wakeup.need(deadline)
 

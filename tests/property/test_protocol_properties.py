@@ -52,9 +52,10 @@ class LossyHarness:
         except StopIteration:
             return True  # plans exhaust into a perfect channel
 
-    def _maybe_data(self, frame):
-        if self._next(self._data_plan):
-            self.receiver.on_frame(frame)
+    def _maybe_data(self, frames):
+        for frame in frames:
+            if self._next(self._data_plan):
+                self.receiver.on_frame(frame)
 
     def _maybe_ack(self, frame):
         if self._next(self._ack_plan):
@@ -181,16 +182,17 @@ class ChaoticChannel:
             policy=RetransmitPolicy(initial_rto=0.05, window=8, max_retries=64),
         )
 
-    def _scripted(self, frame):
-        action = next(self._actions, "deliver")
-        if action == "drop":
-            return
-        if action == "delay":
-            self._delayed.append(frame)
-            return
-        self.receiver.on_frame(frame)
-        if action == "dup":
+    def _scripted(self, frames):
+        for frame in frames:
+            action = next(self._actions, "deliver")
+            if action == "drop":
+                continue
+            if action == "delay":
+                self._delayed.append(frame)
+                continue
             self.receiver.on_frame(frame)
+            if action == "dup":
+                self.receiver.on_frame(frame)
 
     def _flush_delayed(self):
         self.rng.shuffle(self._delayed)

@@ -54,7 +54,9 @@ class Oracle:
         if self.sender is None:
             self.sender = ReliableSender(
                 clock=self.clock, source="a", channel=RELIABLE_CHANNEL,
-                emit=lambda f: self.log.append((self.clock.now(), f.seq, f.flags)),
+                emit=lambda frames: self.log.extend(
+                    (self.clock.now(), f.seq, f.flags) for f in frames
+                ),
                 on_failure=lambda seq, f: self.log.append((self.clock.now(), seq, "failed")),
                 policy=self.policy,
             )
@@ -91,7 +93,9 @@ class UnderTest:
         self.peer = Peer("b")
         self.links = ReliableLinks(
             clock=self.sim, timers=self.sim, local="a",
-            send_to_peer=lambda peer, f: self.log.append((self.sim.now(), f.seq, f.flags)),
+            send_to_peer=lambda peer, frames: self.log.extend(
+                (self.sim.now(), f.seq, f.flags) for f in frames
+            ),
             deliver=lambda f: None,
             on_peer_failure=lambda peer, f: self.log.append((self.sim.now(), f.seq, "failed")),
             policy=policy,

@@ -47,17 +47,19 @@ class LinkPair:
             policy=RetransmitPolicy(initial_rto=0.05, max_retries=3),
         )
 
-    def _a_to_peer(self, peer, frame):
+    def _a_to_peer(self, peer, frames):
         assert peer is self.peer_b
-        self.wire_a.append((self.sim.now(), frame.seq, frame.payload))
-        if self.drop_next > 0:
-            self.drop_next -= 1
-            return
-        self.sim.call_soon(lambda: self.b.on_frame(frame, self.peer_a))
+        for frame in frames:
+            self.wire_a.append((self.sim.now(), frame.seq, frame.payload))
+            if self.drop_next > 0:
+                self.drop_next -= 1
+                continue
+            self.sim.call_soon(lambda frame=frame: self.b.on_frame(frame, self.peer_a))
 
-    def _b_to_peer(self, peer, frame):
+    def _b_to_peer(self, peer, frames):
         assert peer is self.peer_a
-        self.sim.call_soon(lambda: self.a.on_frame(frame, self.peer_b))
+        for frame in frames:
+            self.sim.call_soon(lambda frame=frame: self.a.on_frame(frame, self.peer_b))
 
     def send(self, payload, kind=MessageKind.EVENT):
         return self.a.send(self.peer_b, kind, payload)
@@ -198,11 +200,13 @@ class TestTcpLinks:
         links_box = {}
         self.peer_b, peer_a = Peer("b"), Peer("a")
 
-        def a_to_peer(peer, frame):
-            sim.call_soon(lambda: links_box["b"].on_frame(frame, peer_a))
+        def a_to_peer(peer, frames):
+            for frame in frames:
+                sim.call_soon(lambda frame=frame: links_box["b"].on_frame(frame, peer_a))
 
-        def b_to_peer(peer, frame):
-            sim.call_soon(lambda: links_box["a"].on_frame(frame, self.peer_b))
+        def b_to_peer(peer, frames):
+            for frame in frames:
+                sim.call_soon(lambda frame=frame: links_box["a"].on_frame(frame, self.peer_b))
 
         links_box["a"] = TcpLinks(
             clock=sim, timers=sim, local="a", send_to_peer=a_to_peer,

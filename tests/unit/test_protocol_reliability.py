@@ -38,12 +38,13 @@ class Pipe:
             policy=policy or RetransmitPolicy(initial_rto=0.1, window=4, max_retries=3),
         )
 
-    def _data_to_receiver(self, frame):
-        self.wire_frames.append(frame)
-        if self.drop_data > 0:
-            self.drop_data -= 1
-            return
-        self.receiver.on_frame(frame)
+    def _data_to_receiver(self, frames):
+        for frame in frames:
+            self.wire_frames.append(frame)
+            if self.drop_data > 0:
+                self.drop_data -= 1
+                continue
+            self.receiver.on_frame(frame)
 
     def _ack_to_sender(self, frame):
         if self.drop_acks > 0:
@@ -291,10 +292,11 @@ class TestRandomLoss:
         pipe = Pipe(policy=RetransmitPolicy(initial_rto=0.05, window=8, max_retries=20))
         original_data = pipe._data_to_receiver
 
-        def lossy_data(frame):
-            pipe.wire_frames.append(frame)
-            if not rng.chance(0.4):
-                pipe.receiver.on_frame(frame)
+        def lossy_data(frames):
+            for frame in frames:
+                pipe.wire_frames.append(frame)
+                if not rng.chance(0.4):
+                    pipe.receiver.on_frame(frame)
 
         pipe.sender._emit = lossy_data
         payloads = [bytes([i]) for i in range(30)]
@@ -332,9 +334,13 @@ class CoalescedPipe:
             clock=self.sim,
             source="tx",
             channel=1,
-            emit=lambda f: self.receiver.on_frame(f),
+            emit=self._data_to_receiver,
             policy=policy or RetransmitPolicy(initial_rto=0.1, window=8),
         )
+
+    def _data_to_receiver(self, frames):
+        for frame in frames:
+            self.receiver.on_frame(frame)
 
     def _ack_to_sender(self, frame):
         self.acks.append(decode_ack(frame.payload))
@@ -483,7 +489,7 @@ class TestBoundedBacklog:
             clock=clock,
             source="tx",
             channel=1,
-            emit=wire.append,
+            emit=wire.extend,
             policy=RetransmitPolicy(
                 initial_rto=0.1, window=window, max_backlog=max_backlog
             ),
@@ -550,7 +556,7 @@ class TestAckAbuse:
             clock=clock,
             source="tx",
             channel=1,
-            emit=wire.append,
+            emit=wire.extend,
             policy=RetransmitPolicy(initial_rto=10.0, window=64),
             hardened=True,
             on_abuse=abuses.append,
