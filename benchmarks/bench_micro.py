@@ -59,7 +59,7 @@ def test_reliable_channel_throughput(benchmark):
         )
         sender = ReliableSender(
             clock=clock, source="tx", channel=1,
-            emit=lambda frames: receiver.on_run(frames, delivered.append),
+            emit=lambda frames: receiver.on_run(frames, receiver._deliver),
         )
         for _ in range(1_000):
             sender.send(MessageKind.EVENT, b"payload")

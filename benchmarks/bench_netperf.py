@@ -95,10 +95,11 @@ MAX_LOOP_CALLS_PER_DELIVERY = 13.5
 #: the top of the last range plus the margin the first one got (9.5, 35).
 #: Per event 32.2-32.3 once a datagram's reliable frames crossed the
 #: reliability layer as one run and an EVENT was read with one unpack,
-#: against 39.6-41.0 (median 40.8) frame by frame. 24.1-26.3 (median 24.9)
-#: once a reliable stream sent by the run (a backlog drain and a round of
+#: against 39.6-41.0 (median 40.8) frame by frame. 24.6-26.6 once a
+#: reliable stream sent by the run (a backlog drain and a round of
 #: retransmissions each crossing the container, the egress stage and the
-#: batcher in one call), against 32.2; the bound sits midway.
+#: batcher in one call), against 32.2; the bound sits midway between 32.2
+#: and 24.9, the median of the first such readings.
 MAX_LOOP_CALLS_PER_RELIABLE_EVENT = 28.5
 MAX_LOOP_CALLS_PER_RPC = 150.0
 

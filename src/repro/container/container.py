@@ -279,14 +279,18 @@ class ServiceContainer:
         noted = table[kind] = (self.metrics.counter(metric, kind=kind.name), kind.name)
         return noted
 
-    def _note_tx(self, frame: Frame) -> None:
-        counter, kind_name = self._tx_counters.get(frame.kind) or self._counted(
-            self._tx_counters, "frames_sent", frame.kind
+    def _note_tx(self, frames: Sequence[Frame]) -> None:
+        """Count and record ``frames``, a sent run of one kind, all first
+        transmissions or all retransmissions: one ``inc`` per counter and
+        one clock read for the recorder's tx entries."""
+        kind = frames[0].kind
+        counter, kind_name = self._tx_counters.get(kind) or self._counted(
+            self._tx_counters, "frames_sent", kind
         )
-        counter.inc()
-        if frame.flags & _RETRANSMIT:
-            self._retransmit_counter.inc()
-        self.recorder.record_tx(kind_name, frame.seq, len(frame.payload))
+        counter.inc(len(frames))
+        if frames[0].flags & _RETRANSMIT:
+            self._retransmit_counter.inc(len(frames))
+        self.recorder.record_tx(kind_name, frames)
 
     def send_unicast(self, peer: str, frame: Frame) -> bool:
         if peer == self._id:
@@ -312,7 +316,7 @@ class ServiceContainer:
     def send_group(self, group: GroupName, frame: Frame) -> None:
         if not self._running:
             return
-        self._note_tx(frame)
+        self._note_tx((frame,))
         self.egress.send(group, frame)
 
     def join_group(self, group: GroupName) -> None:
@@ -795,46 +799,19 @@ class ServiceContainer:
 
     # -- internals -----------------------------------------------------------
     def _send_frames_to_peer(self, peer: Peer, frames: Sequence[Frame]) -> bool:
-        """The one unicast egress path: ``frames`` to ``peer``, in order.
-
-        The running check and the route are read once. A single frame is
-        then counted and recorded by :meth:`_note_tx` and handed to
-        ``egress.send``; a longer run is cut into runs of one kind, each
-        counted with one ``inc`` per counter, recorded with one clock read
-        and handed to ``egress.send_run`` in one call."""
+        """The one unicast egress path: ``frames`` (a run of one kind, as a
+        :class:`ReliableSender` emits) to ``peer``, in order. The running
+        check and the route are read once, and the run is counted and
+        recorded by :meth:`_note_tx` and handed to ``egress.send_run`` in
+        one call each."""
         if not self._running:
             return False  # late timer after stop(); nothing to send on
         directory = self.directory
         address = peer.address if peer.routed == directory.revision else directory.route(peer)
         if address is None:
             return False  # unknown/dead; retransmission or failure will handle it
-        if len(frames) == 1:
-            frame = frames[0]
-            self._note_tx(frame)
-            self.egress.send(address, frame, peer)
-            return True
-        egress = self.egress
-        count = len(frames)
-        start = 0
-        while start < count:
-            kind = frames[start].kind
-            stop = start + 1
-            while stop < count and frames[stop].kind is kind:
-                stop += 1
-            run = frames if stop - start == count else frames[start:stop]
-            start = stop
-            counter, kind_name = self._tx_counters.get(kind) or self._counted(
-                self._tx_counters, "frames_sent", kind
-            )
-            counter.inc(len(run))
-            retransmitted = 0
-            for frame in run:
-                if frame.flags & _RETRANSMIT:
-                    retransmitted += 1
-            if retransmitted:
-                self._retransmit_counter.inc(retransmitted)
-            self.recorder.record_tx_run(kind_name, run)
-            egress.send_run(address, run, peer)
+        self._note_tx(frames)
+        self.egress.send_run(address, frames, peer)
         return True
 
     def _piggyback_acks(self, slot) -> List[Frame]:
@@ -844,8 +821,8 @@ class ServiceContainer:
         if receiver is None:
             return []
         acks = receiver.take_pending_acks()
-        for ack in acks:
-            self._note_tx(ack)
+        if acks:
+            self._note_tx(acks)
         return acks
 
     def _on_peer_slow(self, peer: Peer, frame: Frame) -> None:

@@ -77,14 +77,9 @@ class FlightRecorder:
         ])
         self.recorded += len(run.starts)
 
-    def record_tx(self, kind: str, seq: int, nbytes: int) -> None:
-        """One sent frame (the container's per-frame egress entry)."""
-        self.recorded += 1
-        self._entries.append((self._clock.now(), "tx", kind, seq, nbytes))
-
-    def record_tx_run(self, kind: str, frames: Sequence) -> None:
-        """:meth:`record_tx` for each frame of a sent run of ``kind``, all
-        stamped with one clock read."""
+    def record_tx(self, kind: str, frames: Sequence) -> None:
+        """One entry per sent frame of a run of ``kind`` (the container's
+        egress entries), all stamped with one clock read."""
         t = self._clock.now()
         append = self._entries.append
         for frame in frames:

@@ -380,42 +380,16 @@ class FrameBatcher:
 
     # -- input ---------------------------------------------------------------
     def add(self, destination: Destination, frame: Frame, band: int = 0, slot=None) -> None:
-        """Queue ``frame`` for ``destination`` in the batch of (``slot`` —
-        a unicast destination's peer, hashed by identity — else the
-        destination, band); flushes as needed to keep every batch datagram
-        within the MTU budget and to one address."""
-        raw = frame.encode()
-        entry = ENTRY_OVERHEAD + len(raw)
-        key = (destination if slot is None else slot, band)
-        batch = self._pending.get(key)
-        if self._base + entry > self._mtu:
-            # Too big to share a datagram with anyone: flush what this key
-            # has (order!) and send the frame raw.
-            if batch is not None:
-                self._flush_key(key)
-            self.oversize_bypasses += 1
-            self._emit(destination, frame, band, key[0])
-            return
-        if batch is not None and (
-            batch.size + entry > self._mtu
-            or (batch.destination is not destination and batch.destination != destination)
-        ):
-            self._flush_key(key)
-            batch = None
-        if batch is None:
-            batch = self._pending[key] = _PendingBatch(destination, self._base)
-        batch.frames.append(frame)
-        batch.encoded.append(raw)
-        batch.size += entry
-        self._arm_flush()
+        """Queue ``frame`` for ``destination``: a run of one (:meth:`add_run`)."""
+        self.add_run(destination, (frame,), band, slot)
 
     def add_run(
         self, destination: Destination, frames: Sequence[Frame], band: int = 0, slot=None
     ) -> None:
-        """:meth:`add` for each of ``frames`` in order, with the (slot,
-        band) batch looked up once: the same flushes at the same frames
-        (the MTU budget, an oversize bypass, another destination's batch),
-        so the same datagrams with the same piggybacked ACKs."""
+        """Queue ``frames``, in order, for ``destination`` in the batch of
+        (``slot`` — a unicast destination's peer, hashed by identity — else
+        the destination, band), looked up once; flushes as needed to keep
+        every batch datagram within the MTU budget and to one address."""
         key = (destination if slot is None else slot, band)
         pending = self._pending
         mtu, base = self._mtu, self._base
@@ -429,8 +403,8 @@ class FrameBatcher:
             raw = frame.encode()
             entry = ENTRY_OVERHEAD + len(raw)
             if base + entry > mtu:
-                # Too big to share a datagram: what this key holds goes
-                # first (order!), then the frame raw.
+                # Too big to share a datagram with anyone: flush what this
+                # key has (order!) and send the frame raw.
                 if batch is not None:
                     self._flush_key(key)
                     batch = None

@@ -168,10 +168,11 @@ class ReliableSender:
     channel:
         Stream id; receivers keep independent state per (source, channel).
     emit:
-        Called with each run of frames that must go on the wire, in order:
-        a first send is a run of one, a backlog drain one run, a poll's
-        due retransmissions another. The owner decides the destination
-        address.
+        Called with each run of frames that must go on the wire, in order,
+        all of one kind and all first transmissions or all retransmissions:
+        a first send is a run of one; a backlog drain, and a poll's due
+        retransmissions, leave as few runs as their kinds allow. The owner
+        decides the destination address.
     on_failure:
         Called with ``(seq, frame)`` when a frame exhausts its retries — the
         container uses this to declare a subscriber dead.
@@ -301,10 +302,10 @@ class ReliableSender:
             self._on_abuse(reason)
 
     def poll(self, now: Optional[float] = None) -> None:
-        """Retransmit every frame whose deadline has passed, as one run,
-        then drain the backlog. A frame out of retries ends the run: what
-        was retransmitted before it leaves before its failure is reported,
-        since the failure callback may reset the peer."""
+        """Retransmit every frame whose deadline has passed, as one run
+        (cut by kind), then drain the backlog. A frame out of retries ends
+        the run: what was retransmitted before it leaves before its failure
+        is reported, since the failure callback may reset the peer."""
         if now is None:
             now = self._clock.now()
         in_flight = self._in_flight
@@ -316,7 +317,7 @@ class ReliableSender:
                 self.failed_frames += 1
                 del in_flight[seq]
                 if run:
-                    self._emit(run)
+                    self._emit_by_kind(run)
                     run = []
                 if self._on_failure is not None:
                     self._on_failure(seq, frame)
@@ -328,7 +329,7 @@ class ReliableSender:
             self.retransmitted_bytes += len(frame.payload)
             run.append(frame)
         if run:
-            self._emit(run)
+            self._emit_by_kind(run)
         self._drain_backlog()
 
     def next_wakeup(self) -> Optional[float]:
@@ -356,10 +357,19 @@ class ReliableSender:
         return not self._in_flight and not self._backlog
 
     # -- internals --------------------------------------------------------------
+    def _emit_by_kind(self, frames: List[Frame]) -> None:
+        """Emit ``frames`` in order, cut into runs of one kind."""
+        kind = frames[0].kind
+        start = 0
+        for stop in range(1, len(frames)):
+            if frames[stop].kind is not kind:
+                self._emit(frames[start:stop])
+                start, kind = stop, frames[stop].kind
+        self._emit(frames[start:] if start else frames)
+
     def _drain_backlog(self) -> None:
         """Move as much of the backlog as the window has room for into
-        flight, all due at the deadline of one clock read, and emit it as
-        one run."""
+        flight, all due at the deadline of one clock read, and emit it."""
         backlog, in_flight = self._backlog, self._in_flight
         room = self._policy.window - len(in_flight)
         if not backlog or room <= 0:
@@ -370,7 +380,7 @@ class ReliableSender:
         for frame in run:
             in_flight[frame.seq] = (frame, deadline, rto, 0)
         self.sent_frames += len(run)
-        self._emit(run)
+        self._emit_by_kind(run)
         if self.wakeup is not None:
             self.wakeup.need(deadline)
 

@@ -134,10 +134,10 @@ BENCH_MARK = StructType("BenchMark", [("seq", INT64), ("due", FLOAT64)])
 #: 2 ms). 44.70 when each reliable frame crossed the reliability layer alone
 #: and an EVENT was decoded as a Frame, an envelope and a value; 36.83 once
 #: a datagram's reliable frames crossed it as one run and an EVENT was read
-#: with one unpack; 28.47 once a reliable stream sent by the run (a backlog
+#: with one unpack; 28.52 once a reliable stream sent by the run (a backlog
 #: drain crossing the container, the egress stage and the batcher in one
 #: call). Each repeats exactly; the bound sits midway between the last two.
-MAX_CALLS_PER_EVENT = 32.6
+MAX_CALLS_PER_EVENT = 32.7
 
 
 def _mark(seq):

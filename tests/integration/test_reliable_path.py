@@ -53,12 +53,12 @@ RPCS = 2000
 #: through ``Directory.address_of`` and hashed the address per batch slot;
 #: the change reads 48.1 and 121.2). Earlier: 63.4 and 172.6 before the
 #: acknowledged plane was bound when a stream opens. Per event 35.51 once a
-#: datagram's reliable frames crossed the receiver as one run, 27.16 once a
+#: datagram's reliable frames crossed the receiver as one run, 27.20 once a
 #: reliable stream sent by the run; ``MAX_CALLS_PER_EVENT`` sits midway
 #: between those two.
 PARENT_CALLS_PER_EVENT = 50.71
 PARENT_CALLS_PER_RPC = 126.08
-MAX_CALLS_PER_EVENT = 31.3
+MAX_CALLS_PER_EVENT = 31.4
 MAX_CALLS_PER_RPC = 122.0
 
 
