@@ -98,6 +98,11 @@ HEARTBEAT_SCHEMA = StructType(
 
 BYE_SCHEMA = StructType("Bye", [("container", STRING)])
 
+# Bound once: a heartbeat decode must not look its plan up per call.
+_decode_announce = _CODEC.decoder(ANNOUNCE_SCHEMA)
+_decode_heartbeat = _CODEC.decoder(HEARTBEAT_SCHEMA)
+_decode_bye = _CODEC.decoder(BYE_SCHEMA)
+
 
 def encode_announce(doc: dict) -> bytes:
     return _CODEC.encode(ANNOUNCE_SCHEMA, doc)
@@ -111,7 +116,7 @@ def _with_node(doc: dict) -> dict:
 
 
 def decode_announce(payload: bytes) -> dict:
-    return _with_node(_CODEC.decode(ANNOUNCE_SCHEMA, payload))
+    return _with_node(_decode_announce(payload))
 
 
 def encode_heartbeat(doc: dict) -> bytes:
@@ -119,7 +124,7 @@ def encode_heartbeat(doc: dict) -> bytes:
 
 
 def decode_heartbeat(payload: bytes) -> dict:
-    return _with_node(_CODEC.decode(HEARTBEAT_SCHEMA, payload))
+    return _with_node(_decode_heartbeat(payload))
 
 
 def encode_bye(container: str) -> bytes:
@@ -127,7 +132,7 @@ def encode_bye(container: str) -> bytes:
 
 
 def decode_bye(payload: bytes) -> str:
-    return _CODEC.decode(BYE_SCHEMA, payload)["container"]
+    return _decode_bye(payload)["container"]
 
 
 # -- directory records --------------------------------------------------------

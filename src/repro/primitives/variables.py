@@ -9,8 +9,10 @@ reproduced from the paper:
   long as they are still valid" — :meth:`VariableSubscription.latest`
   returns the cached sample until its validity window closes;
 - **timeout warning**: "the service container will warn of this timeout
-  circumstance to the affected services" — ``on_timeout`` fires after
-  ``VARIABLE_TIMEOUT_PERIODS`` nominal periods without a sample;
+  circumstance to the affected services" — ``on_timeout`` fires once per
+  outage, when the last sample's validity window has closed (after
+  ``VARIABLE_TIMEOUT_PERIODS`` nominal periods when no validity is
+  declared);
 - **guaranteed initial value**: "the middleware has a mechanism that
   guarantees an initial exact value for the services that need it" — a
   unicast request/response retried until the first sample arrives;
@@ -37,7 +39,8 @@ from repro.util.errors import ConfigurationError, EncodingError, ProtocolError
 OnSample = Callable[[Any, float], None]  # (value, publisher timestamp)
 OnTimeout = Callable[[str], None]  # (variable name)
 
-#: Subscriber warns after this many nominal periods without a sample.
+#: Without a declared validity, a subscriber warns after this many nominal
+#: periods without a sample.
 VARIABLE_TIMEOUT_PERIODS = 3.0
 
 def _changed_substantially(old: Any, new: Any, deadband: float) -> bool:
@@ -606,7 +609,10 @@ class VariableManager:
 
     def _arm_timeout_watch(self, name: str) -> None:
         """Periodically check sample freshness for every subscriber of
-        ``name`` and raise the §4.1 timeout warning."""
+        ``name`` and raise the §4.1 timeout warning: once the declared
+        validity has elapsed since the last sample (``VARIABLE_TIMEOUT_PERIODS``
+        periods when no validity is declared), once per outage — after a
+        warning a subscriber stays quiet until a new sample arrives."""
         if name in self._timeout_timers:
             return
 
@@ -616,14 +622,19 @@ class VariableManager:
                 self._timeout_timers.pop(name, None)
                 return
             period = self._period_of(name)
-            if period > 0:
-                now = self._clock.now()
+            limit = self._validity_of(name)
+            if limit <= 0:
                 limit = period * VARIABLE_TIMEOUT_PERIODS
+            if limit > 0:
+                now = self._clock.now()
                 for sub in subs:
-                    reference = max(sub.last_arrival, sub.last_warning_at)
-                    if sub.last_arrival >= 0 and now - reference > limit:
+                    if (
+                        sub.last_arrival >= 0
+                        and sub.last_warning_at < sub.last_arrival
+                        and now - sub.last_arrival > limit
+                    ):
                         sub.timeout_warnings += 1
-                        sub.last_warning_at = now  # warn once per quiet window
+                        sub.last_warning_at = now
                         if sub.on_timeout is not None:
                             self._host.submit(
                                 "variable", lambda s=sub: s.on_timeout(name)

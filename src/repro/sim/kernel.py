@@ -12,65 +12,55 @@ live ones — long chaos campaigns cancel retransmit timers by the thousands
 and must not grow the queue unboundedly.
 
 Fleet-scale missions push O(100k+) in-flight events through this loop, so
-the event record is a plain ``__slots__`` class (no dataclass descriptor
-machinery on the heap's comparison path) and :meth:`Simulator.run` binds its
-hot names once per call instead of once per event.
+a heap entry is a plain tuple ``(time, seq, callback, arg, timer)``. ``seq``
+is unique, so ``heapq`` orders entries in C by ``(time, seq)`` and never
+compares past it. ``timer`` is the :class:`TimerHandle` of a cancellable
+timer and None for a :meth:`Simulator.schedule_fire` entry, which allocates
+nothing but its tuple. :meth:`Simulator.run` is the one pop loop.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Never bother compacting queues smaller than this.
 _COMPACT_MIN_QUEUE = 64
 
-
-class _ScheduledEvent:
-    """One heap entry. Ordered by (time, seq): seq is the insertion order,
-    so same-instant events execute deterministically FIFO."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "done")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        #: Set once the event has executed or been dropped from the heap, so
-        #: a late cancel() cannot decrement the live-event accounting twice.
-        self.done = False
-
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+#: (time, seq, callback, arg or None, TimerHandle or None)
+_Entry = Tuple[float, int, Callable[..., None], Any, Optional["TimerHandle"]]
 
 
 class TimerHandle:
-    """Handle returned by :meth:`Simulator.schedule`; supports cancellation."""
+    """Handle returned by :meth:`Simulator.schedule`; supports cancellation.
 
-    __slots__ = ("_event", "_sim")
+    The one object a cancellable timer keeps: its heap entry points at it,
+    and it holds the cancel and done state the pop loop reads."""
 
-    def __init__(self, event: _ScheduledEvent, sim: "Simulator"):
-        self._event = event
+    __slots__ = ("_sim", "_when", "_cancelled", "_done")
+
+    def __init__(self, sim: "Simulator", when: float):
         self._sim = sim
+        self._when = when
+        self._cancelled = False
+        #: Set once the entry has executed, so a late cancel() does not
+        #: count an entry that has left the heap as cancelled-in-heap.
+        self._done = False
 
     def cancel(self) -> None:
-        event = self._event
-        if event.cancelled:
+        if self._cancelled:
             return
-        event.cancelled = True
-        if not event.done:
+        self._cancelled = True
+        if not self._done:
             self._sim._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._cancelled
 
     @property
     def when(self) -> float:
-        return self._event.time
+        return self._when
 
 
 class Simulator:
@@ -82,7 +72,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[_Entry] = []
         self._seq = 0
         self._running = False
         self._events_executed = 0
@@ -106,23 +96,25 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = _ScheduledEvent(when, self._seq, callback)
+        timer = TimerHandle(self, when)
+        heappush(self._queue, (when, self._seq, callback, None, timer))
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return TimerHandle(event, self)
+        return timer
 
-    def schedule_fire(self, when: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no :class:`TimerHandle` is
-        allocated. The network's delivery path schedules hundreds of
-        thousands of never-cancelled events per fleet mission; skipping the
-        handle object is a measurable win and changes no ordering."""
+    def schedule_fire(
+        self, when: float, callback: Callable[..., None], arg: Any = None
+    ) -> None:
+        """Fire-and-forget :meth:`schedule_at`: run ``callback(arg)`` at
+        ``when``, or ``callback()`` when ``arg`` is None. No handle is
+        allocated and the entry cannot be cancelled. The network's delivery
+        path schedules hundreds of thousands of these per fleet mission;
+        the ordering is the same as :meth:`schedule_at`'s."""
         if when < self._now:
             raise ValueError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = _ScheduledEvent(when, self._seq, callback)
+        heappush(self._queue, (when, self._seq, callback, arg, None))
         self._seq += 1
-        heapq.heappush(self._queue, event)
 
     def call_soon(self, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` at the current time, after already-queued events
@@ -141,11 +133,11 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place (run() may be
         iterating over the same list object)."""
-        for event in self._queue:
-            if event.cancelled:
-                event.done = True
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        self._queue[:] = [
+            entry for entry in self._queue
+            if entry[4] is None or not entry[4]._cancelled
+        ]
+        heapify(self._queue)
         self._cancelled = 0
 
     # -- execution ---------------------------------------------------------
@@ -158,19 +150,11 @@ class Simulator:
         return len(self._queue) - self._cancelled
 
     def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                event.done = True
-                self._cancelled -= 1
-                continue
-            event.done = True
-            self._now = event.time
-            self._events_executed += 1
-            event.callback()
-            return True
-        return False
+        """Execute the next event: one event of :meth:`run`. Returns False
+        when the queue held none."""
+        executed = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != executed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -184,25 +168,27 @@ class Simulator:
         self._running = True
         executed = 0
         queue = self._queue
-        heappop = heapq.heappop
         try:
             while queue:
-                event = queue[0]
-                if event.cancelled:
+                when, _seq, callback, arg, timer = queue[0]
+                if timer is not None and timer._cancelled:
                     heappop(queue)
-                    event.done = True
                     self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and when > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(queue)
-                event.done = True
-                self._now = event.time
+                if timer is not None:
+                    timer._done = True
+                self._now = when
                 self._events_executed += 1
                 executed += 1
-                event.callback()
+                if arg is None:
+                    callback()
+                else:
+                    callback(arg)
         finally:
             self._running = False
         if until is not None and self._now < until:

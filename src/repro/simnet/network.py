@@ -8,7 +8,7 @@ draw — exactly the property the paper's variable and file primitives exploit.
 
 Fleet-scale missions (1,000+ nodes) hammer the emission path, so the
 network keeps two per-emission caches — the resolved ``(LinkModel,
-SeededRng)`` pair per directed node pair, and the sorted receiver list per
+generator)`` pair per directed node pair, and the sorted receiver list per
 ``(sender, group)`` — and groups same-arrival multicast deliveries into one
 kernel event. Both paths produce identical packet traces; constructing the
 network with ``optimized=False`` selects the original per-send resolution
@@ -28,9 +28,9 @@ from repro.sim.kernel import Simulator
 from repro.simnet.models import LinkModel
 from repro.simnet.packet import Packet
 from repro.simnet.stats import NetworkStats
-from repro.transport.addressing import Address, GroupName
+from repro.transport.addressing import WIRE_OVERHEAD_BYTES, Address, GroupName
 from repro.util.errors import TransportError
-from repro.util.rng import SeededRng
+from repro.util.rng import Generator, SeededRng
 
 Receiver = Callable[[Packet], None]
 
@@ -107,10 +107,10 @@ class SimNetwork:
         self._groups: Dict[GroupName, Set[str]] = {}
         # Per-sender "uplink busy until" time implementing serialization delay.
         self._uplink_free_at: Dict[str, float] = {}
-        #: Resolved (LinkModel, SeededRng) per directed pair. The RNG
-        #: objects are owned by ``_link_rngs`` — invalidating this cache
-        #: must never re-fork a stream or draw order would reset.
-        self._pair_cache: Dict[Tuple[str, str], Tuple[LinkModel, SeededRng]] = {}
+        #: Resolved (LinkModel, the link stream's generator) per directed
+        #: pair. The streams are owned by ``_link_rngs`` — invalidating this
+        #: cache must never re-fork a stream or draw order would reset.
+        self._pair_cache: Dict[Tuple[str, str], Tuple[LinkModel, Generator]] = {}
         #: (sender, group) -> (sorted receivers excluding sender, sender in
         #: group). Cleared wholesale on any membership or zone change.
         self._reach_cache: Dict[Tuple[str, GroupName], Tuple[List[str], bool]] = {}
@@ -196,11 +196,11 @@ class SimNetwork:
             self._link_rngs[key] = self._rng.fork(f"link:{src}->{dst}")
         return self._link_rngs[key]
 
-    def _pair(self, src: str, dst: str) -> Tuple[LinkModel, SeededRng]:
+    def _pair(self, src: str, dst: str) -> Tuple[LinkModel, Generator]:
         key = (src, dst)
         pair = self._pair_cache.get(key)
         if pair is None:
-            pair = (self.link_for(src, dst), self._link_rng(src, dst))
+            pair = (self.link_for(src, dst), self._link_rng(src, dst).generator)
             self._pair_cache[key] = pair
         return pair
 
@@ -305,8 +305,15 @@ class SimNetwork:
         the per-receiver path) and schedule ONE kernel event per distinct
         arrival instant, delivering to that instant's receivers in order.
         Relative delivery order is unchanged: same-arrival deliveries kept
-        their receiver order before (heap ties break by insertion seq)."""
+        their receiver order before (heap ties break by insertion seq).
+
+        The draws are :meth:`LinkModel.drops` and
+        :meth:`LinkModel.propagation_delay` inlined, consuming the link's
+        stream exactly as they do: no loss draw when ``loss`` is 0 or 1,
+        one jitter draw even when ``jitter`` is 0, and the float expression
+        of ``random.uniform``."""
         nics = self._nics
+        pairs = self._pair_cache
         by_arrival: Dict[float, List[str]] = {}
         for dst in receivers:
             if dst not in nics:
@@ -317,48 +324,63 @@ class SimNetwork:
                 # Local loopback: no propagation delay or loss.
                 arrival = tx_done
             else:
-                model, rng = self._pair(src, dst)
-                if model.drops(rng):
+                pair = pairs.get((src, dst))
+                model, gen = pair if pair is not None else self._pair(src, dst)
+                loss = model.loss
+                if loss > 0.0 and (loss >= 1.0 or gen.random() < loss):
                     self.stats.drops_loss.add(packet.size)
                     continue
-                arrival = tx_done + model.propagation_delay(rng)
+                lo = -model.jitter
+                delay = model.latency + (lo + (model.jitter - lo) * gen.random())
+                arrival = tx_done + (delay if delay > 0.0 else 0.0)
             group = by_arrival.get(arrival)
             if group is None:
                 by_arrival[arrival] = [dst]
             else:
                 group.append(dst)
+        schedule_fire = self._sim.schedule_fire
+        deliver_group = self._deliver_group
         for arrival, group in by_arrival.items():
-            self._sim.schedule_fire(
-                arrival, self._make_delivery(group, packet)
-            )
+            schedule_fire(arrival, deliver_group, (group, packet, arrival))
 
-    def _make_delivery(self, group: List[str], packet: Packet):
-        def deliver() -> None:
-            delivered: Optional[Packet] = None
-            nics = self._nics
-            stats = self.stats
-            for dst in group:
-                nic = nics.get(dst)
-                if nic is None or not nic.up:
-                    stats.drops_down.add(packet.size)
-                    continue
-                if delivered is None:
-                    # One Packet object serves the whole same-instant group:
-                    # every field is identical and payload bytes are
-                    # immutable, so receivers cannot tell copies apart.
-                    delivered = Packet(
-                        source=packet.source,
-                        destination=packet.destination,
-                        payload=packet.payload,
-                        sent_at=packet.sent_at,
-                        delivered_at=self._sim.now(),
-                    )
-                stats.record_delivery(dst, delivered.size)
-                if self._trace is not None:
-                    self._trace.append(delivered)
-                nic._deliver(delivered)
-
-        return deliver
+    def _deliver_group(self, delivery: Tuple[List[str], Packet, float]) -> None:
+        """Deliver one same-instant group of :meth:`_schedule_deliveries`:
+        ``delivery`` is ``(receivers, packet, arrival)``, and ``arrival`` is
+        the kernel's time when it runs. The delivery counters are updated in
+        place and each NIC's receiver is called directly."""
+        group, packet, arrival = delivery
+        nics = self._nics
+        stats = self.stats
+        by_node = stats.deliveries_by_node
+        total = stats.deliveries
+        size = len(packet.payload) + WIRE_OVERHEAD_BYTES
+        delivered: Optional[Packet] = None
+        for dst in group:
+            nic = nics.get(dst)
+            if nic is None or not nic.up:
+                stats.drops_down.add(size)
+                continue
+            if delivered is None:
+                # One Packet object serves the whole same-instant group:
+                # every field is identical and payload bytes are
+                # immutable, so receivers cannot tell copies apart.
+                delivered = Packet(
+                    packet.source,
+                    packet.destination,
+                    packet.payload,
+                    packet.sent_at,
+                    arrival,
+                )
+            total.packets += 1
+            total.bytes += size
+            node = by_node[dst]
+            node.packets += 1
+            node.bytes += size
+            if self._trace is not None:
+                self._trace.append(delivered)
+            receiver = nic._receiver
+            if receiver is not None:
+                receiver(delivered)
 
     # -- delivery, reference path ---------------------------------------------
     def _schedule_delivery(self, src: str, dst: str, packet: Packet, tx_done: float) -> None:

@@ -12,6 +12,9 @@ from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
+#: The type of :attr:`SeededRng.generator`.
+Generator = random.Random
+
 
 class SeededRng:
     """A thin, explicit wrapper over :class:`random.Random`.
@@ -35,6 +38,13 @@ class SeededRng:
         for ch in label:
             h = (h * 131 + ord(ch)) & 0xFFFFFFFF
         return SeededRng((self._seed * 1_000_003 + h) & 0x7FFFFFFF)
+
+    @property
+    def generator(self) -> Generator:
+        """The underlying generator, for a caller that draws in a hot loop:
+        ``generator.random()`` is the draw :meth:`random` makes, without the
+        wrapper's frame."""
+        return self._rng
 
     def uniform(self, lo: float, hi: float) -> float:
         return self._rng.uniform(lo, hi)
@@ -70,4 +80,4 @@ class SeededRng:
         return max(floor, base + self._rng.uniform(-jitter, jitter))
 
 
-__all__ = ["SeededRng"]
+__all__ = ["Generator", "SeededRng"]

@@ -144,11 +144,12 @@ class TestPartition:
 class TestPositionTimeout:
     def test_silent_gps_raises_one_timeout_warning(self):
         """The GPS receiver loses its fix: its offer stands but no sample
-        arrives. The mission service's ``_on_position_timeout`` fires once
-        the subscription has heard nothing for three publication periods,
-        which is inside the validity window GPS declares for the position:
-        by the end of that window ``position_timeouts`` is 1 and a warning
-        is logged."""
+        arrives. The last fix is served from cache for the validity GPS
+        declares, so no warning fires inside that window. Within one
+        publication period after it closes the mission service's
+        ``_on_position_timeout`` fires once, and only once however long
+        the silence lasts. A GPS that resumes and falls silent again
+        starts a new outage and a second warning."""
         runtime = SimRuntime(seed=8)
         plan = plan_with_photo_at_start()
         fcs = runtime.add_container("fcs")
@@ -157,13 +158,32 @@ class TestPositionTimeout:
         fcs.install_service(gps)
         fcs.install_service(mission)
         runtime.start()
+        period = 1.0 / gps.rate_hz
         runtime.run_for(2.0)
         assert mission.position_timeouts == 0
-        gps._ticker.cancel()  # the offer stands; the samples stop
-        runtime.run_for(2.5 / gps.rate_hz)  # quiet for less than three periods
+
+        def silence():
+            """Stop the samples; -> the instant the last one's validity
+            ends (the subscriber shares the GPS's node and clock)."""
+            gps._ticker.cancel()  # the offer stands; the samples stop
+            return gps._publication.last_timestamp + gps.validity
+
+        valid_until = silence()
+        runtime.run(until=valid_until)
         assert mission.position_timeouts == 0
-        runtime.run_for(gps.validity - 2.5 / gps.rate_hz)
+        runtime.run(until=valid_until + period)
+        assert mission.position_timeouts == 1
+        runtime.run_for(3.0)
         assert mission.position_timeouts == 1
         warnings = [line for _, line in mission.ctx.log_lines if line.startswith("WARNING")]
         assert warnings == ["WARNING: gps.position samples stopped arriving"]
         assert fcs.service_state("mission").name == "RUNNING"
+
+        gps._ticker = gps.ctx.every(period, gps._tick)  # the fix is back
+        runtime.run_for(2.0)
+        assert mission.position_timeouts == 1
+        valid_until = silence()
+        runtime.run(until=valid_until)
+        assert mission.position_timeouts == 1
+        runtime.run(until=valid_until + period)
+        assert mission.position_timeouts == 2

@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.kernel import _ScheduledEvent
 from repro.util.rng import SeededRng
 
 
@@ -276,27 +277,141 @@ class TestHotPathAtScale:
     def test_schedule_n_events_costs_n_log_n_comparisons(self):
         # Counter-based guard: pushing and popping N randomly-timed events
         # must stay within a small constant of N log2 N element
-        # comparisons — the heap is not allowed to degenerate.
+        # comparisons — the heap is not allowed to degenerate. Heap entries
+        # are tuples ordered by (time, seq) in C, so the comparisons are
+        # counted on the event times themselves.
         n = 4096
-        counts = {"lt": 0}
-        original = _ScheduledEvent.__lt__
-
-        def counting_lt(self, other):
-            counts["lt"] += 1
-            return original(self, other)
-
-        _ScheduledEvent.__lt__ = counting_lt
-        try:
-            sim = Simulator()
-            rng = SeededRng(7)
-            for _ in range(n):
-                sim.schedule_fire(rng.uniform(0.0, 1000.0), lambda: None)
-            sim.run()
-        finally:
-            _ScheduledEvent.__lt__ = original
+        _CountingTime.comparisons = 0
+        sim = Simulator()
+        rng = SeededRng(7)
+        for _ in range(n):
+            sim.schedule_fire(_CountingTime(rng.uniform(0.0, 1000.0)), lambda: None)
+        sim.run()
         assert sim.events_executed == n
+        comparisons = _CountingTime.comparisons
         bound = 4 * n * math.log2(n)
-        assert counts["lt"] <= bound, (
-            f"{counts['lt']} comparisons for {n} events exceeds "
-            f"O(N log N) bound {bound:.0f}"
+        assert n < comparisons <= bound, (
+            f"{comparisons} comparisons for {n} events, outside "
+            f"({n}, O(N log N) bound {bound:.0f}]"
         )
+
+
+class _CountingTime(float):
+    """An event time that counts the ordering comparisons made on it."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        _CountingTime.comparisons += 1
+        return float.__lt__(self, other)
+
+
+# -- the kernel against a sorted (time, seq) reference model -----------------
+
+#: Few distinct offsets, so same-instant ties are common.
+_OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _OFFSETS),
+    st.tuples(st.just("schedule_fire"), _OFFSETS, st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 200)),
+    # Schedule a burst of timers and cancel them all: past 64 entries
+    # with cancelled ones the majority, the heap compacts.
+    st.tuples(st.just("mass_cancel"), st.integers(1, 120), _OFFSETS),
+    st.tuples(st.just("run"), st.none() | _OFFSETS, st.none() | st.integers(0, 6)),
+    st.tuples(st.just("step"),),
+)
+
+
+class _ReferenceKernel:
+    """What the kernel must execute: live entries ``[time, seq, label]``,
+    the next one the least ``(time, seq)``; a cancelled entry is gone."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []
+        self.executed = 0
+        self.log = []
+
+    def add(self, when, label):
+        entry = [when, self.seq, label]
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry in self.entries:
+            self.entries.remove(entry)
+
+    def run(self, until=None, max_events=None):
+        ran = 0
+        while self.entries:
+            entry = min(self.entries, key=lambda e: (e[0], e[1]))
+            if until is not None and entry[0] > until:
+                break
+            if max_events is not None and ran >= max_events:
+                break
+            self.entries.remove(entry)
+            self.now = entry[0]
+            self.executed += 1
+            ran += 1
+            self.log.append(entry[2])
+        if until is not None and self.now < until:
+            self.now = until
+        return ran
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OPS, max_size=40))
+def test_kernel_executes_what_a_sorted_reference_does(ops):
+    sim, ref = Simulator(), _ReferenceKernel()
+    log = []
+    timers = []  # (TimerHandle, reference entry)
+    labels = iter(range(1_000_000))
+
+    def timer(offset):
+        label = next(labels)
+        handle = sim.schedule(offset, lambda: log.append(label))
+        timers.append((handle, ref.add(ref.now + offset, label)))
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            timer(op[1])
+        elif kind == "schedule_fire":
+            label = next(labels)
+            when = sim.now() + op[1]
+            if op[2]:
+                sim.schedule_fire(when, log.append, ("arg", label))
+                ref.add(when, ("arg", label))
+            else:
+                sim.schedule_fire(when, lambda label=label: log.append(label))
+                ref.add(when, label)
+        elif kind == "cancel" and timers:
+            handle, entry = timers[op[1] % len(timers)]
+            handle.cancel()
+            ref.cancel(entry)
+            assert handle.cancelled
+        elif kind == "mass_cancel":
+            burst = len(timers)
+            for _ in range(op[1]):
+                timer(op[2])
+            for handle, entry in timers[burst:]:
+                handle.cancel()
+                ref.cancel(entry)
+        elif kind == "run":
+            until = None if op[1] is None else sim.now() + op[1]
+            assert sim.run(until=until, max_events=op[2]) == sim.now()
+            ref.run(until=until, max_events=op[2])
+        elif kind == "step":
+            assert sim.step() == (ref.run(max_events=1) == 1)
+        assert log == ref.log
+        assert sim.now() == ref.now
+        assert sim.pending == len(ref.entries)
+        assert sim.events_executed == ref.executed
+    sim.run()
+    ref.run()
+    assert log == ref.log
+    assert sim.pending == 0
+    assert sim.events_executed == ref.executed

@@ -359,26 +359,77 @@ class TestZones:
 
 
 class TestOptimizedPathParity:
-    def test_optimized_and_reference_traces_match(self):
-        def run(optimized):
-            sim = Simulator()
-            link = LinkModel(latency=0.002, jitter=0.0005, loss=0.1)
-            net = SimNetwork(sim, SeededRng(11), default_link=link,
-                             optimized=optimized)
-            group = GroupName("mcast.var.y")
-            for node in ("a", "b", "c", "d"):
-                nic = net.attach(node)
-                nic.set_receiver(lambda p: None)
-                nic.join(group)
-            trace = net.enable_trace()
-            a = net.attach("a")
-            for i in range(40):
-                a.send(Packet(Address("a", 1), group, bytes([i])))
-                a.send(Packet(Address("a", 1), Address("c", 2), bytes([i])))
-            sim.run()
-            return [
-                (p.source, p.destination, p.payload, p.sent_at, p.delivered_at)
-                for p in trace
-            ]
+    """The cached emission path (grouped deliveries, inline link draws)
+    against ``SimNetwork(optimized=False)``, the per-receiver reference:
+    same delivered packets in the same order at the same instants, same
+    receiver callbacks and same counters."""
 
-        assert run(True) == run(False)
+    @staticmethod
+    def run(optimized, loss, jitter):
+        sim = Simulator()
+        link = LinkModel(latency=0.002, jitter=jitter, loss=loss)
+        net = SimNetwork(sim, SeededRng(11), default_link=link, optimized=optimized)
+        group = GroupName("mcast.var.y")
+        heard = []
+        for node in ("a", "b", "c", "d", "e", "f"):
+            nic = net.attach(node)
+            nic.set_receiver(
+                lambda p, node=node: heard.append((node, p.payload, p.delivered_at))
+            )
+            if node != "f":
+                nic.join(group)  # "a" hears its own multicast (loopback)
+        # A slower, lossier link a <-> c overrides the default.
+        net.set_link("a", "c", LinkModel(latency=0.004, jitter=jitter / 2,
+                                         loss=min(1.0, loss * 2), bandwidth_bps=1e6))
+        # a -> e: jitter wider than the latency, so some delays clamp at 0.
+        net.set_link("a", "e", LinkModel(latency=jitter / 4, jitter=jitter, loss=loss),
+                     symmetric=False)
+        # Zones: d sits apart from a, b and c; e is unzoned.
+        for node in ("a", "b", "c"):
+            net.add_node_to_zone(node, "z1")
+        net.add_node_to_zone("d", "z2")
+        net.set_zone_isolation(True)
+        trace = net.enable_trace()
+
+        def send_round(i):
+            net.attach("a").send(Packet(Address("a", 1), group, bytes([i])))
+            net.attach("a").send(Packet(Address("a", 1), Address("c", 2), bytes([i])))
+            net.attach("d").send(Packet(Address("d", 1), group, bytes([i, 1])))
+            net.attach("b").send(Packet(Address("b", 1), Address("d", 2), bytes([i, 2])))
+
+        for i in range(40):
+            sim.schedule(i * 0.001, lambda i=i: send_round(i))
+        # c goes down mid-run, with deliveries to it in flight, and returns.
+        sim.schedule(0.0105, lambda: net.set_node_up("c", False))
+        sim.schedule(0.0255, lambda: net.set_node_up("c", True))
+        # b -> d loses everything for a while (no loss draw is made), then
+        # the default link returns and draws again from the same stream.
+        sim.schedule(0.0155, lambda: net.set_link("b", "d", LinkModel(loss=1.0)))
+        sim.schedule(0.0305, lambda: net.set_link("b", "d", link))
+        sim.run()
+        packets = [
+            (p.source, p.destination, p.payload, p.sent_at, p.delivered_at)
+            for p in trace
+        ]
+        counters = dict(net.stats.snapshot())
+        counters["by_node"] = {
+            node: (c.packets, c.bytes)
+            for node, c in sorted(net.stats.deliveries_by_node.items())
+        }
+        return packets, heard, counters
+
+    def test_optimized_and_reference_traces_match(self):
+        for loss in (0.0, 0.1, 1.0):
+            for jitter in (0.0, 0.0005):
+                case = f"loss={loss} jitter={jitter}"
+                optimized = self.run(True, loss, jitter)
+                assert optimized == self.run(False, loss, jitter), case
+                _packets, heard, counters = optimized
+                nodes = {node for node, _, _ in heard}
+                assert ("a", bytes([0])) in [(n, data) for n, data, _ in heard], case
+                if loss == 1.0:
+                    assert nodes <= {"a", "d"}, case  # loopbacks only
+                else:
+                    assert nodes >= {"a", "b", "c", "d", "e"}, case
+                    assert counters["drops_down"] > 0, case  # c was down a while
+                assert counters["drops_loss"] > 0, case  # b -> d lost it all a while
