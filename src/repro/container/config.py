@@ -34,8 +34,6 @@ class ContainerConfig:
 
     # PEPt plug-in selection.
     codec: str = "binary"
-    #: "udp_ack" (the paper's app-layer mechanism) or "tcp" (the baseline).
-    event_mapping: str = "udp_ack"
 
     # Discovery and failure detection (§3 name management).
     announce_interval: float = 1.0
@@ -107,10 +105,6 @@ class ContainerConfig:
     tracing_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.event_mapping not in ("udp_ack", "tcp"):
-            raise ConfigurationError(
-                f"event_mapping must be 'udp_ack' or 'tcp', got {self.event_mapping!r}"
-            )
         for name in ("announce_interval", "heartbeat_interval", "housekeeping_interval"):
             # A zero period would reschedule itself at the same instant forever.
             if not getattr(self, name) > 0:

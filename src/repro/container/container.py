@@ -15,7 +15,7 @@ from repro.container.directory import Directory
 from repro.container.egress import EgressShaper
 from repro.container.gossip import FleetCoordinator
 from repro.container.lifecycle import ServiceRecord, ServiceState
-from repro.container.links import RELIABLE_CHANNEL, ReliableLinks, TcpLinks
+from repro.container.links import RELIABLE_CHANNEL, ReliableLinks
 from repro.container.records import (
     ContainerRecord,
     decode_announce,
@@ -36,7 +36,6 @@ from repro.primitives.events import EventManager
 from repro.primitives.filetransfer import FileTransferManager
 from repro.primitives.invocation import InvocationManager
 from repro.primitives.variables import VariableManager
-from repro.primitives import wire
 from repro.protocol.admission import AdmissionController, IngressScheduler
 from repro.protocol.bands import band_of
 from repro.protocol.batching import SampleRun
@@ -202,13 +201,6 @@ class ServiceContainer:
             on_peer_slow=self._on_peer_slow,
             on_peer_abuse=self._on_peer_abuse,
         )
-        self.tcp_links = TcpLinks(
-            clock=clock,
-            timers=timers,
-            local=config.container_id,
-            send_to_peer=self._send_frames_to_peer,
-            deliver=self._on_tcp_event_payload,
-        )
         self.variables = VariableManager(self)
         self.events = EventManager(self)
         self.invocations = InvocationManager(self)
@@ -306,12 +298,6 @@ class ServiceContainer:
             self._dispatch_reliable(Frame(kind, self._id, payload))
             return
         self.links.send(self._peers.get(peer) or self.directory.peer(peer), kind, payload)
-
-    def send_tcp_stream(self, peer: str, payload: bytes) -> None:
-        if peer == self.id:
-            self._on_tcp_event_payload(peer, payload)
-            return
-        self.tcp_links.send(self._peers.get(peer) or self.directory.peer(peer), payload)
 
     def send_group(self, group: GroupName, frame: Frame) -> None:
         if not self._running:
@@ -661,9 +647,10 @@ class ServiceContainer:
         return self._ingress
 
     def _ingest_data(self, frame: Frame) -> None:
-        """Admitted data frame → reliability layers or direct dispatch.
+        """Admitted data frame → the reliable stream (channel
+        :data:`RELIABLE_CHANNEL`) or direct dispatch (channel 0).
 
-        A frame the reliability layers reject (an ACK that does not decode)
+        A frame the reliable stream rejects (an ACK that does not decode)
         raises ProtocolError here; a payload the primitive decoders reject
         is caught by :meth:`_dispatch`. Either is counted and fed to
         admission quarantine scoring — never allowed to crash ingress,
@@ -671,15 +658,18 @@ class ServiceContainer:
         """
         if frame.kind is _NACK:
             return  # no stream state, no peer entry, no retransmission
+        channel = frame.channel
         try:
-            # Channel 0, the best-effort data plane, skips the peer and the
-            # reliability layers outright.
-            if frame.channel != 0:
-                # Reliability layers consume their channels (and emit acks).
-                peer = self._peers.get(frame.source) or self.directory.peer(frame.source)
-                if self.links.on_frame(frame, peer) or self.tcp_links.on_frame(frame, peer):
-                    return
-            self._dispatch(frame)
+            if channel == RELIABLE_CHANNEL:
+                # The reliable stream consumes its channel (and emits acks).
+                source = frame.source
+                self.links.on_frame(frame, self._peers.get(source) or self.directory.peer(source))
+            elif not channel:
+                # Channel 0, the best-effort data plane, skips the peer and
+                # the reliability layer outright.
+                self._dispatch(frame)
+            # Any other channel carries nothing here: dropped before a peer
+            # lookup, so it opens no Peer (it was counted and recorded).
         except (ProtocolError, EncodingError) as exc:
             self.note_malformed(frame, exc)
 
@@ -776,10 +766,6 @@ class ServiceContainer:
             MessageKind.FILE_COMPLETION_NACK: self.files.on_completion_nack_frame,
         }
         return self._handlers
-
-    def _on_tcp_event_payload(self, peer: str, payload: bytes) -> None:
-        doc, trace = wire.decode_traced(wire.EVENT_MESSAGE_SCHEMA, payload)
-        self.events.on_event_payload(peer, doc, trace)
 
     # -- directory reactions -------------------------------------------------------
     def _on_container_up(self, record: ContainerRecord) -> None:

@@ -2,10 +2,9 @@
 
 Every pair of containers shares one ordered reliable stream (events, remote
 invocations, subscriptions and file control all ride it), created lazily in
-each direction. A second, TCP-modelled stream exists purely so experiment E5
-can map events "over TCP" and compare.
+each direction, on channel :data:`RELIABLE_CHANNEL`.
 
-Both pairs live on the peer's :class:`~repro.protocol.peers.Peer`, which
+The pair lives on the peer's :class:`~repro.protocol.peers.Peer`, which
 the caller hands in. Sans-io: the managers emit frames through the container
 and keep one wake-up per stream, armed no later than its earliest retransmit
 deadline (:class:`~repro.util.wakeup.Wakeup`), on the runtime's timer service.
@@ -19,14 +18,11 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.peers import Peer
 from repro.protocol.reliability import ReliableReceiver, ReliableSender, RetransmitPolicy
-from repro.protocol.tcp_like import TcpLikeReceiver, TcpLikeSender
 from repro.util.clock import Clock
 from repro.util.wakeup import Wakeup
 
-#: Channel carrying the main reliable stream between two containers.
+#: Channel carrying the reliable stream between two containers.
 RELIABLE_CHANNEL = 1
-#: Channel carrying the TCP-modelled stream (experiment E5 only).
-TCP_CHANNEL = 2
 
 SendRunToPeer = Callable[[Peer, Sequence[Frame]], None]  # (destination peer, frames in order)
 PeerFailure = Callable[[Peer, Frame], None]  # (peer, frame that gave up)
@@ -41,8 +37,7 @@ def _ignore(*_args) -> None:
 
 
 def _run_of_one(send_to_peer: SendRunToPeer, peer: Peer, frame: Frame) -> None:
-    """One frame (an ACK, a TCP-modelled segment) to ``peer`` as a run of
-    one."""
+    """One frame (an ACK) to ``peer`` as a run of one."""
     send_to_peer(peer, (frame,))
 
 
@@ -55,14 +50,6 @@ def _stream_wakeup(clock: Clock, timers, sender) -> Wakeup:
         return sender.next_wakeup()
 
     return Wakeup(clock, timers, due)
-
-
-def _reread(wakeup: Wakeup, sender) -> None:
-    """Off the hot path (the E5 TCP baseline): hold the wake-up to
-    the sender's earliest deadline, wherever the operation moved it."""
-    deadline = sender.next_wakeup()
-    if deadline is not None:
-        wakeup.need(deadline)
 
 
 class ReliableLinks:
@@ -122,25 +109,19 @@ class ReliableLinks:
         return sender.send(kind, payload)
 
     # -- inbound frames ----------------------------------------------------------
-    def on_frame(self, frame: Frame, peer: Peer) -> bool:
-        """Feed a frame from ``peer`` that may belong to the reliable channel.
-
-        Returns True when consumed (ACKs and duplicate suppression happen
-        here; fresh data frames are passed to ``deliver``).
-        """
-        if frame.channel != RELIABLE_CHANNEL:
-            return False
-        kind = frame.kind
-        if kind == _ACK:
+    def on_frame(self, frame: Frame, peer: Peer) -> None:
+        """Feed a reliable-channel frame from ``peer``: an ACK to its
+        sender; a data frame to its receiver, which suppresses duplicates
+        and passes fresh frames to ``deliver``."""
+        if frame.kind == _ACK:
             sender = peer.sender
             if sender is not None:
                 sender.on_ack_frame(frame)
-            return True
+            return
         receiver = peer.receiver
         if receiver is None:
             receiver = self._open_receiver(peer)
         receiver.on_frame(frame)
-        return True
 
     def on_run(
         self, frames: Sequence[Frame], peer: Peer, deliver: Callable[[Frame], None]
@@ -186,58 +167,4 @@ class ReliableLinks:
         return receiver
 
 
-class TcpLinks:
-    """Opens and feeds the TCP-modelled stream pair (the §4.2 baseline,
-    experiment E5) of each remote container, held on its :class:`Peer`."""
-
-    def __init__(
-        self,
-        clock: Clock,
-        timers,
-        local: str,
-        send_to_peer: SendRunToPeer,
-        deliver: Callable[[str, bytes], None],  # (peer id, message payload)
-    ):
-        self._clock = clock
-        self._timers = timers
-        self._local = local
-        self._send_to_peer = send_to_peer
-        self._deliver = deliver
-
-    def send(self, peer: Peer, payload: bytes) -> None:
-        sender = peer.tcp_sender
-        if sender is None:
-            sender = peer.tcp_sender = TcpLikeSender(
-                clock=self._clock,
-                source=self._local,
-                channel=TCP_CHANNEL,
-                emit=partial(_run_of_one, self._send_to_peer, peer),
-            )
-            sender.wakeup = _stream_wakeup(self._clock, self._timers, sender)
-        sender.send(payload)
-        _reread(sender.wakeup, sender)
-
-    def on_frame(self, frame: Frame, peer: Peer) -> bool:
-        if frame.channel != TCP_CHANNEL:
-            return False
-        if frame.kind in (MessageKind.STREAM_SYNACK, MessageKind.STREAM_ACK):
-            sender = peer.tcp_sender
-            if sender is not None:
-                sender.on_frame(frame)
-                _reread(sender.wakeup, sender)
-            return True
-        if frame.kind in (MessageKind.STREAM_SYN, MessageKind.STREAM_SEGMENT):
-            receiver = peer.tcp_receiver
-            if receiver is None:
-                receiver = peer.tcp_receiver = TcpLikeReceiver(
-                    source=self._local,
-                    channel=TCP_CHANNEL,
-                    emit=partial(_run_of_one, self._send_to_peer, peer),
-                    deliver=partial(self._deliver, peer.id),
-                )
-            receiver.on_frame(frame)
-            return True
-        return False
-
-
-__all__ = ["ReliableLinks", "TcpLinks", "RELIABLE_CHANNEL", "TCP_CHANNEL"]
+__all__ = ["ReliableLinks", "RELIABLE_CHANNEL"]

@@ -11,15 +11,15 @@ a C-like language". This package provides:
 - a schema-compiled variant of the binary codec
   (:class:`~repro.encoding.compiled.CompiledCodec`) — byte-identical wire
   format from flat, precompiled pack/unpack plans,
-- a C-like declaration parser (:func:`parse_type`),
-- a :class:`SchemaRegistry` with the well-known avionics schemas.
+- a C-like declaration parser (:func:`parse_type`) and the well-known
+  avionics schemas (:mod:`repro.encoding.schema`).
 """
 
 from repro.encoding.binary import BinaryCodec
 from repro.encoding.codec import Codec, get_codec, register_codec
 from repro.encoding.compiled import CompiledCodec, compile_plan
 from repro.encoding.jsoncodec import JsonCodec
-from repro.encoding.schema import SchemaRegistry, parse_type
+from repro.encoding.schema import parse_type
 from repro.encoding.types import (
     BOOL,
     BYTES,
@@ -49,7 +49,6 @@ __all__ = [
     "Codec",
     "get_codec",
     "register_codec",
-    "SchemaRegistry",
     "parse_type",
     "DataType",
     "PrimitiveType",

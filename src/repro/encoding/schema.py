@@ -1,4 +1,4 @@
-"""Schema registry and a C-like type declaration parser.
+"""A C-like type declaration parser and the well-known avionics schemas.
 
 The paper states the presentation layer datatypes are "similar to a C-like
 language" (§4.1). :func:`parse_type` accepts exactly the notation that
@@ -9,14 +9,14 @@ schemas round-trip through their textual form:
     union Reading { float64 scalar; float64 samples[4]; }
     int32[]
 
-The :class:`SchemaRegistry` maps names to types; containers exchange schema
-*names* on the wire and resolve them locally, keeping announce packets small.
+A bare name that is not a primitive is an error: offers carry whole type
+declarations, so there is nothing to resolve it against.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.encoding.types import (
     PRIMITIVES,
@@ -25,7 +25,7 @@ from repro.encoding.types import (
     UnionType,
     VectorType,
 )
-from repro.util.errors import ConfigurationError, EncodingError
+from repro.util.errors import EncodingError
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}\[\];]|\S")
 
@@ -60,44 +60,36 @@ class _Tokens:
         return self.pos >= len(self.tokens)
 
 
-#: Memo for registry-free parses. Data-plane receive paths re-parse the
-#: same handful of offered type strings on every sample; DataType objects
-#: are immutable after construction, so sharing one instance per text is
-#: safe. Registry-backed parses are never cached (typedefs can change).
+#: Memo of every parse. Data-plane receive paths re-parse the same handful
+#: of offered type strings on every sample; DataType objects are immutable
+#: after construction, so sharing one instance per text is safe.
 _PARSE_MEMO: dict = {}
 _PARSE_MEMO_MAX = 1024
 
 
-def parse_type(text: str, registry: Optional["SchemaRegistry"] = None) -> DataType:
-    """Parse a C-like type declaration into a :class:`DataType`.
-
-    ``registry`` resolves bare names that are not primitives (typedefs).
-    """
-    if registry is None:
-        cached = _PARSE_MEMO.get(text)
-        if cached is not None:
-            return cached
+def parse_type(text: str) -> DataType:
+    """Parse a C-like type declaration into a :class:`DataType`."""
+    cached = _PARSE_MEMO.get(text)
+    if cached is not None:
+        return cached
     tokens = _Tokens(text)
-    datatype = _parse(tokens, registry)
+    datatype = _parse(tokens)
     if not tokens.exhausted:
         raise EncodingError(f"trailing tokens after type in {text!r}")
-    if registry is None:
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:
-            _PARSE_MEMO.clear()
-        _PARSE_MEMO[text] = datatype
+    if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:
+        _PARSE_MEMO.clear()
+    _PARSE_MEMO[text] = datatype
     return datatype
 
 
-def _parse(tokens: _Tokens, registry: Optional["SchemaRegistry"]) -> DataType:
+def _parse(tokens: _Tokens) -> DataType:
     tok = tokens.next()
     if tok == "struct":
-        datatype: DataType = _parse_composite(tokens, registry, is_union=False)
+        datatype: DataType = _parse_composite(tokens, is_union=False)
     elif tok == "union":
-        datatype = _parse_composite(tokens, registry, is_union=True)
+        datatype = _parse_composite(tokens, is_union=True)
     elif tok in PRIMITIVES:
         datatype = PRIMITIVES[tok]
-    elif registry is not None and registry.contains(tok):
-        datatype = registry.get(tok)
     else:
         raise EncodingError(f"unknown type name {tok!r}")
     return _parse_array_suffix(tokens, datatype)
@@ -117,14 +109,12 @@ def _parse_array_suffix(tokens: _Tokens, datatype: DataType) -> DataType:
     return datatype
 
 
-def _parse_composite(
-    tokens: _Tokens, registry: Optional["SchemaRegistry"], is_union: bool
-) -> DataType:
+def _parse_composite(tokens: _Tokens, is_union: bool) -> DataType:
     name = tokens.next()
     tokens.expect("{")
     fields: List[Tuple[str, DataType]] = []
     while tokens.peek() != "}":
-        ftype = _parse(tokens, registry)
+        ftype = _parse(tokens)
         fname = tokens.next()
         # C-style suffix arrays: float64 samples[4];
         ftype = _parse_array_suffix(tokens, ftype)
@@ -134,43 +124,6 @@ def _parse_composite(
     if is_union:
         return UnionType(name, fields)
     return StructType(name, fields)
-
-
-class SchemaRegistry:
-    """Name → :class:`DataType` mapping with parse support.
-
-    Each container holds one registry; services register the schemas of
-    their variables, events and function signatures at install time.
-    """
-
-    def __init__(self):
-        self._types: Dict[str, DataType] = {}
-
-    def register(self, name: str, datatype: DataType) -> None:
-        existing = self._types.get(name)
-        if existing is not None and existing != datatype:
-            raise ConfigurationError(
-                f"schema {name!r} already registered with a different type"
-            )
-        self._types[name] = datatype
-
-    def register_text(self, name: str, declaration: str) -> DataType:
-        """Parse ``declaration`` (resolving typedefs) and register it."""
-        datatype = parse_type(declaration, registry=self)
-        self.register(name, datatype)
-        return datatype
-
-    def contains(self, name: str) -> bool:
-        return name in self._types
-
-    def get(self, name: str) -> DataType:
-        try:
-            return self._types[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown schema {name!r}") from None
-
-    def names(self) -> List[str]:
-        return sorted(self._types)
 
 
 # -- well-known avionics schemas used across examples and benchmarks --------
@@ -203,21 +156,8 @@ ALARM_SCHEMA = parse_type(
 )
 
 
-def default_registry() -> SchemaRegistry:
-    """A registry pre-loaded with the well-known avionics schemas."""
-    registry = SchemaRegistry()
-    registry.register("Position", POSITION_SCHEMA)
-    registry.register("Attitude", ATTITUDE_SCHEMA)
-    registry.register("PhotoEvent", PHOTO_EVENT_SCHEMA)
-    registry.register("Detection", DETECTION_SCHEMA)
-    registry.register("Alarm", ALARM_SCHEMA)
-    return registry
-
-
 __all__ = [
-    "SchemaRegistry",
     "parse_type",
-    "default_registry",
     "POSITION_SCHEMA",
     "ATTITUDE_SCHEMA",
     "PHOTO_EVENT_SCHEMA",

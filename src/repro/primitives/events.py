@@ -2,9 +2,9 @@
 
 Like variables, events follow publish/subscribe — but delivery to every
 subscriber is **guaranteed**. The publisher's container tracks subscribers
-explicitly and pushes each event down a per-subscriber reliable stream
-(UDP + application-layer ack/retransmit by default, or the TCP-modelled
-stream when ``event_mapping="tcp"`` — the §4.2 comparison).
+explicitly and pushes each event down a per-subscriber reliable stream:
+UDP + application-layer ack/retransmit, the mapping §4.2 argues for over
+TCP (experiment E5 compares the two streams).
 
 Latency is the design driver: event dispatch runs at the highest
 application priority in the pluggable scheduler.
@@ -12,9 +12,10 @@ application priority in the pluggable scheduler.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType
@@ -24,11 +25,19 @@ from repro.primitives.binding import UNBOUND, PayloadBindings
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
 from repro.util.errors import ConfigurationError
+from repro.util.wakeup import Wakeup
 
 OnEvent = Callable[[Any, float], None]  # (value, publisher timestamp)
 
 #: A (name, provider) the decoder cache holds nothing for yet.
 _UNRESOLVED = object()
+
+#: Events held at once for one provider whose record does not (yet) offer
+#: their name. A (re)``provide`` announces on the provider's next loop turn,
+#: so what needs holding is what it raises within one turn and one link
+#: delay of a provide; past this the oldest held event is dropped. It also
+#: bounds what a live container that never offers the name can make us keep.
+HELD_PER_PROVIDER = 64
 
 
 @dataclass
@@ -107,6 +116,13 @@ class EventManager:
         )
         self._last_binding = UNBOUND
         self._last_provider = ""
+        #: Provider -> the subscribed events it sent before its record
+        #: offered them, oldest first, as (deadline, message, trace context).
+        self._held: Dict[str, Deque[tuple]] = {}
+        #: How long an event is held: by then the provider has announced
+        #: again or been declared dead.
+        self._hold_for = host.config.announce_interval + host.config.liveness_timeout
+        self._hold_wakeup = Wakeup(self._clock, host.timers, self._expire_held)
 
     @cached_property
     def _unoffered_counter(self) -> Counter:
@@ -183,8 +199,7 @@ class EventManager:
             },
             context,
         )
-        host = self._host
-        tcp = host.config.event_mapping == "tcp"
+        send_reliable = self._host.send_reliable
         with tracer.activate(context):
             # Local subscribers first: same-container delivery never hits
             # the wire.
@@ -192,10 +207,7 @@ class EventManager:
             for peer in sorted(publication.subscribers):
                 if peer == self._id:
                     continue
-                if tcp:
-                    host.send_tcp_stream(peer, payload)
-                else:
-                    host.send_reliable(peer, MessageKind.EVENT, payload)
+                send_reliable(peer, MessageKind.EVENT, payload)
         tracer.finish(span)
 
     # -- subscriber side ----------------------------------------------------
@@ -234,20 +246,32 @@ class EventManager:
 
     # -- directory hooks ------------------------------------------------------
     def on_provider_up(self, container: str) -> None:
-        """A container (re)appeared: (re)issue subscriptions it provides."""
+        """A container (re)appeared or changed its offers: (re)issue
+        subscriptions it provides, and deliver the events held for it that
+        it now offers."""
         record = self._host.directory.record(container)
         if record is None:
             return
         for name in self._subscriptions:
             if name in record.events:
                 self._send_subscribe_to(container, name)
+        # In arrival order; what it still does not offer waits on.
+        for entry in self._held.pop(container, ()):
+            if entry[1]["name"] in record.events:
+                self.on_event_payload(container, entry[1], entry[2])
+            else:
+                self._held.setdefault(container, deque()).append(entry)
 
     def on_subscriber_down(self, container: str) -> None:
-        """Remove a dead container from every publication's subscriber set."""
+        """A container died or restarted: remove it from every
+        publication's subscriber set, and drop the events held for it."""
         for publication in self._publications.values():
             publication.subscribers.discard(container)
         for interested in self._remote_interest.values():
             interested.discard(container)
+        held = self._held.pop(container, None)
+        if held:
+            self._unoffered_counter.inc(len(held))
 
     def evict_subscriber(self, container: str) -> bool:
         """Drop a *live* but too-slow subscriber from every publication.
@@ -302,8 +326,9 @@ class EventManager:
 
     def on_event_payload(self, provider: str, doc: dict, trace=None) -> None:
         """A decoded EVENT from ``provider``. An event whose provider does
-        not offer it is dropped and counted (``unoffered_events``): its
-        value would be decoded with a type the sender never declared."""
+        not offer it is never decoded with another type than the sender's
+        declared one: it is held until the provider's offer arrives
+        (:meth:`_hold`), or dropped and counted (``unoffered_events``)."""
         name = doc["name"]
         revision = self._host.directory.revision
         if revision != self._decoder_cache_rev:
@@ -313,7 +338,7 @@ class EventManager:
         decode = self._decoder_cache.get(key, _UNRESOLVED)
         if decode is _UNRESOLVED:
             if not self._offers(name, provider):
-                self._unoffered_counter.inc()
+                self._hold(provider, doc, trace)
                 return
             datatype = self._datatype_of(name, provider)
             decode = self._decoder_cache[key] = (
@@ -349,6 +374,42 @@ class EventManager:
             publication.subscribers.add(subscriber)
         else:
             publication.subscribers.discard(subscriber)
+
+    # -- held events ---------------------------------------------------------------
+    def _hold(self, provider: str, doc: dict, trace) -> None:
+        """An event ``provider`` does not offer. A live container whose
+        record does not (yet) offer a subscribed name may have raised it
+        just after ``provide``: the event waits, at most
+        :data:`HELD_PER_PROVIDER` per provider (past it the oldest goes),
+        until its offers change (:meth:`on_provider_up`), it dies or
+        restarts (:meth:`on_subscriber_down`) or ``_hold_for`` passes.
+        Anything else is dropped at once. Every drop is counted in
+        ``unoffered_events``."""
+        record = self._host.directory.record(provider)
+        if record is None or not record.alive or doc["name"] not in self._subscriptions:
+            self._unoffered_counter.inc()
+            return
+        held = self._held.setdefault(provider, deque())
+        if len(held) == HELD_PER_PROVIDER:
+            held.popleft()
+            self._unoffered_counter.inc()
+        deadline = self._clock.now() + self._hold_for
+        held.append((deadline, doc, trace))
+        self._hold_wakeup.need(deadline)
+
+    def _expire_held(self, now: float) -> Optional[float]:
+        """Drop the held events whose deadline passed; the earliest
+        remaining deadline."""
+        earliest = None
+        for provider, held in list(self._held.items()):
+            while held and held[0][0] <= now:
+                held.popleft()
+                self._unoffered_counter.inc()
+            if not held:
+                del self._held[provider]
+            elif earliest is None or held[0][0] < earliest:
+                earliest = held[0][0]
+        return earliest
 
     # -- internals ---------------------------------------------------------------
     def _dispatch_local(self, name: str, value: Any, timestamp: float) -> None:

@@ -83,10 +83,6 @@ class PrimitiveHost(Protocol):
         """Send on the per-peer ordered reliable stream."""
         ...
 
-    def send_tcp_stream(self, peer: str, payload: bytes) -> None:
-        """Send an event payload on the TCP-modelled stream (E5 baseline)."""
-        ...
-
     def send_group(self, group: GroupName, frame: Frame) -> None:
         ...
 

@@ -9,13 +9,15 @@ Frames "the encoded data to denote the intent of the message" (§6) and is
 - :mod:`repro.protocol.reliability` — the application-layer ack/retransmit
   machinery the paper claims is "more efficient for event messages than the
   generic case provided by the TCP stack" (§4.2);
-- :mod:`repro.protocol.tcp_like` — a TCP-behaviour model used as the
-  baseline in that comparison (experiment E5);
 - :mod:`repro.protocol.fragmentation` — MTU-sized fragmentation/reassembly;
 - :mod:`repro.protocol.batching` — packing small same-destination frames
   into one BATCH datagram to amortize fixed per-packet overhead;
 - :mod:`repro.protocol.peers` — the one object per remote container that
   holds all of the above for it, and the table that bounds strangers.
+
+:mod:`repro.protocol.tcp_like`, a TCP-behaviour model, is not part of the
+stack: it is the baseline experiment E5 drives beside the reliable stream
+(``benchmarks/bench_event_reliability.py``), and is imported from there only.
 """
 
 from repro.protocol.batching import (
@@ -28,7 +30,6 @@ from repro.protocol.batching import (
 from repro.protocol.fragmentation import Fragmenter, Reassembler
 from repro.protocol.frames import Frame, MessageKind
 from repro.protocol.reliability import ReliableReceiver, ReliableSender, RetransmitPolicy
-from repro.protocol.tcp_like import TcpLikeReceiver, TcpLikeSender
 
 __all__ = [
     "Frame",
@@ -36,8 +37,6 @@ __all__ = [
     "ReliableSender",
     "ReliableReceiver",
     "RetransmitPolicy",
-    "TcpLikeSender",
-    "TcpLikeReceiver",
     "Fragmenter",
     "Reassembler",
     "FrameBatcher",

@@ -1,8 +1,8 @@
 """One :class:`Peer` per remote container, in one table.
 
 A source id is whatever a frame declares. Everything a container keeps per
-peer — the resolved address, both stream pairs, the admission state, the
-abuse log, the epoch — lives on that id's one Peer. :class:`Peers` keeps
+peer — the resolved address, the reliable stream pair, the admission state,
+the abuse log, the epoch — lives on that id's one Peer. :class:`Peers` keeps
 known peers in one dict, never evicted, and strangers in one LRU of at most
 :data:`MAX_STRANGERS`: past the cap the least recently used stranger goes,
 with everything it held. The container's directory is the table (§3: the
@@ -23,7 +23,7 @@ class Peer:
     """Everything this container holds about one remote container."""
 
     __slots__ = ("id", "address", "routed", "epoch", "sender", "receiver",
-                 "tcp_sender", "tcp_receiver", "admission", "abuse_logged")
+                 "admission", "abuse_logged")
 
     def __init__(self, peer_id: str):
         self.id = peer_id
@@ -35,19 +35,16 @@ class Peer:
         #: legitimately reuses sequence numbers.
         self.epoch = 0
         self.sender = self.receiver = None  # the reliable stream pair
-        self.tcp_sender = self.tcp_receiver = None  # the TCP-modelled pair (E5)
         self.admission = None  # ingress buckets, misbehaviour score, quarantine
         self.abuse_logged: Dict[str, float] = {}  # reason -> when last logged
 
     def close(self) -> None:
-        """Drop both stream pairs: wake-ups disarmed, every unacknowledged
+        """Drop the stream pair: wake-ups disarmed, every unacknowledged
         reliable frame handed to the stream's failure callback."""
-        sender, receiver, tcp_sender = self.sender, self.receiver, self.tcp_sender
-        self.sender = self.receiver = self.tcp_sender = self.tcp_receiver = None
+        sender, receiver = self.sender, self.receiver
+        self.sender = self.receiver = None
         if receiver is not None:
             receiver.close()
-        if tcp_sender is not None:
-            tcp_sender.wakeup.close()
         if sender is not None:
             sender.close()
 

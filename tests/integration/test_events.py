@@ -132,39 +132,6 @@ class TestGuaranteedDelivery:
         assert sub.events_of("test.evt") == [f"e{i}" for i in range(20)]
 
 
-class TestTcpMapping:
-    def test_events_over_tcp_like_stream(self):
-        runtime, a, b = two_containers(event_mapping="tcp")
-        pub = ProbeService("pub", lambda s: setattr(
-            s, "handle", s.ctx.provide_event("test.evt", STRING)
-        ))
-        sub = ProbeService("sub", lambda s: s.watch_event("test.evt"))
-        a.install_service(pub)
-        b.install_service(sub)
-        settle(runtime)
-        for i in range(5):
-            pub.handle.raise_event(f"tcp-{i}")
-        runtime.run_for(2.0)
-        assert sub.events_of("test.evt") == [f"tcp-{i}" for i in range(5)]
-
-    def test_tcp_mapping_survives_loss(self):
-        link = LinkModel(latency=0.002, jitter=0.0, loss=0.3, bandwidth_bps=0.0)
-        runtime, a, b = two_containers(seed=3, link=link, event_mapping="tcp")
-        pub = ProbeService("pub", lambda s: setattr(
-            s, "handle", s.ctx.provide_event("test.evt", STRING)
-        ))
-        sub = ProbeService("sub", lambda s: s.watch_event("test.evt"))
-        a.install_service(pub)
-        b.install_service(sub)
-        settle(runtime, 8.0)
-        sent = [f"t{i}" for i in range(20)]
-        for message in sent:
-            pub.handle.raise_event(message)
-            runtime.run_for(0.05)
-        runtime.run_for(20.0)
-        assert sub.events_of("test.evt") == sent
-
-
 class TestUnsubscribe:
     def test_unsubscribed_service_stops_receiving(self):
         runtime, a, b = two_containers()

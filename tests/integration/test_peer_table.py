@@ -5,16 +5,18 @@ keeps per peer — streams, admission buckets and quarantine, the abuse log,
 the epoch, the resolved address — hangs off that id's one
 :class:`~repro.protocol.peers.Peer`, and a stranger's Peer lives in an LRU of
 at most ``MAX_STRANGERS``. So a flood of forged ids on the best-effort
-(VAR_SAMPLE, channel 0), reliable (EVENT, channel 1) and TCP-modelled
-(STREAM_SYN, channel 2) planes, with admission off and armed, must leave the
-heap flat between the 10,000th and the 100,000th id. In the same run an
+(VAR_SAMPLE, channel 0) and reliable (EVENT, channel 1) planes, and on a
+channel no stream uses (STREAM_SYN, channel 2: the E5 TCP model's wire),
+with admission off and armed, must leave the heap flat between the 10,000th
+and the 100,000th id. In the same run an
 announced peer's events arrive once each, in order, and a stranger that
 keeps sending — the LRU keeps what is used — and announces mid-flood keeps
 its stream.
 
 Measured before the peer table existed, on this harness (CPython 3.11): the
-heap grew 25.1 MB from 10,000 to 100,000 ids with admission off — the TCP
-streams' three per-peer dicts, which had no bound — and 76.3 MB armed, the
+heap grew 25.1 MB from 10,000 to 100,000 ids with admission off — the
+TCP-modelled streams a container then opened on channel 2, whose three
+per-peer dicts had no bound — and 76.3 MB armed, the
 admission state of every id on top; the peer table measures 0.03 MB both
 ways.
 
@@ -30,7 +32,7 @@ import tracemalloc
 import pytest
 
 from repro import Service, SimRuntime
-from repro.container.links import RELIABLE_CHANNEL, TCP_CHANNEL
+from repro.container.links import RELIABLE_CHANNEL
 from repro.encoding.types import INT64
 from repro.primitives import wire
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
@@ -57,6 +59,8 @@ _RELIABLE = int(FrameFlags.RELIABLE)
 _SAMPLE = wire.encode_var_sample({"name": "nobody.var", "timestamp": 0.0, "value": b"\x01"})
 _EVENT = wire.encode_event_message({"name": "nobody.event", "timestamp": 0.0, "value": b""})
 _SYN = b"\x00" * TCP_EXTRA_HEADER
+#: No stream of the container uses it: unarmed, a frame on it opens no Peer.
+_NO_STREAM_CHANNEL = 2
 
 
 def _forged(i):
@@ -66,7 +70,7 @@ def _forged(i):
         return Frame(MessageKind.VAR_SAMPLE, source, _SAMPLE)
     if i % 3 == 1:
         return Frame(MessageKind.EVENT, source, _EVENT, RELIABLE_CHANNEL, 1, _RELIABLE)
-    return Frame(MessageKind.STREAM_SYN, source, _SYN, TCP_CHANNEL)
+    return Frame(MessageKind.STREAM_SYN, source, _SYN, _NO_STREAM_CHANNEL)
 
 
 class _Flood:
@@ -141,11 +145,15 @@ def test_forged_ids_leave_the_heap_flat(admission):
     peers = list(b.directory.peers())
     strangers = [peer for peer in peers if peer.id.startswith("forged-")]
     assert len(strangers) == MAX_STRANGERS and len(peers) <= MAX_STRANGERS + 2
-    # The strangers held are the newest: two thirds of the ids (all, armed)
-    # opened one.
-    assert min(int(peer.id[len("forged-"):]) for peer in strangers) > FORGED - 2 * MAX_STRANGERS
+    held = [int(peer.id[len("forged-"):]) for peer in strangers]
     if admission:
+        # Admission opens a Peer for every id: the newest are held.
+        assert min(held) > FORGED - 2 * MAX_STRANGERS
         assert b.admission.admitted > FORGED and b.admission.dropped == 0
+    else:
+        # Only the reliable third opens one: the newest of that third.
+        assert min(held) >= FORGED - 3 * MAX_STRANGERS
+        assert not any(i % 3 == 2 for i in held)
     # The stranger that announced mid-flood: promoted, its stream intact.
     late = b.directory.known["late"]
     assert late.receiver is flood.late

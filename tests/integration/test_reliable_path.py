@@ -608,7 +608,9 @@ class TestPeerRestartInsideLivenessTimeout:
         the new incarnation from its announce and starts the stream over
         (``_on_container_restart``); the publisher's streams started over
         with it. Events raised after the restart arrive exactly once, in
-        order, over batched datagrams, so through the run path."""
+        order, over batched datagrams, so through the run path — also those
+        raised right after ``provide``, before the subscriber has the new
+        incarnation's offer: they are held until it arrives."""
         runtime = SimRuntime(seed=6)
         pub_container = runtime.add_container("pub", **FAST_PLANE)
         sub_container = runtime.add_container("sub", **FAST_PLANE)
@@ -637,21 +639,68 @@ class TestPeerRestartInsideLivenessTimeout:
         runtime.network.set_node_up("pub", True)
         pub_container.start()
         pub_container.start_service("pub")  # provides "mark" again
-        assert runtime.run_until(lambda: peer.epoch == epoch + 1, timeout=0.5)
-        assert runtime.sim.now() - stopped_at < sub_container.config.liveness_timeout
-        # An event is decoded only with the type its sender offers: raise
-        # once the subscriber has the new incarnation's offer.
-        record = sub_container.directory.record("pub")
-        assert runtime.run_until(lambda: "mark" in record.events, timeout=0.1)
         assert publisher.mark.subscribers == {"sub"}
         for n in range(5, 25):
             publisher.mark.raise_event(n)
+        assert runtime.run_until(lambda: peer.epoch == epoch + 1, timeout=0.5)
+        assert runtime.sim.now() - stopped_at < sub_container.config.liveness_timeout
         runtime.run_for(1.0)
 
         assert [value for _, value, _ in subscriber.events] == list(range(25))
         assert downs == []  # never missed: the restart hook, not liveness
         assert peer.epoch == epoch + 1
         assert sub_container.directory.record("pub").alive
+        assert sub_container.metrics.counter_value("unoffered_events") == 0
+
+
+class TestPeerRestartAsANewProcess:
+    @pytest.mark.xfail(strict=True, reason=(
+        "A container restarted as a new process announces incarnation 1 again, "
+        "so its peers see no restart: they keep its old stream state and "
+        "subscriptions. The mend is a boot id a new process cannot repeat (a "
+        "random nonce in ANNOUNCE and HEARTBEAT); it moves wire bytes, so it "
+        "waits for the golden break."
+    ))
+    def test_events_after_the_restart_arrive(self):
+        """The publisher's process goes silent (no BYE) and a fresh
+        ``ServiceContainer`` "pub" starts on the same node inside the
+        subscriber's ``liveness_timeout``. Events it raises once it has
+        announced reach the subscriber."""
+        def provider():
+            return ProbeService(
+                "pub", lambda s: setattr(s, "mark", s.ctx.provide_event("mark", INT64))
+            )
+
+        runtime = SimRuntime(seed=6)
+        old = runtime.add_container("pub", **FAST_PLANE)
+        publisher = provider()
+        old.install_service(publisher)
+        sub_container = runtime.add_container("sub", **FAST_PLANE)
+        subscriber = ProbeService("sub", lambda s: s.watch_event("mark"))
+        sub_container.install_service(subscriber)
+        runtime.start()
+        runtime.settle()
+        assert runtime.run_until(lambda: publisher.mark.subscribers == {"sub"}, timeout=5.0)
+        for n in range(5):
+            publisher.mark.raise_event(n)
+        runtime.run_for(0.2)
+        assert [value for _, value, _ in subscriber.events] == list(range(5))
+
+        downs = []
+        sub_container.directory.on_container_down(lambda record: downs.append(record))
+        runtime.network.set_node_up("pub", False)  # the old process dies silently
+        old.stop()
+        del runtime.containers["pub"]
+        runtime.run_for(0.1)
+        runtime.network.set_node_up("pub", True)
+        fresh = provider()
+        runtime.add_container("pub", **FAST_PLANE).install_service(fresh)
+        runtime.run_for(0.3)
+        assert downs == []  # inside the liveness timeout
+        for n in range(5, 25):
+            fresh.mark.raise_event(n)
+        runtime.run_for(1.0)
+        assert [value for _, value, _ in subscriber.events] == list(range(25))
 
 
 # -- a NACK, which no container sends ------------------------------------------------

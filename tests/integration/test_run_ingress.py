@@ -176,6 +176,22 @@ class TestRunGates:
             "admission_drops", source="a", band="2", reason="quarantine"
         ) == 4
 
+    def test_other_channels_open_no_peer(self):
+        """Channel 0 is dispatched and channel 1 is the reliable stream;
+        anything else is counted, recorded and dropped before a peer
+        lookup, so a stranger sending on it costs no peer state."""
+        pair = _Pair()
+        b = pair.b
+        received = b.metrics.counter_value("frames_received", kind="STREAM_SYN")
+        event = wire.encode_event_message({"name": "mark", "timestamp": 0.0, "value": b""})
+        at = Address("stranger", 1)
+        b._on_frame(Frame(MessageKind.STREAM_SYN, "stranger", bytes(12), 2), at)
+        b._on_frame(Frame(MessageKind.EVENT, "stranger", event, 3, 1), at)
+        pair.runtime.run_for(0.01)
+        assert pair.log == []
+        assert b.directory.find("stranger") is None
+        assert b.metrics.counter_value("frames_received", kind="STREAM_SYN") == received + 1
+
     def test_unsubscribing_inside_a_run_stops_delivery_to_that_subscription(self):
         pair = _Pair()
         quitter = []

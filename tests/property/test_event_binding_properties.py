@@ -242,13 +242,22 @@ class TestBindings:
     def test_an_event_its_source_does_not_offer_is_dropped_and_counted(self):
         """Only the sender's own offer types an event: not another
         provider's offer of the name, and not anyone's for a source no
-        record names."""
+        record names. A source no record names is dropped at once; a live
+        one that does not offer the name is held for its offer, which never
+        comes, and dropped at the hold deadline."""
         runtime, b, got = self._trio()
         deliveries = b.metrics.counter_value("event_deliveries")
         b.events.on_event_frame(_mark("a", name="other"))  # 'c' offers it
         b.events.on_event_frame(_mark("forged"))
         b.events.on_event_frame(_mark("c", name="other"))  # the real one
         runtime.run_for(0.01)
+        assert b.metrics.counter_value("unoffered_events") == 1
+        hold = b.config.announce_interval + b.config.liveness_timeout
+        runtime.run_for(hold - 0.02)
+        assert got[3:] == [("other", 5)]
+        assert b.metrics.counter_value("unoffered_events") == 1
+        runtime.run_for(0.02)
         assert got[3:] == [("other", 5)]
         assert b.metrics.counter_value("unoffered_events") == 2
         assert b.metrics.counter_value("event_deliveries") == deliveries + 1
+        assert b.events._held == {}

@@ -14,7 +14,7 @@ Kinds exercised: ``MessageKind.STREAM_SYN``, ``MessageKind.STREAM_SYNACK``,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol import TcpLikeReceiver, TcpLikeSender
+from repro.protocol.tcp_like import TcpLikeReceiver, TcpLikeSender
 from repro.protocol.frames import MessageKind
 from repro.util import ManualClock
 

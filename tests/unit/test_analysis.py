@@ -293,13 +293,15 @@ class TestImportBoundary:
         # neither the simulator nor the apps, so an AsyncRuntime container
         # with one bare service loads only the middleware. The scenario
         # also checks that `from repro import SimRuntime` still resolves.
+        # The TCP model is E5's baseline only: no container path loads it.
         substrates = {"sim", "simnet", "flight", "imaging", "faults", "analysis",
                       "verify", "telemetry"}
         loaded = deployment_closure()
         forbidden = [
             m for m in loaded
             if m.partition(".")[2].split(".")[0] in substrates
-            or m in ("repro.runtime.simruntime", "repro.transport.sim")
+            or m in ("repro.runtime.simruntime", "repro.transport.sim",
+                     "repro.protocol.tcp_like")
             or (m.startswith("repro.services.") and m != "repro.services.base")
         ]
         assert not forbidden, forbidden

@@ -140,7 +140,6 @@ class TestConfig:
     def test_defaults_valid(self):
         config = self.base()
         assert config.codec == "binary"
-        assert config.event_mapping == "udp_ack"
 
     def test_defaults_ignore_the_environment(self, monkeypatch):
         """Fails at the parent, whose defaults read these variables."""
@@ -157,10 +156,6 @@ class TestConfig:
             monkeypatch.setenv(name, value)
         config = ContainerConfig("a", "n")
         assert config == clean
-
-    def test_bad_event_mapping(self):
-        with pytest.raises(ConfigurationError):
-            self.base(event_mapping="sctp")
 
     def test_heartbeat_must_beat_liveness(self):
         with pytest.raises(ConfigurationError):

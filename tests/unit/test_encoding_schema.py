@@ -1,18 +1,16 @@
-"""Tests for the C-like schema parser and the schema registry."""
+"""Tests for the C-like schema parser."""
 
 import pytest
 
 from repro.encoding import (
     FLOAT64,
     INT32,
-    SchemaRegistry,
     StructType,
     UnionType,
     VectorType,
     parse_type,
 )
-from repro.encoding.schema import default_registry
-from repro.util.errors import ConfigurationError, EncodingError
+from repro.util.errors import EncodingError
 
 
 class TestParser:
@@ -73,37 +71,9 @@ class TestParser:
         with pytest.raises((EncodingError, ValueError)):
             parse_type(bad)
 
-
-class TestRegistry:
-    def test_register_and_get(self):
-        reg = SchemaRegistry()
-        t = reg.register_text("Point", "struct Point { float64 x; float64 y; }")
-        assert reg.get("Point") == t
-        assert reg.contains("Point")
-        assert "Point" in reg.names()
-
-    def test_typedef_resolution(self):
-        reg = SchemaRegistry()
-        reg.register_text("Point", "struct Point { float64 x; float64 y; }")
-        t = reg.register_text("Track", "struct Track { Point points[]; }")
-        assert t.fields[0][1] == VectorType(reg.get("Point"))
-
-    def test_conflicting_registration_rejected(self):
-        reg = SchemaRegistry()
-        reg.register_text("P", "struct P { float64 x; }")
-        with pytest.raises(ConfigurationError):
-            reg.register_text("P", "struct P { int32 x; }")
-
-    def test_idempotent_registration_allowed(self):
-        reg = SchemaRegistry()
-        reg.register_text("P", "struct P { float64 x; }")
-        reg.register_text("P", "struct P { float64 x; }")
-
-    def test_unknown_schema(self):
-        with pytest.raises(ConfigurationError):
-            SchemaRegistry().get("Nope")
-
-    def test_default_registry_has_wellknown_schemas(self):
-        reg = default_registry()
-        for name in ["Position", "Attitude", "PhotoEvent", "Detection", "Alarm"]:
-            assert reg.contains(name)
+    @pytest.mark.parametrize("text", ["Position", "struct Track { Point points[]; }"])
+    def test_a_bare_name_that_is_no_primitive_raises(self, text):
+        """Offers carry whole declarations: a bare name off the wire has
+        nothing to resolve against."""
+        with pytest.raises(EncodingError):
+            parse_type(text)

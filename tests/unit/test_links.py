@@ -1,8 +1,8 @@
 """Unit tests for the per-peer reliable-links managers."""
 
 
-from repro.container.links import RELIABLE_CHANNEL, ReliableLinks, TcpLinks
-from repro.protocol.frames import Frame, MessageKind
+from repro.container.links import ReliableLinks
+from repro.protocol.frames import MessageKind
 from repro.protocol.peers import Peer
 from repro.protocol.reliability import RetransmitPolicy
 from repro.sim import Simulator
@@ -100,11 +100,6 @@ class TestReliableLinks:
         assert [f.payload for f in pair.delivered_b] == [b"a->b"]
         assert [f.payload for f in pair.delivered_a] == [b"b->a"]
 
-    def test_non_reliable_channel_ignored(self):
-        pair = LinkPair()
-        frame = Frame(kind=MessageKind.VAR_SAMPLE, source="x", channel=0)
-        assert pair.a.on_frame(frame, Peer("x")) is False
-
     def test_reset_peer_fails_pending(self):
         pair = LinkPair(drop_next=100)
         pair.send(b"in flight")
@@ -192,49 +187,3 @@ class TestOneWakeupPerStream:
             (0.0, b"old"), (0.02, b"new"), (0.07, b"new"),
         ]
 
-
-class TestTcpLinks:
-    def make_pair(self):
-        sim = Simulator()
-        delivered = []
-        links_box = {}
-        self.peer_b, peer_a = Peer("b"), Peer("a")
-
-        def a_to_peer(peer, frames):
-            for frame in frames:
-                sim.call_soon(lambda frame=frame: links_box["b"].on_frame(frame, peer_a))
-
-        def b_to_peer(peer, frames):
-            for frame in frames:
-                sim.call_soon(lambda frame=frame: links_box["a"].on_frame(frame, self.peer_b))
-
-        links_box["a"] = TcpLinks(
-            clock=sim, timers=sim, local="a", send_to_peer=a_to_peer,
-            deliver=lambda peer, payload: delivered.append((peer, payload)),
-        )
-        links_box["b"] = TcpLinks(
-            clock=sim, timers=sim, local="b", send_to_peer=b_to_peer,
-            deliver=lambda peer, payload: delivered.append((peer, payload)),
-        )
-        return sim, links_box["a"], links_box["b"], delivered
-
-    def test_stream_delivery_with_handshake(self):
-        sim, a, b, delivered = self.make_pair()
-        a.send(self.peer_b, b"first")
-        a.send(self.peer_b, b"second")
-        sim.run(until=2.0)
-        assert delivered == [("a", b"first"), ("a", b"second")]
-
-    def test_wrong_channel_ignored(self):
-        sim, a, b, delivered = self.make_pair()
-        frame = Frame(kind=MessageKind.STREAM_SEGMENT, source="a", channel=RELIABLE_CHANNEL)
-        assert b.on_frame(frame, Peer("a")) is False
-
-    def test_reset_peer_clears_state(self):
-        sim, a, b, delivered = self.make_pair()
-        a.send(self.peer_b, b"x")
-        sim.run(until=1.0)
-        wakeup = self.peer_b.tcp_sender.wakeup
-        self.peer_b.close()
-        assert self.peer_b.tcp_sender is None and self.peer_b.tcp_receiver is None
-        assert wakeup._at == float("-inf")

@@ -40,7 +40,6 @@ class FakeHost:
         self.recorder = FlightRecorder(self.sim)
         self.unicasts = []  # (peer, frame)
         self.reliables = []  # (peer, kind, payload)
-        self.tcp_payloads = []
         self.groups_sent = []  # (group, frame)
         self.joined = []
         self.left = []
@@ -71,9 +70,6 @@ class FakeHost:
 
     def send_reliable(self, peer, kind, payload):
         self.reliables.append((peer, kind, payload))
-
-    def send_tcp_stream(self, peer, payload):
-        self.tcp_payloads.append((peer, payload))
 
     def send_group(self, group, frame):
         self.groups_sent.append((group, frame))
@@ -246,18 +242,6 @@ class TestEventManagerUnits:
         peers = sorted(peer for peer, kind, _ in host.reliables)
         assert peers == ["r1", "r2"]
 
-    def test_tcp_mapping_used_when_configured(self):
-        host = FakeHost()
-        host.config = ContainerConfig(
-            container_id="local", node="n", event_mapping="tcp"
-        )
-        mgr = EventManager(host)
-        pub = mgr.provide("e", STRING)
-        pub.subscribers.add("r1")
-        pub.raise_event("x")
-        assert host.reliables == []
-        assert len(host.tcp_payloads) == 1
-
     def test_signal_event_has_empty_payload(self):
         host = FakeHost()
         mgr = EventManager(host)
@@ -275,6 +259,69 @@ class TestEventManagerUnits:
         pub.subscribers.update({"dead", "alive"})
         mgr.on_subscriber_down("dead")
         assert pub.subscribers == {"alive"}
+
+
+class TestHeldEvents:
+    """An event from a live container whose record does not yet offer the
+    name waits for the offer (``events.HELD_PER_PROVIDER`` at most)."""
+
+    OFFER = {"name": "e", "datatype": "string"}
+
+    def setup_method(self):
+        self.host = FakeHost()
+        self.host.add_remote("r")  # live, offers nothing yet
+        self.mgr = EventManager(self.host)
+        self.got = []
+        self.mgr.subscribe("e", lambda value, _t: self.got.append(value))
+
+    def raise_from(self, source, *values):
+        for value in values:
+            payload = wire.encode_event_message(
+                {"name": "e", "timestamp": 0.0, "value": STRING_CODEC(value)}
+            )
+            self.mgr.on_event_frame(Frame(MessageKind.EVENT, source, payload))
+
+    def offer(self):
+        self.host.add_remote("r", events=[self.OFFER])
+        self.mgr.on_provider_up("r")
+
+    @property
+    def dropped(self):
+        return self.host.metrics.counter_value("unoffered_events")
+
+    def test_released_in_arrival_order_when_the_offer_arrives(self):
+        self.raise_from("r", "a", "b", "c")
+        self.host.sim.run_for(0.5)
+        assert self.got == []
+        self.offer()
+        self.raise_from("r", "d")
+        assert self.got == ["a", "b", "c", "d"]
+        assert self.dropped == 0 and self.mgr._held == {}
+        self.host.sim.run_for(5.0)  # the cancelled deadline drops nothing
+        assert self.dropped == 0
+
+    def test_past_the_bound_the_oldest_go_and_are_counted(self):
+        from repro.primitives.events import HELD_PER_PROVIDER
+
+        values = [str(i) for i in range(HELD_PER_PROVIDER + 2)]
+        self.raise_from("r", *values)
+        assert self.dropped == 2
+        self.offer()
+        assert self.got == values[2:]
+
+    def test_dropped_when_the_provider_goes_down(self):
+        self.raise_from("r", "a", "b")
+        self.mgr.on_subscriber_down("r")
+        assert self.dropped == 2 and self.mgr._held == {}
+        self.offer()
+        assert self.got == []
+
+    def test_a_source_no_record_names_is_dropped_at_once(self):
+        self.raise_from("stranger", "a")
+        assert self.dropped == 1 and self.mgr._held == {}
+
+
+STRING_CODEC = BinaryCodec().encoder(STRING)
 
 
 class TestInvocationManagerUnits:

@@ -1,9 +1,8 @@
 """Tests for the TCP-behaviour baseline stream."""
 
 
-from repro.protocol import TcpLikeReceiver, TcpLikeSender
 from repro.protocol.frames import MessageKind
-from repro.protocol.tcp_like import TCP_EXTRA_HEADER
+from repro.protocol.tcp_like import TCP_EXTRA_HEADER, TcpLikeReceiver, TcpLikeSender
 from repro.util import ManualClock, SeededRng
 
 
